@@ -118,14 +118,6 @@ def predict_cells(
     return grid
 
 
-def cell_probabilities(fused: Tensor) -> np.ndarray:
-    """Softmax-mode per-cell class probabilities (plain array)."""
-    x = fused.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def gold_tag_mask(gold: TagGrid, vocab: TagVocabulary, mask2d: np.ndarray) -> np.ndarray:
     """Boolean (n, n, |R|) positive-tag indicator from a gold grid.
 

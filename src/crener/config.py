@@ -8,10 +8,11 @@ rejected. CLI `--set key=value` overrides reuse the same machinery.
 
 from __future__ import annotations
 
+import copy
 import json
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .co_predictor import PredictorConfig
 from .encoder import EncoderConfig
@@ -32,7 +33,6 @@ class AblationFlags:
     no_dilated_conv: bool = False
     no_mlp_predictor: bool = False
     no_biaffine_predictor: bool = False
-    no_enhancement: bool = False
     rounds_override: int | None = None
 
     def validate(self) -> None:
@@ -100,18 +100,6 @@ class ModelConfig:
             raise ConfigError(str(exc)) from None
         self.optimizer.validate()
         self.ablations.validate()
-
-    def copy(self) -> "ModelConfig":
-        return ModelConfig(
-            encoder=replace(self.encoder),
-            grid=replace(self.grid),
-            enhance=replace(self.enhance),
-            predictor=replace(self.predictor),
-            optimizer=replace(self.optimizer),
-            ablations=replace(self.ablations),
-            decode=replace(self.decode),
-            paths=replace(self.paths),
-        )
 
 
 def default_config() -> ModelConfig:
@@ -228,7 +216,7 @@ def save_config(config: ModelConfig, path) -> None:
 
 
 def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig:
-    config = base.copy() if base is not None else default_config()
+    config = copy.deepcopy(base) if base is not None else default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -39,19 +39,15 @@ class EncoderConfig:
     def d_h(self) -> int:
         return self.d_context + self.d_pos + self.d_region + self.d_attn
 
-    @property
-    def d_model(self) -> int:
-        return self.d_h
-
     def validate(self) -> None:
         for name in ("d_context", "d_pos", "d_region", "d_attn", "heads", "max_len"):
             if getattr(self, name) < 1:
                 raise CrenerError(f"encoder.{name} must be >= 1")
         if self.layers < 0:
             raise CrenerError("encoder.layers must be >= 0")
-        if self.d_model % self.heads != 0:
+        if self.d_h % self.heads != 0:
             raise CrenerError(
-                f"encoder width {self.d_model} not divisible by heads {self.heads}"
+                f"encoder width {self.d_h} not divisible by heads {self.heads}"
             )
         if not 0.0 <= self.dropout < 1.0:
             raise CrenerError("encoder.dropout must be in [0, 1)")
@@ -163,7 +159,9 @@ def _embed_with_attention(
     params: EncoderParams,
     context_vectors: np.ndarray | None = None,
 ) -> tuple[CharRepr, np.ndarray]:
-    """Concatenated embedding plus the raw-attention weights used for H^A."""
+    """Concatenation of contextual, positional, region, and attention
+    embeddings, one row per character with padded rows zeroed, plus the
+    raw-attention weights used for H^A."""
     cfg = params.config
     n = len(char_ids)
     if n > cfg.max_len:
@@ -193,18 +191,6 @@ def _embed_with_attention(
     return CharRepr(_zero_masked_rows(h, mask), mask), attn.data.copy()
 
 
-def embed_characters(
-    char_ids: np.ndarray,
-    mask: np.ndarray,
-    params: EncoderParams,
-    context_vectors: np.ndarray | None = None,
-) -> CharRepr:
-    """Concatenation of contextual, positional, region, and attention
-    embeddings, one row per character; padded rows zeroed."""
-    repr_, _ = _embed_with_attention(char_ids, mask, params, context_vectors)
-    return repr_
-
-
 def adapted_attention(
     h: CharRepr,
     layer: AttentionLayerParams,
@@ -220,7 +206,7 @@ def adapted_attention(
     (off by default). Dropout runs only when a generator is supplied.
     """
     n = h.n
-    d_model = config.d_model
+    d_model = config.d_h
     heads = config.heads
     d_head = d_model // heads
     mask = h.mask
@@ -283,7 +269,7 @@ def encode(
     h, raw_attn = _embed_with_attention(char_ids, mask, params, context_vectors)
     attn_2d = raw_attn
     if not skip_adapted and params.layers:
-        rel = relative_position_embedding(len(char_ids), params.config.d_model)
+        rel = relative_position_embedding(len(char_ids), params.config.d_h)
         for layer in params.layers:
             h, attn_heads = adapted_attention(
                 h,

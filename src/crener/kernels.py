@@ -1,67 +1,18 @@
 """Hot numeric kernels: dilated 2D convolution forward and backward.
 
-Two interchangeable backends compute the same thing:
-
-* ``numba``: typed loops compiled with ``@njit`` (default when numba
-  imports cleanly),
-* ``numpy``: shifted-slice matmuls over a zero-padded copy.
-
-Selection order: the ``CRENER_NUMBA`` environment variable at import
-time ("0", "false", or "off" disables numba), then `set_backend` for
-in-process switching. Both paths take (n, n, c_in) grids and
-(k, k, c_in, c_out) kernels and keep the spatial size via zero padding
-of (k // 2) * dilation on each side.
+Both take (n, n, c_in) grids and (k, k, c_in, c_out) kernels and keep
+the spatial size via zero padding of (k // 2) * dilation on each side.
+Each kernel tap is one matmul over a shifted slice of a zero-padded
+copy, so the arithmetic runs in BLAS.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("CRENER_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off")
-
-
-_backend = "numba" if (_NUMBA_AVAILABLE and _env_wants_numba()) else "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime; `name` is "numba" or "numpy"."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def active_backend() -> str:
-    return _backend
-
-
-# ----------------------------------------------------------------------
-# numpy path: gather shifted slices of a padded copy, one matmul per tap
-
-
-def _conv2d_forward_numpy(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
+    """Same-size dilated convolution of an (n, n, c_in) grid."""
     n = x.shape[0]
     k = w.shape[0]
     pad = (k // 2) * dilation
@@ -75,7 +26,8 @@ def _conv2d_forward_numpy(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation:
     return out
 
 
-def _conv2d_backward_numpy(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation: int):
+def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation: int):
+    """Gradients (dx, dw, db) of `conv2d_forward` given upstream grad `g`."""
     n = x.shape[0]
     k = w.shape[0]
     pad = (k // 2) * dilation
@@ -91,90 +43,3 @@ def _conv2d_backward_numpy(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation
     dx = gxp[pad:pad + n, pad:pad + n]
     db = g.sum(axis=(0, 1))
     return dx, dw, db
-
-
-# ----------------------------------------------------------------------
-# numba path: explicit loops over output cells and kernel taps
-
-
-@njit(cache=True, fastmath=True)
-def _conv2d_forward_numba(x, w, b, dilation):
-    n = x.shape[0]
-    c_in = x.shape[2]
-    k = w.shape[0]
-    c_out = w.shape[3]
-    half = k // 2
-    out = np.empty((n, n, c_out), dtype=x.dtype)
-    for i in range(n):
-        for j in range(n):
-            for co in range(c_out):
-                out[i, j, co] = b[co]
-            for a in range(k):
-                ii = i + (a - half) * dilation
-                if ii < 0 or ii >= n:
-                    continue
-                for c in range(k):
-                    jj = j + (c - half) * dilation
-                    if jj < 0 or jj >= n:
-                        continue
-                    # branch-free inner pair so LLVM vectorizes over co
-                    for ci in range(c_in):
-                        xv = x[ii, jj, ci]
-                        for co in range(c_out):
-                            out[i, j, co] += xv * w[a, c, ci, co]
-    return out
-
-
-@njit(cache=True, fastmath=True)
-def _conv2d_backward_numba(x, w, g, dilation):
-    n = x.shape[0]
-    c_in = x.shape[2]
-    k = w.shape[0]
-    c_out = w.shape[3]
-    half = k // 2
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    db = np.zeros(c_out, dtype=x.dtype)
-    for i in range(n):
-        for j in range(n):
-            for co in range(c_out):
-                db[co] += g[i, j, co]
-            for a in range(k):
-                ii = i + (a - half) * dilation
-                if ii < 0 or ii >= n:
-                    continue
-                for c in range(k):
-                    jj = j + (c - half) * dilation
-                    if jj < 0 or jj >= n:
-                        continue
-                    for ci in range(c_in):
-                        xv = x[ii, jj, ci]
-                        acc = 0.0
-                        for co in range(c_out):
-                            gv = g[i, j, co]
-                            dw[a, c, ci, co] += xv * gv
-                            acc += gv * w[a, c, ci, co]
-                        dx[ii, jj, ci] += acc
-    return dx, dw, db
-
-
-# ----------------------------------------------------------------------
-# dispatch
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
-    """Same-size dilated convolution of an (n, n, c_in) grid."""
-    if _backend == "numba":
-        return _conv2d_forward_numba(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(b), dilation
-        )
-    return _conv2d_forward_numpy(x, w, b, dilation)
-
-
-def conv2d_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation: int):
-    """Gradients (dx, dw, db) of `conv2d_forward` given upstream grad `g`."""
-    if _backend == "numba":
-        return _conv2d_backward_numba(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(g), dilation
-        )
-    return _conv2d_backward_numpy(x, w, g, dilation)

@@ -207,6 +207,12 @@ class CrenerModel:
         """(char_ids, mask, context_vectors) for one sentence, optionally padded."""
         ids = self.char_vocab.encode(sentence.chars)
         n = len(ids)
+        max_len = self.config.encoder.max_len
+        if n > max_len:
+            raise CorpusError(
+                f"sentence {sentence.id!r} has {n} characters, more than "
+                f"encoder.max_len {max_len}"
+            )
         total = max(pad_to or n, n)
         mask = np.zeros(total, dtype=bool)
         mask[:n] = True
@@ -243,7 +249,7 @@ class CrenerModel:
             dropout_rng=rng,
         )
         h = enc_out.h
-        tf, _, _ = enh_mod.run_enhancement(
+        tf = enh_mod.run_enhancement(
             h.values,
             mask,
             enc_out.attn,
@@ -256,7 +262,6 @@ class CrenerModel:
             use_region=not abl.no_region_matrix,
             use_attn=not abl.no_attn_matrix,
             use_dilated_conv=not abl.no_dilated_conv,
-            enhancement_enabled=not abl.no_enhancement,
         )
         y_bi = None if abl.no_biaffine_predictor else pred_mod.biaffine_scores(
             h.values, self.predictor_params

@@ -5,9 +5,10 @@ Each round maps the convolved grid into four tag-group feature planes
 and object vectors, refines those with shared multi-head self-attention
 followed by cross-attention against the round-0 projections, and fuses
 through a GELU linear layer with a residual layer norm. The refined
-subject/object vectors condition the next round's grid. Parameters are
-shared across rounds; the final round's tag features feed the MLP
-predictor.
+subject/object vectors condition the next round's grid, so only the
+rounds before the last one pool and enhance. Parameters are shared
+across rounds; the final round's tag features feed the MLP predictor.
+With one round the grid is built once and nothing is enhanced.
 """
 
 from __future__ import annotations
@@ -178,15 +179,13 @@ def run_enhancement(
     use_region: bool = True,
     use_attn: bool = True,
     use_dilated_conv: bool = True,
-    enhancement_enabled: bool = True,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Run the grid + enhancement loop; returns (TF_final, H_s, H_o).
+) -> Tensor:
+    """Run the grid + enhancement loop; returns the final round's TF.
 
     Round 0 projects the encoder output into subject/object views. Every
     round rebuilds the grid from the current views (CLN, pair features,
-    convolutions, tag features); unless enhancement is disabled, it then
-    pools, attends, and fuses, feeding the refined views forward. With
-    enhancement disabled a single grid pass produces TF directly.
+    convolutions, tag features); every round but the last then pools,
+    attends, and fuses, feeding the refined views to the next round.
     """
     if rounds is None:
         rounds = enhance_config.rounds
@@ -196,11 +195,7 @@ def run_enhancement(
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, grid_params)
     h_s, h_o = h_s0, h_o0
-    if not enhancement_enabled:
-        rounds = 1
-
-    tf = None
-    for _ in range(rounds):
+    for r in range(rounds):
         v = grid_mod.conditional_layer_norm(h_s, h_o, grid_params)
         v = v * mask2d.astype(v.dtype)[:, :, None]
         c = grid_mod.pair_features(
@@ -213,9 +208,9 @@ def run_enhancement(
             else c
         )
         tf = tag_features(q, enhance_params)
-        if enhancement_enabled:
+        if r < rounds - 1:
             h_s_r, h_o_r = pool_recover(tf, mask, enhance_params)
             h_s, h_o = enhance_round(
                 h_s_r, h_o_r, h_s0, h_o0, mask, enhance_params, enhance_config
             )
-    return tf, h_s, h_o
+    return tf

@@ -6,7 +6,8 @@ update vector (moment direction and decay together) is renormalized to
 at most grad_clip_norm * learning_rate, so that bound holds exactly per
 step. Each epoch logs one JSON record; the best dev-F1 parameters are
 kept. A checkpoint is a directory: manifest.json plus one .npy blob per
-parameter (and per optimizer moment), little-endian.
+parameter, little-endian. It holds what prediction needs and nothing
+else: there is no resume, so the optimizer state is not saved.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .corpus import (
 from .errors import ConfigError, CorpusError, DivergenceError
 from .model import CrenerModel
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class Adam:
@@ -89,19 +90,6 @@ class Adam:
                     upd *= scale
         for name, upd in updates.items():
             self.store[name].data -= upd.astype(self.store[name].data.dtype)
-
-    def state_dict(self) -> dict:
-        return {
-            "step": self.step_count,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        for k in self.m:
-            self.m[k] = np.asarray(state["m"][k]).copy()
-            self.v[k] = np.asarray(state["v"][k]).copy()
 
 
 @dataclass
@@ -193,7 +181,6 @@ class Checkpoint:
     char_vocab: CharVocabulary
     tag_vocab: TagVocabulary
     params: dict
-    optimizer_state: dict | None
     epoch: int
     history: list
 
@@ -214,17 +201,6 @@ class Checkpoint:
         le = "<f8" if self.config.optimizer.double_precision else "<f4"
         for name, array in self.params.items():
             np.save(_param_path(directory, name), np.asarray(array).astype(le))
-        if self.optimizer_state is not None:
-            odir = os.path.join(directory, "optim")
-            os.makedirs(odir, exist_ok=True)
-            with open(os.path.join(odir, "state.json"), "w", encoding="utf-8") as fh:
-                json.dump({"step": self.optimizer_state["step"]}, fh)
-            for key in ("m", "v"):
-                for name, array in self.optimizer_state[key].items():
-                    np.save(
-                        os.path.join(odir, f"{key}.{name}.npy"),
-                        np.asarray(array).astype(le),
-                    )
 
     @classmethod
     def load(cls, directory: str) -> "Checkpoint":
@@ -233,9 +209,11 @@ class Checkpoint:
             raise CorpusError(f"no checkpoint manifest at {manifest_path}")
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        version = manifest.get("format_version")
+        if version != CHECKPOINT_FORMAT_VERSION:
             raise ConfigError(
-                f"unsupported checkpoint format {manifest.get('format_version')!r}"
+                f"{directory}: unsupported checkpoint format {version!r}; only format "
+                f"{CHECKPOINT_FORMAT_VERSION} is read (format 1 is retired: retrain the model)"
             )
         config = config_from_flat(manifest["config"])
         chars = manifest["chars"]
@@ -247,22 +225,11 @@ class Checkpoint:
             name: np.load(_param_path(directory, name))
             for name in manifest["parameters"]
         }
-        optimizer_state = None
-        odir = os.path.join(directory, "optim")
-        if os.path.exists(os.path.join(odir, "state.json")):
-            with open(os.path.join(odir, "state.json"), encoding="utf-8") as fh:
-                step = json.load(fh)["step"]
-            optimizer_state = {
-                "step": step,
-                "m": {n: np.load(os.path.join(odir, f"m.{n}.npy")) for n in manifest["parameters"]},
-                "v": {n: np.load(os.path.join(odir, f"v.{n}.npy")) for n in manifest["parameters"]},
-            }
         return cls(
             config=config,
             char_vocab=char_vocab,
             tag_vocab=tag_vocab,
             params=params,
-            optimizer_state=optimizer_state,
             epoch=int(manifest["epoch"]),
             history=manifest.get("history", []),
         )
@@ -406,7 +373,6 @@ def train(
         char_vocab=char_vocab,
         tag_vocab=tag_vocab,
         params=best_params,
-        optimizer_state=optimizer.state_dict(),
         epoch=best_epoch,
         history=history,
     )

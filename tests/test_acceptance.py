@@ -20,6 +20,7 @@ Criteria:
 10. a Weibo-sized training run produces a well-formed eval report
 """
 
+import copy
 import json
 import os
 import time
@@ -256,8 +257,8 @@ def test_06_attention_invariants(capsys):
     params = model.encoder_params
     cfg = model.config.encoder
 
-    h0 = enc_mod.embed_characters(ids, mask, params)
-    rel = enc_mod.relative_position_embedding(len(ids), cfg.d_model)
+    h0, _ = enc_mod._embed_with_attention(ids, mask, params)
+    rel = enc_mod.relative_position_embedding(len(ids), cfg.d_h)
     _, weights = enc_mod.adapted_attention(h0, params.layers[0], cfg, rel=rel)
     out = enc_mod.encode(ids, mask, params)
 
@@ -339,7 +340,6 @@ def test_08_every_ablation_changes_the_loss(capsys):
         "no_dilated_conv",
         "no_mlp_predictor",
         "no_biaffine_predictor",
-        "no_enhancement",
     ]
     unchanged = []
     deltas = {}
@@ -369,7 +369,7 @@ def test_09_reproducible_and_checkpoint_safe(capsys, tmp_path):
     cfg.optimizer.epochs = 3
 
     def run():
-        return train(cfg.copy(), sentences, dev_sentences=sentences)
+        return train(copy.deepcopy(cfg), sentences, dev_sentences=sentences)
 
     a, b = run(), run()
     logs_equal = [

@@ -2,6 +2,7 @@
 main() the way a shell would use them."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from crener.config import (
     parse_config_text,
     save_config,
 )
-from crener.corpus import generate_synthetic_corpus, save_corpus
+from crener.corpus import Sentence, generate_synthetic_corpus, save_corpus
 from crener.errors import ConfigError
 
 
@@ -175,6 +176,33 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(tmp_path / "none"),
                      "--data", str(tmp_path / "none.jsonl")])
         assert code == 2
+
+    def test_format_1_checkpoint_exits_1(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "old"
+        shutil.copytree(workspace["ckpt"], ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["format_version"] = 1
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace["dev"]), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "retired" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_sentence_longer_than_max_len_exits_2(workspace, tmp_path, capsys, command):
+    data = tmp_path / "long.jsonl"
+    save_corpus([Sentence("long-1", ["字"] * 40, [])], data)  # max_len is 32
+    if command == "eval":
+        argv = ["eval", "--data", str(data), "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["predict", "--input", str(data), "--output", "-"]
+    code = main(argv + ["--checkpoint", str(workspace["ckpt"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'long-1'" in err and "max_len" in err
+    assert "Traceback" not in err
 
 
 class TestPredictCommand:

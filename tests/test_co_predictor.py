@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import small_model
+from crener import autodiff as ad
 from crener.autodiff import Tensor
 from crener.co_predictor import (
     biaffine_scores,
-    cell_probabilities,
     fuse_scores,
     gold_tag_mask,
     mlp_scores,
@@ -243,8 +243,8 @@ def vocab_grid(vocab, n):
     return TagGrid(n)
 
 
-def test_cell_probabilities_rows_normalize(rng):
+def test_cell_softmax_rows_normalize(rng):
     fused = Tensor(rng.normal(size=(3, 3, 5)).astype(np.float32))
-    p = cell_probabilities(fused)
+    p = ad.softmax(fused).data
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
     assert (p >= 0).all()

@@ -13,8 +13,8 @@ from crener import autodiff as ad
 from crener.autodiff import Tensor
 from crener.encoder import (
     EncoderConfig,
+    _embed_with_attention,
     adapted_attention,
-    embed_characters,
     encode,
     load_sidecar_vectors,
     relative_position_embedding,
@@ -58,7 +58,7 @@ class TestEmbedding:
         model, _ = small_model()
         ids = np.array([2, 3, 4, 0, 0])
         mask = np.array([True, True, True, False, False])
-        h = embed_characters(ids, mask, model.encoder_params)
+        h, _ = _embed_with_attention(ids, mask, model.encoder_params)
         assert h.values.shape == (5, model.config.encoder.d_h)
         np.testing.assert_array_equal(h.values.data[3:], 0.0)
         assert np.abs(h.values.data[:3]).sum() > 0
@@ -69,7 +69,7 @@ class TestEmbedding:
         ids = np.array([2, 3])
         mask = np.ones(2, dtype=bool)
         vecs = np.full((2, cfg.d_context), 0.25, dtype=np.float32)
-        h = embed_characters(ids, mask, model.encoder_params, context_vectors=vecs)
+        h, _ = _embed_with_attention(ids, mask, model.encoder_params, context_vectors=vecs)
         np.testing.assert_allclose(h.values.data[:, : cfg.d_context], 0.25, atol=1e-6)
 
     def test_wrong_vector_width_rejected(self):
@@ -77,21 +77,21 @@ class TestEmbedding:
         ids = np.array([2, 3])
         mask = np.ones(2, dtype=bool)
         with pytest.raises(CrenerError, match="shape"):
-            embed_characters(ids, mask, model.encoder_params, np.zeros((2, 3)))
+            _embed_with_attention(ids, mask, model.encoder_params, np.zeros((2, 3)))
 
     def test_max_len_enforced(self):
         model, _ = small_model()
         n = model.config.encoder.max_len + 1
         with pytest.raises(CrenerError, match="max_len"):
-            embed_characters(np.zeros(n, dtype=np.int64), np.ones(n, bool),
-                             model.encoder_params)
+            _embed_with_attention(np.zeros(n, dtype=np.int64), np.ones(n, bool),
+                                  model.encoder_params)
 
 
 def test_adapted_scores_match_scalar_loops(rng):
     model, _ = small_model()
     cfg = model.config.encoder
     layer = model.encoder_params.layers[0]
-    n, d, heads = 6, cfg.d_model, cfg.heads
+    n, d, heads = 6, cfg.d_h, cfg.heads
     dh = d // heads
     mask = np.array([True] * 5 + [False])
     hvals = rng.normal(size=(n, d)).astype(np.float32)
@@ -130,7 +130,7 @@ def test_scaling_flag_divides_scores(rng):
     layer = model.encoder_params.layers[0]
     n = 5
     mask = np.ones(n, dtype=bool)
-    hvals = rng.normal(size=(n, cfg.d_model)).astype(np.float32)
+    hvals = rng.normal(size=(n, cfg.d_h)).astype(np.float32)
     from crener.encoder import CharRepr
 
     _, plain = adapted_attention(CharRepr(Tensor(hvals.copy()), mask), layer, cfg)
@@ -197,7 +197,7 @@ class TestEncode:
         model, sents = small_model()
         ids, mask, _ = model.sentence_inputs(sents[0])
         skipped = encode(ids, mask, model.encoder_params, skip_adapted=True)
-        raw = embed_characters(ids, mask, model.encoder_params)
+        raw, _ = _embed_with_attention(ids, mask, model.encoder_params)
         np.testing.assert_array_equal(skipped.h.values.data, raw.values.data)
         full = encode(ids, mask, model.encoder_params)
         assert not np.allclose(full.h.values.data, raw.values.data)

@@ -157,7 +157,7 @@ class TestAblationRouting:
         flags = [
             "no_adapted_transformer", "use_scaling_factor", "no_region_matrix",
             "no_distance_matrix", "no_attn_matrix", "no_dilated_conv",
-            "no_mlp_predictor", "no_biaffine_predictor", "no_enhancement",
+            "no_mlp_predictor", "no_biaffine_predictor",
         ]
         for flag in flags:
             model, sents = self.model_with(**{flag: True})

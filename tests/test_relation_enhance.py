@@ -141,6 +141,18 @@ def test_enhance_round_matches_manual_composition(rng):
     np.testing.assert_allclose(got_o.data, o_exp.data, atol=1e-5)
 
 
+def test_enhance_round_zeroes_masked_rows(rng):
+    model, _, _, _ = setup(n=6)
+    p = model.enhance_params
+    d = model.config.encoder.d_h
+    mask = np.array([True] * 4 + [False] * 2)
+    views = [Tensor(rng.normal(size=(6, d)).astype(np.float32)) for _ in range(4)]
+    h_s, h_o = enh.enhance_round(*views, mask, p, model.config.enhance)
+    np.testing.assert_array_equal(h_s.data[4:], 0.0)
+    np.testing.assert_array_equal(h_o.data[4:], 0.0)
+    assert np.abs(h_s.data[:4]).sum() > 0 and np.abs(h_o.data[:4]).sum() > 0
+
+
 class TestRunEnhancement:
     def run(self, model, h, attn, mask, **kw):
         return enh.run_enhancement(
@@ -148,51 +160,65 @@ class TestRunEnhancement:
             model.config.grid, model.config.enhance, **kw,
         )
 
-    def test_round_loop_matches_manual_replay(self):
-        model, h, attn, mask = setup()
-        tf, h_s, h_o = self.run(model, h, attn, mask, rounds=2)
-
+    def grid_pass(self, model, h_s, h_o, attn, mask):
         gp, gc = model.grid_params, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
-        h_s0, h_o0 = grid_mod.project_subject_object(h, gp)
-        cs, co = h_s0, h_o0
-        for _ in range(2):
-            v = grid_mod.conditional_layer_norm(cs, co, gp)
-            v = v * Tensor(mask2d.astype(v.dtype)[:, :, None])
-            c = grid_mod.pair_features(v, attn, mask2d, gp, gc)
-            q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
-            tf_exp = enh.tag_features(q, model.enhance_params)
-            hs_r, ho_r = enh.pool_recover(tf_exp, mask, model.enhance_params)
-            cs, co = enh.enhance_round(
-                hs_r, ho_r, h_s0, h_o0, mask,
-                model.enhance_params, model.config.enhance,
-            )
+        v = grid_mod.conditional_layer_norm(h_s, h_o, gp)
+        v = v * Tensor(mask2d.astype(v.dtype)[:, :, None])
+        c = grid_mod.pair_features(v, attn, mask2d, gp, gc)
+        q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
+        return enh.tag_features(q, model.enhance_params)
+
+    def test_round_loop_matches_manual_replay(self):
+        model, h, attn, mask = setup()
+        tf = self.run(model, h, attn, mask, rounds=2)
+
+        h_s0, h_o0 = grid_mod.project_subject_object(h, model.grid_params)
+        tf0 = self.grid_pass(model, h_s0, h_o0, attn, mask)
+        hs_r, ho_r = enh.pool_recover(tf0, mask, model.enhance_params)
+        cs, co = enh.enhance_round(
+            hs_r, ho_r, h_s0, h_o0, mask,
+            model.enhance_params, model.config.enhance,
+        )
+        tf_exp = self.grid_pass(model, cs, co, attn, mask)
         np.testing.assert_allclose(tf.data, tf_exp.data, atol=1e-5)
-        np.testing.assert_allclose(h_s.data, cs.data, atol=1e-5)
-        np.testing.assert_allclose(h_o.data, co.data, atol=1e-5)
 
     def test_feedback_changes_later_rounds(self):
         model, h, attn, mask = setup()
-        tf1, _, _ = self.run(model, h, attn, mask, rounds=1)
-        tf2, _, _ = self.run(model, h, attn, mask, rounds=2)
+        tf1 = self.run(model, h, attn, mask, rounds=1)
+        tf2 = self.run(model, h, attn, mask, rounds=2)
         assert tf1.shape == tf2.shape
         assert not np.allclose(tf1.data, tf2.data)
 
     def test_disabled_enhancement_is_single_grid_pass(self):
+        """One round, the paper's no-enhancement ablation, is one grid pass
+        over the round-0 projections."""
         model, h, attn, mask = setup()
-        tf, h_s, h_o = self.run(
-            model, h, attn, mask, rounds=3, enhancement_enabled=False
-        )
+        tf = self.run(model, h, attn, mask, rounds=1)
         h_s0, h_o0 = grid_mod.project_subject_object(h, model.grid_params)
-        np.testing.assert_array_equal(h_s.data, h_s0.data)
-        np.testing.assert_array_equal(h_o.data, h_o0.data)
-        tf1, _, _ = self.run(model, h, attn, mask, rounds=1)
-        np.testing.assert_array_equal(tf.data, tf1.data)
+        np.testing.assert_array_equal(
+            tf.data, self.grid_pass(model, h_s0, h_o0, attn, mask).data
+        )
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_only_rounds_before_the_last_enhance(self, monkeypatch, rounds):
+        calls = {"pool_recover": 0, "enhance_round": 0}
+        for name in calls:
+            original = getattr(enh, name)
+
+            def counted(*args, _name=name, _fn=original, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(enh, name, counted)
+        model, h, attn, mask = setup()
+        self.run(model, h, attn, mask, rounds=rounds)
+        assert calls == {"pool_recover": rounds - 1, "enhance_round": rounds - 1}
 
     def test_default_round_count_comes_from_config(self):
         model, h, attn, mask = setup()
-        tf_default, _, _ = self.run(model, h, attn, mask)
-        tf2, _, _ = self.run(model, h, attn, mask, rounds=model.config.enhance.rounds)
+        tf_default = self.run(model, h, attn, mask)
+        tf2 = self.run(model, h, attn, mask, rounds=model.config.enhance.rounds)
         np.testing.assert_array_equal(tf_default.data, tf2.data)
 
     def test_rejects_zero_rounds(self):
@@ -202,8 +228,8 @@ class TestRunEnhancement:
 
     def test_deterministic(self):
         model, h, attn, mask = setup()
-        a, _, _ = self.run(model, h, attn, mask)
-        b, _, _ = self.run(model, h, attn, mask)
+        a = self.run(model, h, attn, mask)
+        b = self.run(model, h, attn, mask)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_masked_positions_stay_zero(self):
@@ -211,8 +237,6 @@ class TestRunEnhancement:
         mask = np.array([True] * 4 + [False] * 2)
         hv = h.data.copy()
         hv[4:] = 0.0
-        tf, h_s, h_o = self.run(model, Tensor(hv), attn, mask)
+        tf = self.run(model, Tensor(hv), attn, mask)
         mask2d = np.logical_and(mask[:, None], mask[None, :])
         np.testing.assert_array_equal(tf.data[~mask2d], 0.0)
-        np.testing.assert_array_equal(h_s.data[4:], 0.0)
-        np.testing.assert_array_equal(h_o.data[4:], 0.0)
