@@ -1,10 +1,10 @@
 """Character-relation grid tagging for Chinese NER.
 
-Entities become tag sets over an N x N character-pair grid; a
-relative-position transformer encodes characters, an iterative
-relation-enhancement network refines pair features, a biaffine + MLP
-co-predictor scores every cell, and a depth-first search decodes
-mentions back out.
+Entities become tags on an N x N character-pair grid, held as a boolean
+(N, N, |R|) array; a relative-position transformer encodes characters,
+an iterative relation-enhancement network refines pair features, a
+biaffine + MLP co-predictor scores every cell, and a depth-first search
+decodes mentions back out.
 """
 
 from .config import AblationFlags, ModelConfig, default_config, parse_config
@@ -12,7 +12,6 @@ from .corpus import (
     CharVocabulary,
     EntityMention,
     Sentence,
-    TagGrid,
     TagVocabulary,
     build_tag_vocabulary,
     corpus_stats,
@@ -42,7 +41,6 @@ __all__ = [
     "EvalReport",
     "ModelConfig",
     "Sentence",
-    "TagGrid",
     "TagVocabulary",
     "brute_force_decode",
     "build_tag_vocabulary",

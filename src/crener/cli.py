@@ -12,11 +12,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import training
 from .config import apply_overrides, parse_config
-from .corpus import TagGrid, TagVocabulary, corpus_stats, load_corpus
+from .corpus import TagVocabulary, corpus_stats, load_corpus
 from .decode import decode_grid
-from .encoder import load_sidecar_vectors
+from .encoder import EncoderConfig, load_sidecar_vectors
 from .errors import ConfigError, CorpusError, DivergenceError
 
 
@@ -104,24 +106,36 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _grid_from_obj(obj, lineno: int, path: str) -> tuple[TagGrid, TagVocabulary]:
+def _grid_from_obj(obj, lineno: int, path: str) -> tuple[np.ndarray, TagVocabulary]:
     where = f"{path}:{lineno}"
     if not isinstance(obj, dict) or "n" not in obj or "cells" not in obj:
         raise CorpusError(f"{where}: grid record needs 'n' and 'cells'")
-    names = []
-    for cell in obj["cells"]:
-        if not (isinstance(cell, list) and len(cell) == 3):
-            raise CorpusError(f"{where}: cell entries must be [i, j, tag]")
-        names.append(str(cell[2]))
+    n, cells = obj["n"], obj["cells"]
+    # The array costs n * n * |R| bytes, so the side is capped at the
+    # longest sentence the encoder accepts by default.
+    max_side = EncoderConfig.max_len
+    if not _is_int(n) or not 0 <= n <= max_side:
+        raise CorpusError(f"{where}: 'n' must be an integer in [0, {max_side}], got {n!r}")
+    if not isinstance(cells, list) or not all(
+        isinstance(c, list) and len(c) == 3 and _is_int(c[0]) and _is_int(c[1]) for c in cells
+    ):
+        raise CorpusError(f"{where}: cell entries must be [i, j, tag] with integer i, j")
+    names = [str(c[2]) for c in cells]
     types = sorted({name[4:] for name in names if name[:4] in ("THC_", "HTC_")})
     vocab = TagVocabulary(types)
-    grid = TagGrid(int(obj["n"]))
-    for i, j, name in obj["cells"]:
+    grid = np.zeros((n, n, len(vocab)), dtype=bool)
+    for (i, j, _), name in zip(cells, names):
+        if not (0 <= i < n and 0 <= j < n):
+            raise CorpusError(f"{where}: cell ({i}, {j}) outside grid of side {n}")
         try:
-            grid.add(int(i), int(j), vocab.tag_id(str(name)))
+            grid[i, j, vocab.tag_id(name)] = True
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
     return grid, vocab
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def cmd_decode_grid(args) -> int:

@@ -3,12 +3,15 @@ scores over the final tag features, summed per cell.
 
 Prediction runs in one of two regimes:
 
-* threshold (default): a cell's predicted tag set is every tag scoring
-  above a fixed threshold s0; the empty set is the implicit NONE. The
+* threshold (default): a cell carries every tag scoring above a fixed
+  threshold s0; a cell with no tag is the implicit NONE. The
   matching loss drives every gold-tag score above s0 and every other
   score below it.
 * softmax: an explicit NONE class joins the tag set and each cell
   predicts its argmax singleton.
+
+Both return the boolean (n, n, |R|) grid that the decoder reads and the
+gold codec writes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import TagGrid, TagVocabulary
+from .corpus import TagVocabulary
 from .errors import CrenerError
 
 
@@ -91,54 +94,42 @@ def predict_cells(
     mask2d: np.ndarray,
     mode: str = "threshold",
     s0: float = 0.0,
-) -> TagGrid:
-    """Per-cell predicted tag sets from fused scores.
+) -> np.ndarray:
+    """Boolean (n, n, |R|) predicted tag grid from fused scores.
 
     Threshold mode keeps every tag with score > s0; softmax mode keeps
-    the argmax unless it is the explicit NONE class.
+    the argmax unless it is the explicit NONE class. Masked cells carry
+    no tags.
     """
-    n = fused.shape[0]
     scores = fused.data
-    grid = TagGrid(n)
     if mode == "threshold":
         hits = scores > s0
-        for i, j in zip(*np.nonzero(mask2d)):
-            for t in np.nonzero(hits[i, j])[0]:
-                grid.add(int(i), int(j), int(t))
     elif mode == "softmax":
         if vocab.none_id is None:
             raise CrenerError("softmax mode requires a vocabulary with an explicit NONE")
-        best = scores.argmax(axis=-1)
-        for i, j in zip(*np.nonzero(mask2d)):
-            t = int(best[i, j])
-            if t != vocab.none_id:
-                grid.add(int(i), int(j), t)
+        hits = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(hits, scores.argmax(axis=-1)[..., None], True, axis=-1)
+        hits[:, :, vocab.none_id] = False
     else:
         raise CrenerError(f"unknown prediction mode {mode!r}")
-    return grid
+    return hits & mask2d[:, :, None]
 
 
-def gold_tag_mask(gold: TagGrid, vocab: TagVocabulary, mask2d: np.ndarray) -> np.ndarray:
+def gold_tag_mask(gold: np.ndarray, vocab: TagVocabulary, mask2d: np.ndarray) -> np.ndarray:
     """Boolean (n, n, |R|) positive-tag indicator from a gold grid.
 
     With an explicit NONE class, empty unmasked cells mark NONE positive
     so the loss pushes it above the threshold there.
     """
-    n = gold.n
-    pos = np.zeros((n, n, len(vocab)), dtype=bool)
-    for (i, j), tags in gold.cells.items():
-        for t in tags:
-            pos[i, j, t] = True
+    pos = gold & mask2d[:, :, None]
     if vocab.none_id is not None:
-        empty = ~pos.any(axis=-1)
-        pos[:, :, vocab.none_id] = empty
-    pos &= mask2d[:, :, None]
+        pos[:, :, vocab.none_id] = ~gold.any(axis=-1) & mask2d
     return pos
 
 
 def multi_tag_loss(
     fused: Tensor,
-    gold: TagGrid,
+    gold: np.ndarray,
     vocab: TagVocabulary,
     mask2d: np.ndarray,
     s0: float = 0.0,

@@ -1,8 +1,8 @@
 """Corpus ingestion, vocabularies, and the entity <-> tag-grid codec.
 
 Entities are strictly increasing character index sequences with a type
-label. The grid codec maps them onto an N x N table of tag sets drawn
-from a five-role schema:
+label. The grid codec maps them onto a boolean (N, N, |R|) array, where
+grid[i, j, t] means cell (i, j) carries tag t of a five-role schema:
 
 * NNC / PNC: untyped, mark consecutive same-entity characters in the
   upper / lower triangle,
@@ -10,6 +10,9 @@ from a five-role schema:
   entity at (tail, head) and (head, tail),
 * NONE: the absence of tags (implicit by default; an explicit class
   only in the softmax prediction regime).
+
+Gold and predicted grids share this one format; a predicted grid may
+break the triangle placement rules.
 """
 
 from __future__ import annotations
@@ -115,10 +118,6 @@ class TagVocabulary:
         return len(self.tags)
 
     @property
-    def num_types(self) -> int:
-        return len(self.entity_types)
-
-    @property
     def none_id(self) -> int | None:
         return None if self.none_is_implicit else self._ids[NONE]
 
@@ -148,48 +147,11 @@ class TagVocabulary:
         except KeyError:
             raise CorpusError(f"unknown tag {name!r}") from None
 
-    def tag_name(self, tag_id: int) -> str:
-        return self.tags[tag_id]
-
-    def type_of(self, tag_id: int) -> str | None:
-        """Entity type carried by a THC/HTC tag, None for NNC/PNC/NONE."""
-        name = self.tags[tag_id]
-        if name.startswith("THC_") or name.startswith("HTC_"):
-            return name[4:]
-        return None
-
-
-class TagGrid:
-    """An n x n table of tag-id sets; a cell absent from `cells` means NONE.
-
-    Holds both gold grids (which respect the triangle placement rules)
-    and predicted grids (which may not).
-    """
-
-    def __init__(self, n: int, cells: dict[tuple[int, int], set[int]] | None = None):
-        self.n = int(n)
-        self.cells: dict[tuple[int, int], set[int]] = {}
-        if cells:
-            for (i, j), tags in cells.items():
-                for t in tags:
-                    self.add(i, j, t)
-
-    def add(self, i: int, j: int, tag_id: int) -> None:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise CorpusError(f"cell ({i}, {j}) outside grid of side {self.n}")
-        self.cells.setdefault((int(i), int(j)), set()).add(int(tag_id))
-
-    def get(self, i: int, j: int) -> set[int]:
-        return self.cells.get((i, j), set())
-
-    def has(self, i: int, j: int, tag_id: int) -> bool:
-        return tag_id in self.cells.get((i, j), ())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TagGrid) and self.n == other.n and self.cells == other.cells
-
-    def __repr__(self):
-        return f"TagGrid(n={self.n}, tagged_cells={len(self.cells)})"
+    @property
+    def typed_slices(self) -> tuple[slice, slice]:
+        """Tag-axis slices of the THC and HTC slabs, each in entity_types order."""
+        start, k = self.pnc_id + 1, len(self.entity_types)
+        return slice(start, start + k), slice(start + k, start + 2 * k)
 
 
 class CharVocabulary:
@@ -387,22 +349,23 @@ def build_tag_vocabulary(sentences, none_is_implicit: bool = True) -> TagVocabul
     return TagVocabulary(types, none_is_implicit=none_is_implicit)
 
 
-def encode_grid(sentence: Sentence, vocab: TagVocabulary) -> TagGrid:
-    """Gold grid for a sentence.
+def encode_grid(sentence: Sentence, vocab: TagVocabulary) -> np.ndarray:
+    """Gold boolean (n, n, |R|) grid for a sentence.
 
     For entity [c_1..c_m] of type y: NNC at each (c_k, c_{k+1}), PNC at
     (c_{k+1}, c_k), THC_y at (c_m, c_1), HTC_y at (c_1, c_m). A
     single-character entity carries both typed tags on the diagonal.
-    Cells accumulate sets, so overlapping entities may share cells.
+    A cell may carry several tags, so overlapping entities may share cells.
     """
-    grid = TagGrid(len(sentence))
+    n = len(sentence)
+    grid = np.zeros((n, n, len(vocab)), dtype=bool)
     for ent in sentence.entities:
         idx = ent.indices
         for a, b in zip(idx, idx[1:]):
-            grid.add(a, b, vocab.nnc_id)
-            grid.add(b, a, vocab.pnc_id)
-        grid.add(ent.tail, ent.head, vocab.thc_id(ent.type))
-        grid.add(ent.head, ent.tail, vocab.htc_id(ent.type))
+            grid[a, b, vocab.nnc_id] = True
+            grid[b, a, vocab.pnc_id] = True
+        grid[ent.tail, ent.head, vocab.thc_id(ent.type)] = True
+        grid[ent.head, ent.tail, vocab.htc_id(ent.type)] = True
     return grid
 
 
@@ -411,9 +374,10 @@ def corpus_stats(sentences) -> dict:
 
     A collision is a grid cell that receives typed tags of two different
     entity types (possible when mentions overlap); such cells are legal
-    (cells hold sets) but worth surfacing.
+    (a cell may carry several tags) but worth surfacing.
     """
     vocab = build_tag_vocabulary(sentences)
+    thc, htc = vocab.typed_slices
     n_entities = 0
     max_len = 0
     chars = set()
@@ -426,10 +390,8 @@ def corpus_stats(sentences) -> dict:
         for e in s.entities:
             per_type[e.type] += 1
         grid = encode_grid(s, vocab)
-        for tags in grid.cells.values():
-            types_here = {vocab.type_of(t) for t in tags} - {None}
-            if len(types_here) > 1:
-                collisions += 1
+        types_here = (grid[:, :, thc] | grid[:, :, htc]).sum(axis=-1)
+        collisions += int((types_here > 1).sum())
     return {
         "sentences": len(sentences),
         "entities": n_entities,

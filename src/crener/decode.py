@@ -1,52 +1,41 @@
 """Turn a predicted tag grid back into entity mentions.
 
-A typed tag triggers a search: THC_y at (i, j) with i >= j, or its
-mirror HTC_y at (j, i). The head is column j, the tail is row i. From
-the head, a depth-first search follows edges a -> b that carry BOTH
-NNC at (a, b) and PNC at (b, a); every path that reaches the tail is
-one mention of type y. Contiguous mode (the default) restricts steps to
-b = a + 1; discontinuous mode allows any b in (a, tail], never past the
-tail. `brute_force_decode` checks the same acceptance rule by plain
-enumeration and exists purely to cross-validate the search.
+A grid is a boolean (n, n, |R|) array; grid[i, j, t] means cell (i, j)
+carries tag t. A typed tag triggers a search: THC_y at (i, j) with
+i >= j, or its mirror HTC_y at (j, i). The head is column j, the tail
+is row i. From the head, a depth-first search follows edges a -> b that
+carry BOTH NNC at (a, b) and PNC at (b, a); every path that reaches the
+tail is one mention of type y. Contiguous mode (the default) restricts
+steps to b = a + 1; discontinuous mode allows any b in (a, tail], never
+past the tail. `brute_force_decode` checks the same acceptance rule by
+plain enumeration, reading the cells itself, and exists purely to
+cross-validate the search.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .corpus import EntityMention, TagGrid, TagVocabulary
+import numpy as np
 
-
-def _triggers(grid: TagGrid, vocab: TagVocabulary):
-    """Yield distinct (head, tail, type) triples found in the grid."""
-    seen = set()
-    for (a, b), tags in grid.cells.items():
-        for tag in tags:
-            etype = vocab.type_of(tag)
-            if etype is None:
-                continue
-            name = vocab.tag_name(tag)
-            if name.startswith("THC_") and a >= b:
-                trip = (b, a, etype)
-            elif name.startswith("HTC_") and a <= b:
-                trip = (a, b, etype)
-            else:
-                continue
-            if trip not in seen:
-                seen.add(trip)
-                yield trip
-
-
-def _edge(grid: TagGrid, vocab: TagVocabulary, a: int, b: int) -> bool:
-    return grid.has(a, b, vocab.nnc_id) and grid.has(b, a, vocab.pnc_id)
+from .corpus import EntityMention, TagVocabulary
 
 
 def decode_grid(
-    grid: TagGrid, vocab: TagVocabulary, contiguous: bool = True
+    grid: np.ndarray, vocab: TagVocabulary, contiguous: bool = True
 ) -> set[EntityMention]:
     """All entity mentions encoded by a (possibly noisy) predicted grid."""
+    thc, htc = vocab.typed_slices
+    # (head, tail, type) triggers: THC transposed onto HTC's side, so each
+    # distinct triple is one hit on or above the diagonal.
+    heads, tails, kinds = np.nonzero(grid[:, :, thc].transpose(1, 0, 2) | grid[:, :, htc])
+    edge = (grid[:, :, vocab.nnc_id] & grid[:, :, vocab.pnc_id].T).tolist()
+    types = vocab.entity_types
     found: set[EntityMention] = set()
-    for head, tail, etype in _triggers(grid, vocab):
+    for head, tail, k in zip(heads.tolist(), tails.tolist(), kinds.tolist()):
+        if head > tail:
+            continue
+        etype = types[k]
         if head == tail:
             found.add(EntityMention((head,), etype))
             continue
@@ -57,7 +46,7 @@ def decode_grid(
             a = path[-1]
             nxt = (a + 1,) if contiguous else range(a + 1, tail + 1)
             for b in nxt:
-                if b > tail or not _edge(grid, vocab, a, b):
+                if b > tail or not edge[a][b]:
                     continue
                 if b == tail:
                     found.add(EntityMention(path + (b,), etype))
@@ -67,7 +56,7 @@ def decode_grid(
 
 
 def brute_force_decode(
-    grid: TagGrid,
+    grid: np.ndarray,
     vocab: TagVocabulary,
     max_len: int | None = None,
     contiguous: bool = True,
@@ -78,11 +67,14 @@ def brute_force_decode(
     type y iff THC_y sits at (c_m, c_1) or HTC_y at (c_1, c_m), and every
     consecutive pair carries NNC/PNC (vacuous for m = 1).
     """
-    n = grid.n
+    n = grid.shape[0]
     if n > 12:
         raise ValueError(f"grid side {n} too large for brute force (max 12)")
     if max_len is None:
         max_len = n
+    cells = grid.tolist()
+    nnc, pnc = vocab.nnc_id, vocab.pnc_id
+    typed = [(y, vocab.thc_id(y), vocab.htc_id(y)) for y in vocab.entity_types]
 
     def candidates():
         if contiguous:
@@ -96,14 +88,12 @@ def brute_force_decode(
     found: set[EntityMention] = set()
     for seq in candidates():
         head, tail = seq[0], seq[-1]
-        triggered = {
-            y
-            for y in vocab.entity_types
-            if grid.has(tail, head, vocab.thc_id(y)) or grid.has(head, tail, vocab.htc_id(y))
-        }
+        triggered = [
+            y for y, thc, htc in typed if cells[tail][head][thc] or cells[head][tail][htc]
+        ]
         if not triggered:
             continue
-        if all(_edge(grid, vocab, a, b) for a, b in zip(seq, seq[1:])):
+        if all(cells[a][b][nnc] and cells[b][a][pnc] for a, b in zip(seq, seq[1:])):
             for y in triggered:
                 found.add(EntityMention(seq, y))
     return found

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CrenerError
+from .errors import CorpusError, CrenerError
 
 
 @dataclass
@@ -106,7 +106,8 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
     """Load precomputed contextual vectors keyed by sentence id.
 
     The file is jsonl: {"id": str, "vectors": [[...], ...]} with one row
-    per character, each of width d_context; widths are validated here.
+    per character, each of width d_context. Widths are validated here,
+    row counts against each sentence by `CrenerModel.sentence_inputs`.
     """
     import json
 
@@ -120,10 +121,10 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
                 obj = json.loads(line)
                 sid = str(obj["id"])
                 vectors = np.asarray(obj["vectors"], dtype=np.float32)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CrenerError(f"{path}:{lineno}: bad sidecar record: {exc}") from None
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: bad sidecar record: {exc}") from None
             if vectors.ndim != 2 or vectors.shape[1] != d_context:
-                raise CrenerError(
+                raise CorpusError(
                     f"{path}:{lineno}: vectors for {sid!r} have shape "
                     f"{vectors.shape}, expected (N, {d_context})"
                 )

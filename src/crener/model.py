@@ -21,7 +21,7 @@ from . import grid as grid_mod
 from . import relation_enhance as enh_mod
 from .autodiff import ParamStore, Tensor
 from .config import ModelConfig
-from .corpus import CharVocabulary, EntityMention, Sentence, TagGrid, TagVocabulary, encode_grid
+from .corpus import CharVocabulary, EntityMention, Sentence, TagVocabulary, encode_grid
 from .errors import ConfigError, CorpusError
 
 
@@ -223,6 +223,11 @@ class CrenerModel:
             vectors = self.context_provider.get(sentence.id)
             if vectors is None:
                 raise CorpusError(f"no sidecar vectors for sentence {sentence.id!r}")
+            if vectors.shape[0] != n:
+                raise CorpusError(
+                    f"sidecar vectors for sentence {sentence.id!r} have {vectors.shape[0]} "
+                    f"rows, expected one per character ({n})"
+                )
             if total > n:
                 vectors = np.concatenate(
                     [vectors, np.zeros((total - n, vectors.shape[1]), dtype=vectors.dtype)]
@@ -296,7 +301,8 @@ class CrenerModel:
         )
         return loss, int(out.mask2d.sum())
 
-    def predict_grid(self, sentence: Sentence) -> TagGrid:
+    def predict_grid(self, sentence: Sentence) -> np.ndarray:
+        """Boolean (n, n, |R|) predicted tag grid for one sentence."""
         ids, mask, vectors = self.sentence_inputs(sentence)
         out = self.forward(ids, mask, vectors, training=False)
         return pred_mod.predict_cells(

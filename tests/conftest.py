@@ -42,6 +42,14 @@ def small_model(double: bool = False, seed: int = 42, config=None):
     return CrenerModel(cfg, char_vocab, tag_vocab), sents
 
 
+def tag_grid(n, vocab, cells=()):
+    """Boolean (n, n, |R|) tag grid with each (i, j, tag_id) in `cells` set."""
+    grid = np.zeros((n, n, len(vocab)), dtype=bool)
+    for i, j, t in cells:
+        grid[i, j, t] = True
+    return grid
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

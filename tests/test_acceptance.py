@@ -36,7 +36,6 @@ from crener.corpus import (
     CharVocabulary,
     EntityMention,
     Sentence,
-    TagGrid,
     TagVocabulary,
     build_tag_vocabulary,
     encode_grid,
@@ -72,12 +71,8 @@ def test_01_codec_round_trip(capsys):
 
 
 def random_grid(rng, n, n_tags):
-    grid = TagGrid(n)
     density = rng.uniform(0.05, 0.25)
-    hits = rng.random((n, n, n_tags)) < density
-    for i, j, t in zip(*np.nonzero(hits)):
-        grid.add(int(i), int(j), int(t))
-    return grid
+    return rng.random((n, n, n_tags)) < density
 
 
 def test_02_decoder_matches_brute_force(capsys):
@@ -107,11 +102,11 @@ def test_02_decoder_matches_brute_force(capsys):
     assert len(slots) == 18
     exhaustive_mismatches = 0
     for code in range(1 << 18):
-        grid = TagGrid(3)
+        grid = np.zeros((3, 3, len(vocab1)), dtype=bool)
         bits = code
         for slot in slots:
             if bits & 1:
-                grid.add(*slot)
+                grid[slot] = True
             bits >>= 1
         for contiguous in (True, False):
             fast = decode_grid(grid, vocab1, contiguous=contiguous)
@@ -155,9 +150,8 @@ def test_03_loss_forms_agree(capsys):
         dead_ids = order[n_pos + n_neg:]
         scores[dead_ids] = 1e9
 
-        gold = TagGrid(1)
-        for t in np.concatenate([pos_ids, dead_ids]):
-            gold.add(0, 0, int(t))
+        gold = np.zeros((1, 1, n_tags), dtype=bool)
+        gold[0, 0, np.concatenate([pos_ids, dead_ids])] = True
         fused = Tensor(scores.reshape(1, 1, n_tags).copy())
         product_form = float(multi_tag_loss(fused, gold, vocab, mask2d, s0=s0).data)
 

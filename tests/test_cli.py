@@ -205,6 +205,35 @@ def test_sentence_longer_than_max_len_exits_2(workspace, tmp_path, capsys, comma
     assert "Traceback" not in err
 
 
+def checkpoint_with_sidecar(workspace, tmp_path, records):
+    """A copy of the workspace checkpoint whose config points at a sidecar."""
+    sidecar = tmp_path / "vectors.jsonl"
+    sidecar.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ckpt = tmp_path / "with-sidecar"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"]["paths.vectors_sidecar"] = str(sidecar)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    return ckpt
+
+
+@pytest.mark.parametrize("extra_rows, where", [(1, "rows"), (None, "vectors.jsonl:1")],
+                         ids=["one-row-too-many", "empty-vectors"])
+def test_bad_sidecar_exits_2(workspace, tmp_path, capsys, extra_rows, where):
+    sentence = json.loads(workspace["dev"].read_text().splitlines()[0])
+    d_context = small_config().encoder.d_context
+    rows = [] if extra_rows is None else [[0.0] * d_context] * (len(sentence["text"]) + extra_rows)
+    ckpt = checkpoint_with_sidecar(workspace, tmp_path, [{"id": sentence["id"], "vectors": rows}])
+    data = tmp_path / "one.jsonl"
+    data.write_text(json.dumps(sentence) + "\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(data), "--output", "-"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    if extra_rows is not None:
+        assert repr(sentence["id"]) in err
+
+
 class TestPredictCommand:
     def test_stdout_mode_emits_jsonl(self, workspace, capsys):
         code = main(["predict", "--checkpoint", str(workspace["ckpt"]),
@@ -254,10 +283,26 @@ class TestDecodeGridCommand:
         main(["decode-grid", "--grid", str(path), "--discontinuous"])
         assert capsys.readouterr().out == "[0,2] ORG\n"
 
-    def test_malformed_record_exits_2(self, tmp_path, capsys):
-        path = self.write_grid(tmp_path, [{"n": 2}])
+    @pytest.mark.parametrize("record", [
+        {"n": 2},
+        {"n": "abc", "cells": []},
+        {"n": 2, "cells": [["x", 0, "NNC"]]},
+        {"n": -1, "cells": []},
+        {"n": 257, "cells": []},
+        {"n": 2, "cells": [[-1, 0, "NNC"]]},
+        {"n": 2, "cells": [[0, 2, "NNC"]]},
+    ], ids=["missing-cells", "non-integer-n", "non-integer-index", "negative-n",
+            "n-above-256", "cell-at-minus-1", "cell-at-n"])
+    def test_malformed_record_exits_2(self, tmp_path, capsys, record):
+        path = self.write_grid(tmp_path, [record])
         assert main(["decode-grid", "--grid", str(path)]) == 2
-        assert "grid.jsonl:1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "grid.jsonl:1" in err and "Traceback" not in err
+
+    def test_largest_side_accepted(self, tmp_path, capsys):
+        path = self.write_grid(tmp_path, [{"n": 256, "cells": [[255, 255, "THC_X"]]}])
+        assert main(["decode-grid", "--grid", str(path)]) == 0
+        assert capsys.readouterr().out == "[255] X\n"
 
 
 def test_corpus_stats_command(workspace, capsys):

@@ -12,7 +12,7 @@ The implementation computes form B; form A is the cross-check here.
 import numpy as np
 import pytest
 
-from conftest import small_model
+from conftest import small_model, tag_grid
 from crener import autodiff as ad
 from crener.autodiff import Tensor
 from crener.co_predictor import (
@@ -23,7 +23,7 @@ from crener.co_predictor import (
     multi_tag_loss,
     predict_cells,
 )
-from crener.corpus import TagGrid, TagVocabulary
+from crener.corpus import TagVocabulary
 from crener.errors import CrenerError
 from scipy.special import erf
 
@@ -97,22 +97,22 @@ class TestPredictCells:
         scores[1, 0, vocab.pnc_id] = 0.0  # exactly at threshold: excluded
         scores[1, 1, vocab.thc_id("A")] = -0.1
         grid = predict_cells(Tensor(scores), vocab, np.ones((2, 2), bool))
-        assert grid.cells == {(0, 1): {vocab.nnc_id}}
+        np.testing.assert_array_equal(grid, tag_grid(2, vocab, [(0, 1, vocab.nnc_id)]))
 
     def test_custom_threshold(self):
         vocab = TagVocabulary(["A"])
         scores = np.full((1, 1, 4), 0.8, dtype=np.float32)
         grid = predict_cells(Tensor(scores), vocab, np.ones((1, 1), bool), s0=0.75)
-        assert grid.get(0, 0) == set(range(4))
+        assert grid[0, 0].all()
         grid = predict_cells(Tensor(scores), vocab, np.ones((1, 1), bool), s0=0.9)
-        assert grid.cells == {}
+        assert not grid.any()
 
     def test_masked_cells_yield_nothing(self):
         vocab = TagVocabulary(["A"])
         scores = np.full((2, 2, 4), 5.0, dtype=np.float32)
         mask2d = np.array([[True, False], [False, False]])
         grid = predict_cells(Tensor(scores), vocab, mask2d)
-        assert set(grid.cells) == {(0, 0)}
+        np.testing.assert_array_equal(grid.any(axis=-1), mask2d)
 
     def test_softmax_argmax_singleton(self):
         vocab = TagVocabulary(["A"], none_is_implicit=False)
@@ -123,10 +123,23 @@ class TestPredictCells:
         grid = predict_cells(Tensor(scores), vocab, np.ones((2, 2), bool), mode="softmax")
         # All-zero cells argmax to index 0, which is NONE, so only the
         # two real hits survive.
-        assert grid.cells == {
-            (0, 1): {vocab.nnc_id},
-            (1, 1): {vocab.htc_id("A")},
-        }
+        expect = tag_grid(2, vocab, [(0, 1, vocab.nnc_id), (1, 1, vocab.htc_id("A"))])
+        np.testing.assert_array_equal(grid, expect)
+
+    @pytest.mark.parametrize("mode", ["threshold", "softmax"])
+    def test_matches_per_cell_loop(self, rng, mode):
+        vocab = TagVocabulary(["A", "B"], none_is_implicit=mode == "threshold")
+        n = 7
+        scores = rng.normal(size=(n, n, len(vocab))).astype(np.float32)
+        mask2d = rng.random((n, n)) < 0.7
+        expect = tag_grid(n, vocab)
+        for i, j in zip(*np.nonzero(mask2d)):
+            if mode == "threshold":
+                expect[i, j] = scores[i, j] > 0.0
+            elif scores[i, j].argmax() != vocab.none_id:
+                expect[i, j, scores[i, j].argmax()] = True
+        grid = predict_cells(Tensor(scores), vocab, mask2d, mode=mode)
+        np.testing.assert_array_equal(grid, expect)
 
     def test_softmax_requires_explicit_none(self):
         vocab = TagVocabulary(["A"])
@@ -140,16 +153,14 @@ class TestPredictCells:
 class TestGoldMask:
     def test_implicit_none(self):
         vocab = TagVocabulary(["A"])
-        gold = TagGrid(2)
-        gold.add(0, 1, vocab.nnc_id)
+        gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id)])
         pos = gold_tag_mask(gold, vocab, np.ones((2, 2), bool))
         assert pos[0, 1, vocab.nnc_id]
         assert pos.sum() == 1
 
     def test_explicit_none_fills_empty_cells(self):
         vocab = TagVocabulary(["A"], none_is_implicit=False)
-        gold = TagGrid(2)
-        gold.add(0, 1, vocab.nnc_id)
+        gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id)])
         mask2d = np.ones((2, 2), bool)
         mask2d[1, 1] = False
         pos = gold_tag_mask(gold, vocab, mask2d)
@@ -164,8 +175,7 @@ class TestLoss:
         # One gold tag at score 10, the only other tag pushed to -1e9 so
         # the negative term vanishes: loss = log(1 + e^-10).
         vocab = TagVocabulary([])
-        gold = TagGrid(1)
-        gold.add(0, 0, vocab.nnc_id)
+        gold = tag_grid(1, vocab, [(0, 0, vocab.nnc_id)])
         fused = Tensor(np.array([[[10.0, -1e9]]]))
         loss = multi_tag_loss(fused, gold, vocab, np.ones((1, 1), bool))
         np.testing.assert_allclose(loss.item(), 4.5399e-5, rtol=1e-3)
@@ -173,7 +183,7 @@ class TestLoss:
     def test_empty_cell_with_low_scores_costs_nothing(self):
         vocab = TagVocabulary(["A"])
         fused = Tensor(np.full((1, 1, 4), -50.0))
-        loss = multi_tag_loss(fused, vocab_grid(vocab, 1), vocab, np.ones((1, 1), bool))
+        loss = multi_tag_loss(fused, tag_grid(1, vocab), vocab, np.ones((1, 1), bool))
         assert loss.item() < 1e-15
 
     def test_dual_form_identity(self, rng):
@@ -185,9 +195,7 @@ class TestLoss:
             scores = rng.normal(scale=3.0, size=n_tags)
             n_pos = int(rng.integers(0, n_tags + 1))
             pos_ids = rng.choice(n_tags, size=n_pos, replace=False)
-            gold = TagGrid(1)
-            for t in pos_ids:
-                gold.add(0, 0, int(t))
+            gold = tag_grid(1, vocab, [(0, 0, t) for t in pos_ids])
             fused = Tensor(scores.reshape(1, 1, n_tags).astype(np.float64))
             got = multi_tag_loss(fused, gold, vocab, np.ones((1, 1), bool), s0=s0).item()
 
@@ -202,8 +210,7 @@ class TestLoss:
 
     def test_monotone_in_scores(self):
         vocab = TagVocabulary(["A"])
-        gold = TagGrid(1)
-        gold.add(0, 0, vocab.thc_id("A"))
+        gold = tag_grid(1, vocab, [(0, 0, vocab.thc_id("A"))])
         base = np.zeros((1, 1, 4))
 
         def loss_at(delta_pos=0.0, delta_neg=0.0):
@@ -217,8 +224,7 @@ class TestLoss:
 
     def test_reduction_mean_vs_sum(self, rng):
         vocab = TagVocabulary(["A"])
-        gold = TagGrid(3)
-        gold.add(0, 1, vocab.nnc_id)
+        gold = tag_grid(3, vocab, [(0, 1, vocab.nnc_id)])
         mask2d = np.ones((3, 3), bool)
         mask2d[2, :] = False
         fused = Tensor(rng.normal(size=(3, 3, 4)))
@@ -230,17 +236,13 @@ class TestLoss:
 
     def test_masked_cells_contribute_nothing(self, rng):
         vocab = TagVocabulary(["A"])
-        gold = TagGrid(2)
+        gold = tag_grid(2, vocab)
         mask2d = np.array([[True, True], [True, False]])
         fused = rng.normal(size=(2, 2, 4))
         base = multi_tag_loss(Tensor(fused.copy()), gold, vocab, mask2d, reduction="sum").item()
         fused[1, 1] = 100.0
         spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d, reduction="sum").item()
         np.testing.assert_allclose(base, spiked, rtol=1e-12)
-
-
-def vocab_grid(vocab, n):
-    return TagGrid(n)
 
 
 def test_cell_softmax_rows_normalize(rng):

@@ -12,11 +12,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import tag_grid
 from crener.corpus import (
     CharVocabulary,
     EntityMention,
     Sentence,
-    TagGrid,
     TagVocabulary,
     build_tag_vocabulary,
     corpus_stats,
@@ -78,12 +78,6 @@ class TestTagVocabulary:
         assert len(vocab) == 3 + 2 * 1
         assert vocab.none_id == 0
 
-    def test_type_of(self):
-        vocab = TagVocabulary(["A", "B"])
-        assert vocab.type_of(vocab.thc_id("B")) == "B"
-        assert vocab.type_of(vocab.htc_id("A")) == "A"
-        assert vocab.type_of(vocab.nnc_id) is None
-
     def test_unknown_type_and_tag(self):
         vocab = TagVocabulary(["A"])
         with pytest.raises(CorpusError):
@@ -99,37 +93,31 @@ class TestGridCodec:
         vocab = TagVocabulary(["PER"])
         s = Sentence("s", list("abc"), [EntityMention((0, 1, 2), "PER")])
         grid = encode_grid(s, vocab)
-        expect = {
-            (0, 1): {vocab.nnc_id},
-            (1, 2): {vocab.nnc_id},
-            (1, 0): {vocab.pnc_id},
-            (2, 1): {vocab.pnc_id},
-            (2, 0): {vocab.thc_id("PER")},
-            (0, 2): {vocab.htc_id("PER")},
-        }
-        assert grid.cells == expect
+        expect = tag_grid(3, vocab, [
+            (0, 1, vocab.nnc_id),
+            (1, 2, vocab.nnc_id),
+            (1, 0, vocab.pnc_id),
+            (2, 1, vocab.pnc_id),
+            (2, 0, vocab.thc_id("PER")),
+            (0, 2, vocab.htc_id("PER")),
+        ])
+        assert grid.dtype == bool
+        np.testing.assert_array_equal(grid, expect)
 
     def test_single_char_entity_both_tags_on_diagonal(self):
         vocab = TagVocabulary(["LOC"])
         s = Sentence("s", list("ab"), [EntityMention((1,), "LOC")])
         grid = encode_grid(s, vocab)
-        assert grid.cells == {(1, 1): {vocab.thc_id("LOC"), vocab.htc_id("LOC")}}
+        expect = tag_grid(2, vocab, [(1, 1, vocab.thc_id("LOC")), (1, 1, vocab.htc_id("LOC"))])
+        np.testing.assert_array_equal(grid, expect)
 
     def test_discontinuous_entity_shares_cell(self):
         # For indices (0, 2) the PNC and THC land on the same cell.
         vocab = TagVocabulary(["X"])
         s = Sentence("s", list("abc"), [EntityMention((0, 2), "X")])
         grid = encode_grid(s, vocab)
-        assert grid.get(2, 0) == {vocab.pnc_id, vocab.thc_id("X")}
-        assert grid.get(0, 2) == {vocab.nnc_id, vocab.htc_id("X")}
-
-    def test_grid_equality_and_bounds(self):
-        g = TagGrid(3)
-        g.add(0, 1, 2)
-        h = TagGrid(3, {(0, 1): {2}})
-        assert g == h
-        with pytest.raises(CorpusError):
-            g.add(3, 0, 0)
+        assert set(np.flatnonzero(grid[2, 0])) == {vocab.pnc_id, vocab.thc_id("X")}
+        assert set(np.flatnonzero(grid[0, 2])) == {vocab.nnc_id, vocab.htc_id("X")}
 
 
 class TestCharVocabulary:
@@ -289,9 +277,9 @@ def test_encode_sets_accumulate_for_nested_mentions():
     ])
     grid = encode_grid(s, vocab)
     # The inner mention drops its HTC into the outer chain's NNC cell.
-    assert grid.get(1, 2) == {vocab.nnc_id, vocab.htc_id("B")}
-    assert grid.get(2, 1) == {vocab.pnc_id, vocab.thc_id("B")}
-    assert grid.get(3, 0) == {vocab.thc_id("A")}
+    assert set(np.flatnonzero(grid[1, 2])) == {vocab.nnc_id, vocab.htc_id("B")}
+    assert set(np.flatnonzero(grid[2, 1])) == {vocab.pnc_id, vocab.thc_id("B")}
+    assert set(np.flatnonzero(grid[3, 0])) == {vocab.thc_id("A")}
 
 
 def test_encode_grid_positions_match_mask_free_scan(rng):
@@ -301,9 +289,8 @@ def test_encode_grid_positions_match_mask_free_scan(rng):
     vocab = build_tag_vocabulary(sents)
     for s in sents:
         grid = encode_grid(s, vocab)
-        for (i, j), tags in grid.cells.items():
-            if vocab.nnc_id in tags:
-                assert vocab.pnc_id in grid.get(j, i)
+        for i, j in zip(*np.nonzero(grid[:, :, vocab.nnc_id])):
+            assert grid[j, i, vocab.pnc_id]
         for e in s.entities:
-            assert grid.has(e.tail, e.head, vocab.thc_id(e.type))
-            assert grid.has(e.head, e.tail, vocab.htc_id(e.type))
+            assert grid[e.tail, e.head, vocab.thc_id(e.type)]
+            assert grid[e.head, e.tail, vocab.htc_id(e.type)]

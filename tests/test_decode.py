@@ -8,10 +8,10 @@ same acceptance rule. On any grid, noisy or not, the two must agree.
 import numpy as np
 import pytest
 
+from conftest import tag_grid
 from crener.corpus import (
     EntityMention,
     Sentence,
-    TagGrid,
     TagVocabulary,
     build_tag_vocabulary,
     encode_grid,
@@ -33,9 +33,7 @@ def test_three_char_entity_round_trip():
 
 def test_single_char_entity():
     vocab = make_vocab()
-    grid = TagGrid(3)
-    grid.add(2, 2, vocab.thc_id("A"))
-    grid.add(2, 2, vocab.htc_id("A"))
+    grid = tag_grid(3, vocab, [(2, 2, vocab.thc_id("A")), (2, 2, vocab.htc_id("A"))])
     assert decode_grid(grid, vocab) == {EntityMention((2,), "A")}
 
 
@@ -43,26 +41,22 @@ def test_one_sided_diagonal_tag_still_triggers():
     # Either typed tag alone is a trigger; the chain rule does the
     # filtering. A bare THC on the diagonal is a single-char mention.
     vocab = make_vocab()
-    grid = TagGrid(2)
-    grid.add(0, 0, vocab.thc_id("A"))
+    grid = tag_grid(2, vocab, [(0, 0, vocab.thc_id("A"))])
     assert decode_grid(grid, vocab) == {EntityMention((0,), "A")}
 
 
 def test_trigger_without_chain_yields_nothing():
     vocab = make_vocab()
-    grid = TagGrid(4)
-    grid.add(3, 0, vocab.thc_id("A"))  # no NNC/PNC support
+    grid = tag_grid(4, vocab, [(3, 0, vocab.thc_id("A"))])  # no NNC/PNC support
     assert decode_grid(grid, vocab) == set()
 
 
 def test_half_edge_is_not_enough():
     # NNC without the mirrored PNC must not connect the pair.
     vocab = make_vocab()
-    grid = TagGrid(2)
-    grid.add(1, 0, vocab.thc_id("A"))
-    grid.add(0, 1, vocab.nnc_id)
+    grid = tag_grid(2, vocab, [(1, 0, vocab.thc_id("A")), (0, 1, vocab.nnc_id)])
     assert decode_grid(grid, vocab) == set()
-    grid.add(1, 0, vocab.pnc_id)
+    grid[1, 0, vocab.pnc_id] = True
     assert decode_grid(grid, vocab) == {EntityMention((0, 1), "A")}
 
 
@@ -86,15 +80,16 @@ def test_discontinuous_entity_needs_discontinuous_mode():
 
 def test_discontinuous_mode_never_steps_past_the_tail():
     vocab = make_vocab()
-    grid = TagGrid(4)
     # Chain 0-1-2 with trigger at tail 2, plus a stray edge 2-3.
-    grid.add(0, 1, vocab.nnc_id)
-    grid.add(1, 0, vocab.pnc_id)
-    grid.add(1, 2, vocab.nnc_id)
-    grid.add(2, 1, vocab.pnc_id)
-    grid.add(2, 3, vocab.nnc_id)
-    grid.add(3, 2, vocab.pnc_id)
-    grid.add(2, 0, vocab.thc_id("A"))
+    grid = tag_grid(4, vocab, [
+        (0, 1, vocab.nnc_id),
+        (1, 0, vocab.pnc_id),
+        (1, 2, vocab.nnc_id),
+        (2, 1, vocab.pnc_id),
+        (2, 3, vocab.nnc_id),
+        (3, 2, vocab.pnc_id),
+        (2, 0, vocab.thc_id("A")),
+    ])
     out = decode_grid(grid, vocab, contiguous=False)
     assert all(e.tail <= 2 for e in out)
     assert EntityMention((0, 1, 2), "A") in out
@@ -104,40 +99,37 @@ def test_multiple_paths_all_emitted():
     # Head 0, tail 3, edges 0-1-3 and 0-2-3: both index sequences carry
     # the same trigger and both must come out in discontinuous mode.
     vocab = make_vocab()
-    grid = TagGrid(4)
+    grid = tag_grid(4, vocab, [(3, 0, vocab.thc_id("A"))])
     for a, b in [(0, 1), (1, 3), (0, 2), (2, 3)]:
-        grid.add(a, b, vocab.nnc_id)
-        grid.add(b, a, vocab.pnc_id)
-    grid.add(3, 0, vocab.thc_id("A"))
+        grid[a, b, vocab.nnc_id] = True
+        grid[b, a, vocab.pnc_id] = True
     out = decode_grid(grid, vocab, contiguous=False)
     assert out == {EntityMention((0, 1, 3), "A"), EntityMention((0, 2, 3), "A")}
 
 
 def random_grid(rng, n, vocab, density):
-    grid = TagGrid(n)
-    n_tags = len(vocab)
-    hits = rng.random((n, n, n_tags)) < density
-    for i, j, t in zip(*np.nonzero(hits)):
-        grid.add(int(i), int(j), int(t))
-    return grid
+    return rng.random((n, n, len(vocab))) < density
 
 
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_matches_brute_force_on_random_grids(rng, contiguous):
     vocab = make_vocab(2)
-    for _ in range(300):
-        n = int(rng.integers(1, 9))
-        density = float(rng.uniform(0.02, 0.5))
-        grid = random_grid(rng, n, vocab, density)
-        fast = decode_grid(grid, vocab, contiguous=contiguous)
-        slow = brute_force_decode(grid, vocab, contiguous=contiguous)
-        assert fast == slow, f"n={n} density={density:.3f} cells={grid.cells}"
+    # Sparse grids as noisy predictions produce them, then dense ones as
+    # an untrained model's (it tags nearly every cell).
+    for low, high in [(0.02, 0.5), (0.9, 1.0)]:
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            density = float(rng.uniform(low, high))
+            grid = random_grid(rng, n, vocab, density)
+            fast = decode_grid(grid, vocab, contiguous=contiguous)
+            slow = brute_force_decode(grid, vocab, contiguous=contiguous)
+            assert fast == slow, f"n={n} density={density:.3f} cells={np.argwhere(grid).tolist()}"
 
 
 def test_brute_force_refuses_large_grids():
     vocab = make_vocab()
     with pytest.raises(ValueError):
-        brute_force_decode(TagGrid(13), vocab)
+        brute_force_decode(tag_grid(13, vocab), vocab)
 
 
 def test_round_trip_on_synthetic_corpus():

@@ -19,7 +19,7 @@ from crener.encoder import (
     load_sidecar_vectors,
     relative_position_embedding,
 )
-from crener.errors import CrenerError
+from crener.errors import CorpusError, CrenerError
 
 
 class TestRelativeEmbedding:
@@ -228,13 +228,13 @@ class TestSidecar:
     def test_wrong_width(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id": "s1", "vectors": [[1, 2, 3]]}\n')
-        with pytest.raises(CrenerError, match="expected"):
+        with pytest.raises(CorpusError, match="expected"):
             load_sidecar_vectors(path, 2)
 
     def test_bad_json_line_number(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id": "s1", "vectors": [[1, 2]]}\n{oops\n')
-        with pytest.raises(CrenerError, match=":2"):
+        with pytest.raises(CorpusError, match=":2"):
             load_sidecar_vectors(path, 2)
 
 
