@@ -5,6 +5,11 @@ ndarray; every operation records a backward closure, and calling
 ``backward()`` on a scalar result walks the graph once in reverse
 topological order, accumulating gradients into ``.grad``. The same code
 runs in float32 (training default) and float64 (gradient-check mode).
+
+Operations accept any number of leading (batch) axes. ``backward()``
+releases the tape as it walks it: once a node's closure has run, the
+node drops its gradient, closure and parents, so the arrays the closure
+saved are freed before the walk ends. Leaves keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -58,8 +63,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy, because `g` may be a view shared with another input.
+            self.grad = np.array(g, dtype=self.data.dtype)
+            if self.grad.shape != self.data.shape:
+                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+        else:
+            self.grad += g
 
     # ------------------------------------------------------------------
     @property
@@ -85,14 +94,24 @@ class Tensor:
 
     # ------------------------------------------------------------------
     def backward(self) -> None:
-        """Backpropagate from a scalar; fills ``.grad`` on every reachable input."""
+        """Backpropagate from a scalar; fills ``.grad`` on every reachable leaf.
+
+        Every interior node is released once its closure has run, so only
+        the part of the tape not yet walked stays alive.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _topological_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
@@ -180,8 +199,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -190,8 +211,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -200,8 +223,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -210,8 +235,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -284,6 +311,8 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; for `(..., c) @ (c, d)` the weight gradient is one
+    2-D GEMM over every leading axis."""
     out_data = a.data @ b.data
 
     def backward(g):
@@ -291,10 +320,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            if b.data.ndim == 2:
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            b._accumulate(gb)
 
     return Tensor._make(out_data, (a, b), backward)
+
+
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; with negative axes, leading batch axes pass through."""
+
+    def backward(g):
+        a._accumulate(np.swapaxes(g, axis1, axis2))
+
+    return Tensor._make(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -450,11 +491,9 @@ def logsumexp(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tens
     return Tensor._make(out_data, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
-    if p <= 0.0:
-        return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
+    """Inverted dropout: `keep` is 0 where an entry is dropped and
+    1 / (1 - p) where it is kept. Call only in training mode."""
 
     def backward(g):
         a._accumulate(g * keep)
@@ -463,10 +502,10 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def conv2d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
-    """Same-size dilated 2D convolution on an (n, n, c_in) grid.
+    """Same-size dilated 2D convolution on (..., n, n, c_in) grids.
 
     Kernel is (k, k, c_in, c_out) with zero padding of (k//2)*dilation so
-    the output stays (n, n, c_out). Heavy lifting lives in `kernels`.
+    the output stays (..., n, n, c_out). Heavy lifting lives in `kernels`.
     """
     out_data = kernels.conv2d_forward(x.data, w.data, b.data, dilation)
 

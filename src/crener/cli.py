@@ -16,7 +16,7 @@ import numpy as np
 
 from . import training
 from .config import apply_overrides, parse_config
-from .corpus import TagVocabulary, corpus_stats, load_corpus
+from .corpus import TagVocabulary, corpus_stats, load_corpus, read_lines
 from .decode import decode_grid
 from .encoder import EncoderConfig, load_sidecar_vectors
 from .errors import ConfigError, CorpusError, DivergenceError
@@ -139,20 +139,19 @@ def _is_int(value) -> bool:
 
 
 def cmd_decode_grid(args) -> int:
-    with open(args.grid, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{args.grid}:{lineno}: invalid json: {exc}") from None
-            grid, vocab = _grid_from_obj(obj, lineno, args.grid)
-            mentions = decode_grid(grid, vocab, contiguous=not args.discontinuous)
-            for m in sorted(mentions, key=lambda e: (e.indices, e.type)):
-                indices = json.dumps(list(m.indices), separators=(",", ":"))
-                print(f"{indices} {m.type}")
+    for lineno, line in read_lines(args.grid):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{args.grid}:{lineno}: invalid json: {exc}") from None
+        grid, vocab = _grid_from_obj(obj, lineno, args.grid)
+        mentions = decode_grid(grid, vocab, contiguous=not args.discontinuous)
+        for m in sorted(mentions, key=lambda e: (e.indices, e.type)):
+            indices = json.dumps(list(m.indices), separators=(",", ":"))
+            print(f"{indices} {m.type}")
     return 0
 
 
@@ -222,8 +221,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, FileNotFoundError) as exc:
+    except CorpusError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        # A missing input, a directory where a file is read or written, or
+        # a file where a directory is made.
+        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

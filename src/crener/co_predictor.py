@@ -11,7 +11,8 @@ Prediction runs in one of two regimes:
   predicts its argmax singleton.
 
 Both return the boolean (n, n, |R|) grid that the decoder reads and the
-gold codec writes.
+gold codec writes. Scores, grids and the loss also take leading batch
+axes: (..., n, n, |R|) with (..., n, n) masks.
 """
 
 from __future__ import annotations
@@ -57,18 +58,18 @@ class PredictorParams:
 
 def biaffine_scores(h: Tensor, params: PredictorParams) -> Tensor:
     """y'[i, j] = s_i^T U o_j + W [s_i ; o_j] + b over all cells."""
-    n = h.shape[0]
+    lead, n = h.shape[:-2], h.shape[-2]
     d_b, n_tags, _ = params.biaffine_u.shape
     s = ad.gelu(h @ params.subj_w + params.subj_b)
     o = ad.gelu(h @ params.obj_w + params.obj_b)
 
     u2 = params.biaffine_u.reshape(d_b, n_tags * d_b)
-    left = (s @ u2).reshape(n, 1, n_tags, d_b)
-    bilinear = (left * o.reshape(1, n, 1, d_b)).sum(axis=-1)
+    left = (s @ u2).reshape(lead + (n, 1, n_tags, d_b))
+    bilinear = (left * o.reshape(lead + (1, n, 1, d_b))).sum(axis=-1)
 
     w_s = params.biaffine_w[:d_b]
     w_o = params.biaffine_w[d_b:]
-    linear = (s @ w_s).reshape(n, 1, n_tags) + (o @ w_o).reshape(1, n, n_tags)
+    linear = (s @ w_s).reshape(lead + (n, 1, n_tags)) + (o @ w_o).reshape(lead + (1, n, n_tags))
     return bilinear + linear + params.biaffine_b
 
 
@@ -109,10 +110,10 @@ def predict_cells(
             raise CrenerError("softmax mode requires a vocabulary with an explicit NONE")
         hits = np.zeros(scores.shape, dtype=bool)
         np.put_along_axis(hits, scores.argmax(axis=-1)[..., None], True, axis=-1)
-        hits[:, :, vocab.none_id] = False
+        hits[..., vocab.none_id] = False
     else:
         raise CrenerError(f"unknown prediction mode {mode!r}")
-    return hits & mask2d[:, :, None]
+    return hits & mask2d[..., None]
 
 
 def gold_tag_mask(gold: np.ndarray, vocab: TagVocabulary, mask2d: np.ndarray) -> np.ndarray:
@@ -121,9 +122,9 @@ def gold_tag_mask(gold: np.ndarray, vocab: TagVocabulary, mask2d: np.ndarray) ->
     With an explicit NONE class, empty unmasked cells mark NONE positive
     so the loss pushes it above the threshold there.
     """
-    pos = gold & mask2d[:, :, None]
+    pos = gold & mask2d[..., None]
     if vocab.none_id is not None:
-        pos[:, :, vocab.none_id] = ~gold.any(axis=-1) & mask2d
+        pos[..., vocab.none_id] = ~gold.any(axis=-1) & mask2d
     return pos
 
 
@@ -142,12 +143,12 @@ def multi_tag_loss(
     as a constant column. Reduction is the mean (default) or sum over
     unmasked cells.
     """
-    n, _, n_tags = fused.shape
+    cells = fused.shape[:-1]
     pos = gold_tag_mask(gold, vocab, mask2d)
-    neg = ~pos & mask2d[:, :, None]
+    neg = ~pos & mask2d[..., None]
 
-    ones = np.ones((n, n, 1), dtype=bool)
-    thr = Tensor(np.full((n, n, 1), s0, dtype=fused.dtype))
+    ones = np.ones(cells + (1,), dtype=bool)
+    thr = Tensor(np.full(cells + (1,), s0, dtype=fused.dtype))
 
     pos_term = ad.logsumexp(
         ad.concat([-thr, -fused], axis=-1), mask=np.concatenate([ones, pos], axis=-1)

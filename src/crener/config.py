@@ -232,7 +232,7 @@ def parse_config(path, base: ModelConfig | None = None) -> ModelConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         return parse_config_text(text, base)

@@ -234,18 +234,27 @@ def sentence_to_obj(sentence: Sentence) -> dict:
     }
 
 
+def read_lines(path):
+    """(line number, line) pairs of a UTF-8 text file; bytes that are not
+    UTF-8 raise a CorpusError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_jsonl(path) -> list[Sentence]:
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid json: {exc}") from None
-            sentences.append(_sentence_from_obj(obj, f"{path}:{lineno}"))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid json: {exc}") from None
+        sentences.append(_sentence_from_obj(obj, f"{path}:{lineno}"))
     return sentences
 
 
@@ -302,20 +311,19 @@ def _load_conll(path) -> list[Sentence]:
             sentences.append(Sentence(f"conll-{len(sentences)}", chars, entities))
         chars, labels = [], []
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                block_start = lineno + 1
-                continue
-            cols = line.split("\t") if "\t" in line else line.split()
-            if len(cols) != 2:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected 'char<TAB>label', got {len(cols)} columns"
-                )
-            chars.append(cols[0])
-            labels.append(cols[1])
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            flush()
+            block_start = lineno + 1
+            continue
+        cols = line.split("\t") if "\t" in line else line.split()
+        if len(cols) != 2:
+            raise CorpusError(
+                f"{path}:{lineno}: expected 'char<TAB>label', got {len(cols)} columns"
+            )
+        chars.append(cols[0])
+        labels.append(cols[1])
     flush()
     return sentences
 

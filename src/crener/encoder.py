@@ -11,6 +11,9 @@ softmax omits the usual 1/sqrt(d_k): with only a few entity characters
 per sentence, sharper attention rows help. Padding columns are masked
 to weight exactly zero. Blocks are post-LN residual with a square
 feed-forward.
+
+Every function takes (..., n) ids and masks with any number of leading
+batch axes; the sentences of a batch share n and differ in their masks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .corpus import read_lines
 from .errors import CorpusError, CrenerError
 
 
@@ -88,18 +92,18 @@ class EncoderParams:
 class CharRepr:
     """Per-character representations with a validity mask; masked rows are zero."""
 
-    values: Tensor
-    mask: np.ndarray
+    values: Tensor  # (..., n, d_h)
+    mask: np.ndarray  # (..., n)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
 
 @dataclass
 class EncoderOutput:
     h: CharRepr
-    attn: np.ndarray  # (n, n) final-layer attention, averaged over heads
+    attn: np.ndarray  # (..., n, n) final-layer attention, averaged over heads
 
 
 def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
@@ -112,23 +116,22 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
     import json
 
     out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                sid = str(obj["id"])
-                vectors = np.asarray(obj["vectors"], dtype=np.float32)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad sidecar record: {exc}") from None
-            if vectors.ndim != 2 or vectors.shape[1] != d_context:
-                raise CorpusError(
-                    f"{path}:{lineno}: vectors for {sid!r} have shape "
-                    f"{vectors.shape}, expected (N, {d_context})"
-                )
-            out[sid] = vectors
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            sid = str(obj["id"])
+            vectors = np.asarray(obj["vectors"], dtype=np.float32)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: bad sidecar record: {exc}") from None
+        if vectors.ndim != 2 or vectors.shape[1] != d_context:
+            raise CorpusError(
+                f"{path}:{lineno}: vectors for {sid!r} have shape "
+                f"{vectors.shape}, expected (N, {d_context})"
+            )
+        out[sid] = vectors
     return out
 
 
@@ -140,18 +143,40 @@ def relative_position_embedding(n: int, d_model: int) -> np.ndarray:
     """
     if n < 1 or d_model < 2 or d_model % 2 != 0:
         raise CrenerError("relative embedding needs n >= 1 and even d_model >= 2")
-    dist = np.arange(n)[:, None] - np.arange(n)[None, :]
+    offsets = np.arange(1 - n, n)  # every value of i - j
     ks = np.arange(d_model // 2)
     inv_freq = 10000.0 ** (-2.0 * ks / d_model)
-    ang = dist[:, :, None].astype(np.float64) * inv_freq[None, None, :]
-    out = np.empty((n, n, d_model), dtype=np.float64)
-    out[:, :, 0::2] = np.sin(ang)
-    out[:, :, 1::2] = np.cos(ang)
-    return out
+    ang = offsets[:, None].astype(np.float64) * inv_freq[None, :]
+    table = np.empty((2 * n - 1, d_model), dtype=np.float64)
+    table[:, 0::2] = np.sin(ang)
+    table[:, 1::2] = np.cos(ang)
+    dist = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return table[dist + n - 1]
+
+
+def draw_dropout(
+    rng: np.random.Generator, n: int, config: EncoderConfig, dtype
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """One sentence's dropout multipliers, or None when dropout is off.
+
+    One (attention output, FFN output) pair of (n, d_h) arrays per layer,
+    drawn in the order `adapted_attention` applies them; 0 marks a
+    dropped entry and 1 / (1 - p) a kept one. Drawing a batch's masks
+    sentence by sentence before any forward consumes `rng` exactly as
+    running the sentences one at a time would.
+    """
+    p = config.dropout
+    if p <= 0.0:
+        return None
+
+    def keep() -> np.ndarray:
+        return (rng.random((n, config.d_h)) >= p).astype(dtype) / (1.0 - p)
+
+    return [(keep(), keep()) for _ in range(config.layers)]
 
 
 def _zero_masked_rows(values: Tensor, mask: np.ndarray) -> Tensor:
-    return values * mask.astype(values.dtype)[:, None]
+    return values * mask.astype(values.dtype)[..., None]
 
 
 def _embed_with_attention(
@@ -164,28 +189,29 @@ def _embed_with_attention(
     embeddings, one row per character with padded rows zeroed, plus the
     raw-attention weights used for H^A."""
     cfg = params.config
-    n = len(char_ids)
+    char_ids = np.asarray(char_ids)
+    n = char_ids.shape[-1]
     if n > cfg.max_len:
         raise CrenerError(f"sentence length {n} exceeds max_len {cfg.max_len}")
 
     if context_vectors is not None:
         ctx_arr = np.asarray(context_vectors, dtype=params.context_table.dtype)
-        if ctx_arr.shape != (n, cfg.d_context):
-            raise CrenerError(
-                f"context vectors shape {ctx_arr.shape} != ({n}, {cfg.d_context})"
-            )
+        expected = char_ids.shape + (cfg.d_context,)
+        if ctx_arr.shape != expected:
+            raise CrenerError(f"context vectors shape {ctx_arr.shape} != {expected}")
         h_ctx = Tensor(ctx_arr)
     else:
         h_ctx = ad.embedding(params.context_table, char_ids)
-    h_pos = ad.embedding(params.position_table, np.arange(n))
-    h_reg = ad.embedding(params.region_table, np.arange(n) % 2)
+    positions = np.broadcast_to(np.arange(n), char_ids.shape)
+    h_pos = ad.embedding(params.position_table, positions)
+    h_reg = ad.embedding(params.region_table, positions % 2)
 
     # H^A: one scaled self-attention pass over the raw context embeddings.
     q = h_ctx @ params.attn_wq
     k = h_ctx @ params.attn_wk
     v = h_ctx @ params.attn_wv
-    scores = (q @ k.transpose(1, 0)) * (1.0 / np.sqrt(cfg.d_attn))
-    attn = ad.softmax(scores, mask=mask[None, :])
+    scores = (q @ ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(cfg.d_attn))
+    attn = ad.softmax(scores, mask=mask[..., None, :])
     h_att = attn @ v
 
     h = ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1)
@@ -198,15 +224,17 @@ def adapted_attention(
     config: EncoderConfig,
     rel: np.ndarray | None = None,
     use_scaling: bool = False,
-    dropout_rng: np.random.Generator | None = None,
+    dropout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[CharRepr, np.ndarray]:
     """One residual block of relative-position self-attention plus FFN.
 
-    Returns the new representation and the (heads, n, n) attention
+    Returns the new representation and the (..., heads, n, n) attention
     weights. `use_scaling` restores the conventional 1/sqrt(d_k) factor
-    (off by default). Dropout runs only when a generator is supplied.
+    (off by default). Dropout runs only when the (attention output, FFN
+    output) multipliers of `draw_dropout` are supplied.
     """
     n = h.n
+    lead = h.values.shape[:-2]
     d_model = config.d_h
     heads = config.heads
     d_head = d_model // heads
@@ -216,9 +244,9 @@ def adapted_attention(
     rel = rel.astype(h.values.dtype)
 
     def split_heads(x: Tensor) -> Tensor:
-        return x.reshape(n, heads, d_head).transpose(1, 0, 2)
+        return ad.swapaxes(x.reshape(lead + (n, heads, d_head)), -3, -2)
 
-    q = split_heads(h.values @ layer.wq)  # (heads, n, d_head)
+    q = split_heads(h.values @ layer.wq)  # (..., heads, n, d_head)
     k = split_heads(h.values @ layer.wk)
     v = split_heads(h.values @ layer.wv)
 
@@ -229,24 +257,24 @@ def adapted_attention(
     u_h = layer.u.reshape(heads, 1, d_head)
     v_h = layer.v.reshape(heads, 1, 1, d_head)
 
-    content = q @ k.transpose(0, 2, 1)  # Q_i . K_j
-    position = (q.reshape(heads, n, 1, d_head) * rel_proj).sum(axis=-1)  # Q_i . R_ij W_kR
-    content_bias = (u_h * k).sum(axis=-1).reshape(heads, 1, n)  # u . K_j
+    content = q @ ad.swapaxes(k, -1, -2)  # Q_i . K_j
+    position = (q.reshape(lead + (heads, n, 1, d_head)) * rel_proj).sum(axis=-1)  # Q_i . R_ij W_kR
+    content_bias = (u_h * k).sum(axis=-1).reshape(lead + (heads, 1, n))  # u . K_j
     position_bias = (v_h * Tensor(rel_heads)).sum(axis=-1)  # v . R_ij
 
     scores = content + position + content_bias + position_bias
     if use_scaling:
         scores = scores * (1.0 / np.sqrt(d_head))
-    attn = ad.softmax(scores, mask=mask[None, None, :])
+    attn = ad.softmax(scores, mask=mask[..., None, None, :])
 
-    out = (attn @ v).transpose(1, 0, 2).reshape(n, d_model) @ layer.wo
-    if dropout_rng is not None and config.dropout > 0.0:
-        out = ad.dropout(out, config.dropout, dropout_rng)
+    out = ad.swapaxes(attn @ v, -3, -2).reshape(lead + (n, d_model)) @ layer.wo
+    if dropout is not None:
+        out = ad.dropout(out, dropout[0])
     h1 = ad.layer_norm(h.values + out, layer.ln1_g, layer.ln1_b)
 
     f = ad.gelu(h1 @ layer.ffn_w1 + layer.ffn_b1) @ layer.ffn_w2 + layer.ffn_b2
-    if dropout_rng is not None and config.dropout > 0.0:
-        f = ad.dropout(f, config.dropout, dropout_rng)
+    if dropout is not None:
+        f = ad.dropout(f, dropout[1])
     h2 = ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b)
 
     return CharRepr(_zero_masked_rows(h2, mask), mask), attn.data.copy()
@@ -259,26 +287,27 @@ def encode(
     context_vectors: np.ndarray | None = None,
     skip_adapted: bool = False,
     use_scaling: bool = False,
-    dropout_rng: np.random.Generator | None = None,
+    dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> EncoderOutput:
     """Full encoder pass: embeddings then the adapted-transformer stack.
 
     The returned attention matrix (head mean of the final layer, or the
     raw H^A attention when no layer runs) feeds the pairwise attention
-    buckets downstream.
+    buckets downstream. `dropout` holds one multiplier pair per layer,
+    shaped like the layer's (..., n, d_h) activations (see `draw_dropout`).
     """
     h, raw_attn = _embed_with_attention(char_ids, mask, params, context_vectors)
     attn_2d = raw_attn
     if not skip_adapted and params.layers:
-        rel = relative_position_embedding(len(char_ids), params.config.d_h)
-        for layer in params.layers:
+        rel = relative_position_embedding(h.n, params.config.d_h)
+        for i, layer in enumerate(params.layers):
             h, attn_heads = adapted_attention(
                 h,
                 layer,
                 params.config,
                 rel=rel,
                 use_scaling=use_scaling,
-                dropout_rng=dropout_rng,
+                dropout=None if dropout is None else dropout[i],
             )
-        attn_2d = attn_heads.mean(axis=0)
+        attn_2d = attn_heads.mean(axis=-3)
     return EncoderOutput(h=h, attn=attn_2d)

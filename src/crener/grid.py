@@ -8,6 +8,10 @@ bucket, triangle region, bucketed encoder attention weight), reduced by
 an MLP, and run through parallel dilated convolutions whose outputs are
 concatenated channel-wise. Bucket indices are plain integers computed
 outside the graph; only the embedding tables behind them train.
+
+Grids are (..., n, n, c) with any number of leading batch axes, and
+masks (..., n, n); the index ids depend on n alone and broadcast over
+the batch.
 """
 
 from __future__ import annotations
@@ -82,14 +86,20 @@ def conditional_layer_norm(
     Normalization is over the feature axis of the object vector;
     sqrt(var + eps) keeps constant vectors finite.
     """
-    n, d = h_s.shape
+    lead, (n, d) = h_s.shape[:-2], h_s.shape[-2:]
+    rows, cols = lead + (n, 1, d), lead + (1, n, d)
     gain = h_s @ params.cln_gain_w + params.cln_gain_b
     bias = h_s @ params.cln_bias_w + params.cln_bias_b
     mu = h_o.mean(axis=-1, keepdims=True)
     centered = h_o - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     normed = centered * ad.pow_const(var + eps, -0.5)
-    return gain.reshape(n, 1, d) * normed.reshape(1, n, d) + bias.reshape(n, 1, d)
+    return gain.reshape(rows) * normed.reshape(cols) + bias.reshape(rows)
+
+
+def pair_mask(mask: np.ndarray) -> np.ndarray:
+    """(..., n, n) cell mask from an (..., n) character mask: both valid."""
+    return np.logical_and(mask[..., :, None], mask[..., None, :])
 
 
 def distance_bucket(dist: np.ndarray) -> np.ndarray:
@@ -121,7 +131,7 @@ def attention_bucket(attn: np.ndarray, buckets: int) -> np.ndarray:
 
 
 def _mask3(values: Tensor, mask2d: np.ndarray) -> Tensor:
-    return values * mask2d.astype(values.dtype)[:, :, None]
+    return values * mask2d.astype(values.dtype)[..., None]
 
 
 def pair_features(
@@ -139,16 +149,17 @@ def pair_features(
     Each index embedding can be dropped independently (the ablation
     switches); parameter shapes must match the enabled set.
     """
-    n = v.shape[0]
+    n = v.shape[-2]
+    cells = v.shape[:-1]
     parts = [v]
     if use_distance:
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
         ids = distance_bucket(offs)
         if ids.max() >= config.distance_buckets:
             raise CrenerError("distance bucket id exceeds table size")
-        parts.append(ad.embedding(params.dist_table, ids))
+        parts.append(ad.embedding(params.dist_table, np.broadcast_to(ids, cells)))
     if use_region:
-        parts.append(ad.embedding(params.region_table, region_ids(n)))
+        parts.append(ad.embedding(params.region_table, np.broadcast_to(region_ids(n), cells)))
     if use_attn:
         ids = attention_bucket(attn, config.attn_buckets)
         parts.append(ad.embedding(params.attn_table, ids))

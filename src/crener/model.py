@@ -1,11 +1,14 @@
 """Full model assembly: parameter construction, forward pass, loss, and
 per-sentence prediction.
 
-Sentences run through the model one at a time with an explicit validity
-mask, so padded and unpadded runs agree on the unmasked positions; batch
-losses are formed by summing per-cell losses across sentences and
-dividing by the total cell count, which equals the mean over unmasked
-cells of a padded batch.
+The forward pass takes (..., n) character ids and validity masks with any
+number of leading batch axes. `batch_loss` pads a list of sentences to
+the longest one and runs them as one (B, n) batch; the one-sentence loss
+is the batch of one, and prediction runs one unpadded sentence at a time.
+Masked positions never reach unmasked ones, so a padded batch agrees
+with its sentences run alone on every unmasked cell, up to the order in
+which floating-point sums are taken. The loss is summed over unmasked
+cells; dividing by the total cell count gives the mean over a batch.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ from .autodiff import ParamStore, Tensor
 from .config import ModelConfig
 from .corpus import CharVocabulary, EntityMention, Sentence, TagVocabulary, encode_grid
 from .errors import ConfigError, CorpusError
+
+
+def _pad_stack(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Stack (n_i, ...) arrays into one (B, width, ...) array, zero-padded."""
+    out = np.zeros((len(rows), width) + rows[0].shape[1:], dtype=rows[0].dtype)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out
 
 
 @dataclass
@@ -234,16 +245,26 @@ class CrenerModel:
                 )
         return ids, mask, vectors
 
+    def draw_dropout(
+        self, sentence: Sentence, rng: np.random.Generator
+    ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """One sentence's encoder dropout multipliers (see
+        `encoder.draw_dropout`); None when the encoder drops nothing."""
+        if self.config.ablations.no_adapted_transformer:
+            return None
+        return enc_mod.draw_dropout(rng, len(sentence), self.config.encoder, self.store.dtype)
+
     def forward(
         self,
         char_ids: np.ndarray,
         mask: np.ndarray,
         context_vectors: np.ndarray | None = None,
         training: bool = False,
-        dropout_rng: np.random.Generator | None = None,
+        dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> ForwardResult:
+        """Scores for (..., n) ids and masks. In training mode `dropout`
+        holds one multiplier pair per encoder layer, shaped (..., n, d_h)."""
         abl = self.config.ablations
-        rng = dropout_rng if training else None
         enc_out = enc_mod.encode(
             char_ids,
             mask,
@@ -251,7 +272,7 @@ class CrenerModel:
             context_vectors=context_vectors,
             skip_adapted=abl.no_adapted_transformer,
             use_scaling=abl.use_scaling_factor,
-            dropout_rng=rng,
+            dropout=dropout if training else None,
         )
         h = enc_out.h
         tf = enh_mod.run_enhancement(
@@ -275,22 +296,38 @@ class CrenerModel:
             tf, self.predictor_params
         )
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
-        mask2d = np.logical_and(mask[:, None], mask[None, :])
+        mask2d = grid_mod.pair_mask(mask)
         if not np.isfinite(fused.data).all():
             raise FloatingPointError("non-finite scores in forward pass")
         return ForwardResult(fused=fused, h=h, tf=tf, attn=enc_out.attn, mask2d=mask2d)
 
-    def sentence_loss(
+    def batch_loss(
         self,
-        sentence: Sentence,
+        sentences: list[Sentence],
         training: bool = False,
-        dropout_rng: np.random.Generator | None = None,
-        reduction: str = "mean",
+        dropout: list | None = None,
+        reduction: str = "sum",
     ) -> tuple[Tensor, int]:
-        """Loss over one sentence's grid plus the unmasked cell count."""
-        ids, mask, vectors = self.sentence_inputs(sentence)
-        out = self.forward(ids, mask, vectors, training=training, dropout_rng=dropout_rng)
-        gold = encode_grid(sentence, self.tag_vocab)
+        """Loss over a batch padded to its longest sentence, plus the
+        unmasked cell count; the sum over unmasked cells by default.
+
+        In training mode `dropout` holds one `draw_dropout` result per
+        sentence, in batch order.
+        """
+        width = max(len(s) for s in sentences)
+        ids, masks, vectors = zip(*(self.sentence_inputs(s, pad_to=width) for s in sentences))
+        ids, mask = np.stack(ids), np.stack(masks)
+        vectors = None if self.context_provider is None else np.stack(vectors)
+        gold = np.zeros(mask.shape + (width, len(self.tag_vocab)), dtype=bool)
+        for b, s in enumerate(sentences):
+            gold[b, :len(s), :len(s)] = encode_grid(s, self.tag_vocab)
+        keep = None
+        if dropout is not None and dropout[0] is not None:
+            keep = [
+                tuple(_pad_stack([d[layer][part] for d in dropout], width) for part in (0, 1))
+                for layer in range(len(dropout[0]))
+            ]
+        out = self.forward(ids, mask, vectors, training=training, dropout=keep)
         loss = pred_mod.multi_tag_loss(
             out.fused,
             gold,
@@ -300,6 +337,19 @@ class CrenerModel:
             reduction=reduction,
         )
         return loss, int(out.mask2d.sum())
+
+    def sentence_loss(
+        self,
+        sentence: Sentence,
+        training: bool = False,
+        dropout_rng: np.random.Generator | None = None,
+        reduction: str = "mean",
+    ) -> tuple[Tensor, int]:
+        """Loss over one sentence's grid plus the unmasked cell count."""
+        dropout = None
+        if training and dropout_rng is not None:
+            dropout = [self.draw_dropout(sentence, dropout_rng)]
+        return self.batch_loss([sentence], training, dropout, reduction)
 
     def predict_grid(self, sentence: Sentence) -> np.ndarray:
         """Boolean (n, n, |R|) predicted tag grid for one sentence."""

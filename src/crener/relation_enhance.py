@@ -9,6 +9,9 @@ subject/object vectors condition the next round's grid, so only the
 rounds before the last one pool and enhance. Parameters are shared
 across rounds; the final round's tag features feed the MLP predictor.
 With one round the grid is built once and nothing is enhanced.
+
+Every function accepts any number of leading batch axes: character
+vectors are (..., n, d), grids (..., n, n, c) and masks (..., n).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class EnhanceParams:
 
 
 def tag_features(q: Tensor, params: EnhanceParams) -> Tensor:
-    """Concatenated per-tag-group affine maps of the grid, (n, n, 4*d_r)."""
+    """Concatenated per-tag-group affine maps of the grid, (..., n, n, 4*d_r)."""
     return ad.concat(
         [
             q @ params.tag_nnc_w + params.tag_nnc_b,
@@ -94,14 +97,13 @@ def pool_recover(
     win the max; each pooled map passes through its own affine + GELU to
     character width, and padded positions are re-zeroed.
     """
-    mask2d = np.logical_and(mask[:, None], mask[None, :])
-    m3 = mask2d.astype(tf.dtype)[:, :, None]
+    m3 = grid_mod.pair_mask(mask).astype(tf.dtype)[..., None]
     filled = tf * m3 + (1.0 - m3) * _MASK_FILL
-    pooled_s = filled.max(axis=1)  # per row i, over columns j
-    pooled_o = filled.max(axis=0)  # per column j, over rows i
+    pooled_s = filled.max(axis=-2)  # per row i, over columns j
+    pooled_o = filled.max(axis=-3)  # per column j, over rows i
     h_s = ad.gelu(pooled_s @ params.pool_s_w + params.pool_s_b)
     h_o = ad.gelu(pooled_o @ params.pool_o_w + params.pool_o_b)
-    mcol = mask.astype(tf.dtype)[:, None]
+    mcol = mask.astype(tf.dtype)[..., None]
     return h_s * mcol, h_o * mcol
 
 
@@ -116,18 +118,18 @@ def _multi_head_attention(
     heads: int,
 ) -> Tensor:
     """Standard scaled dot-product attention; key columns follow `mask`."""
-    n, d = q_in.shape
+    d = q_in.shape[-1]
     d_head = d // heads
 
-    def split(x: Tensor) -> Tensor:
-        return x.reshape(n, heads, d_head).transpose(1, 0, 2)
+    def split(x: Tensor) -> Tensor:  # (..., n, d) -> (..., heads, n, d_head)
+        return ad.swapaxes(x.reshape(x.shape[:-1] + (heads, d_head)), -3, -2)
 
     q = split(q_in @ wq)
     k = split(kv_in @ wk)
     v = split(kv_in @ wv)
-    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(d_head))
-    attn = ad.softmax(scores, mask=mask[None, None, :])
-    out = (attn @ v).transpose(1, 0, 2).reshape(n, d)
+    scores = (q @ ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_head))
+    attn = ad.softmax(scores, mask=mask[..., None, None, :])
+    out = ad.swapaxes(attn @ v, -3, -2).reshape(q_in.shape)
     return out @ wo
 
 
@@ -162,7 +164,7 @@ def enhance_round(
     o_out = ad.gelu(o_ct @ params.out_o_w + params.out_o_b)
     h_s_next = ad.layer_norm(h_s_r + s_out, params.ln_s_g, params.ln_s_b)
     h_o_next = ad.layer_norm(h_o_r + o_out, params.ln_o_g, params.ln_o_b)
-    mcol = mask.astype(h_s_next.dtype)[:, None]
+    mcol = mask.astype(h_s_next.dtype)[..., None]
     return h_s_next * mcol, h_o_next * mcol
 
 
@@ -191,13 +193,13 @@ def run_enhancement(
         rounds = enhance_config.rounds
     if rounds < 1:
         raise CrenerError("enhancement rounds must be >= 1")
-    mask2d = np.logical_and(mask[:, None], mask[None, :])
+    mask2d = grid_mod.pair_mask(mask)
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, grid_params)
     h_s, h_o = h_s0, h_o0
     for r in range(rounds):
         v = grid_mod.conditional_layer_norm(h_s, h_o, grid_params)
-        v = v * mask2d.astype(v.dtype)[:, :, None]
+        v = v * mask2d.astype(v.dtype)[..., None]
         c = grid_mod.pair_features(
             v, attn, mask2d, grid_params, grid_config,
             use_distance=use_distance, use_region=use_region, use_attn=use_attn,

@@ -5,6 +5,8 @@ of its forward pass in double precision; the forward values themselves
 are compared against plain numpy where a closed form exists.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -83,6 +85,13 @@ class TestShape:
     def test_reshape_transpose(self, rng):
         a = rng.normal(size=(2, 3, 4))
         fd_check(lambda x: (x.reshape(6, 4).transpose(1, 0) ** 2).sum(), [a])
+
+    def test_swapaxes(self, rng):
+        a = rng.normal(size=(2, 3, 4))
+        weights = Tensor(rng.normal(size=(4, 3, 2)))
+        out = ad.swapaxes(Tensor(a), -3, -1)
+        np.testing.assert_array_equal(out.data, np.swapaxes(a, 0, 2))
+        fd_check(lambda x: (ad.swapaxes(x, -3, -1) ** 3 * weights).sum(), [a])
 
     def test_getitem_slice_and_fancy(self, rng):
         a = rng.normal(size=(5, 4))
@@ -173,9 +182,12 @@ class TestFusedOps:
     def test_dropout_scales_kept_entries(self):
         rng = np.random.default_rng(7)
         x = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = ad.dropout(x, 0.4, rng)
+        keep = (rng.random(x.shape) >= 0.4) / 0.6
+        out = ad.dropout(x, keep)
         vals = np.unique(out.data)
         assert set(np.round(vals, 6)) <= {0.0, round(1 / 0.6, 6)}
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, keep)
 
     def test_layer_norm_gradient(self, rng):
         x = rng.normal(size=(3, 8))
@@ -216,6 +228,20 @@ class TestGraph:
         out.backward()
         assert a.grad is None
         assert b.grad is not None
+
+
+def test_backward_releases_the_tape(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    h = ad.tanh(x @ w)  # its closure saves the output array
+    saved = weakref.ref(h.data)
+    loss = (h * h).sum()
+    del h
+    assert saved() is not None
+    loss.backward()
+    assert saved() is None
+    assert loss._parents == () and loss.grad is None
+    assert x.grad is not None and w.grad is not None
 
 
 class TestParamStore:

@@ -310,3 +310,67 @@ def test_corpus_stats_command(workspace, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sentences" in out and "entities_per_type" in out
+
+
+def path_error_case(name, workspace, tmp_path):
+    """(argv, offending path) for one bad-path case."""
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    binary = tmp_path / "latin1.jsonl"
+    binary.write_bytes('{"id": "s", "text": ["é"], "entities": []}\n'.encode("latin-1"))
+    a_file = tmp_path / "a-file"
+    a_file.write_text("x\n")
+    ckpt, cfg, dev = str(workspace["ckpt"]), str(workspace["cfg"]), str(workspace["dev"])
+    train = ["train", "--config", cfg, "--quiet", "--checkpoint-dir", str(tmp_path / "ck")]
+    cases = {
+        "data-dir": (["corpus-stats", "--data", str(directory)], directory),
+        "data-not-utf8": (["corpus-stats", "--data", str(binary)], binary),
+        "data-not-utf8-conll": (["corpus-stats", "--format", "conll", "--data", str(binary)],
+                                binary),
+        "eval-data-dir": (["eval", "--checkpoint", ckpt, "--data", str(directory),
+                           "--out", str(tmp_path / "r.json")], directory),
+        "input-dir": (["predict", "--checkpoint", ckpt, "--input", str(directory),
+                       "--output", "-"], directory),
+        "input-not-utf8": (["predict", "--checkpoint", ckpt, "--input", str(binary),
+                            "--output", "-"], binary),
+        "grid-dir": (["decode-grid", "--grid", str(directory)], directory),
+        "grid-not-utf8": (["decode-grid", "--grid", str(binary)], binary),
+        "paths-train-dir": (train + ["--set", f"paths.train={directory}"], directory),
+        "paths-dev-not-utf8": (train + ["--set", f"paths.dev={binary}"], binary),
+        "paths-sidecar-dir": (train + ["--set", f"paths.vectors_sidecar={directory}"],
+                              directory),
+        "paths-sidecar-not-utf8": (train + ["--set", f"paths.vectors_sidecar={binary}"],
+                                   binary),
+        "checkpoint-dir-is-file": (["train", "--config", cfg, "--quiet",
+                                    "--checkpoint-dir", str(a_file)], a_file),
+        "output-dir": (["predict", "--checkpoint", ckpt, "--input", dev,
+                        "--output", str(directory)], directory),
+        "out-dir": (["eval", "--checkpoint", ckpt, "--data", dev, "--out", str(directory)],
+                    directory),
+    }
+    return cases[name]
+
+
+@pytest.mark.parametrize("case", [
+    "data-dir", "data-not-utf8", "data-not-utf8-conll", "eval-data-dir", "input-dir",
+    "input-not-utf8", "grid-dir", "grid-not-utf8", "paths-train-dir", "paths-dev-not-utf8",
+    "paths-sidecar-dir", "paths-sidecar-not-utf8", "checkpoint-dir-is-file", "output-dir",
+    "out-dir",
+])
+def test_bad_path_exits_2(workspace, tmp_path, capsys, case):
+    argv, path = path_error_case(case, workspace, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("paths.train = é.jsonl\n".encode("latin-1"))
+    assert main(["train", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config {path}" in err and "Traceback" not in err

@@ -15,6 +15,7 @@ from crener.encoder import (
     EncoderConfig,
     _embed_with_attention,
     adapted_attention,
+    draw_dropout,
     encode,
     load_sidecar_vectors,
     relative_position_embedding,
@@ -209,8 +210,9 @@ class TestEncode:
         a = encode(ids, mask, model.encoder_params)
         b = encode(ids, mask, model.encoder_params)
         np.testing.assert_array_equal(a.h.values.data, b.h.values.data)
-        c = encode(ids, mask, model.encoder_params,
-                   dropout_rng=np.random.default_rng(0))
+        keep = draw_dropout(np.random.default_rng(0), len(ids), model.config.encoder,
+                            model.store.dtype)
+        c = encode(ids, mask, model.encoder_params, dropout=keep)
         assert not np.allclose(a.h.values.data, c.h.values.data)
 
 

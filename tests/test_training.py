@@ -1,5 +1,6 @@
-"""Optimizer contract, entity-level metrics, checkpoint persistence, and
-the training loop's determinism and failure modes."""
+"""Optimizer contract, entity-level metrics, checkpoint persistence, the
+training loop's determinism and failure modes, and the padded,
+sub-batched training step against a per-sentence reference."""
 
 import copy
 import json
@@ -9,17 +10,22 @@ import numpy as np
 import pytest
 
 from conftest import small_config
-from crener.autodiff import ParamStore
+from crener import training
+from crener.autodiff import ParamStore, Tensor
 from crener.corpus import (
+    CharVocabulary,
     EntityMention,
     Sentence,
+    build_tag_vocabulary,
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
 )
 from crener.errors import ConfigError, DivergenceError
+from crener.model import CrenerModel
 from crener.training import (
     CHECKPOINT_FORMAT_VERSION,
+    MAX_SUB_BATCH_CELLS,
     Adam,
     Checkpoint,
     evaluate_model,
@@ -80,6 +86,18 @@ class TestAdam:
         Adam(store, learning_rate=1e-2, weight_decay=0.1, grad_clip_norm=1e9).step()
         assert (mat.data < 3.0).all()  # decayed despite zero gradient
         np.testing.assert_array_equal(vec.data, 3.0)
+
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    def test_step_returns_norm_before_clipping(self, rng, clip):
+        store = ParamStore(np.float64)
+        t = store.add("w", rng.normal(size=(5,)))
+        t.grad = rng.normal(size=(5,))
+        x0, g = t.data.copy(), t.grad.copy()
+        norm = Adam(store, learning_rate=1e-2, grad_clip_norm=clip).step()
+        unclipped = 1e-2 * g / (np.abs(g) + 1e-8)
+        np.testing.assert_allclose(norm, np.linalg.norm(unclipped), rtol=1e-12)
+        applied = np.linalg.norm(x0 - t.data)
+        np.testing.assert_allclose(applied, min(norm, clip * 1e-2), rtol=1e-9)
 
 
 class _FixedPredictor:
@@ -182,6 +200,21 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             train(cfg, corpus())
 
+    @pytest.mark.parametrize("clip, frac", [(1e-6, 1.0), (1e6, 0.0)])
+    def test_epoch_record_reports_update_norms(self, clip, frac):
+        cfg = small_config()
+        cfg.optimizer.epochs = 2
+        cfg.optimizer.batch_size = 3
+        cfg.optimizer.grad_clip_norm = clip
+        history = train(cfg, corpus()).history
+        for record in history:
+            assert 0.0 < record["update_norm_mean"] <= record["update_norm_max"]
+            assert record["clipped_frac"] == frac
+        assert list(history[0]) == [
+            "epoch", "train_loss", "update_norm_mean", "update_norm_max",
+            "clipped_frac", "seconds",
+        ]
+
     def test_empty_corpus_rejected(self):
         from crener.errors import CorpusError
 
@@ -275,3 +308,167 @@ def test_predictions_round_trip(tmp_path):
     for s in back:
         for e in s.entities:
             assert 0 <= e.head and e.tail < len(s)
+
+
+# ----------------------------------------------------------------------
+# the padded, sub-batched training step
+
+
+def batched_config(**ablations):
+    """float64, dropout on, two encoder layers so the per-layer draw order shows."""
+    cfg = small_config(double=True)
+    cfg.encoder.dropout = 0.2
+    cfg.encoder.layers = 2
+    for name, value in ablations.items():
+        setattr(cfg.ablations, name, value)
+    return cfg
+
+
+def mixed_lengths(count=6, seed=4):
+    sents = generate_synthetic_corpus(
+        seed=seed, count=count, max_len=11, types=["A", "B"], min_len=2,
+        nested_fraction=0.5, discontinuous_fraction=0.5,
+    )
+    assert len({len(s) for s in sents}) > 2  # padding is present
+    return sents
+
+
+def assert_close_scaled(actual, expected, rtol):
+    """Elementwise within rtol of the expected array's largest magnitude."""
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+ABLATION_CASES = {
+    "default": {},
+    "rounds-1": {"rounds_override": 1},
+    "rounds-3": {"rounds_override": 3},
+    "no-biaffine": {"no_biaffine_predictor": True},
+}
+
+
+@pytest.mark.parametrize("case", list(ABLATION_CASES))
+def test_batched_loss_and_gradients_match_per_sentence(case):
+    cfg = batched_config(**ABLATION_CASES[case])
+    sents = mixed_lengths()
+    chars = CharVocabulary.from_sentences(sents)
+    model = CrenerModel(cfg, chars, build_tag_vocabulary(sents))
+
+    model.store.zero_grad()
+    rng = np.random.default_rng(3)
+    expected_loss, expected_cells = 0.0, 0
+    for s in sents:
+        loss, cells = model.sentence_loss(s, training=True, dropout_rng=rng, reduction="sum")
+        loss.backward()
+        expected_loss += loss.item()
+        expected_cells += cells
+    expected = {name: t.grad for name, t in model.store.items()}
+
+    model.store.zero_grad()
+    rng = np.random.default_rng(3)
+    dropout = [model.draw_dropout(s, rng) for s in sents]
+    loss, cells = model.batch_loss(sents, training=True, dropout=dropout)
+    loss.backward()
+
+    assert cells == expected_cells == sum(len(s) ** 2 for s in sents)
+    np.testing.assert_allclose(loss.item(), expected_loss, rtol=1e-12)
+    for name, t in model.store.items():
+        if expected[name] is None:  # a part the ablation leaves out
+            assert t.grad is None, name
+        else:
+            assert_close_scaled(t.grad, expected[name], rtol=1e-9)
+
+
+def reference_train(cfg, sents):
+    """The training loop run one sentence at a time, every tape of a batch
+    alive until one backward: (final parameters, epoch train losses)."""
+    model = CrenerModel(
+        cfg, CharVocabulary.from_sentences(sents),
+        build_tag_vocabulary(sents, none_is_implicit=cfg.predictor.mode == "threshold"),
+    )
+    opt = cfg.optimizer
+    optimizer = Adam(model.store, learning_rate=opt.learning_rate,
+                     weight_decay=opt.weight_decay, grad_clip_norm=opt.grad_clip_norm)
+    shuffle_rng = np.random.default_rng(opt.seed + 1)
+    dropout_rng = np.random.default_rng(opt.seed + 2)
+    losses = []
+    for _ in range(opt.epochs):
+        order = shuffle_rng.permutation(len(sents))
+        loss_sum, cell_sum = 0.0, 0
+        for start in range(0, len(order), opt.batch_size):
+            model.store.zero_grad()
+            total, cells = None, 0
+            for idx in order[start:start + opt.batch_size]:
+                loss, count = model.sentence_loss(
+                    sents[int(idx)], training=True, dropout_rng=dropout_rng, reduction="sum")
+                total = loss if total is None else total + loss
+                cells += count
+            batch_loss = total * (1.0 / cells)
+            loss_sum += batch_loss.item() * cells
+            cell_sum += cells
+            batch_loss.backward()
+            optimizer.step()
+        losses.append(loss_sum / cell_sum)
+    return model.store.state_dict(), losses
+
+
+@pytest.mark.parametrize("max_cells", [MAX_SUB_BATCH_CELLS, 60], ids=["one-sub-batch", "split"])
+def test_two_train_steps_match_per_sentence_loop(monkeypatch, max_cells):
+    monkeypatch.setattr(training, "MAX_SUB_BATCH_CELLS", max_cells)
+    cfg = batched_config()
+    cfg.optimizer.epochs = 1
+    cfg.optimizer.batch_size = 4
+    sents = mixed_lengths(count=8)
+    expected_params, expected_losses = reference_train(copy.deepcopy(cfg), sents)
+    ck = train(copy.deepcopy(cfg), sents)
+    np.testing.assert_allclose(
+        [r["train_loss"] for r in ck.history], expected_losses, rtol=1e-9)
+    for name, value in expected_params.items():
+        assert_close_scaled(ck.params[name], value, rtol=1e-9)
+
+
+def record_sub_batches(monkeypatch):
+    """Patch the model and the tape to log each training forward's sentence
+    lengths and count backward() calls."""
+    calls = {"lengths": [], "backward": 0}
+    batch_loss, backward = CrenerModel.batch_loss, Tensor.backward
+
+    def logged_batch_loss(self, sentences, *args, **kwargs):
+        calls["lengths"].append([len(s) for s in sentences])
+        return batch_loss(self, sentences, *args, **kwargs)
+
+    def counted_backward(self):
+        calls["backward"] += 1
+        return backward(self)
+
+    monkeypatch.setattr(CrenerModel, "batch_loss", logged_batch_loss)
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    return calls
+
+
+def test_sub_batches_stay_within_the_cell_bound(monkeypatch):
+    calls = record_sub_batches(monkeypatch)
+    cfg = small_config()
+    cfg.encoder.max_len = 64
+    cfg.optimizer.epochs = 1
+    sents = generate_synthetic_corpus(seed=2, count=24, max_len=40, types=["A"], min_len=3)
+    train(cfg, sents)
+    assert calls["backward"] == len(calls["lengths"])
+    assert sorted(n for sub in calls["lengths"] for n in sub) == sorted(len(s) for s in sents)
+    for sub in calls["lengths"]:
+        assert sub == sorted(sub)
+        assert len(sub) == 1 or len(sub) * max(sub) ** 2 <= MAX_SUB_BATCH_CELLS, sub
+    # the bound binds: some batch was split, some sub-batch holds several sentences
+    assert len(calls["lengths"]) > 24 // cfg.optimizer.batch_size
+    assert max(len(sub) for sub in calls["lengths"]) > 1
+
+
+def test_eight_sentences_of_48_run_one_at_a_time(monkeypatch):
+    calls = record_sub_batches(monkeypatch)
+    cfg = small_config()
+    cfg.encoder.max_len = 64
+    cfg.optimizer.epochs = 1
+    sents = generate_synthetic_corpus(seed=2, count=8, max_len=48, types=["A"], min_len=48)
+    train(cfg, sents)
+    assert calls["lengths"] == [[48]] * 8
+    assert calls["backward"] == 8
