@@ -10,6 +10,13 @@ Operations accept any number of leading (batch) axes. ``backward()``
 releases the tape as it walks it: once a node's closure has run, the
 node drops its gradient, closure and parents, so the arrays the closure
 saved are freed before the walk ends. Leaves keep ``.grad``.
+
+Grad mode: inside ``with no_grad():`` operations record no tape. Each
+result is a plain tensor with no parents, no closure and
+``requires_grad = False``, so every intermediate array is freed as soon
+as nothing else refers to it, and ``backward()`` raises. The arithmetic
+is the same in both modes. Prediction runs its forward this way; training
+never does.
 """
 
 from __future__ import annotations
@@ -23,6 +30,23 @@ from . import kernels
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# Off inside `no_grad()`; read by `Tensor._make` and `Tensor.backward`.
+_grad_enabled = True
+
+
+class no_grad:
+    """Context manager that switches tape recording off and restores the
+    previous mode on exit, also when an exception escapes."""
+
+    def __enter__(self) -> None:
+        global _grad_enabled
+        self._previous = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc_info) -> None:
+        global _grad_enabled
+        _grad_enabled = self._previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -53,7 +77,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -76,18 +100,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -99,6 +116,8 @@ class Tensor:
         Every interior node is released once its closure has run, so only
         the part of the tape not yet walked stays alive.
         """
+        if not _grad_enabled:
+            raise RuntimeError("backward() called inside no_grad(): no tape was recorded")
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _topological_order(self)
@@ -122,32 +141,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, self._coerce(other))
 
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, self._coerce(other))
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, self._coerce(other))
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -231,18 +235,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out_data, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(-g)
@@ -255,40 +247,6 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
 
     def backward(g):
         a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return Tensor._make(np.log(a.data), (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -412,14 +370,15 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def tensor_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; ties split the gradient evenly."""
-    out_kept = a.data.max(axis=axis, keepdims=True)
     out_data = a.data.max(axis=axis, keepdims=keepdims)
-    hit = (a.data == out_kept)
-    counts = hit.sum(axis=axis, keepdims=True)
 
     def backward(g):
+        kept = out_data
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
+            kept = np.expand_dims(out_data, axis)
+        hit = a.data == kept
+        counts = hit.sum(axis=axis, keepdims=True)
         a._accumulate(np.where(hit, g / counts, 0.0).astype(a.data.dtype))
 
     return Tensor._make(out_data, (a,), backward)
@@ -548,20 +507,11 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def tensors(self):
-        return self._params.values()
 
     def zero_grad(self) -> None:
         for t in self._params.values():

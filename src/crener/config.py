@@ -2,14 +2,16 @@
 
 A config file is plain text, one `section.field = value` per line, `#`
 comments on their own lines. Values parse as JSON when possible and
-fall back to bare strings, so paths need no quoting. Unknown keys are
-rejected. CLI `--set key=value` overrides reuse the same machinery.
+fall back to bare strings, so paths need no quoting. Unknown keys and
+non-finite numbers (nan, inf) are rejected. CLI `--set key=value`
+overrides reuse the same machinery.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields
@@ -134,9 +136,12 @@ def _coerce(tp, value, key: str):
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        return number
     if tp is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")

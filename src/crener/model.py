@@ -5,6 +5,9 @@ The forward pass takes (..., n) character ids and validity masks with any
 number of leading batch axes. `batch_loss` pads a list of sentences to
 the longest one and runs them as one (B, n) batch; the one-sentence loss
 is the batch of one, and prediction runs one unpadded sentence at a time.
+Prediction runs tape-free: `predict_grid` enters `autodiff.no_grad()`
+around the same forward, so it records no tape and keeps no
+intermediate array alive for a backward pass that never comes.
 Masked positions never reach unmasked ones, so a padded batch agrees
 with its sentences run alone on every unmasked cell, up to the order in
 which floating-point sums are taken. The loss is summed over unmasked
@@ -22,7 +25,7 @@ from . import decode as decode_mod
 from . import encoder as enc_mod
 from . import grid as grid_mod
 from . import relation_enhance as enh_mod
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore, Tensor, no_grad
 from .config import ModelConfig
 from .corpus import CharVocabulary, EntityMention, Sentence, TagVocabulary, encode_grid
 from .errors import ConfigError, CorpusError
@@ -352,9 +355,14 @@ class CrenerModel:
         return self.batch_loss([sentence], training, dropout, reduction)
 
     def predict_grid(self, sentence: Sentence) -> np.ndarray:
-        """Boolean (n, n, |R|) predicted tag grid for one sentence."""
+        """Boolean (n, n, |R|) predicted tag grid for one sentence.
+
+        The forward runs tape-free (inside `no_grad()`): nothing is kept
+        for a backward pass, and the scores are those of the taped forward.
+        """
         ids, mask, vectors = self.sentence_inputs(sentence)
-        out = self.forward(ids, mask, vectors, training=False)
+        with no_grad():
+            out = self.forward(ids, mask, vectors, training=False)
         return pred_mod.predict_cells(
             out.fused,
             self.tag_vocab,

@@ -193,6 +193,17 @@ def _param_path(directory: str, name: str) -> str:
     return os.path.join(directory, "params", name + ".npy")
 
 
+# Manifest keys `Checkpoint.load` reads, with the JSON type each must have.
+_MANIFEST_KEYS = {
+    "config": dict,
+    "chars": list,
+    "entity_types": list,
+    "none_is_implicit": bool,
+    "parameters": list,
+    "epoch": int,
+}
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -201,6 +212,8 @@ class Checkpoint:
     params: dict
     epoch: int
     history: list
+    # The directory `load` read it from, named in data errors.
+    directory: str | None = None
 
     def save(self, directory: str) -> None:
         os.makedirs(os.path.join(directory, "params"), exist_ok=True)
@@ -222,16 +235,30 @@ class Checkpoint:
 
     @classmethod
     def load(cls, directory: str) -> "Checkpoint":
+        """Read a checkpoint directory; a corrupt manifest or parameter
+        file raises CorpusError naming the file."""
         manifest_path = os.path.join(directory, "manifest.json")
         if not os.path.exists(manifest_path):
             raise CorpusError(f"no checkpoint manifest at {manifest_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        try:
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorpusError(f"{manifest_path}: not a JSON checkpoint manifest: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise CorpusError(f"{manifest_path}: checkpoint manifest is not a JSON object")
         version = manifest.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ConfigError(
                 f"{directory}: unsupported checkpoint format {version!r}; only format "
                 f"{CHECKPOINT_FORMAT_VERSION} is read (format 1 is retired: retrain the model)"
+            )
+        bad = [key for key, kind in _MANIFEST_KEYS.items() if not isinstance(manifest.get(key), kind)]
+        if "parameters" not in bad and not all(isinstance(n, str) for n in manifest["parameters"]):
+            bad.append("parameters")
+        if bad:
+            raise CorpusError(
+                f"{manifest_path}: checkpoint manifest has missing or malformed {', '.join(bad)}"
             )
         config = config_from_flat(manifest["config"])
         chars = manifest["chars"]
@@ -239,24 +266,35 @@ class Checkpoint:
         tag_vocab = TagVocabulary(
             manifest["entity_types"], none_is_implicit=manifest["none_is_implicit"]
         )
-        params = {
-            name: np.load(_param_path(directory, name))
-            for name in manifest["parameters"]
-        }
+        params = {}
+        for name in manifest["parameters"]:
+            path = _param_path(directory, name)
+            try:
+                array = np.load(path)
+            except (OSError, ValueError, EOFError) as exc:
+                raise CorpusError(f"{path}: unreadable checkpoint parameter: {exc}") from None
+            # `save` writes finite floats; anything else would fail later, mid-forward.
+            if array.dtype.kind != "f" or not np.isfinite(array).all():
+                raise CorpusError(f"{path}: checkpoint parameter is not a finite float array")
+            params[name] = array
         return cls(
             config=config,
             char_vocab=char_vocab,
             tag_vocab=tag_vocab,
             params=params,
-            epoch=int(manifest["epoch"]),
+            epoch=manifest["epoch"],
             history=manifest.get("history", []),
+            directory=directory,
         )
 
     def build_model(self, context_provider: dict | None = None) -> CrenerModel:
         model = CrenerModel(
             self.config, self.char_vocab, self.tag_vocab, context_provider
         )
-        model.store.load_state_dict(self.params)
+        try:
+            model.store.load_state_dict(self.params)
+        except ValueError as exc:  # wrong names, shapes or dtypes
+            raise CorpusError(f"{self.directory or 'checkpoint'}: {exc}") from None
         return model
 
 

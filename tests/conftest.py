@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crener import config as cfg_mod
+from crener.autodiff import Tensor
 from crener.corpus import CharVocabulary, build_tag_vocabulary, generate_synthetic_corpus
 from crener.model import CrenerModel
 
@@ -53,3 +54,18 @@ def tag_grid(n, vocab, cells=()):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def made_tensors(monkeypatch):
+    """Every tensor an operation returns during the test, in creation order."""
+    made = []
+    make = Tensor._make
+
+    def recording(data, parents, backward):
+        out = make(data, parents, backward)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+    return made

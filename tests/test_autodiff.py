@@ -46,19 +46,20 @@ class TestElementwise:
         b = rng.normal(size=(4,))
         fd_check(lambda x, y: ((x + y) * (x + y)).sum(), [a, b])
 
-    def test_sub_mul_div(self, rng):
+    def test_sub_mul(self, rng):
         a = rng.normal(size=(2, 5))
         b = rng.normal(size=(2, 5)) + 3.0
-        fd_check(lambda x, y: ((x - y) * x / y).sum(), [a, b])
+        fd_check(lambda x, y: ((x - y) * x * y).sum(), [a, b])
 
     def test_scalar_coercion_preserves_dtype(self):
         t = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = (t * 2.0 + 1.0) / 4.0 - 0.5
+        out = (t * 2.0 + 1.0) * 0.25 - 0.5
         assert out.data.dtype == np.float32
 
-    def test_pow_exp_log_sqrt_tanh(self, rng):
+    def test_pow_const_gradient(self, rng):
+        # layer_norm raises the variance to -0.5
         a = np.abs(rng.normal(size=(3, 3))) + 0.5
-        fd_check(lambda x: (ad.exp(ad.log(x)) + ad.sqrt(x) + ad.tanh(x) + x ** 3).sum(), [a])
+        fd_check(lambda x: (ad.pow_const(x, 3) + ad.pow_const(x, -0.5)).sum(), [a])
 
     def test_gelu_matches_erf_form(self, rng):
         x = rng.normal(size=(4, 7))
@@ -80,27 +81,30 @@ class TestShape:
     def test_batched_matmul_broadcast(self, rng):
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(4, 5))
-        fd_check(lambda x, y: ((x @ y) ** 2).sum(), [a, b])
+        fd_check(lambda x, y: ad.pow_const(x @ y, 2).sum(), [a, b])
 
     def test_reshape_transpose(self, rng):
         a = rng.normal(size=(2, 3, 4))
-        fd_check(lambda x: (x.reshape(6, 4).transpose(1, 0) ** 2).sum(), [a])
+        fd_check(lambda x: ad.pow_const(x.reshape(6, 4).transpose(1, 0), 2).sum(), [a])
 
     def test_swapaxes(self, rng):
         a = rng.normal(size=(2, 3, 4))
         weights = Tensor(rng.normal(size=(4, 3, 2)))
         out = ad.swapaxes(Tensor(a), -3, -1)
         np.testing.assert_array_equal(out.data, np.swapaxes(a, 0, 2))
-        fd_check(lambda x: (ad.swapaxes(x, -3, -1) ** 3 * weights).sum(), [a])
+        fd_check(lambda x: (ad.pow_const(ad.swapaxes(x, -3, -1), 3) * weights).sum(), [a])
 
     def test_getitem_slice_and_fancy(self, rng):
         a = rng.normal(size=(5, 4))
-        fd_check(lambda x: (x[1:3] ** 2).sum() + (x[np.array([0, 0, 2])] ** 3).sum(), [a])
+        fd_check(
+            lambda x: ad.pow_const(x[1:3], 2).sum() + ad.pow_const(x[np.array([0, 0, 2])], 3).sum(),
+            [a],
+        )
 
     def test_concat(self, rng):
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 5))
-        fd_check(lambda x, y: (ad.concat([x, y], axis=-1) ** 2).sum(), [a, b])
+        fd_check(lambda x, y: ad.pow_const(ad.concat([x, y], axis=-1), 2).sum(), [a, b])
 
     def test_concat_forward(self, rng):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 1))
@@ -111,16 +115,16 @@ class TestShape:
 class TestReductions:
     def test_sum_axes(self, rng):
         a = rng.normal(size=(3, 4, 2))
-        fd_check(lambda x: (x.sum(axis=1) ** 2).sum(), [a])
+        fd_check(lambda x: ad.pow_const(x.sum(axis=1), 2).sum(), [a])
         fd_check(lambda x: (x.sum(axis=-1, keepdims=True) * x).sum(), [a])
 
     def test_mean(self, rng):
         a = rng.normal(size=(4, 6))
-        fd_check(lambda x: (x.mean(axis=-1) ** 2).sum(), [a])
+        fd_check(lambda x: ad.pow_const(x.mean(axis=-1), 2).sum(), [a])
 
     def test_max_gradient(self, rng):
         a = rng.normal(size=(4, 5))
-        fd_check(lambda x: (x.max(axis=1) ** 2).sum(), [a])
+        fd_check(lambda x: ad.pow_const(x.max(axis=1), 2).sum(), [a])
 
     def test_max_splits_ties_evenly(self):
         a = Tensor(np.array([[1.0, 3.0, 3.0, 0.0]]), requires_grad=True)
@@ -193,7 +197,7 @@ class TestFusedOps:
         x = rng.normal(size=(3, 8))
         g = rng.normal(size=(8,))
         b = rng.normal(size=(8,))
-        fd_check(lambda t, gg, bb: (ad.layer_norm(t, gg, bb) ** 2).sum(), [x, g, b])
+        fd_check(lambda t, gg, bb: ad.pow_const(ad.layer_norm(t, gg, bb), 2).sum(), [x, g, b])
 
     def test_conv2d_dilated_gradient(self, rng):
         x = rng.normal(size=(5, 5, 3))
@@ -201,7 +205,7 @@ class TestFusedOps:
         b = rng.normal(size=(2,))
         for dil in (1, 2):
             fd_check(
-                lambda xx, ww, bb: (ad.conv2d_dilated(xx, ww, bb, dil) ** 2).sum(),
+                lambda xx, ww, bb: ad.pow_const(ad.conv2d_dilated(xx, ww, bb, dil), 2).sum(),
                 [x, w, b],
                 tol=1e-5,
             )
@@ -230,13 +234,58 @@ class TestGraph:
         assert b.grad is not None
 
 
+
+def records_tape() -> bool:
+    return (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+
+
+class TestGradMode:
+    def forward(self, x, w, g, b):
+        return ad.layer_norm(ad.gelu(x @ w), g, b).max(axis=-1).sum()
+
+    def test_forward_inside_no_grad_records_no_tape(self, rng, made_tensors):
+        inputs = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 4)),
+                  rng.normal(size=(4,)), rng.normal(size=(4,))]
+        params = [Tensor(a, requires_grad=True) for a in inputs]
+        taped = self.forward(*params)
+        made_tensors.clear()
+        with ad.no_grad():
+            out = self.forward(*params)
+        assert len(made_tensors) > 10 and made_tensors[-1] is out
+        for t in made_tensors:
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        np.testing.assert_array_equal(out.data, taped.data)
+
+    def test_backward_inside_no_grad_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        loss = (x * x).sum()
+        with ad.no_grad(), pytest.raises(RuntimeError, match="no_grad"):
+            loss.backward()
+        assert x.grad is None
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+
+    def test_mode_restored_on_exit_exception_and_nesting(self):
+        assert records_tape()
+        with ad.no_grad():
+            assert not records_tape()
+            with ad.no_grad():
+                assert not records_tape()
+            assert not records_tape()
+        assert records_tape()
+        with pytest.raises(FloatingPointError):
+            with ad.no_grad():
+                raise FloatingPointError("escapes the context")
+        assert records_tape()
+
 def test_backward_releases_the_tape(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    h = ad.tanh(x @ w)  # its closure saves the output array
-    saved = weakref.ref(h.data)
+    z = x @ w
+    h = ad.gelu(z)  # its closure saves its input array
+    saved = weakref.ref(z.data)
     loss = (h * h).sum()
-    del h
+    del z, h
     assert saved() is not None
     loss.backward()
     assert saved() is None

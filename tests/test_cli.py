@@ -46,6 +46,11 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("optimizer.epochs 3")
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ConfigError, match="predictor.threshold: expected a finite number"):
+            parse_config_text(f"predictor.threshold = {value}")
+
     def test_json_list_becomes_tuple(self):
         cfg = parse_config_text("grid.dilations = [1, 4]")
         assert cfg.grid.dilations == (1, 4)
@@ -145,6 +150,17 @@ class TestTrainCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["predictor.threshold=nan",
+                                          "optimizer.learning_rate=inf"])
+    def test_non_finite_float_exits_1(self, workspace, tmp_path, capsys, override):
+        code = main(["train", "--config", str(workspace["cfg"]),
+                     "--checkpoint-dir", str(tmp_path / "x"), "--quiet",
+                     "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {override.split('=')[0]}: expected a finite number")
+        assert not (tmp_path / "x").exists()
+
     def test_missing_train_file_exits_2(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["cfg"]),
                      "--checkpoint-dir", str(tmp_path / "x"), "--quiet",
@@ -204,6 +220,61 @@ def test_sentence_longer_than_max_len_exits_2(workspace, tmp_path, capsys, comma
     assert "'long-1'" in err and "max_len" in err
     assert "Traceback" not in err
 
+
+MANIFEST_KEYS = ["config", "chars", "entity_types", "none_is_implicit", "parameters", "epoch"]
+CORRUPT_CHECKPOINT_CASES = (
+    ["manifest-not-utf8", "manifest-not-json"]
+    + [f"manifest-without-{key}" for key in MANIFEST_KEYS]
+    + ["param-missing", "param-unreadable", "param-non-finite", "param-wrong-shape"]
+)
+
+
+def corrupt_checkpoint(workspace, tmp_path, case):
+    """(checkpoint dir, path the error must name, phrase it must contain)
+    for a copy of the workspace checkpoint damaged as `case` says."""
+    ckpt = tmp_path / "damaged"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    manifest_path = ckpt / "manifest.json"
+    param_path = ckpt / "params" / "embed.attn.wk.npy"
+    if case == "manifest-not-utf8":
+        manifest_path.write_bytes(b"\xff\xfe{")
+        return ckpt, manifest_path, "not a JSON checkpoint manifest"
+    if case == "manifest-not-json":
+        manifest_path.write_text('{"format_version": 2')
+        return ckpt, manifest_path, "not a JSON checkpoint manifest"
+    if case.startswith("manifest-without-"):
+        key = case[len("manifest-without-"):]
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        return ckpt, manifest_path, f"missing or malformed {key}"
+    if case == "param-missing":
+        param_path.unlink()
+        return ckpt, param_path, "unreadable checkpoint parameter"
+    if case == "param-unreadable":
+        param_path.write_bytes(b"not an npy file")
+        return ckpt, param_path, "unreadable checkpoint parameter"
+    if case == "param-non-finite":
+        array = np.load(param_path)
+        array.flat[0] = np.nan
+        np.save(param_path, array)
+        return ckpt, param_path, "not a finite float array"
+    np.save(param_path, np.zeros(3, dtype="<f4"))  # param-wrong-shape
+    return ckpt, ckpt, "shape mismatch for embed.attn.wk"
+
+
+@pytest.mark.parametrize("case", CORRUPT_CHECKPOINT_CASES)
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys, command, case):
+    ckpt, path, phrase = corrupt_checkpoint(workspace, tmp_path, case)
+    if command == "eval":
+        argv = ["eval", "--data", str(workspace["dev"]), "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["predict", "--input", str(workspace["dev"]), "--output", "-"]
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and phrase in err
+    assert "Traceback" not in err
 
 def checkpoint_with_sidecar(workspace, tmp_path, records):
     """A copy of the workspace checkpoint whose config points at a sidecar."""

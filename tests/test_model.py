@@ -231,3 +231,45 @@ def test_non_finite_scores_raise():
     ids, mask, _ = model.sentence_inputs(sents[0])
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         model.forward(ids, mask)
+
+
+class TestTapeFreePrediction:
+    @pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["threshold", "softmax"])
+    def test_predict_grid_matches_taped_reference(self, double, mode):
+        cfg = small_config(double=double)
+        cfg.predictor.mode = mode
+        model, sents = small_model(config=cfg)
+        for s in sents:
+            ids, mask, vectors = model.sentence_inputs(s)
+            out = model.forward(ids, mask, vectors)
+            assert out.fused.requires_grad  # the reference keeps its tape
+            expected = pred_mod.predict_cells(
+                out.fused, model.tag_vocab, out.mask2d,
+                mode=mode, s0=cfg.predictor.threshold,
+            )
+            got = model.predict_grid(s)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_predict_grid_records_no_tape(self, made_tensors):
+        model, sents = small_model()
+        model.predict_grid(sents[0])
+        assert len(made_tensors) > 100
+        for t in made_tensors:
+            assert t._parents == () and t._backward is None and not t.requires_grad
+
+    def test_grad_mode_restored_after_failed_predict(self):
+        model, sents = small_model()
+        sent = next(s for s in sents if s.entities)
+        weight = model.store["pred.mlp.w2"]
+        saved = weight.data.copy()
+        weight.data[:] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            model.predict_sentence(sent)
+        weight.data = saved
+        model.store.zero_grad()
+        loss, _ = model.sentence_loss(sent)
+        loss.backward()
+        for name, t in model.store.items():
+            assert t.grad is not None, name
