@@ -1,5 +1,6 @@
 """Co-predictor: biaffine scores over character representations plus MLP
-scores over the final tag features, summed per cell.
+scores over the final tag features, summed per cell. An ablated head
+has no parameter group.
 
 Prediction runs in one of two regimes:
 
@@ -42,7 +43,7 @@ class PredictorConfig:
 
 
 @dataclass
-class PredictorParams:
+class BiaffineParams:
     subj_w: Tensor
     subj_b: Tensor
     obj_w: Tensor
@@ -50,13 +51,17 @@ class PredictorParams:
     biaffine_u: Tensor  # (d_b, |R|, d_b)
     biaffine_w: Tensor  # (2*d_b, |R|)
     biaffine_b: Tensor  # (|R|,)
+
+
+@dataclass
+class MlpParams:
     mlp_w1: Tensor
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
 
 
-def biaffine_scores(h: Tensor, params: PredictorParams) -> Tensor:
+def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
     """y'[i, j] = s_i^T U o_j + W [s_i ; o_j] + b over all cells."""
     lead, n = h.shape[:-2], h.shape[-2]
     d_b, n_tags, _ = params.biaffine_u.shape
@@ -73,7 +78,7 @@ def biaffine_scores(h: Tensor, params: PredictorParams) -> Tensor:
     return bilinear + linear + params.biaffine_b
 
 
-def mlp_scores(tf: Tensor, params: PredictorParams) -> Tensor:
+def mlp_scores(tf: Tensor, params: MlpParams) -> Tensor:
     """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|."""
     return ad.gelu(tf @ params.mlp_w1 + params.mlp_b1) @ params.mlp_w2 + params.mlp_b2
 

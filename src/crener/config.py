@@ -25,9 +25,13 @@ from .relation_enhance import EnhanceConfig
 
 @dataclass
 class AblationFlags:
-    """Switches that each remove or alter one architectural ingredient."""
+    """Switches that each remove or alter one architectural ingredient.
 
-    no_adapted_transformer: bool = False
+    The no-adapted-transformer and no-enhancement ablations are
+    `encoder.layers = 0` and `enhance.rounds = 1`. A removed ingredient
+    gets no parameters (see `CrenerModel._build_params`).
+    """
+
     use_scaling_factor: bool = False
     no_region_matrix: bool = False
     no_distance_matrix: bool = False
@@ -35,11 +39,8 @@ class AblationFlags:
     no_dilated_conv: bool = False
     no_mlp_predictor: bool = False
     no_biaffine_predictor: bool = False
-    rounds_override: int | None = None
 
     def validate(self) -> None:
-        if self.rounds_override is not None and self.rounds_override < 1:
-            raise ConfigError("ablations.rounds_override must be >= 1 or null")
         if self.no_mlp_predictor and self.no_biaffine_predictor:
             raise ConfigError("cannot disable both predictor heads")
 

@@ -285,20 +285,20 @@ def encode(
     mask: np.ndarray,
     params: EncoderParams,
     context_vectors: np.ndarray | None = None,
-    skip_adapted: bool = False,
     use_scaling: bool = False,
     dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> EncoderOutput:
     """Full encoder pass: embeddings then the adapted-transformer stack.
 
     The returned attention matrix (head mean of the final layer, or the
-    raw H^A attention when no layer runs) feeds the pairwise attention
+    raw H^A attention when no layer runs: `encoder.layers = 0`, the
+    no-adapted-transformer ablation) feeds the pairwise attention
     buckets downstream. `dropout` holds one multiplier pair per layer,
     shaped like the layer's (..., n, d_h) activations (see `draw_dropout`).
     """
     h, raw_attn = _embed_with_attention(char_ids, mask, params, context_vectors)
     attn_2d = raw_attn
-    if not skip_adapted and params.layers:
+    if params.layers:
         rel = relative_position_embedding(h.n, params.config.d_h)
         for i, layer in enumerate(params.layers):
             h, attn_heads = adapted_attention(

@@ -7,7 +7,8 @@ then concatenated with three index embeddings (signed-log distance
 bucket, triangle region, bucketed encoder attention weight), reduced by
 an MLP, and run through parallel dilated convolutions whose outputs are
 concatenated channel-wise. Bucket indices are plain integers computed
-outside the graph; only the embedding tables behind them train.
+outside the graph; only the embedding tables behind them train. An
+ablated embedding has no table and ablated convolutions no kernels.
 
 Grids are (..., n, n, c) with any number of leading batch axes, and
 masks (..., n, n); the index ids depend on n alone and broadcast over
@@ -62,12 +63,12 @@ class GridParams:
     cln_gain_b: Tensor
     cln_bias_w: Tensor
     cln_bias_b: Tensor
-    dist_table: Tensor
-    region_table: Tensor
-    attn_table: Tensor
+    dist_table: Tensor | None
+    region_table: Tensor | None
+    attn_table: Tensor | None
     mlp1_w: Tensor
     mlp1_b: Tensor
-    conv_w: list[Tensor]
+    conv_w: list[Tensor]  # one kernel per dilation; empty for no convolution
     conv_b: list[Tensor]
 
 
@@ -140,27 +141,22 @@ def pair_features(
     mask2d: np.ndarray,
     params: GridParams,
     config: GridConfig,
-    use_distance: bool = True,
-    use_region: bool = True,
-    use_attn: bool = True,
 ) -> Tensor:
     """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels.
 
-    Each index embedding can be dropped independently (the ablation
-    switches); parameter shapes must match the enabled set.
+    Only the index embeddings whose table exists join the concatenation;
+    a `None` table is an ablated one, and `mlp1_w` is built that narrower.
     """
     n = v.shape[-2]
     cells = v.shape[:-1]
     parts = [v]
-    if use_distance:
+    if params.dist_table is not None:
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
-        ids = distance_bucket(offs)
-        if ids.max() >= config.distance_buckets:
-            raise CrenerError("distance bucket id exceeds table size")
-        parts.append(ad.embedding(params.dist_table, np.broadcast_to(ids, cells)))
-    if use_region:
+        # GridConfig.validate makes the table cover all 19 distance ids.
+        parts.append(ad.embedding(params.dist_table, np.broadcast_to(distance_bucket(offs), cells)))
+    if params.region_table is not None:
         parts.append(ad.embedding(params.region_table, np.broadcast_to(region_ids(n), cells)))
-    if use_attn:
+    if params.attn_table is not None:
         ids = attention_bucket(attn, config.attn_buckets)
         parts.append(ad.embedding(params.attn_table, ids))
     cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)

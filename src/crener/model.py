@@ -1,6 +1,10 @@
 """Full model assembly: parameter construction, forward pass, loss, and
 per-sentence prediction.
 
+The config decides the architecture once, in `_build_params`, which
+builds no parameter for an ablated ingredient; every stage then runs
+what its parameters hold.
+
 The forward pass takes (..., n) character ids and validity masks with any
 number of leading batch axes. `batch_loss` pads a list of sentences to
 the longest one and runs them as one (B, n) batch; the one-sentence loss
@@ -43,8 +47,7 @@ def _pad_stack(rows: list[np.ndarray], width: int) -> np.ndarray:
 class ForwardResult:
     fused: Tensor
     h: enc_mod.CharRepr
-    tf: Tensor
-    attn: np.ndarray
+    tf: Tensor | None  # None without the MLP head, which alone reads it
     mask2d: np.ndarray
 
 
@@ -90,10 +93,12 @@ class CrenerModel:
         return self.store.add(name, self._rng_init.normal(0.0, 0.02, size=shape))
 
     def _build_params(self) -> None:
+        """Build the parameter groups of the ingredients the config enables.
+        An ablated ingredient has none: its group or index table is None,
+        its convolution list empty. The forward runs what it finds here."""
         cfg = self.config
-        ec, gc, nc, pc = cfg.encoder, cfg.grid, cfg.enhance, cfg.predictor
-        d_h = ec.d_h
-        n_tags = len(self.tag_vocab)
+        ec, gc, nc, pc, abl = cfg.encoder, cfg.grid, cfg.enhance, cfg.predictor, cfg.ablations
+        d_h, d4, n_tags = ec.d_h, 4 * nc.d_r, len(self.tag_vocab)
 
         layers = []
         for i in range(ec.layers):
@@ -126,93 +131,89 @@ class CrenerModel:
             layers=layers,
         )
 
-        abl = cfg.ablations
-        pair_in = d_h
-        if not abl.no_distance_matrix:
-            pair_in += gc.d_dist
-        if not abl.no_region_matrix:
-            pair_in += gc.d_region
-        if not abl.no_attn_matrix:
-            pair_in += gc.d_attn
-        self.grid_params = grid_mod.GridParams(
-            subj_w=self._linear("grid.subj.w", d_h, (d_h, d_h)),
-            subj_b=self._zeros("grid.subj.b", (d_h,)),
-            obj_w=self._linear("grid.obj.w", d_h, (d_h, d_h)),
-            obj_b=self._zeros("grid.obj.b", (d_h,)),
-            cln_gain_w=self._linear("grid.cln.gain_w", d_h, (d_h, d_h)),
-            cln_gain_b=self._ones("grid.cln.gain_b", (d_h,)),
-            cln_bias_w=self._linear("grid.cln.bias_w", d_h, (d_h, d_h)),
-            cln_bias_b=self._zeros("grid.cln.bias_b", (d_h,)),
-            dist_table=self._table("grid.dist_emb", (gc.distance_buckets, gc.d_dist)),
-            region_table=self._table("grid.region_emb", (3, gc.d_region)),
-            attn_table=self._table("grid.attn_emb", (gc.attn_buckets, gc.d_attn)),
-            mlp1_w=self._linear("grid.mlp1.w", pair_in, (pair_in, gc.d_reduced)),
-            mlp1_b=self._zeros("grid.mlp1.b", (gc.d_reduced,)),
-            conv_w=[
-                self._linear(
-                    f"grid.conv{dil}.w",
-                    gc.kernel * gc.kernel * gc.d_reduced,
-                    (gc.kernel, gc.kernel, gc.d_reduced, gc.d_conv),
-                )
-                for dil in gc.dilations
-            ],
-            conv_b=[self._zeros(f"grid.conv{dil}.b", (gc.d_conv,)) for dil in gc.dilations],
-        )
-
-        q_channels = gc.d_reduced if abl.no_dilated_conv else len(gc.dilations) * gc.d_conv
-        d4 = 4 * nc.d_r
-
-        def tag_proj(group: str):
-            return (
-                self._linear(f"enh.tag_{group}.w", q_channels, (q_channels, nc.d_r)),
-                self._zeros(f"enh.tag_{group}.b", (nc.d_r,)),
+        self.grid_params = self.tag_params = self.enhance_params = self.mlp_params = None
+        if not abl.no_mlp_predictor:  # the grid and enhancement feed only the MLP head
+            tables = [(gc.d_dist, abl.no_distance_matrix), (gc.d_region, abl.no_region_matrix),
+                      (gc.d_attn, abl.no_attn_matrix)]
+            pair_in = d_h + sum(width for width, ablated in tables if not ablated)
+            dilations = () if abl.no_dilated_conv else gc.dilations
+            self.grid_params = grid_mod.GridParams(
+                subj_w=self._linear("grid.subj.w", d_h, (d_h, d_h)),
+                subj_b=self._zeros("grid.subj.b", (d_h,)),
+                obj_w=self._linear("grid.obj.w", d_h, (d_h, d_h)),
+                obj_b=self._zeros("grid.obj.b", (d_h,)),
+                cln_gain_w=self._linear("grid.cln.gain_w", d_h, (d_h, d_h)),
+                cln_gain_b=self._ones("grid.cln.gain_b", (d_h,)),
+                cln_bias_w=self._linear("grid.cln.bias_w", d_h, (d_h, d_h)),
+                cln_bias_b=self._zeros("grid.cln.bias_b", (d_h,)),
+                dist_table=None if abl.no_distance_matrix else self._table(
+                    "grid.dist_emb", (gc.distance_buckets, gc.d_dist)),
+                region_table=None if abl.no_region_matrix else self._table(
+                    "grid.region_emb", (3, gc.d_region)),
+                attn_table=None if abl.no_attn_matrix else self._table(
+                    "grid.attn_emb", (gc.attn_buckets, gc.d_attn)),
+                mlp1_w=self._linear("grid.mlp1.w", pair_in, (pair_in, gc.d_reduced)),
+                mlp1_b=self._zeros("grid.mlp1.b", (gc.d_reduced,)),
+                conv_w=[
+                    self._linear(
+                        f"grid.conv{dil}.w",
+                        gc.kernel * gc.kernel * gc.d_reduced,
+                        (gc.kernel, gc.kernel, gc.d_reduced, gc.d_conv),
+                    )
+                    for dil in dilations
+                ],
+                conv_b=[self._zeros(f"grid.conv{dil}.b", (gc.d_conv,)) for dil in dilations],
             )
-
-        nnc_w, nnc_b = tag_proj("nnc")
-        pnc_w, pnc_b = tag_proj("pnc")
-        htc_w, htc_b = tag_proj("htc")
-        thc_w, thc_b = tag_proj("thc")
-        self.enhance_params = enh_mod.EnhanceParams(
-            tag_nnc_w=nnc_w, tag_nnc_b=nnc_b,
-            tag_pnc_w=pnc_w, tag_pnc_b=pnc_b,
-            tag_htc_w=htc_w, tag_htc_b=htc_b,
-            tag_thc_w=thc_w, tag_thc_b=thc_b,
-            pool_s_w=self._linear("enh.pool_s.w", d4, (d4, d_h)),
-            pool_s_b=self._zeros("enh.pool_s.b", (d_h,)),
-            pool_o_w=self._linear("enh.pool_o.w", d4, (d4, d_h)),
-            pool_o_b=self._zeros("enh.pool_o.b", (d_h,)),
-            self_wq=self._linear("enh.self.wq", d_h, (d_h, d_h)),
-            self_wk=self._linear("enh.self.wk", d_h, (d_h, d_h)),
-            self_wv=self._linear("enh.self.wv", d_h, (d_h, d_h)),
-            self_wo=self._linear("enh.self.wo", d_h, (d_h, d_h)),
-            cross_wq=self._linear("enh.cross.wq", d_h, (d_h, d_h)),
-            cross_wk=self._linear("enh.cross.wk", d_h, (d_h, d_h)),
-            cross_wv=self._linear("enh.cross.wv", d_h, (d_h, d_h)),
-            cross_wo=self._linear("enh.cross.wo", d_h, (d_h, d_h)),
-            out_s_w=self._linear("enh.out_s.w", d_h, (d_h, d_h)),
-            out_s_b=self._zeros("enh.out_s.b", (d_h,)),
-            out_o_w=self._linear("enh.out_o.w", d_h, (d_h, d_h)),
-            out_o_b=self._zeros("enh.out_o.b", (d_h,)),
-            ln_s_g=self._ones("enh.ln_s.g", (d_h,)),
-            ln_s_b=self._zeros("enh.ln_s.b", (d_h,)),
-            ln_o_g=self._ones("enh.ln_o.g", (d_h,)),
-            ln_o_b=self._zeros("enh.ln_o.b", (d_h,)),
-        )
+            q_channels = gc.d_reduced if abl.no_dilated_conv else len(gc.dilations) * gc.d_conv
+            tags = {}
+            for group in ("nnc", "pnc", "htc", "thc"):
+                tags[f"tag_{group}_w"] = self._linear(
+                    f"enh.tag_{group}.w", q_channels, (q_channels, nc.d_r))
+                tags[f"tag_{group}_b"] = self._zeros(f"enh.tag_{group}.b", (nc.d_r,))
+            self.tag_params = enh_mod.TagParams(**tags)
+            if nc.rounds > 1:  # only the rounds before the last enhance
+                self.enhance_params = enh_mod.EnhanceParams(
+                    pool_s_w=self._linear("enh.pool_s.w", d4, (d4, d_h)),
+                    pool_s_b=self._zeros("enh.pool_s.b", (d_h,)),
+                    pool_o_w=self._linear("enh.pool_o.w", d4, (d4, d_h)),
+                    pool_o_b=self._zeros("enh.pool_o.b", (d_h,)),
+                    self_wq=self._linear("enh.self.wq", d_h, (d_h, d_h)),
+                    self_wk=self._linear("enh.self.wk", d_h, (d_h, d_h)),
+                    self_wv=self._linear("enh.self.wv", d_h, (d_h, d_h)),
+                    self_wo=self._linear("enh.self.wo", d_h, (d_h, d_h)),
+                    cross_wq=self._linear("enh.cross.wq", d_h, (d_h, d_h)),
+                    cross_wk=self._linear("enh.cross.wk", d_h, (d_h, d_h)),
+                    cross_wv=self._linear("enh.cross.wv", d_h, (d_h, d_h)),
+                    cross_wo=self._linear("enh.cross.wo", d_h, (d_h, d_h)),
+                    out_s_w=self._linear("enh.out_s.w", d_h, (d_h, d_h)),
+                    out_s_b=self._zeros("enh.out_s.b", (d_h,)),
+                    out_o_w=self._linear("enh.out_o.w", d_h, (d_h, d_h)),
+                    out_o_b=self._zeros("enh.out_o.b", (d_h,)),
+                    ln_s_g=self._ones("enh.ln_s.g", (d_h,)),
+                    ln_s_b=self._zeros("enh.ln_s.b", (d_h,)),
+                    ln_o_g=self._ones("enh.ln_o.g", (d_h,)),
+                    ln_o_b=self._zeros("enh.ln_o.b", (d_h,)),
+                )
 
         d_b = pc.d_biaffine
-        self.predictor_params = pred_mod.PredictorParams(
-            subj_w=self._linear("pred.subj.w", d_h, (d_h, d_b)),
-            subj_b=self._zeros("pred.subj.b", (d_b,)),
-            obj_w=self._linear("pred.obj.w", d_h, (d_h, d_b)),
-            obj_b=self._zeros("pred.obj.b", (d_b,)),
-            biaffine_u=self._linear("pred.biaffine.u", d_b, (d_b, n_tags, d_b)),
-            biaffine_w=self._linear("pred.biaffine.w", 2 * d_b, (2 * d_b, n_tags)),
-            biaffine_b=self._zeros("pred.biaffine.b", (n_tags,)),
-            mlp_w1=self._linear("pred.mlp.w1", d4, (d4, pc.d_hidden)),
-            mlp_b1=self._zeros("pred.mlp.b1", (pc.d_hidden,)),
-            mlp_w2=self._linear("pred.mlp.w2", pc.d_hidden, (pc.d_hidden, n_tags)),
-            mlp_b2=self._zeros("pred.mlp.b2", (n_tags,)),
-        )
+        self.biaffine_params = None
+        if not abl.no_biaffine_predictor:
+            self.biaffine_params = pred_mod.BiaffineParams(
+                subj_w=self._linear("pred.subj.w", d_h, (d_h, d_b)),
+                subj_b=self._zeros("pred.subj.b", (d_b,)),
+                obj_w=self._linear("pred.obj.w", d_h, (d_h, d_b)),
+                obj_b=self._zeros("pred.obj.b", (d_b,)),
+                biaffine_u=self._linear("pred.biaffine.u", d_b, (d_b, n_tags, d_b)),
+                biaffine_w=self._linear("pred.biaffine.w", 2 * d_b, (2 * d_b, n_tags)),
+                biaffine_b=self._zeros("pred.biaffine.b", (n_tags,)),
+            )
+        if not abl.no_mlp_predictor:
+            self.mlp_params = pred_mod.MlpParams(
+                mlp_w1=self._linear("pred.mlp.w1", d4, (d4, pc.d_hidden)),
+                mlp_b1=self._zeros("pred.mlp.b1", (pc.d_hidden,)),
+                mlp_w2=self._linear("pred.mlp.w2", pc.d_hidden, (pc.d_hidden, n_tags)),
+                mlp_b2=self._zeros("pred.mlp.b2", (n_tags,)),
+            )
 
     # ------------------------------------------------------------------
     # forward paths
@@ -253,8 +254,6 @@ class CrenerModel:
     ) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """One sentence's encoder dropout multipliers (see
         `encoder.draw_dropout`); None when the encoder drops nothing."""
-        if self.config.ablations.no_adapted_transformer:
-            return None
         return enc_mod.draw_dropout(rng, len(sentence), self.config.encoder, self.store.dtype)
 
     def forward(
@@ -262,59 +261,44 @@ class CrenerModel:
         char_ids: np.ndarray,
         mask: np.ndarray,
         context_vectors: np.ndarray | None = None,
-        training: bool = False,
         dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> ForwardResult:
-        """Scores for (..., n) ids and masks. In training mode `dropout`
-        holds one multiplier pair per encoder layer, shaped (..., n, d_h)."""
-        abl = self.config.ablations
+        """Scores for (..., n) ids and masks. `dropout`, given in training
+        only, holds one multiplier pair per encoder layer, shaped
+        (..., n, d_h). A stage or head runs when its parameters exist."""
         enc_out = enc_mod.encode(
             char_ids,
             mask,
             self.encoder_params,
             context_vectors=context_vectors,
-            skip_adapted=abl.no_adapted_transformer,
-            use_scaling=abl.use_scaling_factor,
-            dropout=dropout if training else None,
+            use_scaling=self.config.ablations.use_scaling_factor,
+            dropout=dropout,
         )
         h = enc_out.h
-        tf = enh_mod.run_enhancement(
-            h.values,
-            mask,
-            enc_out.attn,
-            self.grid_params,
-            self.enhance_params,
-            self.config.grid,
-            self.config.enhance,
-            rounds=abl.rounds_override,
-            use_distance=not abl.no_distance_matrix,
-            use_region=not abl.no_region_matrix,
-            use_attn=not abl.no_attn_matrix,
-            use_dilated_conv=not abl.no_dilated_conv,
+        tf = None if self.mlp_params is None else enh_mod.run_enhancement(
+            h.values, mask, enc_out.attn, self.grid_params, self.tag_params,
+            self.enhance_params, self.config.grid, self.config.enhance,
         )
-        y_bi = None if abl.no_biaffine_predictor else pred_mod.biaffine_scores(
-            h.values, self.predictor_params
+        y_bi = None if self.biaffine_params is None else pred_mod.biaffine_scores(
+            h.values, self.biaffine_params
         )
-        y_mlp = None if abl.no_mlp_predictor else pred_mod.mlp_scores(
-            tf, self.predictor_params
-        )
+        y_mlp = None if tf is None else pred_mod.mlp_scores(tf, self.mlp_params)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
         mask2d = grid_mod.pair_mask(mask)
         if not np.isfinite(fused.data).all():
             raise FloatingPointError("non-finite scores in forward pass")
-        return ForwardResult(fused=fused, h=h, tf=tf, attn=enc_out.attn, mask2d=mask2d)
+        return ForwardResult(fused=fused, h=h, tf=tf, mask2d=mask2d)
 
     def batch_loss(
         self,
         sentences: list[Sentence],
-        training: bool = False,
         dropout: list | None = None,
         reduction: str = "sum",
     ) -> tuple[Tensor, int]:
         """Loss over a batch padded to its longest sentence, plus the
         unmasked cell count; the sum over unmasked cells by default.
 
-        In training mode `dropout` holds one `draw_dropout` result per
+        In training `dropout` holds one `draw_dropout` result per
         sentence, in batch order.
         """
         width = max(len(s) for s in sentences)
@@ -330,7 +314,7 @@ class CrenerModel:
                 tuple(_pad_stack([d[layer][part] for d in dropout], width) for part in (0, 1))
                 for layer in range(len(dropout[0]))
             ]
-        out = self.forward(ids, mask, vectors, training=training, dropout=keep)
+        out = self.forward(ids, mask, vectors, dropout=keep)
         loss = pred_mod.multi_tag_loss(
             out.fused,
             gold,
@@ -344,15 +328,13 @@ class CrenerModel:
     def sentence_loss(
         self,
         sentence: Sentence,
-        training: bool = False,
         dropout_rng: np.random.Generator | None = None,
         reduction: str = "mean",
     ) -> tuple[Tensor, int]:
-        """Loss over one sentence's grid plus the unmasked cell count."""
-        dropout = None
-        if training and dropout_rng is not None:
-            dropout = [self.draw_dropout(sentence, dropout_rng)]
-        return self.batch_loss([sentence], training, dropout, reduction)
+        """Loss over one sentence's grid plus the unmasked cell count;
+        a `dropout_rng` (training) draws the encoder's dropout."""
+        dropout = None if dropout_rng is None else [self.draw_dropout(sentence, dropout_rng)]
+        return self.batch_loss([sentence], dropout, reduction)
 
     def predict_grid(self, sentence: Sentence) -> np.ndarray:
         """Boolean (n, n, |R|) predicted tag grid for one sentence.
@@ -362,7 +344,7 @@ class CrenerModel:
         """
         ids, mask, vectors = self.sentence_inputs(sentence)
         with no_grad():
-            out = self.forward(ids, mask, vectors, training=False)
+            out = self.forward(ids, mask, vectors)
         return pred_mod.predict_cells(
             out.fused,
             self.tag_vocab,

@@ -8,7 +8,9 @@ through a GELU linear layer with a residual layer norm. The refined
 subject/object vectors condition the next round's grid, so only the
 rounds before the last one pool and enhance. Parameters are shared
 across rounds; the final round's tag features feed the MLP predictor.
-With one round the grid is built once and nothing is enhanced.
+With one round (`enhance.rounds = 1`, the no-enhancement ablation) the
+grid is built once, nothing is enhanced, and the pool, attention and
+fuse weights (`EnhanceParams`) do not exist.
 
 Every function accepts any number of leading batch axes: character
 vectors are (..., n, d), grids (..., n, n, c) and masks (..., n).
@@ -44,7 +46,9 @@ class EnhanceConfig:
 
 
 @dataclass
-class EnhanceParams:
+class TagParams:
+    """The four tag-group projections of the grid, run every round."""
+
     tag_nnc_w: Tensor
     tag_nnc_b: Tensor
     tag_pnc_w: Tensor
@@ -53,6 +57,12 @@ class EnhanceParams:
     tag_htc_b: Tensor
     tag_thc_w: Tensor
     tag_thc_b: Tensor
+
+
+@dataclass
+class EnhanceParams:
+    """Pool, attention and fuse weights, run by every round but the last."""
+
     pool_s_w: Tensor
     pool_s_b: Tensor
     pool_o_w: Tensor
@@ -75,7 +85,7 @@ class EnhanceParams:
     ln_o_b: Tensor
 
 
-def tag_features(q: Tensor, params: EnhanceParams) -> Tensor:
+def tag_features(q: Tensor, params: TagParams) -> Tensor:
     """Concatenated per-tag-group affine maps of the grid, (..., n, n, 4*d_r)."""
     return ad.concat(
         [
@@ -173,26 +183,21 @@ def run_enhancement(
     mask: np.ndarray,
     attn: np.ndarray,
     grid_params: grid_mod.GridParams,
-    enhance_params: EnhanceParams,
+    tag_params: TagParams,
+    enhance_params: EnhanceParams | None,
     grid_config: grid_mod.GridConfig,
     enhance_config: EnhanceConfig,
-    rounds: int | None = None,
-    use_distance: bool = True,
-    use_region: bool = True,
-    use_attn: bool = True,
-    use_dilated_conv: bool = True,
 ) -> Tensor:
     """Run the grid + enhancement loop; returns the final round's TF.
 
     Round 0 projects the encoder output into subject/object views. Every
-    round rebuilds the grid from the current views (CLN, pair features,
-    convolutions, tag features); every round but the last then pools,
-    attends, and fuses, feeding the refined views to the next round.
+    one of the `enhance_config.rounds` rounds rebuilds the grid from the
+    current views (CLN, pair features, convolutions, tag features); every
+    round but the last then pools, attends, and fuses, feeding the
+    refined views to the next round. `enhance_params` is None with one
+    round, and an empty `grid_params.conv_w` skips the convolutions.
     """
-    if rounds is None:
-        rounds = enhance_config.rounds
-    if rounds < 1:
-        raise CrenerError("enhancement rounds must be >= 1")
+    rounds = enhance_config.rounds
     mask2d = grid_mod.pair_mask(mask)
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, grid_params)
@@ -200,16 +205,13 @@ def run_enhancement(
     for r in range(rounds):
         v = grid_mod.conditional_layer_norm(h_s, h_o, grid_params)
         v = v * mask2d.astype(v.dtype)[..., None]
-        c = grid_mod.pair_features(
-            v, attn, mask2d, grid_params, grid_config,
-            use_distance=use_distance, use_region=use_region, use_attn=use_attn,
-        )
+        c = grid_mod.pair_features(v, attn, mask2d, grid_params, grid_config)
         q = (
             grid_mod.dilated_convolutions(c, mask2d, grid_params, grid_config)
-            if use_dilated_conv
+            if grid_params.conv_w
             else c
         )
-        tf = tag_features(q, enhance_params)
+        tf = tag_features(q, tag_params)
         if r < rounds - 1:
             h_s_r, h_o_r = pool_recover(tf, mask, enhance_params)
             h_s, h_o = enhance_round(

@@ -34,7 +34,7 @@ from .corpus import (
 from .errors import ConfigError, CorpusError, DivergenceError
 from .model import CrenerModel
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 # Padded cells (sub-batch size x longest length squared) per training
 # forward. Measured with the default config in float32 on one BLAS
@@ -249,18 +249,25 @@ class Checkpoint:
             raise CorpusError(f"{manifest_path}: checkpoint manifest is not a JSON object")
         version = manifest.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
+            # Format 1 saved optimizer moments, format 2 ablated ingredients' parameters.
+            why = "is retired: retrain the model" if version in (1, 2) else "is unknown"
             raise ConfigError(
                 f"{directory}: unsupported checkpoint format {version!r}; only format "
-                f"{CHECKPOINT_FORMAT_VERSION} is read (format 1 is retired: retrain the model)"
+                f"{CHECKPOINT_FORMAT_VERSION} is read (format {version!r} {why})"
             )
         bad = [key for key, kind in _MANIFEST_KEYS.items() if not isinstance(manifest.get(key), kind)]
-        if "parameters" not in bad and not all(isinstance(n, str) for n in manifest["parameters"]):
-            bad.append("parameters")
+        for key in ("chars", "entity_types", "parameters"):
+            if key not in bad and not all(isinstance(v, str) for v in manifest[key]):
+                bad.append(key)
         if bad:
             raise CorpusError(
                 f"{manifest_path}: checkpoint manifest has missing or malformed {', '.join(bad)}"
             )
-        config = config_from_flat(manifest["config"])
+        try:
+            config = config_from_flat(manifest["config"])
+            config.validate()
+        except ConfigError as exc:
+            raise CorpusError(f"{manifest_path}: bad checkpoint config: {exc}") from None
         chars = manifest["chars"]
         char_vocab = CharVocabulary(chars[2:])  # first two slots are pad/unk
         tag_vocab = TagVocabulary(
@@ -394,7 +401,6 @@ def train(
                 for sub in _sub_batches([len(s) for s in sentences], MAX_SUB_BATCH_CELLS):
                     loss, _ = model.batch_loss(
                         [sentences[k] for k in sub],
-                        training=True,
                         dropout=[dropout[k] for k in sub],
                     )
                     # Scaled by the whole batch's cells, so the accumulated

@@ -2,7 +2,9 @@
 main() the way a shell would use them."""
 
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,21 @@ class TestConfigText:
         assert cfg.optimizer.epochs == 3 and cfg.encoder.heads == 2
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["no-equals-sign"])
+
+    def test_readme_table_names_every_key(self):
+        """The README's configuration table lists exactly the config keys,
+        section by section and in order, so a deleted knob cannot linger."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        table = {
+            m.group(1): m.group(2).split(", ")
+            for m in re.finditer(r"^\| `(\w+)` \| `([\w, ]+)` \|", section, re.MULTILINE)
+        }
+        expected = {}
+        for key in config_to_flat(default_config()):
+            name, field = key.split(".")
+            expected.setdefault(name, []).append(field)
+        assert table == expected
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +210,12 @@ class TestEvalCommand:
                      "--data", str(tmp_path / "none.jsonl")])
         assert code == 2
 
-    def test_format_1_checkpoint_exits_1(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_1_checkpoint_exits_1(self, workspace, tmp_path, capsys, version):
         ckpt = tmp_path / "old"
         shutil.copytree(workspace["ckpt"], ckpt)
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         code = main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(workspace["dev"]), "--out", str(tmp_path / "r.json")])
@@ -222,9 +240,26 @@ def test_sentence_longer_than_max_len_exits_2(workspace, tmp_path, capsys, comma
 
 
 MANIFEST_KEYS = ["config", "chars", "entity_types", "none_is_implicit", "parameters", "epoch"]
+# case -> (change made to the manifest, phrase the error must contain)
+MANIFEST_DAMAGE = {
+    "manifest-chars-not-strings": (
+        lambda m: m["chars"].append(["x"]), "missing or malformed chars"),
+    "manifest-types-not-strings": (
+        lambda m: m["entity_types"].append(["x"]), "missing or malformed entity_types"),
+    "manifest-config-unknown-key": (
+        lambda m: m["config"].update({"encoder.bogus": 1}),
+        "bad checkpoint config: unknown config key 'encoder.bogus'"),
+    "manifest-config-mistyped": (
+        lambda m: m["config"].update({"encoder.heads": "many"}),
+        "bad checkpoint config: encoder.heads: expected an integer"),
+    "manifest-config-invalid": (
+        lambda m: m["config"].update({"encoder.heads": 0}),
+        "bad checkpoint config: encoder.heads must be >= 1"),
+}
 CORRUPT_CHECKPOINT_CASES = (
     ["manifest-not-utf8", "manifest-not-json"]
     + [f"manifest-without-{key}" for key in MANIFEST_KEYS]
+    + list(MANIFEST_DAMAGE)
     + ["param-missing", "param-unreadable", "param-non-finite", "param-wrong-shape"]
 )
 
@@ -248,6 +283,12 @@ def corrupt_checkpoint(workspace, tmp_path, case):
         del manifest[key]
         manifest_path.write_text(json.dumps(manifest))
         return ckpt, manifest_path, f"missing or malformed {key}"
+    if case in MANIFEST_DAMAGE:
+        damage, phrase = MANIFEST_DAMAGE[case]
+        manifest = json.loads(manifest_path.read_text())
+        damage(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        return ckpt, manifest_path, phrase
     if case == "param-missing":
         param_path.unlink()
         return ckpt, param_path, "unreadable checkpoint parameter"

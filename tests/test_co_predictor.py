@@ -34,7 +34,7 @@ def gelu_ref(x):
 
 def test_biaffine_matches_scalar_loops(rng):
     model, _ = small_model()
-    p = model.predictor_params
+    p = model.biaffine_params
     d = model.config.encoder.d_h
     d_b = model.config.predictor.d_biaffine
     n, n_tags = 4, len(model.tag_vocab)
@@ -60,7 +60,7 @@ def test_biaffine_bilinear_term_superposition(rng):
     # With W and b zeroed the score is bilinear in (s, o); doubling the
     # input to GELU is nonlinear, so probe at the s/o level via U only.
     model, _ = small_model()
-    p = model.predictor_params
+    p = model.biaffine_params
     p.biaffine_w = Tensor(np.zeros_like(p.biaffine_w.data))
     p.biaffine_b = Tensor(np.zeros_like(p.biaffine_b.data))
     d = model.config.encoder.d_h
@@ -71,7 +71,7 @@ def test_biaffine_bilinear_term_superposition(rng):
 
 def test_mlp_matches_manual(rng):
     model, _ = small_model()
-    p = model.predictor_params
+    p = model.mlp_params
     d4 = 4 * model.config.enhance.d_r
     tf = rng.normal(size=(3, 3, d4)).astype(np.float32)
     got = mlp_scores(Tensor(tf), p).data

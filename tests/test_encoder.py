@@ -5,6 +5,8 @@ The attention oracle below recomputes the pre-softmax scores with plain
 scalar loops; the vectorized path must reproduce it head by head.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,9 +197,11 @@ class TestEncode:
         np.testing.assert_allclose(out_p.attn[:n, :n], out.attn, atol=1e-6)
 
     def test_skip_adapted_returns_raw_embedding(self):
+        """No layers (`encoder.layers = 0`, the no-adapted-transformer
+        ablation) leave the raw embedding."""
         model, sents = small_model()
         ids, mask, _ = model.sentence_inputs(sents[0])
-        skipped = encode(ids, mask, model.encoder_params, skip_adapted=True)
+        skipped = encode(ids, mask, dataclasses.replace(model.encoder_params, layers=[]))
         raw, _ = _embed_with_attention(ids, mask, model.encoder_params)
         np.testing.assert_array_equal(skipped.h.values.data, raw.values.data)
         full = encode(ids, mask, model.encoder_params)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import small_config, small_model
 from crener import co_predictor as pred_mod
+from crener.config import apply_overrides, set_key
 from crener.corpus import CharVocabulary, Sentence, build_tag_vocabulary
 from crener.errors import ConfigError, CorpusError
 from crener.model import CrenerModel
@@ -27,8 +28,27 @@ def test_every_parameter_group_present():
         assert any(n.startswith(prefix) for n in names), prefix
 
 
-def test_gradients_reach_every_parameter():
-    model, sents = small_model()
+ABLATION_FLAGS = [
+    "use_scaling_factor", "no_region_matrix", "no_distance_matrix", "no_attn_matrix",
+    "no_dilated_conv", "no_mlp_predictor", "no_biaffine_predictor",
+]
+# Every ablation as config overrides: the seven flags, and the
+# no-adapted-transformer and no-enhancement ablations as plain values.
+ABLATIONS = {flag: [f"ablations.{flag}=true"] for flag in ABLATION_FLAGS}
+ABLATIONS.update({"layers-0": ["encoder.layers=0"], "rounds-1": ["enhance.rounds=1"]})
+
+
+def ablated_config(case: str):
+    cfg = small_config()
+    apply_overrides(cfg, ABLATIONS.get(case, []))
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["default"] + list(ABLATIONS))
+def test_gradients_reach_every_parameter(case):
+    """Every stored parameter gets a finite gradient: an ablated
+    ingredient leaves no parameter behind."""
+    model, sents = small_model(config=ablated_config(case))
     sent = next(s for s in sents if s.entities)
     model.store.zero_grad()
     loss, cells = model.sentence_loss(sent)
@@ -103,23 +123,21 @@ class TestAblationRouting:
     def model_with(self, **flags):
         cfg = small_config()
         for k, v in flags.items():
-            setattr(cfg.ablations, k, v)
-        sents_cfg = cfg
-        model, sents = small_model(config=sents_cfg)
-        return model, sents
+            set_key(cfg, f"ablations.{k}", v)
+        return small_model(config=cfg)
 
     def test_no_mlp_leaves_biaffine_only(self):
         model, sents = self.model_with(no_mlp_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
         out = model.forward(ids, mask)
-        expect = pred_mod.biaffine_scores(out.h.values, model.predictor_params)
+        expect = pred_mod.biaffine_scores(out.h.values, model.biaffine_params)
         np.testing.assert_array_equal(out.fused.data, expect.data)
 
     def test_no_biaffine_leaves_mlp_only(self):
         model, sents = self.model_with(no_biaffine_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
         out = model.forward(ids, mask)
-        expect = pred_mod.mlp_scores(out.tf, model.predictor_params)
+        expect = pred_mod.mlp_scores(out.tf, model.mlp_params)
         np.testing.assert_array_equal(out.fused.data, expect.data)
 
     def test_pair_feature_width_tracks_flags(self):
@@ -135,13 +153,17 @@ class TestAblationRouting:
     def test_no_dilated_conv_narrows_tag_input(self):
         base, _ = self.model_with()
         gc = base.config.grid
-        assert base.enhance_params.tag_nnc_w.shape[0] == len(gc.dilations) * gc.d_conv
+        assert base.tag_params.tag_nnc_w.shape[0] == len(gc.dilations) * gc.d_conv
         flat, _ = self.model_with(no_dilated_conv=True)
-        assert flat.enhance_params.tag_nnc_w.shape[0] == gc.d_reduced
+        assert flat.tag_params.tag_nnc_w.shape[0] == gc.d_reduced
 
     def test_rounds_override_changes_scores(self):
-        one, sents = self.model_with(rounds_override=1)
+        """`enhance.rounds = 1` against the default two rounds, with the
+        weights both models have shared."""
+        one, sents = small_model(config=ablated_config("rounds-1"))
         two, _ = self.model_with()
+        names = set(one.store.names())
+        one.store.load_state_dict({n: v for n, v in two.store.state_dict().items() if n in names})
         ids, mask, _ = one.sentence_inputs(sents[0])
         f1 = one.forward(ids, mask).fused.data
         f2 = two.forward(ids, mask).fused.data
@@ -154,13 +176,8 @@ class TestAblationRouting:
     def test_every_flag_trains_one_step(self):
         from crener.training import Adam
 
-        flags = [
-            "no_adapted_transformer", "use_scaling_factor", "no_region_matrix",
-            "no_distance_matrix", "no_attn_matrix", "no_dilated_conv",
-            "no_mlp_predictor", "no_biaffine_predictor",
-        ]
-        for flag in flags:
-            model, sents = self.model_with(**{flag: True})
+        for case in ABLATIONS:
+            model, sents = small_model(config=ablated_config(case))
             sent = next(s for s in sents if s.entities)
             model.store.zero_grad()
             loss, _ = model.sentence_loss(sent)
@@ -171,7 +188,7 @@ class TestAblationRouting:
                 not np.array_equal(before[n], model.store[n].data)
                 for n in before
             )
-            assert moved, flag
+            assert moved, case
 
 
 class TestVocabularyModeCoupling:

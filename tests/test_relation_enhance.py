@@ -2,11 +2,13 @@
 shared attention stages, and the round loop that feeds refined
 subject/object vectors back into grid construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import small_model
+from conftest import small_config, small_model
 from crener import grid as grid_mod
 from crener import relation_enhance as enh
 from crener.autodiff import Tensor
@@ -29,7 +31,7 @@ def setup(n=5, seed=7):
 
 def test_tag_features_is_ordered_concat(rng):
     model, _, _, _ = setup()
-    p = model.enhance_params
+    p = model.tag_params
     dr = model.config.enhance.d_r
     q = Tensor(rng.normal(size=(4, 4, p.tag_nnc_w.shape[0])).astype(np.float32))
     tf = enh.tag_features(q, p).data
@@ -154,10 +156,16 @@ def test_enhance_round_zeroes_masked_rows(rng):
 
 
 class TestRunEnhancement:
-    def run(self, model, h, attn, mask, **kw):
+    def run(self, model, h, attn, mask, rounds=None):
+        """The loop as a model with `enhance.rounds = rounds` runs it, on
+        `model`'s weights; one round has no enhancement weights."""
+        config = model.config.enhance
+        if rounds is not None:
+            config = dataclasses.replace(config, rounds=rounds)
         return enh.run_enhancement(
-            h, mask, attn, model.grid_params, model.enhance_params,
-            model.config.grid, model.config.enhance, **kw,
+            h, mask, attn, model.grid_params, model.tag_params,
+            model.enhance_params if config.rounds > 1 else None,
+            model.config.grid, config,
         )
 
     def grid_pass(self, model, h_s, h_o, attn, mask):
@@ -167,7 +175,7 @@ class TestRunEnhancement:
         v = v * Tensor(mask2d.astype(v.dtype)[:, :, None])
         c = grid_mod.pair_features(v, attn, mask2d, gp, gc)
         q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
-        return enh.tag_features(q, model.enhance_params)
+        return enh.tag_features(q, model.tag_params)
 
     def test_round_loop_matches_manual_replay(self):
         model, h, attn, mask = setup()
@@ -222,9 +230,10 @@ class TestRunEnhancement:
         np.testing.assert_array_equal(tf_default.data, tf2.data)
 
     def test_rejects_zero_rounds(self):
-        model, h, attn, mask = setup()
-        with pytest.raises(CrenerError):
-            self.run(model, h, attn, mask, rounds=0)
+        cfg = small_config()
+        cfg.enhance.rounds = 0
+        with pytest.raises(CrenerError, match="enhance.rounds"):
+            small_model(config=cfg)
 
     def test_deterministic(self):
         model, h, attn, mask = setup()
