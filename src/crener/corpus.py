@@ -209,12 +209,23 @@ def _sentence_from_obj(obj, where: str) -> Sentence:
     chars = obj["text"]
     if not isinstance(chars, list) or not all(isinstance(c, str) for c in chars):
         raise CorpusError(f"{where}: 'text' must be a list of characters")
+    records = obj.get("entities", [])
+    if not isinstance(records, list):
+        raise CorpusError(f"{where}: 'entities' must be a list")
     entities = []
-    for k, ent in enumerate(obj.get("entities", [])):
+    for k, ent in enumerate(records):
+        if not isinstance(ent, dict) or "indices" not in ent or "type" not in ent:
+            raise CorpusError(f"{where}: malformed entity #{k}: needs 'indices' and 'type'")
+        indices, etype = ent["indices"], ent["type"]
+        # bool is an int subclass, and int() would truncate a float index.
+        if not isinstance(indices, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in indices
+        ):
+            raise CorpusError(f"{where}: entity #{k}: 'indices' must be a list of integers")
+        if not isinstance(etype, str):
+            raise CorpusError(f"{where}: entity #{k}: 'type' must be a string")
         try:
-            entities.append(EntityMention(tuple(ent["indices"]), ent["type"]))
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"{where}: malformed entity #{k}: {exc}") from None
+            entities.append(EntityMention(tuple(indices), etype))
         except CorpusError as exc:
             raise CorpusError(f"{where}: entity #{k}: {exc}") from None
     sid = str(obj.get("id", where))

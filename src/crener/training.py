@@ -4,13 +4,18 @@ Training minimizes the multi-tag threshold loss with adaptive moment
 estimation plus decoupled weight decay (matrices only). The whole
 update vector (moment direction and decay together) is renormalized to
 at most grad_clip_norm * learning_rate, so that bound holds exactly per
-step. Each optimizer batch is sorted by length and run as padded
-sub-batches of at most MAX_SUB_BATCH_CELLS cells, each backpropagated
-straight after its forward, so only one sub-batch's tape is alive at a
-time. Each epoch logs one JSON record; the best dev-F1 parameters are
-kept. A checkpoint is a directory: manifest.json plus one .npy blob per
-parameter, little-endian. It holds what prediction needs and nothing
-else: there is no resume, so the optimizer state is not saved.
+step. Each optimizer batch is sorted by length and split into runs of
+neighbouring sentences, each padded to its longest one: a sentence of n
+characters is an n x n grid, so a padded sub-batch costs its size times
+its longest length squared in cells, plus a fixed cost per forward and
+backward. `_sub_batches` finds the split of least modelled cost exactly,
+with no sub-batch of two or more sentences above MAX_SUB_BATCH_CELLS.
+Each sub-batch is backpropagated straight after its forward, so only one
+sub-batch's tape is alive at a time. Each epoch logs one JSON record; the
+best dev-F1 parameters are kept. A checkpoint is a directory:
+manifest.json plus one .npy blob per parameter, little-endian. It holds
+what prediction needs and nothing else: there is no resume, so the
+optimizer state is not saved.
 """
 
 from __future__ import annotations
@@ -36,14 +41,24 @@ from .model import CrenerModel
 
 CHECKPOINT_FORMAT_VERSION = 3
 
-# Padded cells (sub-batch size x longest length squared) per training
-# forward. Measured with the default config in float32 on one BLAS
-# thread, a forward + backward costs about 7.5 ms of fixed per-op
-# overhead plus 33-39 us per padded cell, so the overhead falls to 5% of
-# the step at 19 x 7.5 ms / 36 us = ~4,000 cells; larger sub-batches gain
-# little speed, while the tape (about 68 MB after a 4,096-cell forward)
-# keeps growing with the cells. 4,096 is one n = 64 grid.
+# The most padded cells (size x longest length squared) of a training
+# forward over two or more sentences; a longer sentence runs alone. The
+# bound caps a step's memory, since only one sub-batch's tape is alive at
+# a time: with the default config in float32 a 4,096-cell forward leaves
+# about 68 MB of tape. 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
+
+# The fixed cost of one sub-batch's forward and backward, in padded cells:
+# its time at zero cells over its time per cell. A least-squares fit of
+# forward + backward time against padded cells, over sub-batches of 1-8
+# sentences whose longest has 4-16 characters (default config, float32,
+# one BLAS thread, 2 cores, 104 shapes x 5 reps, eight processes), gave
+# 8.1-9.2 ms + 33-38 us per cell, 231-255 cells; with a per-sentence term
+# in the fit, 216-237 cells. An earlier measurement of the same step gave
+# 7.5 ms and 36 us, about 210 cells. The step is not sensitive to the
+# exact value: steps over 8 lengths in [4, 16] averaged 64-65 ms at 160, 240
+# and 320 cells alike, and 85 ms as one padded sub-batch.
+SUB_BATCH_OVERHEAD_CELLS = 240
 
 
 class Adam:
@@ -268,11 +283,16 @@ class Checkpoint:
             config.validate()
         except ConfigError as exc:
             raise CorpusError(f"{manifest_path}: bad checkpoint config: {exc}") from None
+        none_is_implicit = manifest["none_is_implicit"]
+        if (config.predictor.mode == "softmax") == none_is_implicit:
+            raise CorpusError(
+                f"{manifest_path}: checkpoint manifest's none_is_implicit = "
+                f"{str(none_is_implicit).lower()} contradicts its predictor.mode = "
+                f"{config.predictor.mode!r}"
+            )
         chars = manifest["chars"]
         char_vocab = CharVocabulary(chars[2:])  # first two slots are pad/unk
-        tag_vocab = TagVocabulary(
-            manifest["entity_types"], none_is_implicit=manifest["none_is_implicit"]
-        )
+        tag_vocab = TagVocabulary(manifest["entity_types"], none_is_implicit=none_is_implicit)
         params = {}
         for name in manifest["parameters"]:
             path = _param_path(directory, name)
@@ -333,16 +353,32 @@ def _batches(order: np.ndarray, batch_size: int):
 
 
 def _sub_batches(lengths: list[int], max_cells: int) -> list[list[int]]:
-    """Positions into `lengths`, sorted by length and split greedily so
-    that each sub-batch's padded cell count (size x longest squared) is
-    at most `max_cells`; a longer sentence runs alone."""
+    """Positions into `lengths`, sorted by length and cut into contiguous
+    sub-batches, in ascending length order, that minimise the sum over
+    sub-batches of SUB_BATCH_OVERHEAD_CELLS + size x longest squared. A
+    sub-batch of two or more sentences holds at most `max_cells` padded
+    cells; a single sentence may hold more."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    # best[j]: least cost of the first j sorted sentences; start[j]: where
+    # the last sub-batch of that split begins.
+    best = [0] * (len(order) + 1)
+    start = [0] * (len(order) + 1)
+    for j in range(1, len(order) + 1):
+        area = lengths[order[j - 1]] ** 2
+        best[j] = best[j - 1] + SUB_BATCH_OVERHEAD_CELLS + area
+        start[j] = j - 1
+        for i in range(j - 2, -1, -1):
+            if (j - i) * area > max_cells:
+                break
+            cost = best[i] + SUB_BATCH_OVERHEAD_CELLS + (j - i) * area
+            if cost < best[j]:
+                best[j], start[j] = cost, i
     subs: list[list[int]] = []
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if subs and (len(subs[-1]) + 1) * lengths[i] ** 2 <= max_cells:
-            subs[-1].append(i)
-        else:
-            subs.append([i])
-    return subs
+    j = len(order)
+    while j:
+        subs.append(order[start[j]:j])
+        j = start[j]
+    return subs[::-1]
 
 
 def train(
@@ -389,6 +425,7 @@ def train(
             order = shuffle_rng.permutation(len(train_sentences))
             epoch_loss_sum = 0.0
             epoch_cells = 0
+            epoch_padded = 0
             norms = []
             clipped = 0
             for batch in _batches(order, opt_cfg.batch_size):
@@ -396,9 +433,11 @@ def train(
                 sentences = [train_sentences[int(idx)] for idx in batch]
                 # Drawn in batch order, before sub-batching reorders the sentences.
                 dropout = [model.draw_dropout(s, dropout_rng) for s in sentences]
-                cells = sum(len(s) ** 2 for s in sentences)
+                lengths = [len(s) for s in sentences]
+                cells = sum(n * n for n in lengths)
                 value = 0.0
-                for sub in _sub_batches([len(s) for s in sentences], MAX_SUB_BATCH_CELLS):
+                for sub in _sub_batches(lengths, MAX_SUB_BATCH_CELLS):
+                    epoch_padded += len(sub) * lengths[sub[-1]] ** 2
                     loss, _ = model.batch_loss(
                         [sentences[k] for k in sub],
                         dropout=[dropout[k] for k in sub],
@@ -426,6 +465,7 @@ def train(
                 "update_norm_mean": float(np.mean(norms)),
                 "update_norm_max": max(norms),
                 "clipped_frac": clipped / len(norms),
+                "real_cell_frac": epoch_cells / epoch_padded,
             }
             dev_f1 = None
             if dev_sentences is not None:

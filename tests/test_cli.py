@@ -239,6 +239,23 @@ def test_sentence_longer_than_max_len_exits_2(workspace, tmp_path, capsys, comma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entity", [
+    {"indices": [0], "type": 3}, {"indices": [1.7], "type": "PER"},
+    {"indices": [True], "type": "PER"},
+], ids=["type-int", "index-float", "index-bool"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_mistyped_entity_exits_2(workspace, tmp_path, capsys, command, entity):
+    data = tmp_path / "mistyped.jsonl"
+    data.write_text(json.dumps({"id": "s", "text": ["a", "b"], "entities": [entity]}) + "\n")
+    if command == "eval":
+        argv = ["eval", "--data", str(data), "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["predict", "--input", str(data), "--output", "-"]
+    assert main(argv + ["--checkpoint", str(workspace["ckpt"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data}:1: entity #0: ") and "Traceback" not in err
+
+
 MANIFEST_KEYS = ["config", "chars", "entity_types", "none_is_implicit", "parameters", "epoch"]
 # case -> (change made to the manifest, phrase the error must contain)
 MANIFEST_DAMAGE = {
@@ -255,6 +272,9 @@ MANIFEST_DAMAGE = {
     "manifest-config-invalid": (
         lambda m: m["config"].update({"encoder.heads": 0}),
         "bad checkpoint config: encoder.heads must be >= 1"),
+    "manifest-none-contradicts-mode": (
+        lambda m: m.update({"none_is_implicit": not m["none_is_implicit"]}),
+        "contradicts its predictor.mode"),
 }
 CORRUPT_CHECKPOINT_CASES = (
     ["manifest-not-utf8", "manifest-not-json"]

@@ -8,6 +8,7 @@ diagonal.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,22 @@ class TestSerialization:
         rec = {"id": "a", "text": ["x", "y"], "entities": [{"indices": [1, 0], "type": "T"}]}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(CorpusError, match=":1"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("entities, phrase", [
+        ([{"indices": [0], "type": 3}], "'type' must be a string"),
+        ([{"indices": [1.7], "type": "T"}], "'indices' must be a list of integers"),
+        ([{"indices": [True], "type": "T"}], "'indices' must be a list of integers"),
+        ([{"indices": "01", "type": "T"}], "'indices' must be a list of integers"),
+        ([{"type": "T"}], "needs 'indices' and 'type'"),
+        (5, "'entities' must be a list"),
+    ], ids=["type-int", "index-float", "index-bool", "indices-string", "no-indices",
+            "entities-int"])
+    def test_jsonl_mistyped_entity(self, tmp_path, entities, phrase):
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "a", "text": ["x", "y"], "entities": []}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "entities": entities}) + "\n")
+        with pytest.raises(CorpusError, match=rf"bad\.jsonl:2: .*{re.escape(phrase)}"):
             load_corpus(path)
 
     def test_jsonl_missing_text(self, tmp_path):

@@ -5,6 +5,8 @@ sub-batched training step against a per-sentence reference."""
 import copy
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from crener.model import CrenerModel
 from crener.training import (
     CHECKPOINT_FORMAT_VERSION,
     MAX_SUB_BATCH_CELLS,
+    SUB_BATCH_OVERHEAD_CELLS,
     Adam,
     Checkpoint,
     evaluate_model,
@@ -213,8 +216,20 @@ class TestTrainLoop:
             assert record["clipped_frac"] == frac
         assert list(history[0]) == [
             "epoch", "train_loss", "update_norm_mean", "update_norm_max",
-            "clipped_frac", "seconds",
+            "clipped_frac", "real_cell_frac", "seconds",
         ]
+
+    def test_readme_epoch_table_names_every_key(self):
+        """README's epoch-record table lists exactly the keys of a record
+        with a dev split, in order, so a new or deleted field cannot drift."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Training\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| ((?:`\w+`(?:, )?)+) \|", section, re.MULTILINE)
+        listed = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+        cfg = small_config()
+        cfg.optimizer.epochs = 1
+        (record,) = train(cfg, corpus(), dev_sentences=corpus()).history
+        assert listed == list(record)
 
     def test_empty_corpus_rejected(self):
         from crener.errors import CorpusError
@@ -471,3 +486,50 @@ def test_eight_sentences_of_48_run_one_at_a_time(monkeypatch):
     train(cfg, sents)
     assert calls["lengths"] == [[48]] * 8
     assert calls["backward"] == 8
+
+
+def test_real_cell_frac_counts_the_padded_forwards(monkeypatch):
+    calls = record_sub_batches(monkeypatch)
+    cfg = small_config()
+    cfg.encoder.max_len = 64
+    cfg.optimizer.epochs = 1
+    sents = generate_synthetic_corpus(seed=2, count=24, max_len=40, types=["A"], min_len=3)
+    (record,) = train(cfg, sents).history
+    real = sum(n * n for sub in calls["lengths"] for n in sub)
+    padded = sum(len(sub) * max(sub) ** 2 for sub in calls["lengths"])
+    assert record["real_cell_frac"] == real / padded < 1.0
+
+
+def split_cost(lengths: list[int]) -> int:
+    """Modelled cost of one sub-batch of sorted lengths."""
+    return SUB_BATCH_OVERHEAD_CELLS + len(lengths) * lengths[-1] ** 2
+
+
+def brute_force_min_cost(lengths: list[int], max_cells: int) -> int:
+    """Least cost over every split of sorted `lengths` into contiguous
+    sub-batches whose groups of two or more stay within `max_cells`."""
+    best = None
+    for mask in range(2 ** (len(lengths) - 1)):
+        cuts = [0] + [k + 1 for k in range(len(lengths) - 1) if mask >> k & 1] + [len(lengths)]
+        groups = [lengths[a:b] for a, b in zip(cuts, cuts[1:])]
+        if any(len(g) > 1 and len(g) * g[-1] ** 2 > max_cells for g in groups):
+            continue
+        cost = sum(split_cost(g) for g in groups)
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+@pytest.mark.parametrize("max_cells", [MAX_SUB_BATCH_CELLS, 300])
+@pytest.mark.parametrize("seed", range(4))
+def test_sub_batches_reach_the_brute_force_minimum(seed, max_cells):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        longest = int(rng.integers(1, 65))
+        lengths = [int(n) for n in rng.integers(1, longest + 1, size=int(rng.integers(1, 11)))]
+        subs = training._sub_batches(lengths, max_cells)
+        flat = [k for sub in subs for k in sub]
+        assert sorted(flat) == list(range(len(lengths)))
+        assert [lengths[k] for k in flat] == sorted(lengths)
+        groups = [[lengths[k] for k in sub] for sub in subs]
+        assert all(len(g) == 1 or len(g) * g[-1] ** 2 <= max_cells for g in groups), groups
+        assert sum(split_cost(g) for g in groups) == brute_force_min_cost(sorted(lengths), max_cells)
