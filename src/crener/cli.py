@@ -121,8 +121,10 @@ def _grid_from_obj(obj, lineno: int, path: str) -> tuple[np.ndarray, TagVocabula
     ):
         raise CorpusError(f"{where}: cell entries must be [i, j, tag] with integer i, j")
     names = [str(c[2]) for c in cells]
-    types = sorted({name[4:] for name in names if name[:4] in ("THC_", "HTC_")})
-    vocab = TagVocabulary(types)
+    types = {name[4:] for name in names if name[:4] in ("THC_", "HTC_")}
+    if "" in types:
+        raise CorpusError(f"{where}: typed tag with an empty entity type")
+    vocab = TagVocabulary(sorted(types))
     grid = np.zeros((n, n, len(vocab)), dtype=bool)
     for (i, j, _), name in zip(cells, names):
         if not (0 <= i < n and 0 <= j < n):

@@ -62,15 +62,23 @@ class MlpParams:
 
 
 def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
-    """y'[i, j] = s_i^T U o_j + W [s_i ; o_j] + b over all cells."""
+    """y'[i, j] = s_i^T U o_j + W [s_i ; o_j] + b over all cells.
+
+    The bilinear term is two GEMMs: s @ U gives every (i, t) row s_i^T U_t,
+    stacked as an (..., n * |R|, d_b) matrix, and one product with o^T
+    scores it against every o_j. A swap of the last two axes turns the
+    (..., n, |R|, n) result into (..., n, n, |R|).
+    """
     lead, n = h.shape[:-2], h.shape[-2]
     d_b, n_tags, _ = params.biaffine_u.shape
     s = ad.gelu(h @ params.subj_w + params.subj_b)
     o = ad.gelu(h @ params.obj_w + params.obj_b)
 
     u2 = params.biaffine_u.reshape(d_b, n_tags * d_b)
-    left = (s @ u2).reshape(lead + (n, 1, n_tags, d_b))
-    bilinear = (left * o.reshape(lead + (1, n, 1, d_b))).sum(axis=-1)
+    left = (s @ u2).reshape(lead + (n * n_tags, d_b))
+    bilinear = ad.swapaxes(
+        (left @ ad.swapaxes(o, -1, -2)).reshape(lead + (n, n_tags, n)), -2, -1
+    )
 
     w_s = params.biaffine_w[:d_b]
     w_o = params.biaffine_w[d_b:]

@@ -1,15 +1,24 @@
 """Turn a predicted tag grid back into entity mentions.
 
 A grid is a boolean (n, n, |R|) array; grid[i, j, t] means cell (i, j)
-carries tag t. A typed tag triggers a search: THC_y at (i, j) with
-i >= j, or its mirror HTC_y at (j, i). The head is column j, the tail
-is row i. From the head, a depth-first search follows edges a -> b that
-carry BOTH NNC at (a, b) and PNC at (b, a); every path that reaches the
-tail is one mention of type y. Contiguous mode (the default) restricts
-steps to b = a + 1; discontinuous mode allows any b in (a, tail], never
-past the tail. `brute_force_decode` checks the same acceptance rule by
-plain enumeration, reading the cells itself, and exists purely to
-cross-validate the search.
+carries tag t. A typed tag is a trigger: THC_y at (i, j) with i >= j, or
+its mirror HTC_y at (j, i), names head j, tail i and type y. A link
+a -> b carries BOTH NNC at (a, b) and PNC at (b, a). A mention is an
+index sequence from head to tail whose consecutive pairs are all links.
+
+* Contiguous mode (the default) is an interval test. Its only candidate
+  is head..tail, which is a mention iff every link (a, a + 1) in
+  [head, tail) is present. A running count of the broken links among
+  the n - 1 neighbour pairs gives every index the number of breaks
+  before it; a trigger is a mention iff its head and tail have the same
+  count, so one vectorised comparison accepts or rejects every trigger.
+* Discontinuous mode is a path search. From each trigger's head, a
+  depth-first search follows links a -> b with b in (a, tail], never
+  past the tail; every path that reaches the tail is one mention.
+
+`brute_force_decode` checks the same acceptance rule by plain
+enumeration, reading the cells itself, and exists purely to
+cross-validate both modes.
 """
 
 from __future__ import annotations
@@ -29,8 +38,21 @@ def decode_grid(
     # (head, tail, type) triggers: THC transposed onto HTC's side, so each
     # distinct triple is one hit on or above the diagonal.
     heads, tails, kinds = np.nonzero(grid[:, :, thc].transpose(1, 0, 2) | grid[:, :, htc])
-    edge = (grid[:, :, vocab.nnc_id] & grid[:, :, vocab.pnc_id].T).tolist()
+    nnc, pnc = grid[:, :, vocab.nnc_id], grid[:, :, vocab.pnc_id]
     types = vocab.entity_types
+    if contiguous:
+        link = nnc.diagonal(1) & pnc.diagonal(-1)  # link[a]: a -> a + 1
+        # broken[i]: the number of broken links before index i.
+        broken = np.concatenate(([0], (~link).cumsum()))
+        keep = (heads <= tails) & (broken[heads] == broken[tails])
+        return {
+            EntityMention(tuple(range(head, tail + 1)), types[k])
+            for head, tail, k in zip(
+                heads[keep].tolist(), tails[keep].tolist(), kinds[keep].tolist()
+            )
+        }
+
+    edge = (nnc & pnc.T).tolist()
     found: set[EntityMention] = set()
     for head, tail, k in zip(heads.tolist(), tails.tolist(), kinds.tolist()):
         if head > tail:
@@ -44,9 +66,8 @@ def decode_grid(
         while stack:
             path = stack.pop()
             a = path[-1]
-            nxt = (a + 1,) if contiguous else range(a + 1, tail + 1)
-            for b in nxt:
-                if b > tail or not edge[a][b]:
+            for b in range(a + 1, tail + 1):
+                if not edge[a][b]:
                     continue
                 if b == tail:
                     found.add(EntityMention(path + (b,), etype))

@@ -228,10 +228,13 @@ def adapted_attention(
 ) -> tuple[CharRepr, np.ndarray]:
     """One residual block of relative-position self-attention plus FFN.
 
-    Returns the new representation and the (..., heads, n, n) attention
-    weights. `use_scaling` restores the conventional 1/sqrt(d_k) factor
-    (off by default). Dropout runs only when the (attention output, FFN
-    output) multipliers of `draw_dropout` are supplied.
+    Each of the four score terms of the module docstring is one matmul
+    that contracts d_head per head: Q K^T, R W_kR against each Q_i
+    (a matrix-vector product per head and row), K u and R v. Returns the
+    new representation and the (..., heads, n, n) attention weights.
+    `use_scaling` restores the conventional 1/sqrt(d_k) factor (off by
+    default). Dropout runs only when the (attention output, FFN output)
+    multipliers of `draw_dropout` are supplied.
     """
     n = h.n
     lead = h.values.shape[:-2]
@@ -251,16 +254,20 @@ def adapted_attention(
     v = split_heads(h.values @ layer.wv)
 
     rel_t = Tensor(rel)
+    # (heads, n_i, n_j, d_head) slices of R W_kR and of R itself.
     rel_proj = (rel_t @ layer.wkr).reshape(n, n, heads, d_head).transpose(2, 0, 1, 3)
-    rel_heads = rel.reshape(n, n, heads, d_head).transpose(2, 0, 1, 3)
-
-    u_h = layer.u.reshape(heads, 1, d_head)
-    v_h = layer.v.reshape(heads, 1, 1, d_head)
+    rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(2, 0, 1, 3))
 
     content = q @ ad.swapaxes(k, -1, -2)  # Q_i . K_j
-    position = (q.reshape(lead + (heads, n, 1, d_head)) * rel_proj).sum(axis=-1)  # Q_i . R_ij W_kR
-    content_bias = (u_h * k).sum(axis=-1).reshape(lead + (heads, 1, n))  # u . K_j
-    position_bias = (v_h * Tensor(rel_heads)).sum(axis=-1)  # v . R_ij
+    position = (rel_proj @ q.reshape(lead + (heads, n, d_head, 1))).reshape(
+        lead + (heads, n, n)
+    )  # Q_i . R_ij W_kR
+    content_bias = (k @ layer.u.reshape(heads, d_head, 1)).reshape(
+        lead + (heads, 1, n)
+    )  # u . K_j
+    position_bias = (rel_heads @ layer.v.reshape(heads, 1, d_head, 1)).reshape(
+        heads, n, n
+    )  # v . R_ij
 
     scores = content + position + content_bias + position_bias
     if use_scaling:

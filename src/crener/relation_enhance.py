@@ -86,16 +86,15 @@ class EnhanceParams:
 
 
 def tag_features(q: Tensor, params: TagParams) -> Tensor:
-    """Concatenated per-tag-group affine maps of the grid, (..., n, n, 4*d_r)."""
-    return ad.concat(
-        [
-            q @ params.tag_nnc_w + params.tag_nnc_b,
-            q @ params.tag_pnc_w + params.tag_pnc_b,
-            q @ params.tag_htc_w + params.tag_htc_b,
-            q @ params.tag_thc_w + params.tag_thc_b,
-        ],
-        axis=-1,
-    )
+    """The four tag-group affine maps of the grid, concatenated in the order
+    NNC, PNC, HTC, THC: (..., n, n, 4*d_r).
+
+    Computed as one GEMM against the four weights placed side by side,
+    plus their biases side by side.
+    """
+    w = ad.concat([params.tag_nnc_w, params.tag_pnc_w, params.tag_htc_w, params.tag_thc_w])
+    b = ad.concat([params.tag_nnc_b, params.tag_pnc_b, params.tag_htc_b, params.tag_thc_b])
+    return q @ w + b
 
 
 def pool_recover(

@@ -423,8 +423,11 @@ class TestDecodeGridCommand:
         {"n": 257, "cells": []},
         {"n": 2, "cells": [[-1, 0, "NNC"]]},
         {"n": 2, "cells": [[0, 2, "NNC"]]},
+        {"n": 3, "cells": [[2, 2, "THC_"]]},
+        {"n": 3, "cells": [[0, 2, "HTC_"], [0, 1, "NNC"], [1, 0, "PNC"]]},
     ], ids=["missing-cells", "non-integer-n", "non-integer-index", "negative-n",
-            "n-above-256", "cell-at-minus-1", "cell-at-n"])
+            "n-above-256", "cell-at-minus-1", "cell-at-n", "empty-type-decoded",
+            "empty-type-not-decoded"])
     def test_malformed_record_exits_2(self, tmp_path, capsys, record):
         path = self.write_grid(tmp_path, [record])
         assert main(["decode-grid", "--grid", str(path)]) == 2

@@ -56,6 +56,22 @@ def test_biaffine_matches_scalar_loops(rng):
     np.testing.assert_allclose(got, expect, atol=1e-4)
 
 
+def test_biaffine_padded_batch_matches_each_sentence(rng):
+    # Two sentences of lengths 6 and 4, the second padded to 6: each real
+    # block of the batched scores is that sentence's unbatched output.
+    model, _ = small_model()
+    p = model.biaffine_params
+    d = model.config.encoder.d_h
+    lengths = (6, 4)
+    h = rng.normal(size=(2, 6, d)).astype(np.float32)
+    h[1, 4:] = 0.0
+    got = biaffine_scores(Tensor(h), p).data
+    assert got.shape == (2, 6, 6, len(model.tag_vocab))
+    for b, n in enumerate(lengths):
+        alone = biaffine_scores(Tensor(h[b, :n]), p).data
+        np.testing.assert_allclose(got[b, :n, :n], alone, atol=1e-4)
+
+
 def test_biaffine_bilinear_term_superposition(rng):
     # With W and b zeroed the score is bilinear in (s, o); doubling the
     # input to GELU is nonlinear, so probe at the s/o level via U only.

@@ -1,8 +1,9 @@
 """Grid-to-mention decoding against a brute-force enumerator.
 
-decode_grid searches from typed triggers along NNC/PNC chains;
-brute_force_decode tests every candidate index sequence against the
-same acceptance rule. On any grid, noisy or not, the two must agree.
+decode_grid tests each typed trigger's span against the unbroken
+NNC/PNC chains (contiguous mode) or searches its paths (discontinuous
+mode); brute_force_decode tests every candidate index sequence against
+the same acceptance rule. On any grid, noisy or not, the two must agree.
 """
 
 import numpy as np
@@ -114,16 +115,47 @@ def random_grid(rng, n, vocab, density):
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_matches_brute_force_on_random_grids(rng, contiguous):
     vocab = make_vocab(2)
+    # Contiguous grids go up to the oracle's cap; a dense discontinuous
+    # grid has exponentially many paths, so those stop at n = 8.
+    max_n = 12 if contiguous else 8
     # Sparse grids as noisy predictions produce them, then dense ones as
     # an untrained model's (it tags nearly every cell).
     for low, high in [(0.02, 0.5), (0.9, 1.0)]:
         for _ in range(300):
-            n = int(rng.integers(1, 9))
+            n = int(rng.integers(1, max_n + 1))
             density = float(rng.uniform(low, high))
             grid = random_grid(rng, n, vocab, density)
             fast = decode_grid(grid, vocab, contiguous=contiguous)
             slow = brute_force_decode(grid, vocab, contiguous=contiguous)
             assert fast == slow, f"n={n} density={density:.3f} cells={np.argwhere(grid).tolist()}"
+
+
+def test_dense_triggers_broken_chain():
+    # As an untrained model's grid: every tag on every cell, except that
+    # link 1 -> 2 lacks its NNC and link 3 -> 4 its PNC. Contiguous
+    # mentions are exactly the spans inside the unbroken runs 0-1, 2-3
+    # and 4-5, of both types.
+    vocab = make_vocab(2)
+    grid = np.ones((6, 6, len(vocab)), dtype=bool)
+    grid[1, 2, vocab.nnc_id] = False
+    grid[4, 3, vocab.pnc_id] = False
+    spans = [(0,), (1,), (0, 1), (2,), (3,), (2, 3), (4,), (5,), (4, 5)]
+    expect = {EntityMention(span, y) for span in spans for y in "AB"}
+    assert decode_grid(grid, vocab) == expect
+    assert brute_force_decode(grid, vocab) == expect
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("n", [0, 1])
+def test_grids_without_links(n, contiguous):
+    # n = 0 and n = 1 have no link at all: the empty grid decodes to
+    # nothing, and the one cell, every tag set, to a single-character
+    # mention.
+    vocab = make_vocab()
+    grid = np.ones((n, n, len(vocab)), dtype=bool)
+    expect = {EntityMention((0,), "A")} if n else set()
+    assert decode_grid(grid, vocab, contiguous=contiguous) == expect
+    assert brute_force_decode(grid, vocab, contiguous=contiguous) == expect
 
 
 def test_brute_force_refuses_large_grids():

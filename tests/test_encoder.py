@@ -127,6 +127,29 @@ def test_adapted_scores_match_scalar_loops(rng):
         np.testing.assert_allclose(attn[h], expect, atol=1e-5)
 
 
+def test_adapted_attention_padded_batch_matches_each_sentence(rng):
+    # Lengths 6 and 4 in one padded batch: each sentence's real rows and
+    # attention block match its unbatched, unpadded run.
+    model, _ = small_model()
+    cfg = model.config.encoder
+    layer = model.encoder_params.layers[0]
+    lengths = (6, 4)
+    mask = np.arange(6)[None, :] < np.array(lengths)[:, None]
+    hvals = rng.normal(size=(2, 6, cfg.d_h)).astype(np.float32)
+    hvals[~mask] = 0.0
+    from crener.encoder import CharRepr
+
+    out, attn = adapted_attention(CharRepr(Tensor(hvals), mask), layer, cfg)
+    assert attn.shape == (2, cfg.heads, 6, 6)
+    for b, n in enumerate(lengths):
+        alone, alone_attn = adapted_attention(
+            CharRepr(Tensor(hvals[b, :n]), mask[b, :n]), layer, cfg
+        )
+        np.testing.assert_allclose(attn[b, :, :n, :n], alone_attn, atol=1e-5)
+        np.testing.assert_array_equal(attn[b, :, :, n:], 0.0)
+        np.testing.assert_allclose(out.values.data[b, :n], alone.values.data, atol=1e-5)
+
+
 def test_scaling_flag_divides_scores(rng):
     model, _ = small_model()
     cfg = model.config.encoder

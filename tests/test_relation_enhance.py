@@ -48,6 +48,20 @@ def test_tag_features_is_ordered_concat(rng):
         )
 
 
+def test_tag_features_padded_batch_matches_each_sentence(rng):
+    model, _, _, _ = setup()
+    p = model.tag_params
+    lengths = (6, 4)
+    q = rng.normal(size=(2, 6, 6, p.tag_nnc_w.shape[0])).astype(np.float32)
+    q[1, 4:] = 0.0
+    q[1, :, 4:] = 0.0
+    tf = enh.tag_features(Tensor(q), p).data
+    assert tf.shape == (2, 6, 6, 4 * model.config.enhance.d_r)
+    for b, n in enumerate(lengths):
+        alone = enh.tag_features(Tensor(q[b, :n, :n]), p).data
+        np.testing.assert_allclose(tf[b, :n, :n], alone, atol=1e-5)
+
+
 class TestPoolRecover:
     def test_max_pool_oracle(self, rng):
         model, _, _, mask = setup(n=4)
