@@ -3,8 +3,9 @@
 Entities become tags on an N x N character-pair grid, held as a boolean
 (N, N, |R|) array; a relative-position transformer encodes characters,
 an iterative relation-enhancement network refines pair features, a
-biaffine + MLP co-predictor scores every cell, and a depth-first search
-decodes mentions back out.
+biaffine + MLP co-predictor scores every cell, and the decoder reads
+mentions back out: contiguous ones by an interval test over neighbour
+links, discontinuous ones by a depth-first search.
 """
 
 from .config import AblationFlags, ModelConfig, default_config, parse_config

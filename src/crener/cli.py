@@ -231,6 +231,11 @@ def main(argv=None) -> int:
         # a file where a directory is made.
         print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        # Non-finite scores in eval or predict, from a checkpoint whose
+        # parameters load finite: bad input. `train` raises DivergenceError.
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3

@@ -185,16 +185,9 @@ class CharVocabulary:
     def unk_id(self) -> int:
         return 1
 
-    def encode(self, chars, allow_unknown: bool = True) -> np.ndarray:
-        ids = []
-        for ch in chars:
-            idx = self._ids.get(ch)
-            if idx is None:
-                if not allow_unknown:
-                    raise CorpusError(f"character {ch!r} outside alphabet")
-                idx = self.unk_id
-            ids.append(idx)
-        return np.asarray(ids, dtype=np.int64)
+    def encode(self, chars) -> np.ndarray:
+        """Character ids; a character outside the alphabet maps to `unk_id`."""
+        return np.asarray([self._ids.get(ch, self.unk_id) for ch in chars], dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,6 @@ def decode_grid(
 def brute_force_decode(
     grid: np.ndarray,
     vocab: TagVocabulary,
-    max_len: int | None = None,
     contiguous: bool = True,
 ) -> set[EntityMention]:
     """Enumerate every candidate index sequence and test the tag rule.
@@ -91,8 +90,6 @@ def brute_force_decode(
     n = grid.shape[0]
     if n > 12:
         raise ValueError(f"grid side {n} too large for brute force (max 12)")
-    if max_len is None:
-        max_len = n
     cells = grid.tolist()
     nnc, pnc = vocab.nnc_id, vocab.pnc_id
     typed = [(y, vocab.thc_id(y), vocab.htc_id(y)) for y in vocab.entity_types]
@@ -100,10 +97,10 @@ def brute_force_decode(
     def candidates():
         if contiguous:
             for i in range(n):
-                for j in range(i, min(n, i + max_len)):
+                for j in range(i, n):
                     yield tuple(range(i, j + 1))
         else:
-            for m in range(1, max_len + 1):
+            for m in range(1, n + 1):
                 yield from combinations(range(n), m)
 
     found: set[EntityMention] = set()

@@ -9,7 +9,8 @@ Per layer the pre-softmax score is
 with R the fixed sinusoidal embedding of the signed offset i - j. The
 softmax omits the usual 1/sqrt(d_k): with only a few entity characters
 per sentence, sharper attention rows help. Padding columns are masked
-to weight exactly zero. Blocks are post-LN residual with a square
+to weight exactly zero; nothing else is masked, so padded rows carry
+whatever their ids give them. Blocks are post-LN residual with a square
 feed-forward.
 
 Every function takes (..., n) ids and masks with any number of leading
@@ -88,30 +89,13 @@ class EncoderParams:
     layers: list[AttentionLayerParams] = field(default_factory=list)
 
 
-@dataclass
-class CharRepr:
-    """Per-character representations with a validity mask; masked rows are zero."""
-
-    values: Tensor  # (..., n, d_h)
-    mask: np.ndarray  # (..., n)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-2]
-
-
-@dataclass
-class EncoderOutput:
-    h: CharRepr
-    attn: np.ndarray  # (..., n, n) final-layer attention, averaged over heads
-
-
 def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
     """Load precomputed contextual vectors keyed by sentence id.
 
     The file is jsonl: {"id": str, "vectors": [[...], ...]} with one row
-    per character, each of width d_context. Widths are validated here,
-    row counts against each sentence by `CrenerModel.sentence_inputs`.
+    per character, each of width d_context. Widths and finiteness (in
+    float32) are validated here, row counts against each sentence by
+    `CrenerModel.sentence_inputs`.
     """
     import json
 
@@ -123,7 +107,8 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
         try:
             obj = json.loads(line)
             sid = str(obj["id"])
-            vectors = np.asarray(obj["vectors"], dtype=np.float32)
+            with np.errstate(over="ignore"):  # beyond float32's range reads inf
+                vectors = np.asarray(obj["vectors"], dtype=np.float32)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: bad sidecar record: {exc}") from None
         if vectors.ndim != 2 or vectors.shape[1] != d_context:
@@ -131,6 +116,8 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
                 f"{path}:{lineno}: vectors for {sid!r} have shape "
                 f"{vectors.shape}, expected (N, {d_context})"
             )
+        if not np.isfinite(vectors).all():
+            raise CorpusError(f"{path}:{lineno}: vectors for {sid!r} are not all finite float32")
         out[sid] = vectors
     return out
 
@@ -175,18 +162,14 @@ def draw_dropout(
     return [(keep(), keep()) for _ in range(config.layers)]
 
 
-def _zero_masked_rows(values: Tensor, mask: np.ndarray) -> Tensor:
-    return values * mask.astype(values.dtype)[..., None]
-
-
 def _embed_with_attention(
     char_ids: np.ndarray,
     mask: np.ndarray,
     params: EncoderParams,
     context_vectors: np.ndarray | None = None,
-) -> tuple[CharRepr, np.ndarray]:
+) -> tuple[Tensor, np.ndarray]:
     """Concatenation of contextual, positional, region, and attention
-    embeddings, one row per character with padded rows zeroed, plus the
+    embeddings, one (..., n, d_h) row per character, plus the
     raw-attention weights used for H^A."""
     cfg = params.config
     char_ids = np.asarray(char_ids)
@@ -214,44 +197,43 @@ def _embed_with_attention(
     attn = ad.softmax(scores, mask=mask[..., None, :])
     h_att = attn @ v
 
-    h = ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1)
-    return CharRepr(_zero_masked_rows(h, mask), mask), attn.data.copy()
+    return ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1), attn.data
 
 
 def adapted_attention(
-    h: CharRepr,
+    h: Tensor,
+    mask: np.ndarray,
     layer: AttentionLayerParams,
     config: EncoderConfig,
     rel: np.ndarray | None = None,
     use_scaling: bool = False,
     dropout: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[CharRepr, np.ndarray]:
+) -> tuple[Tensor, np.ndarray]:
     """One residual block of relative-position self-attention plus FFN.
 
     Each of the four score terms of the module docstring is one matmul
     that contracts d_head per head: Q K^T, R W_kR against each Q_i
-    (a matrix-vector product per head and row), K u and R v. Returns the
-    new representation and the (..., heads, n, n) attention weights.
+    (a matrix-vector product per head and row), K u and R v. Takes
+    (..., n, d_h) rows and their (..., n) mask; returns the new rows and
+    the (..., heads, n, n) attention weights.
     `use_scaling` restores the conventional 1/sqrt(d_k) factor (off by
     default). Dropout runs only when the (attention output, FFN output)
     multipliers of `draw_dropout` are supplied.
     """
-    n = h.n
-    lead = h.values.shape[:-2]
+    lead, n = h.shape[:-2], h.shape[-2]
     d_model = config.d_h
     heads = config.heads
     d_head = d_model // heads
-    mask = h.mask
     if rel is None:
         rel = relative_position_embedding(n, d_model)
-    rel = rel.astype(h.values.dtype)
+    rel = rel.astype(h.dtype)
 
     def split_heads(x: Tensor) -> Tensor:
         return ad.swapaxes(x.reshape(lead + (n, heads, d_head)), -3, -2)
 
-    q = split_heads(h.values @ layer.wq)  # (..., heads, n, d_head)
-    k = split_heads(h.values @ layer.wk)
-    v = split_heads(h.values @ layer.wv)
+    q = split_heads(h @ layer.wq)  # (..., heads, n, d_head)
+    k = split_heads(h @ layer.wk)
+    v = split_heads(h @ layer.wv)
 
     rel_t = Tensor(rel)
     # (heads, n_i, n_j, d_head) slices of R W_kR and of R itself.
@@ -277,14 +259,12 @@ def adapted_attention(
     out = ad.swapaxes(attn @ v, -3, -2).reshape(lead + (n, d_model)) @ layer.wo
     if dropout is not None:
         out = ad.dropout(out, dropout[0])
-    h1 = ad.layer_norm(h.values + out, layer.ln1_g, layer.ln1_b)
+    h1 = ad.layer_norm(h + out, layer.ln1_g, layer.ln1_b)
 
     f = ad.gelu(h1 @ layer.ffn_w1 + layer.ffn_b1) @ layer.ffn_w2 + layer.ffn_b2
     if dropout is not None:
         f = ad.dropout(f, dropout[1])
-    h2 = ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b)
-
-    return CharRepr(_zero_masked_rows(h2, mask), mask), attn.data.copy()
+    return ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b), attn.data
 
 
 def encode(
@@ -294,27 +274,23 @@ def encode(
     context_vectors: np.ndarray | None = None,
     use_scaling: bool = False,
     dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> EncoderOutput:
+) -> tuple[Tensor, np.ndarray]:
     """Full encoder pass: embeddings then the adapted-transformer stack.
 
-    The returned attention matrix (head mean of the final layer, or the
-    raw H^A attention when no layer runs: `encoder.layers = 0`, the
-    no-adapted-transformer ablation) feeds the pairwise attention
-    buckets downstream. `dropout` holds one multiplier pair per layer,
-    shaped like the layer's (..., n, d_h) activations (see `draw_dropout`).
+    Returns the (..., n, d_h) character rows and the attention matrix
+    that feeds the pairwise attention buckets downstream: the head mean
+    of the final layer, or the raw H^A attention when no layer runs
+    (`encoder.layers = 0`, the no-adapted-transformer ablation).
+    `dropout` holds one multiplier pair per layer, shaped like the
+    layer's (..., n, d_h) activations (see `draw_dropout`).
     """
-    h, raw_attn = _embed_with_attention(char_ids, mask, params, context_vectors)
-    attn_2d = raw_attn
+    h, attn = _embed_with_attention(char_ids, mask, params, context_vectors)
     if params.layers:
-        rel = relative_position_embedding(h.n, params.config.d_h)
+        rel = relative_position_embedding(h.shape[-2], params.config.d_h)
         for i, layer in enumerate(params.layers):
             h, attn_heads = adapted_attention(
-                h,
-                layer,
-                params.config,
-                rel=rel,
-                use_scaling=use_scaling,
+                h, mask, layer, params.config, rel=rel, use_scaling=use_scaling,
                 dropout=None if dropout is None else dropout[i],
             )
-        attn_2d = attn_heads.mean(axis=-3)
-    return EncoderOutput(h=h, attn=attn_2d)
+        attn = attn_heads.mean(axis=-3)
+    return h, attn

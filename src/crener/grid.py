@@ -131,14 +131,9 @@ def attention_bucket(attn: np.ndarray, buckets: int) -> np.ndarray:
     return np.clip(ids, 0, buckets - 1)
 
 
-def _mask3(values: Tensor, mask2d: np.ndarray) -> Tensor:
-    return values * mask2d.astype(values.dtype)[..., None]
-
-
 def pair_features(
     v: Tensor,
     attn: np.ndarray,
-    mask2d: np.ndarray,
     params: GridParams,
     config: GridConfig,
 ) -> Tensor:
@@ -160,8 +155,7 @@ def pair_features(
         ids = attention_bucket(attn, config.attn_buckets)
         parts.append(ad.embedding(params.attn_table, ids))
     cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
-    c = ad.gelu(cat @ params.mlp1_w + params.mlp1_b)
-    return _mask3(c, mask2d)
+    return ad.gelu(cat @ params.mlp1_w + params.mlp1_b)
 
 
 def dilated_convolutions(
@@ -169,12 +163,12 @@ def dilated_convolutions(
 ) -> Tensor:
     """Channel concatenation of GELU(DConv_i(C)) over the dilation rates.
 
-    Zero padding keeps every output cell aligned with its input cell;
-    masked cells are zeroed going in and coming out.
+    Zero padding keeps every output cell aligned with its input cell.
+    Masked cells are zeroed going in, so a kernel reads padding as the
+    zeros beyond the grid's edge; what it writes there is left as is.
     """
-    c = _mask3(c, mask2d)
+    c = c * mask2d.astype(c.dtype)[..., None]
     outs = []
     for w, b, dilation in zip(params.conv_w, params.conv_b, config.dilations):
         outs.append(ad.gelu(ad.conv2d_dilated(c, w, b, dilation)))
-    q = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-1)
-    return _mask3(q, mask2d)
+    return outs[0] if len(outs) == 1 else ad.concat(outs, axis=-1)

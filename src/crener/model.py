@@ -12,15 +12,23 @@ is the batch of one, and prediction runs one unpadded sentence at a time.
 Prediction runs tape-free: `predict_grid` enters `autodiff.no_grad()`
 around the same forward, so it records no tape and keeps no
 intermediate array alive for a backward pass that never comes.
-Masked positions never reach unmasked ones, so a padded batch agrees
-with its sentences run alone on every unmasked cell, up to the order in
-which floating-point sums are taken. The loss is summed over unmasked
-cells; dividing by the total cell count gives the mean over a batch.
+The loss is summed over unmasked cells; dividing by the total cell
+count gives the mean over a batch.
+
+Padding contract: a padded slot can reach a real one only where
+positions mix, and only there is it masked: the key columns of the
+three attention softmaxes (H^A, each adapted-transformer layer, and
+enhancement's multi-head attention); the input of
+`grid.dilated_convolutions`; `relation_enhance.pool_recover`'s max,
+whose padded rows are re-zeroed after it, since they pool the -1e9 fill
+alone; and `co_predictor.multi_tag_loss` and `predict_cells`. Every
+other stage works per character or per cell and leaves padded rows
+holding whatever flows into them. So a padded batch agrees with its
+sentences run alone on every unmasked cell, whatever ids fill the
+padding, up to the order in which floating-point sums are taken.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +49,6 @@ def _pad_stack(rows: list[np.ndarray], width: int) -> np.ndarray:
     for b, row in enumerate(rows):
         out[b, :len(row)] = row
     return out
-
-
-@dataclass
-class ForwardResult:
-    fused: Tensor
-    h: enc_mod.CharRepr
-    tf: Tensor | None  # None without the MLP head, which alone reads it
-    mask2d: np.ndarray
 
 
 class CrenerModel:
@@ -262,32 +262,27 @@ class CrenerModel:
         mask: np.ndarray,
         context_vectors: np.ndarray | None = None,
         dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> ForwardResult:
-        """Scores for (..., n) ids and masks. `dropout`, given in training
-        only, holds one multiplier pair per encoder layer, shaped
-        (..., n, d_h). A stage or head runs when its parameters exist."""
-        enc_out = enc_mod.encode(
-            char_ids,
-            mask,
-            self.encoder_params,
-            context_vectors=context_vectors,
-            use_scaling=self.config.ablations.use_scaling_factor,
-            dropout=dropout,
+    ) -> tuple[Tensor, np.ndarray]:
+        """(..., n, n, |R|) scores and the (..., n, n) cell mask for (..., n)
+        ids and masks; scores at masked cells are meaningless. `dropout`,
+        given in training only, holds one multiplier pair per encoder layer,
+        shaped (..., n, d_h). A stage or head runs when its parameters exist."""
+        h, attn = enc_mod.encode(
+            char_ids, mask, self.encoder_params, context_vectors=context_vectors,
+            use_scaling=self.config.ablations.use_scaling_factor, dropout=dropout,
         )
-        h = enc_out.h
         tf = None if self.mlp_params is None else enh_mod.run_enhancement(
-            h.values, mask, enc_out.attn, self.grid_params, self.tag_params,
+            h, mask, attn, self.grid_params, self.tag_params,
             self.enhance_params, self.config.grid, self.config.enhance,
         )
         y_bi = None if self.biaffine_params is None else pred_mod.biaffine_scores(
-            h.values, self.biaffine_params
+            h, self.biaffine_params
         )
         y_mlp = None if tf is None else pred_mod.mlp_scores(tf, self.mlp_params)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
-        mask2d = grid_mod.pair_mask(mask)
         if not np.isfinite(fused.data).all():
             raise FloatingPointError("non-finite scores in forward pass")
-        return ForwardResult(fused=fused, h=h, tf=tf, mask2d=mask2d)
+        return fused, grid_mod.pair_mask(mask)
 
     def batch_loss(
         self,
@@ -314,16 +309,12 @@ class CrenerModel:
                 tuple(_pad_stack([d[layer][part] for d in dropout], width) for part in (0, 1))
                 for layer in range(len(dropout[0]))
             ]
-        out = self.forward(ids, mask, vectors, dropout=keep)
+        fused, mask2d = self.forward(ids, mask, vectors, dropout=keep)
         loss = pred_mod.multi_tag_loss(
-            out.fused,
-            gold,
-            self.tag_vocab,
-            out.mask2d,
-            s0=self.config.predictor.threshold,
-            reduction=reduction,
+            fused, gold, self.tag_vocab, mask2d,
+            s0=self.config.predictor.threshold, reduction=reduction,
         )
-        return loss, int(out.mask2d.sum())
+        return loss, int(mask2d.sum())
 
     def sentence_loss(
         self,
@@ -341,16 +332,17 @@ class CrenerModel:
 
         The forward runs tape-free (inside `no_grad()`): nothing is kept
         for a backward pass, and the scores are those of the taped forward.
+        Non-finite scores raise FloatingPointError naming the sentence.
         """
         ids, mask, vectors = self.sentence_inputs(sentence)
-        with no_grad():
-            out = self.forward(ids, mask, vectors)
+        try:
+            with no_grad():
+                fused, mask2d = self.forward(ids, mask, vectors)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"sentence {sentence.id!r}: {exc}") from None
         return pred_mod.predict_cells(
-            out.fused,
-            self.tag_vocab,
-            out.mask2d,
-            mode=self.config.predictor.mode,
-            s0=self.config.predictor.threshold,
+            fused, self.tag_vocab, mask2d,
+            mode=self.config.predictor.mode, s0=self.config.predictor.threshold,
         )
 
     def predict_sentence(self, sentence: Sentence) -> set[EntityMention]:

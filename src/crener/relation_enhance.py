@@ -103,8 +103,10 @@ def pool_recover(
     """Max over columns -> subject vectors, max over rows -> object vectors.
 
     Masked cells are filled with a large negative constant so they never
-    win the max; each pooled map passes through its own affine + GELU to
-    character width, and padded positions are re-zeroed.
+    win a real row's or column's max; each pooled map passes through its
+    own affine + GELU to character width. A padded position pools only
+    filled cells, so its rows are re-zeroed rather than carry that
+    constant's scale into enhancement.
     """
     m3 = grid_mod.pair_mask(mask).astype(tf.dtype)[..., None]
     filled = tf * m3 + (1.0 - m3) * _MASK_FILL
@@ -173,8 +175,7 @@ def enhance_round(
     o_out = ad.gelu(o_ct @ params.out_o_w + params.out_o_b)
     h_s_next = ad.layer_norm(h_s_r + s_out, params.ln_s_g, params.ln_s_b)
     h_o_next = ad.layer_norm(h_o_r + o_out, params.ln_o_g, params.ln_o_b)
-    mcol = mask.astype(h_s_next.dtype)[..., None]
-    return h_s_next * mcol, h_o_next * mcol
+    return h_s_next, h_o_next
 
 
 def run_enhancement(
@@ -197,14 +198,13 @@ def run_enhancement(
     round, and an empty `grid_params.conv_w` skips the convolutions.
     """
     rounds = enhance_config.rounds
-    mask2d = grid_mod.pair_mask(mask)
+    mask2d = grid_mod.pair_mask(mask)  # read by the convolutions alone
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, grid_params)
     h_s, h_o = h_s0, h_o0
     for r in range(rounds):
         v = grid_mod.conditional_layer_norm(h_s, h_o, grid_params)
-        v = v * mask2d.astype(v.dtype)[..., None]
-        c = grid_mod.pair_features(v, attn, mask2d, grid_params, grid_config)
+        c = grid_mod.pair_features(v, attn, grid_params, grid_config)
         q = (
             grid_mod.dilated_convolutions(c, mask2d, grid_params, grid_config)
             if grid_params.conv_w

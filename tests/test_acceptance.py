@@ -253,12 +253,12 @@ def test_06_attention_invariants(capsys):
 
     h0, _ = enc_mod._embed_with_attention(ids, mask, params)
     rel = enc_mod.relative_position_embedding(len(ids), cfg.d_h)
-    _, weights = enc_mod.adapted_attention(h0, params.layers[0], cfg, rel=rel)
-    out = enc_mod.encode(ids, mask, params)
+    _, weights = enc_mod.adapted_attention(h0, mask, params.layers[0], cfg, rel=rel)
+    _, attn = enc_mod.encode(ids, mask, params)
 
     row_err = 0.0
     masked_leak = 0.0
-    for mat in list(weights) + [out.attn]:
+    for mat in list(weights) + [attn]:
         rows = mat[mask]
         row_err = max(row_err, float(np.abs(rows.sum(axis=-1) - 1.0).max()))
         masked_leak = max(masked_leak, float(np.abs(mat[:, ~mask]).max()))

@@ -366,6 +366,45 @@ def test_bad_sidecar_exits_2(workspace, tmp_path, capsys, extra_rows, where):
         assert repr(sentence["id"]) in err
 
 
+def sidecar_run(workspace, tmp_path, command, value) -> tuple[int, str]:
+    """Exit code of `command` run with a sidecar whose first dev sentence's
+    vectors all hold `value`, and that sentence's id."""
+    sentence = json.loads(workspace["dev"].read_text().splitlines()[0])
+    rows = [[value] * small_config().encoder.d_context] * len(sentence["text"])
+    records = [{"id": sentence["id"], "vectors": rows}]
+    if command == "train":
+        sidecar = tmp_path / "vectors.jsonl"
+        sidecar.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return main(["train", "--config", str(workspace["cfg"]), "--quiet",
+                     "--checkpoint-dir", str(tmp_path / "ck"),
+                     "--set", f"paths.vectors_sidecar={sidecar}"]), sentence["id"]
+    data = tmp_path / "one.jsonl"
+    data.write_text(json.dumps(sentence) + "\n")
+    ckpt = checkpoint_with_sidecar(workspace, tmp_path, records)
+    argv = (["eval", "--data", str(data), "--out", str(tmp_path / "r.json")] if command == "eval"
+            else ["predict", "--input", str(data), "--output", "-"])
+    return main(argv + ["--checkpoint", str(ckpt)]), sentence["id"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_nan_sidecar_exits_2(workspace, tmp_path, capsys, command):
+    code, sid = sidecar_run(workspace, tmp_path, command, float("nan"))
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("data error: ") and "vectors.jsonl:1" in err and repr(sid) in err
+    assert "finite" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_overflowing_sidecar_exits_2(workspace, tmp_path, capsys, command):
+    code, sid = sidecar_run(workspace, tmp_path, command, 1e30)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith(f"data error: sentence {sid!r}: non-finite scores")
+    assert err.count("\n") == 1
+
+
 class TestPredictCommand:
     def test_stdout_mode_emits_jsonl(self, workspace, capsys):
         code = main(["predict", "--checkpoint", str(workspace["ckpt"]),

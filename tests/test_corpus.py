@@ -131,8 +131,6 @@ class TestCharVocabulary:
         vocab = CharVocabulary(["x"])
         ids = vocab.encode(["x", "q"])
         assert ids.tolist() == [2, vocab.unk_id]
-        with pytest.raises(CorpusError):
-            vocab.encode(["q"], allow_unknown=False)
 
     def test_from_sentences_first_seen_order(self):
         sents = [Sentence("a", list("ba"), []), Sentence("b", list("ac"), [])]

@@ -62,9 +62,12 @@ class TestEmbedding:
         ids = np.array([2, 3, 4, 0, 0])
         mask = np.array([True, True, True, False, False])
         h, _ = _embed_with_attention(ids, mask, model.encoder_params)
-        assert h.values.shape == (5, model.config.encoder.d_h)
-        np.testing.assert_array_equal(h.values.data[3:], 0.0)
-        assert np.abs(h.values.data[:3]).sum() > 0
+        assert h.shape == (5, model.config.encoder.d_h)
+        assert np.abs(h.data[:3]).sum() > 0
+        # Masked rows hold whatever their ids give them and reach no real row.
+        other, _ = _embed_with_attention(np.array([2, 3, 4, 1, 2]), mask, model.encoder_params)
+        assert not np.array_equal(other.data[3:], h.data[3:])
+        np.testing.assert_array_equal(other.data[:3], h.data[:3])
 
     def test_provided_context_vectors_replace_lookup(self):
         model, _ = small_model()
@@ -73,7 +76,7 @@ class TestEmbedding:
         mask = np.ones(2, dtype=bool)
         vecs = np.full((2, cfg.d_context), 0.25, dtype=np.float32)
         h, _ = _embed_with_attention(ids, mask, model.encoder_params, context_vectors=vecs)
-        np.testing.assert_allclose(h.values.data[:, : cfg.d_context], 0.25, atol=1e-6)
+        np.testing.assert_allclose(h.data[:, : cfg.d_context], 0.25, atol=1e-6)
 
     def test_wrong_vector_width_rejected(self):
         model, _ = small_model()
@@ -99,9 +102,8 @@ def test_adapted_scores_match_scalar_loops(rng):
     mask = np.array([True] * 5 + [False])
     hvals = rng.normal(size=(n, d)).astype(np.float32)
     hvals[~mask] = 0.0
-    from crener.encoder import CharRepr
 
-    _, attn = adapted_attention(CharRepr(Tensor(hvals), mask), layer, cfg)
+    _, attn = adapted_attention(Tensor(hvals), mask, layer, cfg)
 
     rel = relative_position_embedding(n, d).astype(np.float32)
     q = hvals @ layer.wq.data
@@ -137,17 +139,14 @@ def test_adapted_attention_padded_batch_matches_each_sentence(rng):
     mask = np.arange(6)[None, :] < np.array(lengths)[:, None]
     hvals = rng.normal(size=(2, 6, cfg.d_h)).astype(np.float32)
     hvals[~mask] = 0.0
-    from crener.encoder import CharRepr
 
-    out, attn = adapted_attention(CharRepr(Tensor(hvals), mask), layer, cfg)
+    out, attn = adapted_attention(Tensor(hvals), mask, layer, cfg)
     assert attn.shape == (2, cfg.heads, 6, 6)
     for b, n in enumerate(lengths):
-        alone, alone_attn = adapted_attention(
-            CharRepr(Tensor(hvals[b, :n]), mask[b, :n]), layer, cfg
-        )
+        alone, alone_attn = adapted_attention(Tensor(hvals[b, :n]), mask[b, :n], layer, cfg)
         np.testing.assert_allclose(attn[b, :, :n, :n], alone_attn, atol=1e-5)
         np.testing.assert_array_equal(attn[b, :, :, n:], 0.0)
-        np.testing.assert_allclose(out.values.data[b, :n], alone.values.data, atol=1e-5)
+        np.testing.assert_allclose(out.data[b, :n], alone.data, atol=1e-5)
 
 
 def test_scaling_flag_divides_scores(rng):
@@ -157,12 +156,9 @@ def test_scaling_flag_divides_scores(rng):
     n = 5
     mask = np.ones(n, dtype=bool)
     hvals = rng.normal(size=(n, cfg.d_h)).astype(np.float32)
-    from crener.encoder import CharRepr
 
-    _, plain = adapted_attention(CharRepr(Tensor(hvals.copy()), mask), layer, cfg)
-    _, scaled = adapted_attention(
-        CharRepr(Tensor(hvals.copy()), mask), layer, cfg, use_scaling=True
-    )
+    _, plain = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg)
+    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, use_scaling=True)
     assert not np.allclose(plain, scaled)
     # Scaling flattens: average row entropy goes up.
     def entropy(w):
@@ -200,47 +196,44 @@ class TestEncode:
     def test_attention_rows_stochastic_and_masked_zero(self):
         model, sents = small_model()
         ids, mask, _ = model.sentence_inputs(sents[0], pad_to=len(sents[0]) + 3)
-        out = encode(ids, mask, model.encoder_params)
+        _, attn = encode(ids, mask, model.encoder_params)
         n_real = int(mask.sum())
-        np.testing.assert_allclose(out.attn[:n_real].sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_array_equal(out.attn[:, ~mask], 0.0)
-        np.testing.assert_array_equal(out.h.values.data[~mask], 0.0)
+        np.testing.assert_allclose(attn[:n_real].sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_array_equal(attn[:, ~mask], 0.0)
 
     def test_padding_does_not_change_real_rows(self):
         model, sents = small_model()
         s = sents[0]
         ids, mask, _ = model.sentence_inputs(s)
         ids_p, mask_p, _ = model.sentence_inputs(s, pad_to=len(s) + 5)
-        out = encode(ids, mask, model.encoder_params)
-        out_p = encode(ids_p, mask_p, model.encoder_params)
+        h, attn = encode(ids, mask, model.encoder_params)
+        h_p, attn_p = encode(ids_p, mask_p, model.encoder_params)
         n = len(s)
-        np.testing.assert_allclose(
-            out_p.h.values.data[:n], out.h.values.data, atol=1e-6
-        )
-        np.testing.assert_allclose(out_p.attn[:n, :n], out.attn, atol=1e-6)
+        np.testing.assert_allclose(h_p.data[:n], h.data, atol=1e-6)
+        np.testing.assert_allclose(attn_p[:n, :n], attn, atol=1e-6)
 
     def test_skip_adapted_returns_raw_embedding(self):
         """No layers (`encoder.layers = 0`, the no-adapted-transformer
         ablation) leave the raw embedding."""
         model, sents = small_model()
         ids, mask, _ = model.sentence_inputs(sents[0])
-        skipped = encode(ids, mask, dataclasses.replace(model.encoder_params, layers=[]))
+        skipped, _ = encode(ids, mask, dataclasses.replace(model.encoder_params, layers=[]))
         raw, _ = _embed_with_attention(ids, mask, model.encoder_params)
-        np.testing.assert_array_equal(skipped.h.values.data, raw.values.data)
-        full = encode(ids, mask, model.encoder_params)
-        assert not np.allclose(full.h.values.data, raw.values.data)
+        np.testing.assert_array_equal(skipped.data, raw.data)
+        full, _ = encode(ids, mask, model.encoder_params)
+        assert not np.allclose(full.data, raw.data)
 
     def test_dropout_only_when_rng_given(self):
         model, sents = small_model()
         model.config.encoder.dropout = 0.3
         ids, mask, _ = model.sentence_inputs(sents[0])
-        a = encode(ids, mask, model.encoder_params)
-        b = encode(ids, mask, model.encoder_params)
-        np.testing.assert_array_equal(a.h.values.data, b.h.values.data)
+        a, _ = encode(ids, mask, model.encoder_params)
+        b, _ = encode(ids, mask, model.encoder_params)
+        np.testing.assert_array_equal(a.data, b.data)
         keep = draw_dropout(np.random.default_rng(0), len(ids), model.config.encoder,
                             model.store.dtype)
-        c = encode(ids, mask, model.encoder_params, dropout=keep)
-        assert not np.allclose(a.h.values.data, c.h.values.data)
+        c, _ = encode(ids, mask, model.encoder_params, dropout=keep)
+        assert not np.allclose(a.data, c.data)
 
 
 class TestSidecar:
@@ -264,6 +257,17 @@ class TestSidecar:
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id": "s1", "vectors": [[1, 2]]}\n{oops\n')
         with pytest.raises(CorpusError, match=":2"):
+            load_sidecar_vectors(path, 2)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e39"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        # json reads NaN and Infinity; -1e39 is finite but beyond float32.
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(
+            '{"id": "s1", "vectors": [[1, 2]]}\n'
+            f'{{"id": "s2", "vectors": [[1, {value}]]}}\n'
+        )
+        with pytest.raises(CorpusError, match=r"vectors.jsonl:2: vectors for 's2' are not all"):
             load_sidecar_vectors(path, 2)
 
 

@@ -7,9 +7,11 @@ import pytest
 from conftest import small_config, small_model
 from crener import co_predictor as pred_mod
 from crener.config import apply_overrides, set_key
-from crener.corpus import CharVocabulary, Sentence, build_tag_vocabulary
+from crener.corpus import CharVocabulary, Sentence, build_tag_vocabulary, encode_grid
+from crener.encoder import encode
 from crener.errors import ConfigError, CorpusError
 from crener.model import CrenerModel
+from crener.relation_enhance import run_enhancement
 
 
 EXPECTED_GROUP_PREFIXES = [
@@ -100,8 +102,8 @@ def test_forward_is_deterministic():
     a, sents = small_model(seed=5)
     b, _ = small_model(seed=5)
     ids, mask, _ = a.sentence_inputs(sents[0])
-    fa = a.forward(ids, mask).fused.data
-    fb = b.forward(ids, mask).fused.data
+    fa = a.forward(ids, mask)[0].data
+    fb = b.forward(ids, mask)[0].data
     np.testing.assert_array_equal(fa, fb)
 
 
@@ -111,12 +113,55 @@ def test_padding_invariance_end_to_end():
     n = len(s)
     ids, mask, _ = model.sentence_inputs(s)
     ids_p, mask_p, _ = model.sentence_inputs(s, pad_to=n + 4)
-    out = model.forward(ids, mask)
-    out_p = model.forward(ids_p, mask_p)
-    np.testing.assert_allclose(
-        out_p.fused.data[:n, :n], out.fused.data, atol=2e-4
-    )
-    np.testing.assert_array_equal(out_p.mask2d[:n, :n], out.mask2d)
+    fused, mask2d = model.forward(ids, mask)
+    fused_p, mask2d_p = model.forward(ids_p, mask_p)
+    np.testing.assert_allclose(fused_p.data[:n, :n], fused.data, atol=2e-4)
+    np.testing.assert_array_equal(mask2d_p[:n, :n], mask2d)
+
+
+def padded_batch_run(model, sentences, fill=None):
+    """Real-cell scores, summed loss and every parameter gradient of one
+    padded batch; `fill` draws the ids of the padded slots (default: the
+    pad id)."""
+    width = max(len(s) for s in sentences)
+    ids, masks, _ = zip(*(model.sentence_inputs(s, pad_to=width) for s in sentences))
+    ids, mask = np.stack(ids), np.stack(masks)
+    if fill is not None:
+        ids = np.where(mask, ids, fill.integers(0, len(model.char_vocab), size=ids.shape))
+    gold = np.zeros(mask.shape + (width, len(model.tag_vocab)), dtype=bool)
+    for b, s in enumerate(sentences):
+        gold[b, :len(s), :len(s)] = encode_grid(s, model.tag_vocab)
+    model.store.zero_grad()
+    fused, mask2d = model.forward(ids, mask)
+    loss = pred_mod.multi_tag_loss(fused, gold, model.tag_vocab, mask2d,
+                                   s0=model.config.predictor.threshold, reduction="sum")
+    loss.backward()
+    grads = {name: t.grad.copy() for name, t in model.store.items()}
+    return fused.data[mask2d], loss.item(), grads
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["ablations.no_dilated_conv=true"], ["encoder.layers=0"], ["enhance.rounds=3"]],
+    ids=["default", "no_dilated_conv", "layers-0", "rounds-3"],
+)
+def test_padding_contents_never_reach_real_cells(overrides, double):
+    """Only the masks where positions mix keep padding out: with random
+    character ids in the padded slots instead of the pad id, real-cell
+    scores, the loss and every gradient are bit-identical."""
+    cfg = small_config(double=double)
+    apply_overrides(cfg, overrides)
+    model, sents = small_model(config=cfg)
+    batch = sents[:4]
+    assert len({len(s) for s in batch}) > 1  # some slots are padded
+    scores, loss, grads = padded_batch_run(model, batch)
+    g_scores, g_loss, g_grads = padded_batch_run(model, batch, np.random.default_rng(5))
+    np.testing.assert_array_equal(g_scores, scores)
+    assert g_loss == loss
+    assert g_grads.keys() == grads.keys()
+    for name in grads:
+        np.testing.assert_array_equal(g_grads[name], grads[name], err_msg=name)
 
 
 class TestAblationRouting:
@@ -129,16 +174,22 @@ class TestAblationRouting:
     def test_no_mlp_leaves_biaffine_only(self):
         model, sents = self.model_with(no_mlp_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
-        out = model.forward(ids, mask)
-        expect = pred_mod.biaffine_scores(out.h.values, model.biaffine_params)
-        np.testing.assert_array_equal(out.fused.data, expect.data)
+        fused, _ = model.forward(ids, mask)
+        h, _ = encode(ids, mask, model.encoder_params)
+        expect = pred_mod.biaffine_scores(h, model.biaffine_params)
+        np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_no_biaffine_leaves_mlp_only(self):
         model, sents = self.model_with(no_biaffine_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
-        out = model.forward(ids, mask)
-        expect = pred_mod.mlp_scores(out.tf, model.mlp_params)
-        np.testing.assert_array_equal(out.fused.data, expect.data)
+        fused, _ = model.forward(ids, mask)
+        h, attn = encode(ids, mask, model.encoder_params)
+        tf = run_enhancement(
+            h, mask, attn, model.grid_params, model.tag_params, model.enhance_params,
+            model.config.grid, model.config.enhance,
+        )
+        expect = pred_mod.mlp_scores(tf, model.mlp_params)
+        np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_pair_feature_width_tracks_flags(self):
         base, _ = self.model_with()
@@ -165,8 +216,8 @@ class TestAblationRouting:
         names = set(one.store.names())
         one.store.load_state_dict({n: v for n, v in two.store.state_dict().items() if n in names})
         ids, mask, _ = one.sentence_inputs(sents[0])
-        f1 = one.forward(ids, mask).fused.data
-        f2 = two.forward(ids, mask).fused.data
+        f1 = one.forward(ids, mask)[0].data
+        f2 = two.forward(ids, mask)[0].data
         assert not np.allclose(f1, f2)
 
     def test_both_predictors_off_rejected(self):
@@ -231,9 +282,9 @@ class TestContextProvider:
         plain = CrenerModel(cfg, model.char_vocab, vocab)
         ids, mask, vecs = model.sentence_inputs(sents[0])
         assert vecs is not None
-        out = model.forward(ids, mask, vecs)
-        out_plain = plain.forward(*plain.sentence_inputs(sents[0])[:2])
-        assert not np.allclose(out.fused.data, out_plain.fused.data)
+        fused, _ = model.forward(ids, mask, vecs)
+        fused_plain, _ = plain.forward(*plain.sentence_inputs(sents[0])[:2])
+        assert not np.allclose(fused.data, fused_plain.data)
 
     def test_missing_sidecar_id_raises(self):
         model, sents = small_model()
@@ -259,10 +310,10 @@ class TestTapeFreePrediction:
         model, sents = small_model(config=cfg)
         for s in sents:
             ids, mask, vectors = model.sentence_inputs(s)
-            out = model.forward(ids, mask, vectors)
-            assert out.fused.requires_grad  # the reference keeps its tape
+            fused, mask2d = model.forward(ids, mask, vectors)
+            assert fused.requires_grad  # the reference keeps its tape
             expected = pred_mod.predict_cells(
-                out.fused, model.tag_vocab, out.mask2d,
+                fused, model.tag_vocab, mask2d,
                 mode=mode, s0=cfg.predictor.threshold,
             )
             got = model.predict_grid(s)

@@ -157,18 +157,6 @@ def test_enhance_round_matches_manual_composition(rng):
     np.testing.assert_allclose(got_o.data, o_exp.data, atol=1e-5)
 
 
-def test_enhance_round_zeroes_masked_rows(rng):
-    model, _, _, _ = setup(n=6)
-    p = model.enhance_params
-    d = model.config.encoder.d_h
-    mask = np.array([True] * 4 + [False] * 2)
-    views = [Tensor(rng.normal(size=(6, d)).astype(np.float32)) for _ in range(4)]
-    h_s, h_o = enh.enhance_round(*views, mask, p, model.config.enhance)
-    np.testing.assert_array_equal(h_s.data[4:], 0.0)
-    np.testing.assert_array_equal(h_o.data[4:], 0.0)
-    assert np.abs(h_s.data[:4]).sum() > 0 and np.abs(h_o.data[:4]).sum() > 0
-
-
 class TestRunEnhancement:
     def run(self, model, h, attn, mask, rounds=None):
         """The loop as a model with `enhance.rounds = rounds` runs it, on
@@ -186,8 +174,7 @@ class TestRunEnhancement:
         gp, gc = model.grid_params, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
         v = grid_mod.conditional_layer_norm(h_s, h_o, gp)
-        v = v * Tensor(mask2d.astype(v.dtype)[:, :, None])
-        c = grid_mod.pair_features(v, attn, mask2d, gp, gc)
+        c = grid_mod.pair_features(v, attn, gp, gc)
         q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
         return enh.tag_features(q, model.tag_params)
 
@@ -254,12 +241,3 @@ class TestRunEnhancement:
         a = self.run(model, h, attn, mask)
         b = self.run(model, h, attn, mask)
         np.testing.assert_array_equal(a.data, b.data)
-
-    def test_masked_positions_stay_zero(self):
-        model, h, attn, _ = setup(n=6)
-        mask = np.array([True] * 4 + [False] * 2)
-        hv = h.data.copy()
-        hv[4:] = 0.0
-        tf = self.run(model, Tensor(hv), attn, mask)
-        mask2d = np.logical_and(mask[:, None], mask[None, :])
-        np.testing.assert_array_equal(tf.data[~mask2d], 0.0)
