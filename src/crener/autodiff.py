@@ -24,12 +24,56 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import kernels
 
-_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# `normal_cdf`'s polynomial P, highest power of s first. P is the Chebyshev
+# series of f(s) = z^2 + ln(erfc(z) / t) on s in (-1, 1], where
+# t = (1 + s) / 2 and z = 2 / t - 2 (Numerical Recipes, 3rd ed., 2007,
+# section 6.2, `erfccheb`), cut to its first 10 terms for float32 and 24
+# for float64, rewritten in powers of s, with -ln 2 added to the constant
+# term so that t * exp(-z^2 + P) is erfc(z) / 2. The series was computed
+# once in 60-digit arithmetic with mpmath: c_k = (2 / N) * sum_j f(cos a_j)
+# * cos(k a_j), a_j = pi (j + 1/2) / N, N = 96, c_0 halved. The first
+# terms dropped (|c_10| + |c_11| ~ 1e-7, |c_24| ~ 1.5e-15) bound P's
+# error, which is erfc's relative error.
+_CDF_POLY_F32 = (
+    0.00033373589390861395, -0.00020790912059481928, -0.002048734760496573,
+    0.0017765646350106873, 0.008703812035218805, -0.009873768747331393,
+    -0.04687488817886134, 0.047343106290901014, 0.6726422171554879,
+    -1.3649412566142796,
+)
+_CDF_POLY_F64 = (
+    2.980513364515168e-08, 7.992047577730608e-10, -2.895626567435524e-07,
+    1.5975482569412025e-07, 1.283394915356199e-06, -1.7128780471140371e-06,
+    -2.963484230959699e-06, 8.952692300720023e-06, 1.3989370477611051e-07,
+    -3.0421097531594203e-05, 3.174693542327236e-05, 7.149530982602198e-05,
+    -0.00017430412986925938, -9.376035760297014e-05, 0.0006736791352568864,
+    -0.00014624252395767715, -0.002345812552995894, 0.0017589331171176884,
+    0.008824938561312326, -0.00987268934319109, -0.04689561023132892,
+    0.04734330684142489, 0.6726432239776583, -1.364941264616636,
+)
+
+
+def _cdf_constants(dtype, poly: tuple) -> tuple:
+    """`normal_cdf`'s scalars as read-only 0-d arrays of `dtype`, which a
+    ufunc takes in less time than a Python float or a numpy scalar."""
+
+    def const(value):
+        a = np.array(value, dtype=dtype)
+        a.flags.writeable = False
+        return a
+
+    return (const(2.0 * np.sqrt(2.0)), const(1.0), const(2.0), const(0.5),
+            tuple(const(c) for c in poly))
+
+
+_CDF_CONSTANTS = {
+    np.dtype(np.float32): _cdf_constants(np.float32, _CDF_POLY_F32),
+    np.dtype(np.float64): _cdf_constants(np.float64, _CDF_POLY_F64),
+}
 
 # Off inside `no_grad()`; read by `Tensor._make` and `Tensor.backward`.
 _grad_enabled = True
@@ -251,10 +295,41 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a float32 or float64 array, in its dtype.
+
+    Phi(x) = 1/2 + sign(x) * (1/2 - erfc(|x| / sqrt 2) / 2), with
+    erfc(z) = t * exp(-z^2 + P(s)), t = 2 / (2 + z) and s = 2t - 1. Its
+    largest absolute error is below 2e-7 in float32 and 1e-15 in float64.
+    It writes in place into three buffers of x's size, so that large grids
+    do not fault in fresh pages for more.
+    """
+    two_sqrt2, one, two, half, poly = _CDF_CONSTANTS[x.dtype]
+    t = np.abs(x)
+    t += two_sqrt2
+    np.divide(two_sqrt2, t, out=t)
+    s = t * two
+    s -= one
+    p = s * poly[0]
+    p += poly[1]
+    for c in poly[2:]:
+        p *= s
+        p += c
+    np.multiply(x, x, out=s)
+    s *= half  # z^2
+    p -= s
+    np.exp(p, out=p)
+    p *= t  # erfc(z) / 2
+    np.subtract(half, p, out=p)
+    np.copysign(p, x, out=p)
+    p += half
+    return p
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU: x * Phi(x)."""
     x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    cdf = normal_cdf(x)
     out_data = x * cdf
 
     def backward(g):

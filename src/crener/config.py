@@ -101,6 +101,12 @@ class ModelConfig:
             self.predictor.validate()
         except CrenerError as exc:
             raise ConfigError(str(exc)) from None
+        # Enhancement's multi-head attention splits the encoder width.
+        if self.encoder.d_h % self.enhance.heads != 0:
+            raise ConfigError(
+                f"enhance.heads {self.enhance.heads} does not divide "
+                f"the encoder width d_h {self.encoder.d_h}"
+            )
         self.optimizer.validate()
         self.ablations.validate()
 

@@ -57,6 +57,17 @@ class EntityMention:
         if not self.type:
             raise CorpusError("entity has empty type label")
 
+    @classmethod
+    def trusted(cls, indices: tuple[int, ...], type: str) -> "EntityMention":
+        """A mention built without `__post_init__`'s conversion and checks,
+        for a caller whose `indices` are already a tuple of strictly
+        increasing non-negative ints and whose `type` is not empty."""
+        mention = object.__new__(cls)
+        fields = mention.__dict__
+        fields["indices"] = indices
+        fields["type"] = type
+        return mention
+
     @property
     def head(self) -> int:
         return self.indices[0]

@@ -46,7 +46,7 @@ def decode_grid(
         broken = np.concatenate(([0], (~link).cumsum()))
         keep = (heads <= tails) & (broken[heads] == broken[tails])
         return {
-            EntityMention(tuple(range(head, tail + 1)), types[k])
+            EntityMention.trusted(tuple(range(head, tail + 1)), types[k])
             for head, tail, k in zip(
                 heads[keep].tolist(), tails[keep].tolist(), kinds[keep].tolist()
             )
@@ -59,7 +59,7 @@ def decode_grid(
             continue
         etype = types[k]
         if head == tail:
-            found.add(EntityMention((head,), etype))
+            found.add(EntityMention.trusted((head,), etype))
             continue
         # Iterative DFS over strictly increasing paths from head to tail.
         stack = [(head,)]
@@ -70,7 +70,7 @@ def decode_grid(
                 if not edge[a][b]:
                     continue
                 if b == tail:
-                    found.add(EntityMention(path + (b,), etype))
+                    found.add(EntityMention.trusted(path + (b,), etype))
                 else:
                     stack.append(path + (b,))
     return found

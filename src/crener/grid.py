@@ -126,9 +126,13 @@ def region_ids(n: int) -> np.ndarray:
 
 
 def attention_bucket(attn: np.ndarray, buckets: int) -> np.ndarray:
-    """Uniform bucket ids over [0, 1] attention weights."""
-    ids = np.floor(np.asarray(attn) * buckets).astype(np.int64)
-    return np.clip(ids, 0, buckets - 1)
+    """Uniform bucket ids over [0, 1] attention weights.
+
+    Out-of-range weights clip to the end buckets. NaN goes to bucket 0:
+    `fmax` drops it before the cast, which would warn on it.
+    """
+    ids = np.fmin(np.fmax(np.floor(np.asarray(attn) * buckets), 0), buckets - 1)
+    return ids.astype(np.int64)
 
 
 def pair_features(
@@ -166,9 +170,11 @@ def dilated_convolutions(
     Zero padding keeps every output cell aligned with its input cell.
     Masked cells are zeroed going in, so a kernel reads padding as the
     zeros beyond the grid's edge; what it writes there is left as is.
+    GELU is elementwise, so it runs once, on the concatenation.
     """
     c = c * mask2d.astype(c.dtype)[..., None]
-    outs = []
-    for w, b, dilation in zip(params.conv_w, params.conv_b, config.dilations):
-        outs.append(ad.gelu(ad.conv2d_dilated(c, w, b, dilation)))
-    return outs[0] if len(outs) == 1 else ad.concat(outs, axis=-1)
+    outs = [
+        ad.conv2d_dilated(c, w, b, dilation)
+        for w, b, dilation in zip(params.conv_w, params.conv_b, config.dilations)
+    ]
+    return ad.gelu(outs[0] if len(outs) == 1 else ad.concat(outs, axis=-1))

@@ -332,11 +332,13 @@ class CrenerModel:
 
         The forward runs tape-free (inside `no_grad()`): nothing is kept
         for a backward pass, and the scores are those of the taped forward.
-        Non-finite scores raise FloatingPointError naming the sentence.
+        Non-finite scores raise FloatingPointError naming the sentence;
+        the overflow or invalid operation that made them issues no numpy
+        warning first.
         """
         ids, mask, vectors = self.sentence_inputs(sentence)
         try:
-            with no_grad():
+            with no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 fused, mask2d = self.forward(ids, mask, vectors)
         except FloatingPointError as exc:
             raise FloatingPointError(f"sentence {sentence.id!r}: {exc}") from None

@@ -5,6 +5,7 @@ of its forward pass in double precision; the forward values themselves
 are compared against plain numpy where a closed form exists.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -70,6 +71,21 @@ class TestElementwise:
     def test_gelu_gradient(self, rng):
         x = rng.normal(size=(5, 5))
         fd_check(lambda t: ad.gelu(t).sum(), [x])
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 3e-7), (np.float64, 2e-15)])
+    def test_normal_cdf_matches_stdlib_erfc(self, dtype, bound):
+        # Both tails, where erfc underflows, and the sign change at 0.
+        x = np.linspace(-10.0, 10.0, 400_001).astype(dtype)
+        expected = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+        assert np.abs(ad.normal_cdf(x) - expected).max() <= bound
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normal_cdf_keeps_dtype_and_limits(self, dtype):
+        x = np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan], dtype=dtype)
+        cdf = ad.normal_cdf(x)
+        assert cdf.dtype == dtype
+        np.testing.assert_allclose(cdf, [0.0, 0.0, 0.5, 1.0, 1.0, np.nan], atol=3e-7)
+        assert ad.gelu(Tensor(x[1:4])).data.dtype == dtype
 
 
 class TestShape:

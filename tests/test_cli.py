@@ -2,8 +2,12 @@
 main() the way a shell would use them."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +180,16 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {override.split('=')[0]}: expected a finite number")
+        assert not (tmp_path / "x").exists()
+
+    def test_enhance_heads_must_divide_width_exits_1(self, workspace, tmp_path, capsys):
+        code = main(["train", "--config", str(workspace["cfg"]),
+                     "--checkpoint-dir", str(tmp_path / "x"), "--quiet",
+                     "--set", "enhance.heads=3"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: enhance.heads 3 does not divide the encoder width d_h 16\n"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_missing_train_file_exits_2(self, workspace, tmp_path, capsys):
@@ -395,12 +409,14 @@ def test_nan_sidecar_exits_2(workspace, tmp_path, capsys, command):
     assert "finite" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_overflowing_sidecar_exits_2(workspace, tmp_path, capsys, command):
-    code, sid = sidecar_run(workspace, tmp_path, command, 1e30)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, sid = sidecar_run(workspace, tmp_path, command, 1e30)
     err = capsys.readouterr().err
-    assert code == 2 and "Traceback" not in err
+    assert code == 2 and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err.startswith(f"data error: sentence {sid!r}: non-finite scores")
     assert err.count("\n") == 1
 
@@ -548,3 +564,13 @@ def test_unreadable_config_exits_1(tmp_path, capsys, kind):
     assert main(["train", "--config", str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert f"cannot read config {path}" in err and "Traceback" not in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, crener.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -146,6 +146,11 @@ class TestIndexEmbeddingIds:
             attention_bucket(vals, 16), [0, 0, 1, 8, 15, 15]
         )
 
+    def test_attention_bucket_non_finite_weights(self):
+        # An overflowing forward can hand NaN or inf weights here.
+        vals = np.array([np.nan, np.inf, -np.inf, -0.5, 2.0])
+        np.testing.assert_array_equal(attention_bucket(vals, 16), [0, 15, 0, 0, 15])
+
 
 class TestPairFeatures:
     def test_matches_manual_concat(self):
