@@ -6,10 +6,14 @@ ndarray; every operation records a backward closure, and calling
 topological order, accumulating gradients into ``.grad``. The same code
 runs in float32 (training default) and float64 (gradient-check mode).
 
-Operations accept any number of leading (batch) axes. ``backward()``
-releases the tape as it walks it: once a node's closure has run, the
-node drops its gradient, closure and parents, so the arrays the closure
-saved are freed before the walk ends. Leaves keep ``.grad``.
+Operations accept any number of leading (batch) axes. Each op keeps only
+what its backward reads. The grid-sized stages are single fused ops with
+one output array each: `linear` (affine map, optionally followed by GELU,
+which saves GELU's derivative rather than its input), `scale_shift`,
+`masked_max` and `dilated_conv_gelu`. ``backward()`` releases the tape
+as it walks it: once a node's closure has run, the node drops its
+gradient, closure and parents, so the arrays the closure saved are freed
+before the walk ends. Leaves keep ``.grad``.
 
 Grad mode: inside ``with no_grad():`` operations record no tape. Each
 result is a plain tensor with no parents, no closure and
@@ -93,6 +97,11 @@ class no_grad:
         _grad_enabled = self._previous
 
 
+def _records(parents) -> bool:
+    """Whether an op over `parents` records a tape node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -121,7 +130,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -215,9 +224,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis, keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return tensor_max(self, axis, keepdims)
 
 
 def _topological_order(root: Tensor) -> list:
@@ -326,40 +332,67 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU: x * Phi(x)."""
-    x = a.data
-    cdf = normal_cdf(x)
-    out_data = x * cdf
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        a._accumulate(g * (cdf + x * pdf))
-
-    return Tensor._make(out_data, (a,), backward)
+def _gelu_in_place(z: np.ndarray, derivative: bool) -> np.ndarray | None:
+    """Overwrite `z` with the exact (erf-based) GELU z * Phi(z). Returns
+    GELU's derivative Phi(z) + z * phi(z) when `derivative`, else None."""
+    cdf = normal_cdf(z)
+    d = None
+    if derivative:
+        d = np.multiply(z, -0.5)
+        d *= z
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI  # phi(z)
+        d *= z
+        d += cdf
+    z *= cdf
+    return d
 
 
 # ----------------------------------------------------------------------
 # shape manipulation
 
 
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        a._accumulate(_unbroadcast(ga, a.data.shape))
+    if b.requires_grad:
+        if b.data.ndim == 2:
+            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        b._accumulate(gb)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; for `(..., c) @ (c, d)` the weight gradient is one
     2-D GEMM over every leading axis."""
-    out_data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2:
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            b._accumulate(gb)
+        _matmul_backward(a, b, g)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(a.data @ b.data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
+    """x @ w + b over any leading axes of x, then exact GELU when `gelu`.
+
+    One output array: the bias is added, and GELU applied, in place on the
+    GEMM's result. The backward reads GELU's derivative, which the forward
+    computes instead of keeping GELU's input, and only when it records.
+    """
+    out_data = x.data @ w.data
+    out_data += b.data
+    d = _gelu_in_place(out_data, _records((x, w, b))) if gelu else None
+
+    def backward(g):
+        if d is not None:
+            g = g * d
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        _matmul_backward(x, w, g)
+
+    return Tensor._make(out_data, (x, w, b), backward)
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
@@ -421,12 +454,9 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -438,25 +468,41 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g / count, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g / count, a.data.shape))
 
     return Tensor._make(out_data, (a,), backward)
 
 
-def tensor_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; ties split the gradient evenly."""
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
+def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> tuple[Tensor, Tensor]:
+    """Row and column maxima of an (..., n, n, c) grid over the cells where
+    the (..., n, n) boolean `mask` holds.
 
-    def backward(g):
-        kept = out_data
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-            kept = np.expand_dims(out_data, axis)
-        hit = a.data == kept
+    Returns (rows, cols), both (..., n, c): rows[..., i, :] is the max over
+    j of x[..., i, j, :] and cols[..., j, :] the max over i. Masked cells
+    read as `fill`, so a fully masked row pools to `fill`. The filled grid
+    is built once for both axes; each backward reads only its boolean
+    arg-max pattern and tie counts. Ties split the gradient evenly, and
+    masked cells get none.
+    """
+    m = mask[..., None]
+    filled = np.where(m, x.data, fill)
+    record = _records((x,))
+
+    def pooled(axis: int) -> Tensor:
+        out_data = filled.max(axis=axis)
+        if not record:
+            return Tensor._make(out_data, (x,), None)
+        hit = filled == np.expand_dims(out_data, axis)
         counts = hit.sum(axis=axis, keepdims=True)
-        a._accumulate(np.where(hit, g / counts, 0.0).astype(a.data.dtype))
+        hit &= m
 
-    return Tensor._make(out_data, (a,), backward)
+        def backward(g):
+            share = (np.expand_dims(g, axis) / counts).astype(x.data.dtype)
+            x._accumulate(np.where(hit, share, 0))
+
+        return Tensor._make(out_data, (x,), backward)
+
+    return pooled(-2), pooled(-3)
 
 
 # ----------------------------------------------------------------------
@@ -535,21 +581,69 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     return Tensor._make(a.data * keep, (a,), backward)
 
 
-def conv2d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int) -> Tensor:
-    """Same-size dilated 2D convolution on (..., n, n, c_in) grids.
-
-    Kernel is (k, k, c_in, c_out) with zero padding of (k//2)*dilation so
-    the output stays (..., n, n, c_out). Heavy lifting lives in `kernels`.
-    """
-    out_data = kernels.conv2d_forward(x.data, w.data, b.data, dilation)
+def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
+    """a * b + shift with numpy broadcasting, as one output array; `shift`
+    must broadcast to the shape of a * b."""
+    out_data = a.data * b.data
+    out_data += shift.data
 
     def backward(g):
-        dx, dw, db = kernels.conv2d_backward(x.data, w.data, g, dilation)
-        x._accumulate(dx)
-        w._accumulate(dw)
-        b._accumulate(db)
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return Tensor._make(out_data, (x, w, b), backward)
+    return Tensor._make(out_data, (a, b, shift), backward)
+
+
+def dilated_conv_gelu(
+    x: Tensor,
+    mask: np.ndarray,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    dilations: Sequence[int],
+) -> Tensor:
+    """GELU of same-size dilated 2D convolutions of an (..., n, n, c_in)
+    grid, one per dilation, side by side on the channel axis.
+
+    Each kernel is (k, k, c_in, c_out) with zero padding of
+    (k // 2) * dilation, so the output is (..., n, n, len(weights) * c_out).
+    Cells outside the (..., n, n) `mask` are zeroed going in, so a kernel
+    reads padding as the zeros beyond the grid's edge. Every dilation's
+    `kernels.conv2d_forward` fills its column block of the one output, on
+    which GELU runs in place; the backward reads the masked input and
+    GELU's derivative.
+    """
+    parents = (x, *weights, *biases)
+    xm, keep = x.data, None
+    if not mask.all():
+        keep = mask.astype(xm.dtype)[..., None]
+        xm = xm * keep
+    c_out = weights[0].data.shape[-1]
+    blocks = [slice(i * c_out, (i + 1) * c_out) for i in range(len(weights))]
+    out_data = np.empty(xm.shape[:-1] + (len(weights) * c_out,), dtype=xm.dtype)
+    for w, b, dilation, block in zip(weights, biases, dilations, blocks):
+        out_data[..., block] = kernels.conv2d_forward(xm, w.data, b.data, dilation)
+    d = _gelu_in_place(out_data, _records(parents))
+
+    def backward(g):
+        dx = None
+        for w, b, dilation, block in zip(weights, biases, dilations, blocks):
+            g_block = g[..., block] * d[..., block]
+            dx_i, dw, db = kernels.conv2d_backward(xm, w.data, g_block, dilation)
+            w._accumulate(dw)
+            b._accumulate(db)
+            if dx is None:
+                dx = dx_i
+            else:
+                dx += dx_i
+        if keep is not None:
+            dx *= keep
+        x._accumulate(dx)
+
+    return Tensor._make(out_data, parents, backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -558,7 +652,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     normed = centered * pow_const(var + eps, -0.5)
-    return normed * gain + bias
+    return scale_shift(normed, gain, bias)
 
 
 # ----------------------------------------------------------------------

@@ -71,8 +71,8 @@ def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
     """
     lead, n = h.shape[:-2], h.shape[-2]
     d_b, n_tags, _ = params.biaffine_u.shape
-    s = ad.gelu(h @ params.subj_w + params.subj_b)
-    o = ad.gelu(h @ params.obj_w + params.obj_b)
+    s = ad.linear(h, params.subj_w, params.subj_b, gelu=True)
+    o = ad.linear(h, params.obj_w, params.obj_b, gelu=True)
 
     u2 = params.biaffine_u.reshape(d_b, n_tags * d_b)
     left = (s @ u2).reshape(lead + (n * n_tags, d_b))
@@ -88,7 +88,8 @@ def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
 
 def mlp_scores(tf: Tensor, params: MlpParams) -> Tensor:
     """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|."""
-    return ad.gelu(tf @ params.mlp_w1 + params.mlp_b1) @ params.mlp_w2 + params.mlp_b2
+    hidden = ad.linear(tf, params.mlp_w1, params.mlp_b1, gelu=True)
+    return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
 
 
 def fuse_scores(y_biaffine: Tensor | None, y_mlp: Tensor | None) -> Tensor:

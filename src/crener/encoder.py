@@ -28,6 +28,11 @@ from .autodiff import Tensor
 from .corpus import read_lines
 from .errors import CorpusError, CrenerError
 
+# The largest `encoder.max_len` a config may set. A float32 training forward
+# with the default config keeps about 6.5 KB of tape per grid cell, so a
+# single sentence of 1,024 characters already needs about 7 GB.
+MAX_LEN_LIMIT = 1024
+
 
 @dataclass
 class EncoderConfig:
@@ -48,6 +53,8 @@ class EncoderConfig:
         for name in ("d_context", "d_pos", "d_region", "d_attn", "heads", "max_len"):
             if getattr(self, name) < 1:
                 raise CrenerError(f"encoder.{name} must be >= 1")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise CrenerError(f"encoder.max_len must be <= {MAX_LEN_LIMIT}, got {self.max_len}")
         if self.layers < 0:
             raise CrenerError("encoder.layers must be >= 0")
         if self.d_h % self.heads != 0:
@@ -261,7 +268,8 @@ def adapted_attention(
         out = ad.dropout(out, dropout[0])
     h1 = ad.layer_norm(h + out, layer.ln1_g, layer.ln1_b)
 
-    f = ad.gelu(h1 @ layer.ffn_w1 + layer.ffn_b1) @ layer.ffn_w2 + layer.ffn_b2
+    f = ad.linear(h1, layer.ffn_w1, layer.ffn_b1, gelu=True)
+    f = ad.linear(f, layer.ffn_w2, layer.ffn_b2)
     if dropout is not None:
         f = ad.dropout(f, dropout[1])
     return ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b), attn.data

@@ -74,8 +74,8 @@ class GridParams:
 
 def project_subject_object(h: Tensor, params: GridParams) -> tuple[Tensor, Tensor]:
     """Affine subject and object views of the character representations."""
-    h_s = h @ params.subj_w + params.subj_b
-    h_o = h @ params.obj_w + params.obj_b
+    h_s = ad.linear(h, params.subj_w, params.subj_b)
+    h_o = ad.linear(h, params.obj_w, params.obj_b)
     return h_s, h_o
 
 
@@ -89,13 +89,13 @@ def conditional_layer_norm(
     """
     lead, (n, d) = h_s.shape[:-2], h_s.shape[-2:]
     rows, cols = lead + (n, 1, d), lead + (1, n, d)
-    gain = h_s @ params.cln_gain_w + params.cln_gain_b
-    bias = h_s @ params.cln_bias_w + params.cln_bias_b
+    gain = ad.linear(h_s, params.cln_gain_w, params.cln_gain_b)
+    bias = ad.linear(h_s, params.cln_bias_w, params.cln_bias_b)
     mu = h_o.mean(axis=-1, keepdims=True)
     centered = h_o - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     normed = centered * ad.pow_const(var + eps, -0.5)
-    return gain.reshape(rows) * normed.reshape(cols) + bias.reshape(rows)
+    return ad.scale_shift(gain.reshape(rows), normed.reshape(cols), bias.reshape(rows))
 
 
 def pair_mask(mask: np.ndarray) -> np.ndarray:
@@ -159,22 +159,18 @@ def pair_features(
         ids = attention_bucket(attn, config.attn_buckets)
         parts.append(ad.embedding(params.attn_table, ids))
     cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
-    return ad.gelu(cat @ params.mlp1_w + params.mlp1_b)
+    return ad.linear(cat, params.mlp1_w, params.mlp1_b, gelu=True)
 
 
 def dilated_convolutions(
     c: Tensor, mask2d: np.ndarray, params: GridParams, config: GridConfig
 ) -> Tensor:
-    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates.
+    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates,
+    as one `autodiff.dilated_conv_gelu` op.
 
     Zero padding keeps every output cell aligned with its input cell.
-    Masked cells are zeroed going in, so a kernel reads padding as the
-    zeros beyond the grid's edge; what it writes there is left as is.
-    GELU is elementwise, so it runs once, on the concatenation.
+    Masked cells are zeroed going in, inside the op, so a kernel reads
+    padding as the zeros beyond the grid's edge; what it writes there is
+    left as is.
     """
-    c = c * mask2d.astype(c.dtype)[..., None]
-    outs = [
-        ad.conv2d_dilated(c, w, b, dilation)
-        for w, b, dilation in zip(params.conv_w, params.conv_b, config.dilations)
-    ]
-    return ad.gelu(outs[0] if len(outs) == 1 else ad.concat(outs, axis=-1))
+    return ad.dilated_conv_gelu(c, mask2d, params.conv_w, params.conv_b, config.dilations)

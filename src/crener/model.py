@@ -18,10 +18,12 @@ count gives the mean over a batch.
 Padding contract: a padded slot can reach a real one only where
 positions mix, and only there is it masked: the key columns of the
 three attention softmaxes (H^A, each adapted-transformer layer, and
-enhancement's multi-head attention); the input of
-`grid.dilated_convolutions`; `relation_enhance.pool_recover`'s max,
-whose padded rows are re-zeroed after it, since they pool the -1e9 fill
-alone; and `co_predictor.multi_tag_loss` and `predict_cells`. Every
+enhancement's multi-head attention); the input of the convolutions,
+zeroed inside the one `autodiff.dilated_conv_gelu` op that
+`grid.dilated_convolutions` runs; `relation_enhance.pool_recover`'s max,
+whose -1e9 fill lives inside the one `autodiff.masked_max` op and whose
+padded rows are re-zeroed after it, since they pool that fill alone;
+and `co_predictor.multi_tag_loss` and `predict_cells`. Every
 other stage works per character or per cell and leaves padded rows
 holding whatever flows into them. So a padded batch agrees with its
 sentences run alone on every unmasked cell, whatever ids fill the

@@ -89,12 +89,12 @@ def tag_features(q: Tensor, params: TagParams) -> Tensor:
     """The four tag-group affine maps of the grid, concatenated in the order
     NNC, PNC, HTC, THC: (..., n, n, 4*d_r).
 
-    Computed as one GEMM against the four weights placed side by side,
-    plus their biases side by side.
+    Computed as one `linear` against the four weights placed side by side,
+    with their biases side by side.
     """
     w = ad.concat([params.tag_nnc_w, params.tag_pnc_w, params.tag_htc_w, params.tag_thc_w])
     b = ad.concat([params.tag_nnc_b, params.tag_pnc_b, params.tag_htc_b, params.tag_thc_b])
-    return q @ w + b
+    return ad.linear(q, w, b)
 
 
 def pool_recover(
@@ -102,18 +102,15 @@ def pool_recover(
 ) -> tuple[Tensor, Tensor]:
     """Max over columns -> subject vectors, max over rows -> object vectors.
 
-    Masked cells are filled with a large negative constant so they never
-    win a real row's or column's max; each pooled map passes through its
-    own affine + GELU to character width. A padded position pools only
-    filled cells, so its rows are re-zeroed rather than carry that
-    constant's scale into enhancement.
+    One `autodiff.masked_max` op reads masked cells as a large negative
+    constant, so they never win a real row's or column's max; each pooled
+    map passes through its own affine + GELU to character width. A padded
+    position pools only that constant, so its rows are re-zeroed rather
+    than carry its scale into enhancement.
     """
-    m3 = grid_mod.pair_mask(mask).astype(tf.dtype)[..., None]
-    filled = tf * m3 + (1.0 - m3) * _MASK_FILL
-    pooled_s = filled.max(axis=-2)  # per row i, over columns j
-    pooled_o = filled.max(axis=-3)  # per column j, over rows i
-    h_s = ad.gelu(pooled_s @ params.pool_s_w + params.pool_s_b)
-    h_o = ad.gelu(pooled_o @ params.pool_o_w + params.pool_o_b)
+    pooled_s, pooled_o = ad.masked_max(tf, grid_mod.pair_mask(mask), _MASK_FILL)
+    h_s = ad.linear(pooled_s, params.pool_s_w, params.pool_s_b, gelu=True)
+    h_o = ad.linear(pooled_o, params.pool_o_w, params.pool_o_b, gelu=True)
     mcol = mask.astype(tf.dtype)[..., None]
     return h_s * mcol, h_o * mcol
 
@@ -171,8 +168,8 @@ def enhance_round(
         o_tt, h_o0, mask, params.cross_wq, params.cross_wk, params.cross_wv,
         params.cross_wo, config.heads,
     )
-    s_out = ad.gelu(s_ct @ params.out_s_w + params.out_s_b)
-    o_out = ad.gelu(o_ct @ params.out_o_w + params.out_o_b)
+    s_out = ad.linear(s_ct, params.out_s_w, params.out_s_b, gelu=True)
+    o_out = ad.linear(o_ct, params.out_o_w, params.out_o_b, gelu=True)
     h_s_next = ad.layer_norm(h_s_r + s_out, params.ln_s_g, params.ln_s_b)
     h_o_next = ad.layer_norm(h_o_r + o_out, params.ln_o_g, params.ln_o_b)
     return h_s_next, h_o_next
@@ -196,24 +193,25 @@ def run_enhancement(
     round but the last then pools, attends, and fuses, feeding the
     refined views to the next round. `enhance_params` is None with one
     round, and an empty `grid_params.conv_w` skips the convolutions.
+
+    Each grid is referenced only by the stage that reads it, so a
+    tape-free forward frees it as soon as that stage returns.
     """
-    rounds = enhance_config.rounds
     mask2d = grid_mod.pair_mask(mask)  # read by the convolutions alone
+
+    def tag_grid(h_s: Tensor, h_o: Tensor) -> Tensor:
+        grid = grid_mod.pair_features(
+            grid_mod.conditional_layer_norm(h_s, h_o, grid_params), attn, grid_params, grid_config
+        )
+        if grid_params.conv_w:
+            grid = grid_mod.dilated_convolutions(grid, mask2d, grid_params, grid_config)
+        return tag_features(grid, tag_params)
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, grid_params)
     h_s, h_o = h_s0, h_o0
-    for r in range(rounds):
-        v = grid_mod.conditional_layer_norm(h_s, h_o, grid_params)
-        c = grid_mod.pair_features(v, attn, grid_params, grid_config)
-        q = (
-            grid_mod.dilated_convolutions(c, mask2d, grid_params, grid_config)
-            if grid_params.conv_w
-            else c
+    for _ in range(enhance_config.rounds - 1):
+        h_s_r, h_o_r = pool_recover(tag_grid(h_s, h_o), mask, enhance_params)
+        h_s, h_o = enhance_round(
+            h_s_r, h_o_r, h_s0, h_o0, mask, enhance_params, enhance_config
         )
-        tf = tag_features(q, tag_params)
-        if r < rounds - 1:
-            h_s_r, h_o_r = pool_recover(tf, mask, enhance_params)
-            h_s, h_o = enhance_round(
-                h_s_r, h_o_r, h_s0, h_o0, mask, enhance_params, enhance_config
-            )
-    return tf
+    return tag_grid(h_s, h_o)

@@ -44,8 +44,10 @@ CHECKPOINT_FORMAT_VERSION = 3
 # The most padded cells (size x longest length squared) of a training
 # forward over two or more sentences; a longer sentence runs alone. The
 # bound caps a step's memory, since only one sub-batch's tape is alive at
-# a time: with the default config in float32 a 4,096-cell forward leaves
-# about 68 MB of tape. 4,096 is one n = 64 grid.
+# a time: with the default config in float32 a 4,096-cell forward + loss
+# (one n = 64 sentence, or four of n = 32) leaves about 27 MB of tape, and
+# its backward peaks at about 33 MB (tracemalloc, from just before the
+# forward). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
 
 # The fixed cost of one sub-batch's forward and backward, in padded cells:

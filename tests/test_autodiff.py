@@ -6,6 +6,7 @@ are compared against plain numpy where a closed form exists.
 """
 
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -14,6 +15,11 @@ from scipy.special import erf
 
 from crener import autodiff as ad
 from crener.autodiff import ParamStore, Tensor
+from test_kernels import scalar_conv
+
+
+def gelu_ref(x):
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
 def fd_check(fn, inputs, h=1e-6, tol=1e-6, rng=None):
@@ -63,14 +69,13 @@ class TestElementwise:
         fd_check(lambda x: (ad.pow_const(x, 3) + ad.pow_const(x, -0.5)).sum(), [a])
 
     def test_gelu_matches_erf_form(self, rng):
-        x = rng.normal(size=(4, 7))
-        out = ad.gelu(Tensor(x))
-        expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        x, w, b = rng.normal(size=(2, 4, 7)), rng.normal(size=(7, 5)), rng.normal(size=(5,))
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b), gelu=True)
+        np.testing.assert_allclose(out.data, gelu_ref(x @ w + b), rtol=1e-12)
 
     def test_gelu_gradient(self, rng):
-        x = rng.normal(size=(5, 5))
-        fd_check(lambda t: ad.gelu(t).sum(), [x])
+        x, w, b = rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4)), rng.normal(size=(4,))
+        fd_check(lambda t, ww, bb: ad.linear(t, ww, bb, gelu=True).sum(), [x, w, b])
 
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 3e-7), (np.float64, 2e-15)])
     def test_normal_cdf_matches_stdlib_erfc(self, dtype, bound):
@@ -85,7 +90,8 @@ class TestElementwise:
         cdf = ad.normal_cdf(x)
         assert cdf.dtype == dtype
         np.testing.assert_allclose(cdf, [0.0, 0.0, 0.5, 1.0, 1.0, np.nan], atol=3e-7)
-        assert ad.gelu(Tensor(x[1:4])).data.dtype == dtype
+        one, zero = Tensor(np.ones((1, 1), dtype=dtype)), Tensor(np.zeros(1, dtype=dtype))
+        assert ad.linear(Tensor(x[1:4, None]), one, zero, gelu=True).data.dtype == dtype
 
 
 class TestShape:
@@ -139,14 +145,49 @@ class TestReductions:
         fd_check(lambda x: ad.pow_const(x.mean(axis=-1), 2).sum(), [a])
 
     def test_max_gradient(self, rng):
-        a = rng.normal(size=(4, 5))
-        fd_check(lambda x: ad.pow_const(x.max(axis=1), 2).sum(), [a])
+        # Padded batch: the second grid's last row and column are masked.
+        a = rng.normal(size=(2, 4, 4, 3))
+        mask = np.ones((2, 4, 4), dtype=bool)
+        mask[1, 3, :] = mask[1, :, 3] = False
+        wr, wc = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+        wr[1, 3] = wc[1, 3] = 0.0  # the padded row and column pool the fill
+        wr, wc = Tensor(wr), Tensor(wc)
+
+        def fn(x):
+            rows, cols = ad.masked_max(x, mask, -1e9)
+            return (rows * wr).sum() + (cols * wc).sum()
+
+        fd_check(fn, [a])
+        rows, cols = ad.masked_max(Tensor(a), mask, -1e9)
+        filled = np.where(mask[..., None], a, -np.inf)
+        np.testing.assert_array_equal(rows.data[:, :3], filled.max(axis=-2)[:, :3])
+        np.testing.assert_array_equal(cols.data[0], filled[0].max(axis=-3))
 
     def test_max_splits_ties_evenly(self):
-        a = Tensor(np.array([[1.0, 3.0, 3.0, 0.0]]), requires_grad=True)
-        out = a.max(axis=1).sum()
-        out.backward()
-        np.testing.assert_allclose(a.grad, [[0.0, 0.5, 0.5, 0.0]])
+        a = Tensor(np.array([[[1.0], [3.0]], [[3.0], [0.0]]]), requires_grad=True)
+        rows, cols = ad.masked_max(a, np.ones((2, 2), dtype=bool), -1e9)
+        np.testing.assert_array_equal(rows.data, [[3.0], [3.0]])
+        np.testing.assert_array_equal(cols.data, [[3.0], [3.0]])
+        (rows.sum() + cols.sum()).backward()
+        # Each 3.0 wins one row and one column and takes both gradients.
+        np.testing.assert_allclose(a.grad[..., 0], [[0.0, 2.0], [2.0, 0.0]])
+        b = Tensor(np.array([[[3.0], [3.0]], [[0.0], [3.0]]]), requires_grad=True)
+        rows, _ = ad.masked_max(b, np.ones((2, 2), dtype=bool), -1e9)
+        rows.sum().backward()  # row 0 ties
+        np.testing.assert_allclose(b.grad[..., 0], [[0.5, 0.5], [0.0, 1.0]])
+
+    def test_masked_max_fully_masked_row(self, rng):
+        a = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[:2, :2] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, cols = ad.masked_max(a, mask, -1e9)
+            (rows.sum() + cols.sum()).backward()
+        np.testing.assert_array_equal(rows.data[2], [-1e9, -1e9])
+        np.testing.assert_array_equal(cols.data[2], [-1e9, -1e9])
+        np.testing.assert_array_equal(a.grad[~mask], 0.0)
+        np.testing.assert_array_equal(a.grad[mask].sum(axis=0), [4.0, 4.0])
 
 
 class TestFusedOps:
@@ -209,6 +250,20 @@ class TestFusedOps:
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, keep)
 
+    def test_linear_gradient(self, rng):
+        x, w, b = rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4)), rng.normal(size=(4,))
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, x @ w + b)
+        fd_check(lambda t, ww, bb: ad.pow_const(ad.linear(t, ww, bb), 2).sum(), [x, w, b])
+
+    def test_scale_shift_gradient(self, rng):
+        # CLN's shapes: per-row gain and bias times a per-column vector.
+        a, b = rng.normal(size=(2, 3, 1, 4)), rng.normal(size=(2, 1, 3, 4))
+        c = rng.normal(size=(2, 3, 1, 4))
+        out = ad.scale_shift(Tensor(a), Tensor(b), Tensor(c))
+        np.testing.assert_array_equal(out.data, a * b + c)
+        fd_check(lambda x, y, z: ad.pow_const(ad.scale_shift(x, y, z), 2).sum(), [a, b, c])
+
     def test_layer_norm_gradient(self, rng):
         x = rng.normal(size=(3, 8))
         g = rng.normal(size=(8,))
@@ -216,15 +271,35 @@ class TestFusedOps:
         fd_check(lambda t, gg, bb: ad.pow_const(ad.layer_norm(t, gg, bb), 2).sum(), [x, g, b])
 
     def test_conv2d_dilated_gradient(self, rng):
-        x = rng.normal(size=(5, 5, 3))
-        w = rng.normal(size=(3, 3, 3, 2))
-        b = rng.normal(size=(2,))
-        for dil in (1, 2):
-            fd_check(
-                lambda xx, ww, bb: ad.pow_const(ad.conv2d_dilated(xx, ww, bb, dil), 2).sum(),
-                [x, w, b],
-                tol=1e-5,
-            )
+        # A padded batch of two 5 x 5 grids, the second with 3 real
+        # positions, through three dilations.
+        x = rng.normal(size=(2, 5, 5, 3))
+        ws = [rng.normal(size=(3, 3, 3, 2)) for _ in range(3)]
+        bs = [rng.normal(size=(2,)) for _ in range(3)]
+        mask = np.ones((2, 5, 5), dtype=bool)
+        mask[1, 3:, :] = mask[1, :, 3:] = False
+        fd_check(
+            lambda xx, *wb: ad.pow_const(
+                ad.dilated_conv_gelu(xx, mask, wb[:3], wb[3:], (1, 2, 3)), 2).sum(),
+            [x, *ws, *bs],
+            tol=1e-5,
+        )
+
+    def test_dilated_conv_gelu_matches_scalar_oracle(self, rng):
+        n, dilations = 5, (1, 2, 3)
+        x = rng.normal(size=(2, n, n, 3))
+        ws = [rng.normal(size=(3, 3, 3, 2)) for _ in dilations]
+        bs = [rng.normal(size=(2,)) for _ in dilations]
+        mask = np.ones((2, n, n), dtype=bool)
+        mask[1, 2:, :] = mask[1, :, 2:] = False
+        x[1][~mask[1]] = 1e6  # padding must be zeroed before any kernel reads it
+        out = ad.dilated_conv_gelu(
+            Tensor(x), mask, [Tensor(w) for w in ws], [Tensor(b) for b in bs], dilations)
+        for k in range(2):
+            xm = x[k] * mask[k][..., None]
+            expect = np.concatenate(
+                [scalar_conv(xm, w, b, d) for w, b, d in zip(ws, bs, dilations)], axis=-1)
+            np.testing.assert_allclose(out.data[k], gelu_ref(expect), rtol=1e-12, atol=1e-12)
 
 
 class TestGraph:
@@ -257,19 +332,30 @@ def records_tape() -> bool:
 
 class TestGradMode:
     def forward(self, x, w, g, b):
-        return ad.layer_norm(ad.gelu(x @ w), g, b).max(axis=-1).sum()
+        h = ad.layer_norm(ad.linear(x, w, b, gelu=True), g, b)
+        rows, cols = ad.masked_max(h, np.ones(x.shape[:-1], dtype=bool), -1e9)
+        return rows.sum() + cols.sum()
 
-    def test_forward_inside_no_grad_records_no_tape(self, rng, made_tensors):
-        inputs = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 4)),
+    def test_forward_inside_no_grad_records_no_tape(self, rng, made_tensors, monkeypatch):
+        inputs = [rng.normal(size=(2, 3, 3, 4)), rng.normal(size=(4, 4)),
                   rng.normal(size=(4,)), rng.normal(size=(4,))]
         params = [Tensor(a, requires_grad=True) for a in inputs]
         taped = self.forward(*params)
         made_tensors.clear()
+        derivatives = []
+        gelu_in_place = ad._gelu_in_place
+
+        def recording(z, derivative):
+            derivatives.append(derivative)
+            return gelu_in_place(z, derivative)
+
+        monkeypatch.setattr(ad, "_gelu_in_place", recording)
         with ad.no_grad():
             out = self.forward(*params)
         assert len(made_tensors) > 10 and made_tensors[-1] is out
         for t in made_tensors:
             assert t._parents == () and t._backward is None and not t.requires_grad
+        assert derivatives == [False]  # GELU's derivative is not computed
         np.testing.assert_array_equal(out.data, taped.data)
 
     def test_backward_inside_no_grad_raises(self):
@@ -297,11 +383,12 @@ class TestGradMode:
 def test_backward_releases_the_tape(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    z = x @ w
-    h = ad.gelu(z)  # its closure saves its input array
-    saved = weakref.ref(z.data)
-    loss = (h * h).sum()
-    del z, h
+    b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    h = ad.linear(x, w, b, gelu=True)
+    y = ad.linear(h, w.transpose(1, 0), Tensor(np.zeros(4)))  # reads h.data as its input
+    saved = weakref.ref(h.data)
+    loss = (y * y).sum()
+    del h, y
     assert saved() is not None
     loss.backward()
     assert saved() is None

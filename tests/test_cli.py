@@ -88,6 +88,15 @@ class TestConfigText:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["no-equals-sign"])
 
+    def test_max_len_is_bounded(self):
+        # Validation alone: a rejected value never reaches the position table.
+        cfg = default_config()
+        cfg.encoder.max_len = 1024
+        cfg.validate()
+        cfg.encoder.max_len = 10**9
+        with pytest.raises(ConfigError, match="encoder.max_len must be <= 1024, got 1000000000"):
+            cfg.validate()
+
     def test_readme_table_names_every_key(self):
         """The README's configuration table lists exactly the config keys,
         section by section and in order, so a deleted knob cannot linger."""

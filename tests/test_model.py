@@ -6,8 +6,14 @@ import pytest
 
 from conftest import small_config, small_model
 from crener import co_predictor as pred_mod
-from crener.config import apply_overrides, set_key
-from crener.corpus import CharVocabulary, Sentence, build_tag_vocabulary, encode_grid
+from crener.config import apply_overrides, default_config, set_key
+from crener.corpus import (
+    CharVocabulary,
+    Sentence,
+    build_tag_vocabulary,
+    encode_grid,
+    generate_synthetic_corpus,
+)
 from crener.encoder import encode
 from crener.errors import ConfigError, CorpusError
 from crener.model import CrenerModel
@@ -341,3 +347,39 @@ class TestTapeFreePrediction:
         loss.backward()
         for name, t in model.store.items():
             assert t.grad is not None, name
+
+
+def tape_bytes(loss) -> int:
+    """Bytes the tape under `loss` holds for its backward: every interior
+    node's output and every array its closure saved, each base array once."""
+    held, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        arrays = [node.data]
+        for cell in node._backward.__closure__ or ():
+            value = cell.cell_contents
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            arrays.extend(v for v in values if isinstance(v, np.ndarray))
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a.nbytes
+        stack.extend(node._parents)
+    return sum(held.values())
+
+
+def test_tape_of_a_default_forward_stays_lean():
+    # The grid-sized stages are fused ops that keep one output array and
+    # only what their backward reads: about 7.0 MB here, against 12.4 MB
+    # when every `x @ w + b`, GELU, scale-shift, pooling fill and conv mask
+    # kept an array of its own.
+    sents = generate_synthetic_corpus(
+        seed=3, count=1, max_len=32, types=["PER", "LOC"], min_len=32)
+    model = CrenerModel(default_config(), CharVocabulary.from_sentences(sents),
+                        build_tag_vocabulary(sents))
+    loss, cells = model.sentence_loss(sents[0])
+    assert cells == 32 * 32
+    assert tape_bytes(loss) <= 8_000_000
