@@ -10,10 +10,11 @@ Operations accept any number of leading (batch) axes. Each op keeps only
 what its backward reads. The grid-sized stages are single fused ops with
 one output array each: `linear` (affine map, optionally followed by GELU,
 which saves GELU's derivative rather than its input), `scale_shift`,
-`masked_max` and `dilated_conv_gelu`. ``backward()`` releases the tape
-as it walks it: once a node's closure has run, the node drops its
-gradient, closure and parents, so the arrays the closure saved are freed
-before the walk ends. Leaves keep ``.grad``.
+`masked_max` and `dilated_conv_gelu`; so are multi-head `attention` and
+the per-row `normalize` under every layer norm. ``backward()`` releases
+the tape as it walks it: once a node's closure has run, the node drops
+its gradient, closure and parents, so the arrays the closure saved are
+freed before the walk ends. Leaves keep ``.grad``.
 
 Grad mode: inside ``with no_grad():`` operations record no tape. Each
 result is a plain tensor with no parents, no closure and
@@ -292,15 +293,6 @@ def neg(a: Tensor) -> Tensor:
     return Tensor._make(-a.data, (a,), backward)
 
 
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    out_data = a.data ** exponent
-
-    def backward(g):
-        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF of a float32 or float64 array, in its dtype.
 
@@ -521,43 +513,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(table.data[ids], (table,), backward)
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Stable softmax; masked entries get weight exactly 0.
-
-    `mask` is a boolean array broadcastable to `a`; rows with no valid
-    entries produce all-zero weights instead of NaN.
-    """
-    x = a.data
-    if mask is None:
-        m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        neg = np.where(mask, x, -np.inf)
-        m = neg.max(axis=axis, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        # mask before exp: a huge masked score must not overflow to inf*0
-        e = np.exp(np.where(mask, x - m, -np.inf))
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = e / np.where(s == 0.0, 1.0, s)
-
-    def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - inner))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def logsumexp(a: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Stable log-sum-exp over `axis`, restricted to `mask` when given.
+def logsumexp(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
+    """Stable log-sum-exp over `axis` of the entries where the boolean
+    `mask`, broadcastable to `a`, holds.
 
     Every reduced slice must contain at least one valid entry.
     """
     x = a.data
-    if mask is None:
-        valid = np.ones_like(x, dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     neg = np.where(valid, x, -np.inf)
     m = neg.max(axis=axis, keepdims=True)
     e = np.exp(np.where(valid, x - m, -np.inf))
@@ -596,6 +559,62 @@ def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor._make(out_data, (a, b, shift), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
+              scale: float, score_bias: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of (..., n, d) queries over (..., m, d) keys
+    and values, all projected and with the same leading axes.
+
+    Head h owns the h-th d / heads columns and scores query i against key
+    j as scale * (q_i . k_j + score_bias[h, i, j]); `score_bias`, when
+    given, broadcasts to (..., heads, n, m). Keys outside the (..., m)
+    boolean `key_mask` are dropped before the exponential, so they weigh
+    exactly 0 whatever their score, and a query with no valid key gets
+    all-zero weights. Returns the output, merged back to (..., n, d), and
+    the (..., heads, n, m) weights. The backward keeps only q, k, v and
+    the weights.
+    """
+    d = q.shape[-1]
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., heads, n, d / heads)
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, d // heads)), -3, -2)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # the inverse, as a new array
+        return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], d))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = qh @ np.swapaxes(kh, -1, -2)
+    if score_bias is not None:
+        weights += score_bias.data
+    weights *= weights.dtype.type(scale)
+    # Mask before exp, so that a huge masked score cannot overflow.
+    weights[~np.broadcast_to(key_mask[..., None, None, :], weights.shape)] = -np.inf
+    top = weights.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    weights -= top
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1, keepdims=True)
+    total[total == 0.0] = 1.0
+    weights /= total
+    parents = (q, k, v) if score_bias is None else (q, k, v, score_bias)
+
+    def backward(g):  # the softmax-Jacobian product, then the matmul gradients
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(np.swapaxes(weights, -1, -2) @ gh))
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= weights.dtype.type(scale)
+        if score_bias is not None and score_bias.requires_grad:
+            score_bias._accumulate(_unbroadcast(ds, score_bias.data.shape))
+        if q.requires_grad:
+            q._accumulate(merge(ds @ kh))
+        if k.requires_grad:
+            k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh))
+
+    return Tensor._make(merge(weights @ vh), parents, backward), weights
 
 
 def dilated_conv_gelu(
@@ -646,13 +665,27 @@ def dilated_conv_gelu(
     return Tensor._make(out_data, parents, backward)
 
 
+def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """y = (x - mean) / sqrt(var + eps) over the last axis; a constant row
+    maps to zeros. The backward is the closed form (Ba et al., 2016)
+    dx = (g - mean(g) - y * mean(g * y)) / sqrt(var + eps).
+    """
+    out_data = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = ((out_data * out_data).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    out_data *= inv_std
+
+    def backward(g):
+        dx = g - g.mean(axis=-1, keepdims=True)
+        dx -= out_data * (g * out_data).mean(axis=-1, keepdims=True)
+        dx *= inv_std
+        x._accumulate(dx)
+
+    return Tensor._make(out_data, (x,), backward)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer norm over the last axis with learnable gain/bias."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * pow_const(var + eps, -0.5)
-    return scale_shift(normed, gain, bias)
+    return scale_shift(normalize(x, eps), gain, bias)
 
 
 # ----------------------------------------------------------------------

@@ -129,11 +129,14 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
     return out
 
 
-def relative_position_embedding(n: int, d_model: int) -> np.ndarray:
+def relative_position_embedding(n: int, d_model: int, dtype=np.float64) -> np.ndarray:
     """Sinusoidal embedding of the signed offset i - j; no parameters.
 
     R[i, j, 2k]   = sin((i - j) / 10000^(2k / d_model))
     R[i, j, 2k+1] = cos((i - j) / 10000^(2k / d_model))
+
+    Computed in float64; the (2n - 1, d_model) table of offsets is cast
+    to `dtype` before it is gathered into the (n, n, d_model) result.
     """
     if n < 1 or d_model < 2 or d_model % 2 != 0:
         raise CrenerError("relative embedding needs n >= 1 and even d_model >= 2")
@@ -145,7 +148,7 @@ def relative_position_embedding(n: int, d_model: int) -> np.ndarray:
     table[:, 0::2] = np.sin(ang)
     table[:, 1::2] = np.cos(ang)
     dist = np.arange(n)[:, None] - np.arange(n)[None, :]
-    return table[dist + n - 1]
+    return table.astype(dtype, copy=False)[dist + n - 1]
 
 
 def draw_dropout(
@@ -196,15 +199,13 @@ def _embed_with_attention(
     h_pos = ad.embedding(params.position_table, positions)
     h_reg = ad.embedding(params.region_table, positions % 2)
 
-    # H^A: one scaled self-attention pass over the raw context embeddings.
-    q = h_ctx @ params.attn_wq
-    k = h_ctx @ params.attn_wk
-    v = h_ctx @ params.attn_wv
-    scores = (q @ ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(cfg.d_attn))
-    attn = ad.softmax(scores, mask=mask[..., None, :])
-    h_att = attn @ v
-
-    return ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1), attn.data
+    # H^A: one scaled single-head self-attention pass over the raw context
+    # embeddings.
+    h_att, attn = ad.attention(
+        h_ctx @ params.attn_wq, h_ctx @ params.attn_wk, h_ctx @ params.attn_wv,
+        mask, heads=1, scale=1.0 / np.sqrt(cfg.d_attn),
+    )
+    return ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1), attn[..., 0, :, :]
 
 
 def adapted_attention(
@@ -218,52 +219,38 @@ def adapted_attention(
 ) -> tuple[Tensor, np.ndarray]:
     """One residual block of relative-position self-attention plus FFN.
 
-    Each of the four score terms of the module docstring is one matmul
-    that contracts d_head per head: Q K^T, R W_kR against each Q_i
-    (a matrix-vector product per head and row), K u and R v. Takes
+    Of the four score terms of the module docstring, u . K_j joins
+    Q_i . K_j as (Q_i + u) . K_j; the two terms in R_ij are one taped
+    (..., heads, n, n) score bias of `autodiff.attention`, each a matmul
+    that contracts d_head per head: R W_kR against each Q_i (a
+    matrix-vector product per head and row) and R against v. Takes
     (..., n, d_h) rows and their (..., n) mask; returns the new rows and
-    the (..., heads, n, n) attention weights.
+    the (..., heads, n, n) attention weights. `rel` is the
+    `relative_position_embedding` table in the rows' dtype.
     `use_scaling` restores the conventional 1/sqrt(d_k) factor (off by
     default). Dropout runs only when the (attention output, FFN output)
     multipliers of `draw_dropout` are supplied.
     """
     lead, n = h.shape[:-2], h.shape[-2]
-    d_model = config.d_h
     heads = config.heads
-    d_head = d_model // heads
+    d_head = config.d_h // heads
     if rel is None:
-        rel = relative_position_embedding(n, d_model)
-    rel = rel.astype(h.dtype)
+        rel = relative_position_embedding(n, config.d_h, h.dtype)
 
-    def split_heads(x: Tensor) -> Tensor:
-        return ad.swapaxes(x.reshape(lead + (n, heads, d_head)), -3, -2)
+    q = h @ layer.wq
+    # Both R terms laid out (..., n_i, heads, n_j, 1), then moved to
+    # (..., heads, n_i, n_j).
+    rel_proj = (Tensor(rel) @ layer.wkr).reshape(n, n, heads, d_head).transpose(0, 2, 1, 3)
+    position = rel_proj @ q.reshape(lead + (n, heads, d_head, 1))  # Q_i . R_ij W_kR
+    rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3))
+    position_bias = rel_heads @ layer.v.reshape(heads, d_head, 1)  # v . R_ij
+    score_bias = ad.swapaxes((position + position_bias).reshape(lead + (n, heads, n)), -3, -2)
 
-    q = split_heads(h @ layer.wq)  # (..., heads, n, d_head)
-    k = split_heads(h @ layer.wk)
-    v = split_heads(h @ layer.wv)
-
-    rel_t = Tensor(rel)
-    # (heads, n_i, n_j, d_head) slices of R W_kR and of R itself.
-    rel_proj = (rel_t @ layer.wkr).reshape(n, n, heads, d_head).transpose(2, 0, 1, 3)
-    rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(2, 0, 1, 3))
-
-    content = q @ ad.swapaxes(k, -1, -2)  # Q_i . K_j
-    position = (rel_proj @ q.reshape(lead + (heads, n, d_head, 1))).reshape(
-        lead + (heads, n, n)
-    )  # Q_i . R_ij W_kR
-    content_bias = (k @ layer.u.reshape(heads, d_head, 1)).reshape(
-        lead + (heads, 1, n)
-    )  # u . K_j
-    position_bias = (rel_heads @ layer.v.reshape(heads, 1, d_head, 1)).reshape(
-        heads, n, n
-    )  # v . R_ij
-
-    scores = content + position + content_bias + position_bias
-    if use_scaling:
-        scores = scores * (1.0 / np.sqrt(d_head))
-    attn = ad.softmax(scores, mask=mask[..., None, None, :])
-
-    out = ad.swapaxes(attn @ v, -3, -2).reshape(lead + (n, d_model)) @ layer.wo
+    out, attn = ad.attention(
+        q + layer.u, h @ layer.wk, h @ layer.wv, mask, heads,
+        scale=1.0 / np.sqrt(d_head) if use_scaling else 1.0, score_bias=score_bias,
+    )
+    out = out @ layer.wo
     if dropout is not None:
         out = ad.dropout(out, dropout[0])
     h1 = ad.layer_norm(h + out, layer.ln1_g, layer.ln1_b)
@@ -272,7 +259,7 @@ def adapted_attention(
     f = ad.linear(f, layer.ffn_w2, layer.ffn_b2)
     if dropout is not None:
         f = ad.dropout(f, dropout[1])
-    return ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b), attn.data
+    return ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b), attn
 
 
 def encode(
@@ -294,7 +281,7 @@ def encode(
     """
     h, attn = _embed_with_attention(char_ids, mask, params, context_vectors)
     if params.layers:
-        rel = relative_position_embedding(h.shape[-2], params.config.d_h)
+        rel = relative_position_embedding(h.shape[-2], params.config.d_h, h.dtype)
         for i, layer in enumerate(params.layers):
             h, attn_heads = adapted_attention(
                 h, mask, layer, params.config, rel=rel, use_scaling=use_scaling,

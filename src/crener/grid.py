@@ -91,10 +91,7 @@ def conditional_layer_norm(
     rows, cols = lead + (n, 1, d), lead + (1, n, d)
     gain = ad.linear(h_s, params.cln_gain_w, params.cln_gain_b)
     bias = ad.linear(h_s, params.cln_bias_w, params.cln_bias_b)
-    mu = h_o.mean(axis=-1, keepdims=True)
-    centered = h_o - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * ad.pow_const(var + eps, -0.5)
+    normed = ad.normalize(h_o, eps)
     return ad.scale_shift(gain.reshape(rows), normed.reshape(cols), bias.reshape(rows))
 
 

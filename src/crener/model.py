@@ -18,7 +18,8 @@ count gives the mean over a batch.
 Padding contract: a padded slot can reach a real one only where
 positions mix, and only there is it masked: the key columns of the
 three attention softmaxes (H^A, each adapted-transformer layer, and
-enhancement's multi-head attention); the input of the convolutions,
+enhancement's multi-head attention), masked inside the one
+`autodiff.attention` op they all run; the input of the convolutions,
 zeroed inside the one `autodiff.dilated_conv_gelu` op that
 `grid.dilated_convolutions` runs; `relation_enhance.pool_recover`'s max,
 whose -1e9 fill lives inside the one `autodiff.masked_max` op and whose

@@ -116,28 +116,14 @@ def pool_recover(
 
 
 def _multi_head_attention(
-    q_in: Tensor,
-    kv_in: Tensor,
-    mask: np.ndarray,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    heads: int,
+    q_in: Tensor, kv_in: Tensor, mask: np.ndarray,
+    wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
 ) -> Tensor:
     """Standard scaled dot-product attention; key columns follow `mask`."""
-    d = q_in.shape[-1]
-    d_head = d // heads
-
-    def split(x: Tensor) -> Tensor:  # (..., n, d) -> (..., heads, n, d_head)
-        return ad.swapaxes(x.reshape(x.shape[:-1] + (heads, d_head)), -3, -2)
-
-    q = split(q_in @ wq)
-    k = split(kv_in @ wk)
-    v = split(kv_in @ wv)
-    scores = (q @ ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d_head))
-    attn = ad.softmax(scores, mask=mask[..., None, None, :])
-    out = ad.swapaxes(attn @ v, -3, -2).reshape(q_in.shape)
+    out, _ = ad.attention(
+        q_in @ wq, kv_in @ wk, kv_in @ wv, mask, heads,
+        scale=1.0 / np.sqrt(q_in.shape[-1] // heads),
+    )
     return out @ wo
 
 
@@ -152,22 +138,12 @@ def enhance_round(
 ) -> tuple[Tensor, Tensor]:
     """Self-attention over the recovered vectors, cross-attention against
     the round-0 projections, GELU linear, then LayerNorm(recovered + out)."""
-    s_tt = _multi_head_attention(
-        h_s_r, h_s_r, mask, params.self_wq, params.self_wk, params.self_wv,
-        params.self_wo, config.heads,
-    )
-    o_tt = _multi_head_attention(
-        h_o_r, h_o_r, mask, params.self_wq, params.self_wk, params.self_wv,
-        params.self_wo, config.heads,
-    )
-    s_ct = _multi_head_attention(
-        s_tt, h_s0, mask, params.cross_wq, params.cross_wk, params.cross_wv,
-        params.cross_wo, config.heads,
-    )
-    o_ct = _multi_head_attention(
-        o_tt, h_o0, mask, params.cross_wq, params.cross_wk, params.cross_wv,
-        params.cross_wo, config.heads,
-    )
+    self_w = (params.self_wq, params.self_wk, params.self_wv, params.self_wo)
+    cross_w = (params.cross_wq, params.cross_wk, params.cross_wv, params.cross_wo)
+    s_tt = _multi_head_attention(h_s_r, h_s_r, mask, *self_w, config.heads)
+    o_tt = _multi_head_attention(h_o_r, h_o_r, mask, *self_w, config.heads)
+    s_ct = _multi_head_attention(s_tt, h_s0, mask, *cross_w, config.heads)
+    o_ct = _multi_head_attention(o_tt, h_o0, mask, *cross_w, config.heads)
     s_out = ad.linear(s_ct, params.out_s_w, params.out_s_b, gelu=True)
     o_out = ad.linear(o_ct, params.out_o_w, params.out_o_b, gelu=True)
     h_s_next = ad.layer_norm(h_s_r + s_out, params.ln_s_g, params.ln_s_b)

@@ -45,8 +45,8 @@ CHECKPOINT_FORMAT_VERSION = 3
 # forward over two or more sentences; a longer sentence runs alone. The
 # bound caps a step's memory, since only one sub-batch's tape is alive at
 # a time: with the default config in float32 a 4,096-cell forward + loss
-# (one n = 64 sentence, or four of n = 32) leaves about 27 MB of tape, and
-# its backward peaks at about 33 MB (tracemalloc, from just before the
+# (one n = 64 sentence, or four of n = 32) leaves about 26 MB of tape, and
+# its backward peaks at about 31 MB (tracemalloc, from just before the
 # forward). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
 

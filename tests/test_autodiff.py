@@ -22,6 +22,14 @@ def gelu_ref(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def square(t):
+    return t * t
+
+
+def cube(t):
+    return t * t * t
+
+
 def fd_check(fn, inputs, h=1e-6, tol=1e-6, rng=None):
     """Compare analytic gradients of scalar fn(*inputs) with central FD."""
     rng = rng or np.random.default_rng(0)
@@ -63,11 +71,6 @@ class TestElementwise:
         out = (t * 2.0 + 1.0) * 0.25 - 0.5
         assert out.data.dtype == np.float32
 
-    def test_pow_const_gradient(self, rng):
-        # layer_norm raises the variance to -0.5
-        a = np.abs(rng.normal(size=(3, 3))) + 0.5
-        fd_check(lambda x: (ad.pow_const(x, 3) + ad.pow_const(x, -0.5)).sum(), [a])
-
     def test_gelu_matches_erf_form(self, rng):
         x, w, b = rng.normal(size=(2, 4, 7)), rng.normal(size=(7, 5)), rng.normal(size=(5,))
         out = ad.linear(Tensor(x), Tensor(w), Tensor(b), gelu=True)
@@ -103,30 +106,30 @@ class TestShape:
     def test_batched_matmul_broadcast(self, rng):
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(4, 5))
-        fd_check(lambda x, y: ad.pow_const(x @ y, 2).sum(), [a, b])
+        fd_check(lambda x, y: square(x @ y).sum(), [a, b])
 
     def test_reshape_transpose(self, rng):
         a = rng.normal(size=(2, 3, 4))
-        fd_check(lambda x: ad.pow_const(x.reshape(6, 4).transpose(1, 0), 2).sum(), [a])
+        fd_check(lambda x: square(x.reshape(6, 4).transpose(1, 0)).sum(), [a])
 
     def test_swapaxes(self, rng):
         a = rng.normal(size=(2, 3, 4))
         weights = Tensor(rng.normal(size=(4, 3, 2)))
         out = ad.swapaxes(Tensor(a), -3, -1)
         np.testing.assert_array_equal(out.data, np.swapaxes(a, 0, 2))
-        fd_check(lambda x: (ad.pow_const(ad.swapaxes(x, -3, -1), 3) * weights).sum(), [a])
+        fd_check(lambda x: (cube(ad.swapaxes(x, -3, -1)) * weights).sum(), [a])
 
     def test_getitem_slice_and_fancy(self, rng):
         a = rng.normal(size=(5, 4))
         fd_check(
-            lambda x: ad.pow_const(x[1:3], 2).sum() + ad.pow_const(x[np.array([0, 0, 2])], 3).sum(),
+            lambda x: square(x[1:3]).sum() + cube(x[np.array([0, 0, 2])]).sum(),
             [a],
         )
 
     def test_concat(self, rng):
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 5))
-        fd_check(lambda x, y: ad.pow_const(ad.concat([x, y], axis=-1), 2).sum(), [a, b])
+        fd_check(lambda x, y: square(ad.concat([x, y], axis=-1)).sum(), [a, b])
 
     def test_concat_forward(self, rng):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 1))
@@ -137,12 +140,12 @@ class TestShape:
 class TestReductions:
     def test_sum_axes(self, rng):
         a = rng.normal(size=(3, 4, 2))
-        fd_check(lambda x: ad.pow_const(x.sum(axis=1), 2).sum(), [a])
+        fd_check(lambda x: square(x.sum(axis=1)).sum(), [a])
         fd_check(lambda x: (x.sum(axis=-1, keepdims=True) * x).sum(), [a])
 
     def test_mean(self, rng):
         a = rng.normal(size=(4, 6))
-        fd_check(lambda x: ad.pow_const(x.mean(axis=-1), 2).sum(), [a])
+        fd_check(lambda x: square(x.mean(axis=-1)).sum(), [a])
 
     def test_max_gradient(self, rng):
         # Padded batch: the second grid's last row and column are masked.
@@ -192,22 +195,75 @@ class TestReductions:
 
 class TestFusedOps:
     def test_softmax_rows_sum_to_one(self, rng):
-        x = rng.normal(size=(6, 6))
-        out = ad.softmax(Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-12)
+        # Two heads over 6 keys: each head's weights are a softmax of its
+        # own scaled scores, and the output is their weighted values.
+        q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
+        out, w = ad.attention(Tensor(q), Tensor(k), Tensor(v), np.ones(6, bool), 2, 0.5)
+        assert w.shape == (2, 6, 6)
+        np.testing.assert_allclose(w.sum(axis=-1), np.ones((2, 6)), atol=1e-12)
+        for h, cols in enumerate((slice(0, 2), slice(2, 4))):
+            scores = 0.5 * q[:, cols] @ k[:, cols].T
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            np.testing.assert_allclose(w[h], e / e.sum(axis=-1, keepdims=True), rtol=1e-12)
+            np.testing.assert_allclose(out.data[:, cols], w[h] @ v[:, cols], rtol=1e-12)
 
     def test_softmax_masked_columns_exactly_zero(self, rng):
-        x = rng.normal(size=(4, 5))
+        q, k, v = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         mask = np.array([True, True, False, True, False])
-        out = ad.softmax(Tensor(x), mask=mask[None, :])
-        assert (out.data[:, ~mask] == 0.0).all()
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-12)
+        _, w = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, 1, 1.0)
+        assert (w[..., ~mask] == 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), np.ones((1, 4)), atol=1e-12)
+
+    @staticmethod
+    def softmax_of(scores: Tensor, mask: np.ndarray) -> Tensor:
+        """The masked softmax of (n, m) `scores`, read off `attention`: zero
+        queries and keys leave the score bias alone, and identity values
+        return the weights as the output."""
+        n, m = scores.shape
+        q, k = Tensor(np.zeros((n, m))), Tensor(np.zeros((m, m)))
+        out, _ = ad.attention(q, k, Tensor(np.eye(m)), mask, 1, 1.0, score_bias=scores)
+        return out
 
     def test_softmax_gradient(self, rng):
         x = rng.normal(size=(3, 6))
         mask = np.array([True, True, True, False, True, False])
         w = rng.normal(size=(3, 6))
-        fd_check(lambda t: (ad.softmax(t, mask=mask[None, :]) * w).sum(), [x])
+        fd_check(lambda t: (self.softmax_of(t, mask) * w).sum(), [x])
+
+    def test_attention_gradient(self, rng):
+        # A padded batch of three: 5, 3 and no valid keys, the last one's
+        # every query row fully masked. Two heads, cross-attention of 4
+        # queries over 5 keys, and a taped score bias.
+        q, k, v = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 5, 6)), rng.normal(size=(3, 5, 6))
+        mask = np.arange(5)[None, :] < np.array([5, 3, 0])[:, None]
+        w_out = rng.normal(size=(3, 4, 6))
+        for bias in (rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(2, 1, 5))):
+            fd_check(
+                lambda *t: (ad.attention(*t[:3], mask, 2, 0.7, score_bias=t[3])[0] * w_out).sum(),
+                [q, k, v, bias],
+            )
+        out, w = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask, 2, 0.7)
+        np.testing.assert_array_equal(w[1][..., 3:], 0.0)
+        np.testing.assert_allclose(w[:2].sum(axis=-1), 1.0, rtol=1e-12)
+        np.testing.assert_array_equal(w[2], 0.0)
+        np.testing.assert_array_equal(out.data[2], 0.0)
+        fd_check(lambda *t: (ad.attention(*t, mask, 2, 0.7)[0] * w_out).sum(), [q, k, v])
+
+    def test_normalize_value_and_gradient(self, rng):
+        x = rng.normal(size=(4, 8)) * 3 + 1
+        x[2] = 0.75  # a constant row normalizes to zeros, with a finite gradient
+        out = ad.normalize(Tensor(x)).data
+        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out[[0, 1, 3]].var(axis=-1), 1.0, rtol=1e-4)
+        np.testing.assert_array_equal(out[2], 0.0)
+        w1, w2 = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+
+        def loss(t, rows=slice(None)):
+            y = ad.normalize(t)
+            return (y * Tensor(w1[rows]) + square(y) * Tensor(w2[rows])).sum()
+
+        fd_check(loss, [x])
+        fd_check(lambda t: loss(t, slice(2, 3)), [x[2:3]])  # the constant row alone
 
     def test_logsumexp_value_and_gradient(self, rng):
         x = rng.normal(size=(4, 7)) * 3
@@ -225,7 +281,7 @@ class TestFusedOps:
         mask = np.array([[True, False, False, True]])
         lse = ad.logsumexp(Tensor(x), mask=mask)
         np.testing.assert_allclose(lse.data, np.logaddexp(0.0, 2.0), rtol=1e-12)
-        sm = ad.softmax(Tensor(x), mask=mask)
+        sm = self.softmax_of(Tensor(x), mask[0])
         assert np.isfinite(sm.data).all()
         np.testing.assert_array_equal(sm.data[0, 1:3], 0.0)
         np.testing.assert_allclose(sm.data.sum(), 1.0, rtol=1e-12)
@@ -254,7 +310,7 @@ class TestFusedOps:
         x, w, b = rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4)), rng.normal(size=(4,))
         out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_array_equal(out.data, x @ w + b)
-        fd_check(lambda t, ww, bb: ad.pow_const(ad.linear(t, ww, bb), 2).sum(), [x, w, b])
+        fd_check(lambda t, ww, bb: square(ad.linear(t, ww, bb)).sum(), [x, w, b])
 
     def test_scale_shift_gradient(self, rng):
         # CLN's shapes: per-row gain and bias times a per-column vector.
@@ -262,13 +318,13 @@ class TestFusedOps:
         c = rng.normal(size=(2, 3, 1, 4))
         out = ad.scale_shift(Tensor(a), Tensor(b), Tensor(c))
         np.testing.assert_array_equal(out.data, a * b + c)
-        fd_check(lambda x, y, z: ad.pow_const(ad.scale_shift(x, y, z), 2).sum(), [a, b, c])
+        fd_check(lambda x, y, z: square(ad.scale_shift(x, y, z)).sum(), [a, b, c])
 
     def test_layer_norm_gradient(self, rng):
         x = rng.normal(size=(3, 8))
         g = rng.normal(size=(8,))
         b = rng.normal(size=(8,))
-        fd_check(lambda t, gg, bb: ad.pow_const(ad.layer_norm(t, gg, bb), 2).sum(), [x, g, b])
+        fd_check(lambda t, gg, bb: square(ad.layer_norm(t, gg, bb)).sum(), [x, g, b])
 
     def test_conv2d_dilated_gradient(self, rng):
         # A padded batch of two 5 x 5 grids, the second with 3 real
@@ -279,8 +335,8 @@ class TestFusedOps:
         mask = np.ones((2, 5, 5), dtype=bool)
         mask[1, 3:, :] = mask[1, :, 3:] = False
         fd_check(
-            lambda xx, *wb: ad.pow_const(
-                ad.dilated_conv_gelu(xx, mask, wb[:3], wb[3:], (1, 2, 3)), 2).sum(),
+            lambda xx, *wb: square(
+                ad.dilated_conv_gelu(xx, mask, wb[:3], wb[3:], (1, 2, 3))).sum(),
             [x, *ws, *bs],
             tol=1e-5,
         )
@@ -352,7 +408,7 @@ class TestGradMode:
         monkeypatch.setattr(ad, "_gelu_in_place", recording)
         with ad.no_grad():
             out = self.forward(*params)
-        assert len(made_tensors) > 10 and made_tensors[-1] is out
+        assert len(made_tensors) == 8 and made_tensors[-1] is out
         for t in made_tensors:
             assert t._parents == () and t._backward is None and not t.requires_grad
         assert derivatives == [False]  # GELU's derivative is not computed

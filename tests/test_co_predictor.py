@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import small_model, tag_grid
-from crener import autodiff as ad
 from crener.autodiff import Tensor
 from crener.co_predictor import (
     biaffine_scores,
@@ -259,10 +258,3 @@ class TestLoss:
         fused[1, 1] = 100.0
         spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d, reduction="sum").item()
         np.testing.assert_allclose(base, spiked, rtol=1e-12)
-
-
-def test_cell_softmax_rows_normalize(rng):
-    fused = Tensor(rng.normal(size=(3, 3, 5)).astype(np.float32))
-    p = ad.softmax(fused).data
-    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
-    assert (p >= 0).all()
