@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -121,11 +120,6 @@ def default_config() -> ModelConfig:
 
 def _coerce(tp, value, key: str):
     origin = typing.get_origin(tp)
-    if isinstance(tp, types.UnionType) or origin is typing.Union:
-        args = [a for a in typing.get_args(tp) if a is not type(None)]
-        if value is None or (isinstance(value, str) and value.lower() in ("none", "null")):
-            return None
-        return _coerce(args[0], value, key)
     if tp is bool:
         if isinstance(value, bool):
             return value
