@@ -17,6 +17,17 @@ the tape as it walks it: once a node's closure has run, the node drops
 its gradient, closure and parents, so the arrays the closure saved are
 freed before the walk ends. Leaves keep ``.grad``.
 
+Gradient ownership: a closure hands each parent its gradient through
+``parent._accumulate(g, owned)``. On the parent's first write an owned
+`g` becomes its ``.grad`` as it is; any other `g` is copied. Since
+``backward()`` drops a node's ``.grad`` once the node's closure has run,
+and each ``.grad`` is written only by accumulation, every interior
+``.grad`` is exclusive to its node. So a closure may pass ``owned=True``
+for an array it has just allocated, or for its own incoming `g` or a view
+of it, provided each region of that memory goes to one parent only and
+the closure reads it no more afterwards. A broadcast view, or a `g` handed
+to two parents (as `add` does), is never owned by more than one of them.
+
 Grad mode: inside ``with no_grad():`` operations record no tape. Each
 result is a plain tensor with no parents, no closure and
 ``requires_grad = False``, so every intermediate array is freed as soon
@@ -138,16 +149,22 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add `g` into ``.grad``. `owned` promises that nothing reads or
+        writes `g`'s memory afterwards (the module docstring's ownership
+        rule), so a first write of the right shape and dtype keeps `g`
+        itself; otherwise it keeps a copy, since `g` may be a view that
+        another input or a later read shares."""
         if not self.requires_grad:
             return
-        if self.grad is None:
-            # A copy, because `g` may be a view shared with another input.
+        if self.grad is not None:
+            self.grad += g
+        elif owned and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
             self.grad = np.array(g, dtype=self.data.dtype)
             if self.grad.shape != self.data.shape:
                 self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
-        else:
-            self.grad += g
 
     # ------------------------------------------------------------------
     @property
@@ -248,11 +265,12 @@ def _topological_order(root: Tensor) -> list:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def backward(g):
+    def backward(g):  # g goes to both inputs, so only b, the last, may own it
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accumulate(ga, owned=ga is not g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -262,16 +280,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(-g)
+        a._accumulate(-g, owned=True)
 
     return Tensor._make(-a.data, (a,), backward)
 
@@ -360,13 +378,13 @@ def _gelu_in_place(z: np.ndarray, derivative: bool) -> np.ndarray | None:
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     if a.requires_grad:
         ga = g @ np.swapaxes(b.data, -1, -2)
-        a._accumulate(_unbroadcast(ga, a.data.shape))
+        a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
     if b.requires_grad:
         if b.data.ndim == 2:
             gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        b._accumulate(gb)
+        b._accumulate(gb, owned=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -392,7 +410,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
 
     def backward(g):
         if d is not None:
-            g = g * d
+            g = _times_derivative(g, d)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
         _matmul_backward(x, w, g)
@@ -400,11 +418,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
     return Tensor._make(out_data, (x, w, b), backward)
 
 
+def _times_derivative(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """g * d, in place in the incoming gradient `g` when it is C-contiguous.
+    Otherwise a new array: multiplying a strided `g` in place would keep
+    its layout, and a later sum over it (a bias gradient) would then add in
+    another order than over the C-ordered product."""
+    if g.flags.c_contiguous:
+        g *= d
+        return g
+    return g * d
+
+
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; with negative axes, leading batch axes pass through."""
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, axis1, axis2))
+        a._accumulate(np.swapaxes(g, axis1, axis2), owned=True)
 
     return Tensor._make(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
@@ -413,7 +442,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     old_shape = a.data.shape
 
     def backward(g):
-        a._accumulate(g.reshape(old_shape))
+        a._accumulate(g.reshape(old_shape), owned=True)
 
     return Tensor._make(a.data.reshape(shape), (a,), backward)
 
@@ -422,16 +451,24 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        a._accumulate(g.transpose(inverse))
+        a._accumulate(g.transpose(inverse), owned=True)
 
     return Tensor._make(a.data.transpose(axes), (a,), backward)
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    """a[idx]; the backward scatters with `np.add.at` only for an advanced
+    index, which may repeat an element."""
+    basic = all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
+
     def backward(g):
         gz = np.zeros_like(a.data)
-        np.add.at(gz, idx, g)
-        a._accumulate(gz)
+        if basic:
+            gz[idx] = g  # a basic index names each element once
+        else:
+            np.add.at(gz, idx, g)
+        a._accumulate(gz, owned=True)
 
     return Tensor._make(a.data[idx], (a,), backward)
 
@@ -446,7 +483,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-            t._accumulate(g[tuple(sl)])
+            t._accumulate(g[tuple(sl)], owned=True)
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -491,7 +528,7 @@ def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> tuple[Tensor, Tensor
 
         def backward(g):
             share = (np.expand_dims(g, axis) / counts).astype(x.data.dtype)
-            x._accumulate(np.where(hit, share, 0))
+            x._accumulate(np.where(hit, share, 0), owned=True)
 
         return Tensor._make(out_data, (x,), backward)
 
@@ -509,7 +546,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         gz = np.zeros_like(table.data)
         np.add.at(gz, ids, g)
-        table._accumulate(gz)
+        table._accumulate(gz, owned=True)
 
     return Tensor._make(table.data[ids], (table,), backward)
 
@@ -530,7 +567,7 @@ def logsumexp(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     weights = e / s
 
     def backward(g):
-        a._accumulate(np.expand_dims(g, axis) * weights)
+        a._accumulate(np.expand_dims(g, axis) * weights, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -540,7 +577,7 @@ def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
     1 / (1 - p) where it is kept. Call only in training mode."""
 
     def backward(g):
-        a._accumulate(g * keep)
+        a._accumulate(g * keep, owned=True)
 
     return Tensor._make(a.data * keep, (a,), backward)
 
@@ -555,9 +592,9 @@ def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
         if shift.requires_grad:
             shift._accumulate(_unbroadcast(g, shift.data.shape))
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b, shift), backward)
 
@@ -603,7 +640,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
     def backward(g):  # the softmax-Jacobian product, then the matmul gradients
         gh = split(g)
         if v.requires_grad:
-            v._accumulate(merge(np.swapaxes(weights, -1, -2) @ gh))
+            v._accumulate(merge(np.swapaxes(weights, -1, -2) @ gh), owned=True)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * weights).sum(axis=-1, keepdims=True)
         ds *= weights
@@ -611,9 +648,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
         if score_bias is not None and score_bias.requires_grad:
             score_bias._accumulate(_unbroadcast(ds, score_bias.data.shape))
         if q.requires_grad:
-            q._accumulate(merge(ds @ kh))
+            q._accumulate(merge(ds @ kh), owned=True)
         if k.requires_grad:
-            k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh))
+            k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh), owned=True)
 
     return Tensor._make(merge(weights @ vh), parents, backward), weights
 
@@ -649,19 +686,19 @@ def dilated_conv_gelu(
     d = _gelu_in_place(out_data, _records(parents))
 
     def backward(g):
+        g = _times_derivative(g, d)
         dx = None
         for w, b, dilation, block in zip(weights, biases, dilations, blocks):
-            g_block = g[..., block] * d[..., block]
-            dx_i, dw, db = kernels.conv2d_backward(xm, w.data, g_block, dilation)
-            w._accumulate(dw)
-            b._accumulate(db)
+            dx_i, dw, db = kernels.conv2d_backward(xm, w.data, g[..., block], dilation)
+            w._accumulate(dw, owned=True)
+            b._accumulate(db, owned=True)
             if dx is None:
                 dx = dx_i
             else:
                 dx += dx_i
         if keep is not None:
             dx *= keep
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -679,7 +716,7 @@ def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
         dx = g - g.mean(axis=-1, keepdims=True)
         dx -= out_data * (g * out_data).mean(axis=-1, keepdims=True)
         dx *= inv_std
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
