@@ -409,8 +409,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
     d = _gelu_in_place(out_data, _records((x, w, b))) if gelu else None
 
     def backward(g):
+        nonlocal d
         if d is not None:
             g = _times_derivative(g, d)
+            d = None  # read once: freed before the GEMMs allocate
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
         _matmul_backward(x, w, g)
@@ -539,13 +541,32 @@ def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> tuple[Tensor, Tensor
 # fused network primitives
 
 
+# Tables of at most this many rows scatter their gradient by one one-hot
+# GEMM, larger ones by `np.add.at`. Measured at n = 61 (float32, one BLAS
+# thread, 2-core Xeon): a grid table's 3,721 ids scatter into 3-20 rows in
+# 0.09-0.24 ms by GEMM against 0.64-1.21 ms by `np.add.at`; 61 ids into the
+# 256-row position table take 0.04 ms by GEMM and 0.03 ms by `np.add.at`.
+# The grid tables (distance, region and attention buckets) have at most 20
+# rows, the character and position tables usually more than 64.
+_ONE_HOT_ROWS = 64
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into a (vocab, width) table; ids may have any shape."""
+    """Row lookup into a (vocab, width) table; ids may have any shape.
+
+    The backward sums each row's gradients: for a small table as
+    onehot(ids).T @ g, one GEMM, and for a larger one with `np.add.at`.
+    """
     ids = np.asarray(ids)
 
     def backward(g):
-        gz = np.zeros_like(table.data)
-        np.add.at(gz, ids, g)
+        rows = table.data.shape[0]
+        if rows <= _ONE_HOT_ROWS:
+            onehot = (ids.reshape(-1, 1) == np.arange(rows)).astype(g.dtype)
+            gz = onehot.T @ g.reshape(-1, g.shape[-1])
+        else:
+            gz = np.zeros_like(table.data)
+            np.add.at(gz, ids, g)
         table._accumulate(gz, owned=True)
 
     return Tensor._make(table.data[ids], (table,), backward)
@@ -686,7 +707,9 @@ def dilated_conv_gelu(
     d = _gelu_in_place(out_data, _records(parents))
 
     def backward(g):
+        nonlocal d
         g = _times_derivative(g, d)
+        d = None  # read once: freed before the per-dilation gradients
         dx = None
         for w, b, dilation, block in zip(weights, biases, dilations, blocks):
             dx_i, dw, db = kernels.conv2d_backward(xm, w.data, g[..., block], dilation)

@@ -213,7 +213,7 @@ def adapted_attention(
     mask: np.ndarray,
     layer: AttentionLayerParams,
     config: EncoderConfig,
-    rel: np.ndarray | None = None,
+    rel: np.ndarray,
     use_scaling: bool = False,
     dropout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
@@ -234,8 +234,6 @@ def adapted_attention(
     lead, n = h.shape[:-2], h.shape[-2]
     heads = config.heads
     d_head = config.d_h // heads
-    if rel is None:
-        rel = relative_position_embedding(n, config.d_h, h.dtype)
 
     q = h @ layer.wq
     # Both R terms laid out (..., n_i, heads, n_j, 1), then moved to
@@ -284,7 +282,7 @@ def encode(
         rel = relative_position_embedding(h.shape[-2], params.config.d_h, h.dtype)
         for i, layer in enumerate(params.layers):
             h, attn_heads = adapted_attention(
-                h, mask, layer, params.config, rel=rel, use_scaling=use_scaling,
+                h, mask, layer, params.config, rel, use_scaling=use_scaling,
                 dropout=None if dropout is None else dropout[i],
             )
         attn = attn_heads.mean(axis=-3)

@@ -46,7 +46,7 @@ CHECKPOINT_FORMAT_VERSION = 3
 # bound caps a step's memory, since only one sub-batch's tape is alive at
 # a time: with the default config in float32 a 4,096-cell forward + loss
 # (one n = 64 sentence, or four of n = 32) leaves about 26 MB of tape, and
-# its backward peaks at about 31 MB (tracemalloc, from just before the
+# its backward peaks at about 27 MB (tracemalloc, from just before the
 # forward). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
 
@@ -59,7 +59,12 @@ MAX_SUB_BATCH_CELLS = 4096
 # in the fit, 216-237 cells. An earlier measurement of the same step gave
 # 7.5 ms and 36 us, about 210 cells. The step is not sensitive to the
 # exact value: steps over 8 lengths in [4, 16] averaged 64-65 ms at 160, 240
-# and 320 cells alike, and 85 ms as one padded sub-batch.
+# and 320 cells alike, and 85 ms as one padded sub-batch. Re-fit the same
+# way once the backward stopped copying gradients (eight processes, each
+# interleaved with one of the copying backward): 4.5-8.0 ms + 26-31 us per
+# cell, 152-292 cells, median 239 (the copying backward: median 223); with
+# the per-sentence term, median 207 (224). The value is kept, since a new
+# one moves the split and so float32 results.
 SUB_BATCH_OVERHEAD_CELLS = 240
 
 

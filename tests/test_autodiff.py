@@ -322,6 +322,27 @@ class TestFusedOps:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [ad._ONE_HOT_ROWS, ad._ONE_HOT_ROWS + 1])
+    @pytest.mark.parametrize("ids_kind", ["repeated", "broadcast"])
+    def test_embedding_scatter_matches_add_at(self, rng, rows, dtype, ids_kind):
+        # Both scatters (one-hot GEMM up to _ONE_HOT_ROWS rows, np.add.at
+        # above) against a float64 np.add.at reference. "broadcast" ids are
+        # zero-stride over the batch axis, as `pair_features` passes them.
+        if ids_kind == "repeated":
+            ids = rng.integers(0, 4, size=(3, 50))  # few distinct ids, many repeats
+            ids[0, :2] = rows - 1
+        else:
+            ids = np.broadcast_to(rng.integers(0, rows, size=(7, 7)), (3, 7, 7))
+        table = Tensor(rng.normal(size=(rows, 5)).astype(dtype), requires_grad=True)
+        weights = rng.normal(size=ids.shape + (5,))
+        (ad.embedding(table, ids) * Tensor(weights.astype(dtype))).sum().backward()
+        expected = np.zeros((rows, 5))
+        np.add.at(expected, ids, weights)
+        assert table.grad.dtype == dtype and table.grad.shape == (rows, 5)
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        np.testing.assert_allclose(table.grad, expected, rtol=tol, atol=tol)
+
     def test_dropout_scales_kept_entries(self):
         rng = np.random.default_rng(7)
         x = Tensor(np.ones((50, 50)), requires_grad=True)
@@ -397,6 +418,38 @@ class TestGraph:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
             (x * 2).backward()
+
+    # Ownership: a closure may hand its gradient over rather than have it
+    # copied, but never the same memory to two inputs.
+    def test_add_of_one_input_twice(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        square(ad.add(x, x)).sum().backward()
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+    def test_add_gives_each_input_its_own_gradient(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng.normal(size=(3, 4))
+        (ad.add(x, y) * Tensor(c)).sum().backward()
+        np.testing.assert_array_equal(x.grad, c)
+        np.testing.assert_array_equal(y.grad, c)
+        assert not np.shares_memory(x.grad, y.grad)
+        x.grad += 1.0  # a later accumulation into one must not reach the other
+        np.testing.assert_array_equal(y.grad, c)
+
+    def test_concat_of_one_input_twice(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = rng.normal(size=(3, 8))
+        (ad.concat([x, x], axis=-1) * Tensor(c)).sum().backward()
+        np.testing.assert_array_equal(x.grad, c[:, :4] + c[:, 4:])
+
+    def test_sum_gradient_is_materialised(self, rng):
+        # tensor_sum hands over a zero-stride broadcast view, which must be
+        # copied: a later accumulation writes into the gradient in place.
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x.sum().backward()
+        assert 0 not in x.grad.strides and x.grad.flags.writeable
+        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_no_grad_path_skipped(self):
         a = Tensor(np.ones((2, 2)))

@@ -103,9 +103,9 @@ def test_adapted_scores_match_scalar_loops(rng):
     hvals = rng.normal(size=(n, d)).astype(np.float32)
     hvals[~mask] = 0.0
 
-    _, attn = adapted_attention(Tensor(hvals), mask, layer, cfg)
-
     rel = relative_position_embedding(n, d).astype(np.float32)
+    _, attn = adapted_attention(Tensor(hvals), mask, layer, cfg, rel)
+
     q = hvals @ layer.wq.data
     k = hvals @ layer.wk.data
     relp = rel.reshape(n * n, d) @ layer.wkr.data
@@ -140,10 +140,13 @@ def test_adapted_attention_padded_batch_matches_each_sentence(rng):
     hvals = rng.normal(size=(2, 6, cfg.d_h)).astype(np.float32)
     hvals[~mask] = 0.0
 
-    out, attn = adapted_attention(Tensor(hvals), mask, layer, cfg)
+    out, attn = adapted_attention(
+        Tensor(hvals), mask, layer, cfg, relative_position_embedding(6, cfg.d_h, np.float32))
     assert attn.shape == (2, cfg.heads, 6, 6)
     for b, n in enumerate(lengths):
-        alone, alone_attn = adapted_attention(Tensor(hvals[b, :n]), mask[b, :n], layer, cfg)
+        alone, alone_attn = adapted_attention(
+            Tensor(hvals[b, :n]), mask[b, :n], layer, cfg,
+            relative_position_embedding(n, cfg.d_h, np.float32))
         np.testing.assert_allclose(attn[b, :, :n, :n], alone_attn, atol=1e-5)
         np.testing.assert_array_equal(attn[b, :, :, n:], 0.0)
         np.testing.assert_allclose(out.data[b, :n], alone.data, atol=1e-5)
@@ -157,8 +160,9 @@ def test_scaling_flag_divides_scores(rng):
     mask = np.ones(n, dtype=bool)
     hvals = rng.normal(size=(n, cfg.d_h)).astype(np.float32)
 
-    _, plain = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg)
-    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, use_scaling=True)
+    rel = relative_position_embedding(n, cfg.d_h, np.float32)
+    _, plain = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, rel)
+    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, rel, use_scaling=True)
     assert not np.allclose(plain, scaled)
     # Scaling flattens: average row entropy goes up.
     def entropy(w):
