@@ -16,7 +16,7 @@ import numpy as np
 
 from . import training
 from .config import apply_overrides, parse_config
-from .corpus import TagVocabulary, corpus_stats, load_corpus, read_lines
+from .corpus import TagVocabulary, corpus_stats, load_corpus, read_lines, sentences_to_jsonl
 from .decode import decode_grid
 from .encoder import EncoderConfig, load_sidecar_vectors
 from .errors import ConfigError, CorpusError, DivergenceError
@@ -96,7 +96,7 @@ def cmd_predict(args) -> int:
     predicted = training.predict(
         checkpoint, sentences, context_provider=_sidecar(checkpoint.config)
     )
-    text = training.predictions_to_jsonl(predicted)
+    text = sentences_to_jsonl(predicted)
     if args.output == "-":
         sys.stdout.write(text)
     else:

@@ -1,6 +1,7 @@
 """Co-predictor: biaffine scores over character representations plus MLP
-scores over the final tag features, summed per cell. An ablated head
-has no parameter group.
+scores over the final tag features, summed per cell. Each head reads
+its weights from the `ParamStore` by name (`pred.subj.*`, `pred.obj.*`,
+`pred.biaffine.*`; `pred.mlp.*`); an ablated head has none there.
 
 Prediction runs in one of two regimes:
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParamStore, Tensor
 from .corpus import TagVocabulary
 from .errors import CrenerError
 
@@ -42,26 +43,7 @@ class PredictorConfig:
             raise CrenerError(f"predictor.mode must be threshold or softmax, got {self.mode!r}")
 
 
-@dataclass
-class BiaffineParams:
-    subj_w: Tensor
-    subj_b: Tensor
-    obj_w: Tensor
-    obj_b: Tensor
-    biaffine_u: Tensor  # (d_b, |R|, d_b)
-    biaffine_w: Tensor  # (2*d_b, |R|)
-    biaffine_b: Tensor  # (|R|,)
-
-
-@dataclass
-class MlpParams:
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-
-
-def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
+def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
     """y'[i, j] = s_i^T U o_j + W [s_i ; o_j] + b over all cells.
 
     The bilinear term is two GEMMs: s @ U gives every (i, t) row s_i^T U_t,
@@ -70,26 +52,28 @@ def biaffine_scores(h: Tensor, params: BiaffineParams) -> Tensor:
     (..., n, |R|, n) result into (..., n, n, |R|).
     """
     lead, n = h.shape[:-2], h.shape[-2]
-    d_b, n_tags, _ = params.biaffine_u.shape
-    s = ad.linear(h, params.subj_w, params.subj_b, gelu=True)
-    o = ad.linear(h, params.obj_w, params.obj_b, gelu=True)
+    u = store["pred.biaffine.u"]  # (d_b, |R|, d_b)
+    d_b, n_tags, _ = u.shape
+    s = ad.linear(h, store["pred.subj.w"], store["pred.subj.b"], gelu=True)
+    o = ad.linear(h, store["pred.obj.w"], store["pred.obj.b"], gelu=True)
 
-    u2 = params.biaffine_u.reshape(d_b, n_tags * d_b)
+    u2 = u.reshape(d_b, n_tags * d_b)
     left = (s @ u2).reshape(lead + (n * n_tags, d_b))
     bilinear = ad.swapaxes(
         (left @ ad.swapaxes(o, -1, -2)).reshape(lead + (n, n_tags, n)), -2, -1
     )
 
-    w_s = params.biaffine_w[:d_b]
-    w_o = params.biaffine_w[d_b:]
+    w = store["pred.biaffine.w"]  # (2*d_b, |R|)
+    w_s = w[:d_b]
+    w_o = w[d_b:]
     linear = (s @ w_s).reshape(lead + (n, 1, n_tags)) + (o @ w_o).reshape(lead + (1, n, n_tags))
-    return bilinear + linear + params.biaffine_b
+    return bilinear + linear + store["pred.biaffine.b"]
 
 
-def mlp_scores(tf: Tensor, params: MlpParams) -> Tensor:
+def mlp_scores(tf: Tensor, store: ParamStore) -> Tensor:
     """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|."""
-    hidden = ad.linear(tf, params.mlp_w1, params.mlp_b1, gelu=True)
-    return ad.linear(hidden, params.mlp_w2, params.mlp_b2)
+    hidden = ad.linear(tf, store["pred.mlp.w1"], store["pred.mlp.b1"], gelu=True)
+    return ad.linear(hidden, store["pred.mlp.w2"], store["pred.mlp.b2"])
 
 
 def fuse_scores(y_biaffine: Tensor | None, y_mlp: Tensor | None) -> Tensor:

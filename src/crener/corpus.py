@@ -356,10 +356,14 @@ def load_corpus(path, format: str = "jsonl") -> list[Sentence]:
     raise CorpusError(f"unknown corpus format {format!r}")
 
 
+def sentences_to_jsonl(sentences) -> str:
+    """One `sentence_to_obj` JSON line per sentence, characters unescaped."""
+    return "".join(json.dumps(sentence_to_obj(s), ensure_ascii=False) + "\n" for s in sentences)
+
+
 def save_corpus(sentences, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(json.dumps(sentence_to_obj(s), ensure_ascii=False) + "\n")
+        fh.write(sentences_to_jsonl(sentences))
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +449,9 @@ def generate_synthetic_corpus(
 
     Each entity type draws characters from its own small alphabet so
     that a lookup embedder can learn the tagging from character
-    identity.
+    identity. A sentence's background and an entity's characters are
+    each one vector draw, which yields the values, and leaves the
+    generator in the state, of one scalar draw per character.
     """
     if count < 0 or max_len < 1 or min_len < 1 or min_len > max_len:
         raise ValueError("count >= 0 and 1 <= min_len <= max_len required")
@@ -460,7 +466,7 @@ def generate_synthetic_corpus(
     sentences = []
     for si in range(count):
         n = int(rng.integers(min_len, max_len + 1))
-        chars = [background[int(rng.integers(len(background)))] for _ in range(n)]
+        chars = [background[k] for k in rng.integers(len(background), size=n).tolist()]
         occupied = np.zeros(n, dtype=bool)
         entities: list[EntityMention] = []
         if types:
@@ -473,8 +479,8 @@ def generate_synthetic_corpus(
                     continue
                 occupied[start:start + length] = True
                 etype = types[int(rng.integers(len(types)))]
-                for p in range(start, start + length):
-                    chars[p] = alphabets[etype][int(rng.integers(4))]
+                picks = rng.integers(4, size=length).tolist()
+                chars[start:start + length] = [alphabets[etype][k] for k in picks]
                 entities.append(EntityMention(tuple(range(start, start + length)), etype))
 
             if nested_fraction > 0 and rng.random() < nested_fraction:

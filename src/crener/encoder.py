@@ -19,12 +19,12 @@ batch axes; the sentences of a batch share n and differ in their masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParamStore, Tensor
 from .corpus import read_lines
 from .errors import CorpusError, CrenerError
 
@@ -63,37 +63,6 @@ class EncoderConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise CrenerError("encoder.dropout must be in [0, 1)")
-
-
-@dataclass
-class AttentionLayerParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wkr: Tensor
-    u: Tensor
-    v: Tensor
-    wo: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln1_g: Tensor
-    ln1_b: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-
-
-@dataclass
-class EncoderParams:
-    config: EncoderConfig
-    context_table: Tensor
-    position_table: Tensor
-    region_table: Tensor
-    attn_wq: Tensor
-    attn_wk: Tensor
-    attn_wv: Tensor
-    layers: list[AttentionLayerParams] = field(default_factory=list)
 
 
 def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
@@ -175,35 +144,35 @@ def draw_dropout(
 def _embed_with_attention(
     char_ids: np.ndarray,
     mask: np.ndarray,
-    params: EncoderParams,
+    store: ParamStore,
+    config: EncoderConfig,
     context_vectors: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Concatenation of contextual, positional, region, and attention
     embeddings, one (..., n, d_h) row per character, plus the
     raw-attention weights used for H^A."""
-    cfg = params.config
     char_ids = np.asarray(char_ids)
     n = char_ids.shape[-1]
-    if n > cfg.max_len:
-        raise CrenerError(f"sentence length {n} exceeds max_len {cfg.max_len}")
+    if n > config.max_len:
+        raise CrenerError(f"sentence length {n} exceeds max_len {config.max_len}")
 
     if context_vectors is not None:
-        ctx_arr = np.asarray(context_vectors, dtype=params.context_table.dtype)
-        expected = char_ids.shape + (cfg.d_context,)
+        ctx_arr = np.asarray(context_vectors, dtype=store.dtype)
+        expected = char_ids.shape + (config.d_context,)
         if ctx_arr.shape != expected:
             raise CrenerError(f"context vectors shape {ctx_arr.shape} != {expected}")
         h_ctx = Tensor(ctx_arr)
     else:
-        h_ctx = ad.embedding(params.context_table, char_ids)
+        h_ctx = ad.embedding(store["embed.context"], char_ids)
     positions = np.broadcast_to(np.arange(n), char_ids.shape)
-    h_pos = ad.embedding(params.position_table, positions)
-    h_reg = ad.embedding(params.region_table, positions % 2)
+    h_pos = ad.embedding(store["embed.position"], positions)
+    h_reg = ad.embedding(store["embed.region"], positions % 2)
 
     # H^A: one scaled single-head self-attention pass over the raw context
     # embeddings.
     h_att, attn = ad.attention(
-        h_ctx @ params.attn_wq, h_ctx @ params.attn_wk, h_ctx @ params.attn_wv,
-        mask, heads=1, scale=1.0 / np.sqrt(cfg.d_attn),
+        h_ctx @ store["embed.attn.wq"], h_ctx @ store["embed.attn.wk"],
+        h_ctx @ store["embed.attn.wv"], mask, heads=1, scale=1.0 / np.sqrt(config.d_attn),
     )
     return ad.concat([h_ctx, h_pos, h_reg, h_att], axis=-1), attn[..., 0, :, :]
 
@@ -211,13 +180,15 @@ def _embed_with_attention(
 def adapted_attention(
     h: Tensor,
     mask: np.ndarray,
-    layer: AttentionLayerParams,
+    store: ParamStore,
+    layer: int,
     config: EncoderConfig,
     rel: np.ndarray,
     use_scaling: bool = False,
     dropout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """One residual block of relative-position self-attention plus FFN.
+    """Residual block `layer` (weights `enc{layer}.*`) of relative-position
+    self-attention plus FFN.
 
     Of the four score terms of the module docstring, u . K_j joins
     Q_i . K_j as (Q_i + u) . K_j; the two terms in R_ij are one taped
@@ -231,44 +202,48 @@ def adapted_attention(
     default). Dropout runs only when the (attention output, FFN output)
     multipliers of `draw_dropout` are supplied.
     """
+    p = f"enc{layer}."
     lead, n = h.shape[:-2], h.shape[-2]
     heads = config.heads
     d_head = config.d_h // heads
 
-    q = h @ layer.wq
+    q = h @ store[p + "wq"]
     # Both R terms laid out (..., n_i, heads, n_j, 1), then moved to
     # (..., heads, n_i, n_j).
-    rel_proj = (Tensor(rel) @ layer.wkr).reshape(n, n, heads, d_head).transpose(0, 2, 1, 3)
+    rel_proj = Tensor(rel) @ store[p + "wkr"]
+    rel_proj = rel_proj.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3)
     position = rel_proj @ q.reshape(lead + (n, heads, d_head, 1))  # Q_i . R_ij W_kR
     rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3))
-    position_bias = rel_heads @ layer.v.reshape(heads, d_head, 1)  # v . R_ij
+    position_bias = rel_heads @ store[p + "v"].reshape(heads, d_head, 1)  # v . R_ij
     score_bias = ad.swapaxes((position + position_bias).reshape(lead + (n, heads, n)), -3, -2)
 
     out, attn = ad.attention(
-        q + layer.u, h @ layer.wk, h @ layer.wv, mask, heads,
+        q + store[p + "u"], h @ store[p + "wk"], h @ store[p + "wv"], mask, heads,
         scale=1.0 / np.sqrt(d_head) if use_scaling else 1.0, score_bias=score_bias,
     )
-    out = out @ layer.wo
+    out = out @ store[p + "wo"]
     if dropout is not None:
         out = ad.dropout(out, dropout[0])
-    h1 = ad.layer_norm(h + out, layer.ln1_g, layer.ln1_b)
+    h1 = ad.layer_norm(h + out, store[p + "ln1.g"], store[p + "ln1.b"])
 
-    f = ad.linear(h1, layer.ffn_w1, layer.ffn_b1, gelu=True)
-    f = ad.linear(f, layer.ffn_w2, layer.ffn_b2)
+    f = ad.linear(h1, store[p + "ffn.w1"], store[p + "ffn.b1"], gelu=True)
+    f = ad.linear(f, store[p + "ffn.w2"], store[p + "ffn.b2"])
     if dropout is not None:
         f = ad.dropout(f, dropout[1])
-    return ad.layer_norm(h1 + f, layer.ln2_g, layer.ln2_b), attn
+    return ad.layer_norm(h1 + f, store[p + "ln2.g"], store[p + "ln2.b"]), attn
 
 
 def encode(
     char_ids: np.ndarray,
     mask: np.ndarray,
-    params: EncoderParams,
+    store: ParamStore,
+    config: EncoderConfig,
     context_vectors: np.ndarray | None = None,
     use_scaling: bool = False,
     dropout: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Full encoder pass: embeddings then the adapted-transformer stack.
+    """Full encoder pass: embeddings then the `config.layers` blocks of
+    the adapted-transformer stack.
 
     Returns the (..., n, d_h) character rows and the attention matrix
     that feeds the pairwise attention buckets downstream: the head mean
@@ -277,12 +252,12 @@ def encode(
     `dropout` holds one multiplier pair per layer, shaped like the
     layer's (..., n, d_h) activations (see `draw_dropout`).
     """
-    h, attn = _embed_with_attention(char_ids, mask, params, context_vectors)
-    if params.layers:
-        rel = relative_position_embedding(h.shape[-2], params.config.d_h, h.dtype)
-        for i, layer in enumerate(params.layers):
+    h, attn = _embed_with_attention(char_ids, mask, store, config, context_vectors)
+    if config.layers:
+        rel = relative_position_embedding(h.shape[-2], config.d_h, h.dtype)
+        for i in range(config.layers):
             h, attn_heads = adapted_attention(
-                h, mask, layer, params.config, rel, use_scaling=use_scaling,
+                h, mask, store, i, config, rel, use_scaling=use_scaling,
                 dropout=None if dropout is None else dropout[i],
             )
         attn = attn_heads.mean(axis=-3)

@@ -7,8 +7,9 @@ then concatenated with three index embeddings (signed-log distance
 bucket, triangle region, bucketed encoder attention weight), reduced by
 an MLP, and run through parallel dilated convolutions whose outputs are
 concatenated channel-wise. Bucket indices are plain integers computed
-outside the graph; only the embedding tables behind them train. An
-ablated embedding has no table and ablated convolutions no kernels.
+outside the graph; only the embedding tables behind them train. Every
+weight is read from the `ParamStore` under its `grid.*` name; an ablated
+embedding table or convolution kernel has no name there and is skipped.
 
 Grids are (..., n, n, c) with any number of leading batch axes, and
 masks (..., n, n); the index ids depend on n alone and broadcast over
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParamStore, Tensor
 from .errors import CrenerError
 
 
@@ -53,34 +54,15 @@ class GridConfig:
             raise CrenerError("grid.kernel must be odd for same-size padding")
 
 
-@dataclass
-class GridParams:
-    subj_w: Tensor
-    subj_b: Tensor
-    obj_w: Tensor
-    obj_b: Tensor
-    cln_gain_w: Tensor
-    cln_gain_b: Tensor
-    cln_bias_w: Tensor
-    cln_bias_b: Tensor
-    dist_table: Tensor | None
-    region_table: Tensor | None
-    attn_table: Tensor | None
-    mlp1_w: Tensor
-    mlp1_b: Tensor
-    conv_w: list[Tensor]  # one kernel per dilation; empty for no convolution
-    conv_b: list[Tensor]
-
-
-def project_subject_object(h: Tensor, params: GridParams) -> tuple[Tensor, Tensor]:
+def project_subject_object(h: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
     """Affine subject and object views of the character representations."""
-    h_s = ad.linear(h, params.subj_w, params.subj_b)
-    h_o = ad.linear(h, params.obj_w, params.obj_b)
+    h_s = ad.linear(h, store["grid.subj.w"], store["grid.subj.b"])
+    h_o = ad.linear(h, store["grid.obj.w"], store["grid.obj.b"])
     return h_s, h_o
 
 
 def conditional_layer_norm(
-    h_s: Tensor, h_o: Tensor, params: GridParams, eps: float = 1e-5
+    h_s: Tensor, h_o: Tensor, store: ParamStore, eps: float = 1e-5
 ) -> Tensor:
     """V[i, j] = gain(h_s[i]) * normalize(h_o[j]) + bias(h_s[i]).
 
@@ -89,8 +71,8 @@ def conditional_layer_norm(
     """
     lead, (n, d) = h_s.shape[:-2], h_s.shape[-2:]
     rows, cols = lead + (n, 1, d), lead + (1, n, d)
-    gain = ad.linear(h_s, params.cln_gain_w, params.cln_gain_b)
-    bias = ad.linear(h_s, params.cln_bias_w, params.cln_bias_b)
+    gain = ad.linear(h_s, store["grid.cln.gain_w"], store["grid.cln.gain_b"])
+    bias = ad.linear(h_s, store["grid.cln.bias_w"], store["grid.cln.bias_b"])
     normed = ad.normalize(h_o, eps)
     return ad.scale_shift(gain.reshape(rows), normed.reshape(cols), bias.reshape(rows))
 
@@ -135,39 +117,47 @@ def attention_bucket(attn: np.ndarray, buckets: int) -> np.ndarray:
 def pair_features(
     v: Tensor,
     attn: np.ndarray,
-    params: GridParams,
+    store: ParamStore,
     config: GridConfig,
 ) -> Tensor:
     """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels.
 
-    Only the index embeddings whose table exists join the concatenation;
-    a `None` table is an ablated one, and `mlp1_w` is built that narrower.
+    Only the index embeddings whose table is in the store join the
+    concatenation; an ablated one has none, and `grid.mlp1.w` is built
+    that narrower.
     """
     n = v.shape[-2]
     cells = v.shape[:-1]
     parts = [v]
-    if params.dist_table is not None:
+    if "grid.dist_emb" in store:
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
         # GridConfig.validate makes the table cover all 19 distance ids.
-        parts.append(ad.embedding(params.dist_table, np.broadcast_to(distance_bucket(offs), cells)))
-    if params.region_table is not None:
-        parts.append(ad.embedding(params.region_table, np.broadcast_to(region_ids(n), cells)))
-    if params.attn_table is not None:
+        ids = np.broadcast_to(distance_bucket(offs), cells)
+        parts.append(ad.embedding(store["grid.dist_emb"], ids))
+    if "grid.region_emb" in store:
+        parts.append(ad.embedding(store["grid.region_emb"], np.broadcast_to(region_ids(n), cells)))
+    if "grid.attn_emb" in store:
         ids = attention_bucket(attn, config.attn_buckets)
-        parts.append(ad.embedding(params.attn_table, ids))
+        parts.append(ad.embedding(store["grid.attn_emb"], ids))
     cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
-    return ad.linear(cat, params.mlp1_w, params.mlp1_b, gelu=True)
+    return ad.linear(cat, store["grid.mlp1.w"], store["grid.mlp1.b"], gelu=True)
 
 
 def dilated_convolutions(
-    c: Tensor, mask2d: np.ndarray, params: GridParams, config: GridConfig
+    c: Tensor, mask2d: np.ndarray, store: ParamStore, config: GridConfig
 ) -> Tensor:
-    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates,
-    as one `autodiff.dilated_conv_gelu` op.
+    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates
+    whose `grid.conv{d}.*` kernel is in the store, as one
+    `autodiff.dilated_conv_gelu` op; `c` itself when there is none.
 
     Zero padding keeps every output cell aligned with its input cell.
     Masked cells are zeroed going in, inside the op, so a kernel reads
     padding as the zeros beyond the grid's edge; what it writes there is
     left as is.
     """
-    return ad.dilated_conv_gelu(c, mask2d, params.conv_w, params.conv_b, config.dilations)
+    dilations = [d for d in config.dilations if f"grid.conv{d}.w" in store]
+    if not dilations:
+        return c
+    weights = [store[f"grid.conv{d}.w"] for d in dilations]
+    biases = [store[f"grid.conv{d}.b"] for d in dilations]
+    return ad.dilated_conv_gelu(c, mask2d, weights, biases, dilations)

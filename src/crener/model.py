@@ -2,8 +2,9 @@
 per-sentence prediction.
 
 The config decides the architecture once, in `_build_params`, which
-builds no parameter for an ablated ingredient; every stage then runs
-what its parameters hold.
+adds no weight for an ablated ingredient; every stage then reads its
+weights from the `ParamStore` by their checkpoint names and runs what
+it finds there.
 
 The forward pass takes (..., n) character ids and validity masks with any
 number of leading batch axes. `batch_loss` pads a list of sentences to
@@ -82,141 +83,120 @@ class CrenerModel:
     # ------------------------------------------------------------------
     # parameter construction
 
-    def _linear(self, name: str, fan_in: int, shape) -> Tensor:
+    def _linear(self, name: str, fan_in: int, shape) -> None:
         bound = 1.0 / np.sqrt(fan_in)
-        return self.store.add(name, self._rng_init.uniform(-bound, bound, size=shape))
+        self.store.add(name, self._rng_init.uniform(-bound, bound, size=shape))
 
-    def _zeros(self, name: str, shape) -> Tensor:
-        return self.store.add(name, np.zeros(shape))
+    def _zeros(self, name: str, shape) -> None:
+        self.store.add(name, np.zeros(shape))
 
-    def _ones(self, name: str, shape) -> Tensor:
-        return self.store.add(name, np.ones(shape))
+    def _ones(self, name: str, shape) -> None:
+        self.store.add(name, np.ones(shape))
 
-    def _table(self, name: str, shape) -> Tensor:
-        return self.store.add(name, self._rng_init.normal(0.0, 0.02, size=shape))
+    def _table(self, name: str, shape) -> None:
+        self.store.add(name, self._rng_init.normal(0.0, 0.02, size=shape))
 
     def _build_params(self) -> None:
-        """Build the parameter groups of the ingredients the config enables.
-        An ablated ingredient has none: its group or index table is None,
-        its convolution list empty. The forward runs what it finds here."""
+        """Add the weights of the ingredients the config enables to the
+        store, under the names checkpoints use. An ablated ingredient adds
+        none, and every stage reads only the names it finds. The order of
+        these calls fixes the initial draws and the store's order."""
         cfg = self.config
         ec, gc, nc, pc, abl = cfg.encoder, cfg.grid, cfg.enhance, cfg.predictor, cfg.ablations
         d_h, d4, n_tags = ec.d_h, 4 * nc.d_r, len(self.tag_vocab)
+        linear, zeros, ones, table = self._linear, self._zeros, self._ones, self._table
 
-        layers = []
         for i in range(ec.layers):
             p = f"enc{i}."
-            layers.append(enc_mod.AttentionLayerParams(
-                wq=self._linear(p + "wq", d_h, (d_h, d_h)),
-                wk=self._linear(p + "wk", d_h, (d_h, d_h)),
-                wv=self._linear(p + "wv", d_h, (d_h, d_h)),
-                wkr=self._linear(p + "wkr", d_h, (d_h, d_h)),
-                u=self._table(p + "u", (d_h,)),
-                v=self._table(p + "v", (d_h,)),
-                wo=self._linear(p + "wo", d_h, (d_h, d_h)),
-                ffn_w1=self._linear(p + "ffn.w1", d_h, (d_h, d_h)),
-                ffn_b1=self._zeros(p + "ffn.b1", (d_h,)),
-                ffn_w2=self._linear(p + "ffn.w2", d_h, (d_h, d_h)),
-                ffn_b2=self._zeros(p + "ffn.b2", (d_h,)),
-                ln1_g=self._ones(p + "ln1.g", (d_h,)),
-                ln1_b=self._zeros(p + "ln1.b", (d_h,)),
-                ln2_g=self._ones(p + "ln2.g", (d_h,)),
-                ln2_b=self._zeros(p + "ln2.b", (d_h,)),
-            ))
-        self.encoder_params = enc_mod.EncoderParams(
-            config=ec,
-            context_table=self._table("embed.context", (len(self.char_vocab), ec.d_context)),
-            position_table=self._table("embed.position", (ec.max_len, ec.d_pos)),
-            region_table=self._table("embed.region", (2, ec.d_region)),
-            attn_wq=self._linear("embed.attn.wq", ec.d_context, (ec.d_context, ec.d_attn)),
-            attn_wk=self._linear("embed.attn.wk", ec.d_context, (ec.d_context, ec.d_attn)),
-            attn_wv=self._linear("embed.attn.wv", ec.d_context, (ec.d_context, ec.d_attn)),
-            layers=layers,
-        )
+            linear(p + "wq", d_h, (d_h, d_h))
+            linear(p + "wk", d_h, (d_h, d_h))
+            linear(p + "wv", d_h, (d_h, d_h))
+            linear(p + "wkr", d_h, (d_h, d_h))
+            table(p + "u", (d_h,))
+            table(p + "v", (d_h,))
+            linear(p + "wo", d_h, (d_h, d_h))
+            linear(p + "ffn.w1", d_h, (d_h, d_h))
+            zeros(p + "ffn.b1", (d_h,))
+            linear(p + "ffn.w2", d_h, (d_h, d_h))
+            zeros(p + "ffn.b2", (d_h,))
+            ones(p + "ln1.g", (d_h,))
+            zeros(p + "ln1.b", (d_h,))
+            ones(p + "ln2.g", (d_h,))
+            zeros(p + "ln2.b", (d_h,))
+        table("embed.context", (len(self.char_vocab), ec.d_context))
+        table("embed.position", (ec.max_len, ec.d_pos))
+        table("embed.region", (2, ec.d_region))
+        linear("embed.attn.wq", ec.d_context, (ec.d_context, ec.d_attn))
+        linear("embed.attn.wk", ec.d_context, (ec.d_context, ec.d_attn))
+        linear("embed.attn.wv", ec.d_context, (ec.d_context, ec.d_attn))
 
-        self.grid_params = self.tag_params = self.enhance_params = self.mlp_params = None
         if not abl.no_mlp_predictor:  # the grid and enhancement feed only the MLP head
-            tables = [(gc.d_dist, abl.no_distance_matrix), (gc.d_region, abl.no_region_matrix),
-                      (gc.d_attn, abl.no_attn_matrix)]
-            pair_in = d_h + sum(width for width, ablated in tables if not ablated)
+            linear("grid.subj.w", d_h, (d_h, d_h))
+            zeros("grid.subj.b", (d_h,))
+            linear("grid.obj.w", d_h, (d_h, d_h))
+            zeros("grid.obj.b", (d_h,))
+            linear("grid.cln.gain_w", d_h, (d_h, d_h))
+            ones("grid.cln.gain_b", (d_h,))
+            linear("grid.cln.bias_w", d_h, (d_h, d_h))
+            zeros("grid.cln.bias_b", (d_h,))
+            pair_in = d_h
+            if not abl.no_distance_matrix:
+                table("grid.dist_emb", (gc.distance_buckets, gc.d_dist))
+                pair_in += gc.d_dist
+            if not abl.no_region_matrix:
+                table("grid.region_emb", (3, gc.d_region))
+                pair_in += gc.d_region
+            if not abl.no_attn_matrix:
+                table("grid.attn_emb", (gc.attn_buckets, gc.d_attn))
+                pair_in += gc.d_attn
+            linear("grid.mlp1.w", pair_in, (pair_in, gc.d_reduced))
+            zeros("grid.mlp1.b", (gc.d_reduced,))
             dilations = () if abl.no_dilated_conv else gc.dilations
-            self.grid_params = grid_mod.GridParams(
-                subj_w=self._linear("grid.subj.w", d_h, (d_h, d_h)),
-                subj_b=self._zeros("grid.subj.b", (d_h,)),
-                obj_w=self._linear("grid.obj.w", d_h, (d_h, d_h)),
-                obj_b=self._zeros("grid.obj.b", (d_h,)),
-                cln_gain_w=self._linear("grid.cln.gain_w", d_h, (d_h, d_h)),
-                cln_gain_b=self._ones("grid.cln.gain_b", (d_h,)),
-                cln_bias_w=self._linear("grid.cln.bias_w", d_h, (d_h, d_h)),
-                cln_bias_b=self._zeros("grid.cln.bias_b", (d_h,)),
-                dist_table=None if abl.no_distance_matrix else self._table(
-                    "grid.dist_emb", (gc.distance_buckets, gc.d_dist)),
-                region_table=None if abl.no_region_matrix else self._table(
-                    "grid.region_emb", (3, gc.d_region)),
-                attn_table=None if abl.no_attn_matrix else self._table(
-                    "grid.attn_emb", (gc.attn_buckets, gc.d_attn)),
-                mlp1_w=self._linear("grid.mlp1.w", pair_in, (pair_in, gc.d_reduced)),
-                mlp1_b=self._zeros("grid.mlp1.b", (gc.d_reduced,)),
-                conv_w=[
-                    self._linear(
-                        f"grid.conv{dil}.w",
-                        gc.kernel * gc.kernel * gc.d_reduced,
-                        (gc.kernel, gc.kernel, gc.d_reduced, gc.d_conv),
-                    )
-                    for dil in dilations
-                ],
-                conv_b=[self._zeros(f"grid.conv{dil}.b", (gc.d_conv,)) for dil in dilations],
-            )
+            for dil in dilations:
+                linear(f"grid.conv{dil}.w", gc.kernel * gc.kernel * gc.d_reduced,
+                       (gc.kernel, gc.kernel, gc.d_reduced, gc.d_conv))
+            for dil in dilations:
+                zeros(f"grid.conv{dil}.b", (gc.d_conv,))
             q_channels = gc.d_reduced if abl.no_dilated_conv else len(gc.dilations) * gc.d_conv
-            tags = {}
-            for group in ("nnc", "pnc", "htc", "thc"):
-                tags[f"tag_{group}_w"] = self._linear(
-                    f"enh.tag_{group}.w", q_channels, (q_channels, nc.d_r))
-                tags[f"tag_{group}_b"] = self._zeros(f"enh.tag_{group}.b", (nc.d_r,))
-            self.tag_params = enh_mod.TagParams(**tags)
+            for group in enh_mod.TAG_GROUPS:
+                linear(f"enh.tag_{group}.w", q_channels, (q_channels, nc.d_r))
+                zeros(f"enh.tag_{group}.b", (nc.d_r,))
             if nc.rounds > 1:  # only the rounds before the last enhance
-                self.enhance_params = enh_mod.EnhanceParams(
-                    pool_s_w=self._linear("enh.pool_s.w", d4, (d4, d_h)),
-                    pool_s_b=self._zeros("enh.pool_s.b", (d_h,)),
-                    pool_o_w=self._linear("enh.pool_o.w", d4, (d4, d_h)),
-                    pool_o_b=self._zeros("enh.pool_o.b", (d_h,)),
-                    self_wq=self._linear("enh.self.wq", d_h, (d_h, d_h)),
-                    self_wk=self._linear("enh.self.wk", d_h, (d_h, d_h)),
-                    self_wv=self._linear("enh.self.wv", d_h, (d_h, d_h)),
-                    self_wo=self._linear("enh.self.wo", d_h, (d_h, d_h)),
-                    cross_wq=self._linear("enh.cross.wq", d_h, (d_h, d_h)),
-                    cross_wk=self._linear("enh.cross.wk", d_h, (d_h, d_h)),
-                    cross_wv=self._linear("enh.cross.wv", d_h, (d_h, d_h)),
-                    cross_wo=self._linear("enh.cross.wo", d_h, (d_h, d_h)),
-                    out_s_w=self._linear("enh.out_s.w", d_h, (d_h, d_h)),
-                    out_s_b=self._zeros("enh.out_s.b", (d_h,)),
-                    out_o_w=self._linear("enh.out_o.w", d_h, (d_h, d_h)),
-                    out_o_b=self._zeros("enh.out_o.b", (d_h,)),
-                    ln_s_g=self._ones("enh.ln_s.g", (d_h,)),
-                    ln_s_b=self._zeros("enh.ln_s.b", (d_h,)),
-                    ln_o_g=self._ones("enh.ln_o.g", (d_h,)),
-                    ln_o_b=self._zeros("enh.ln_o.b", (d_h,)),
-                )
+                linear("enh.pool_s.w", d4, (d4, d_h))
+                zeros("enh.pool_s.b", (d_h,))
+                linear("enh.pool_o.w", d4, (d4, d_h))
+                zeros("enh.pool_o.b", (d_h,))
+                linear("enh.self.wq", d_h, (d_h, d_h))
+                linear("enh.self.wk", d_h, (d_h, d_h))
+                linear("enh.self.wv", d_h, (d_h, d_h))
+                linear("enh.self.wo", d_h, (d_h, d_h))
+                linear("enh.cross.wq", d_h, (d_h, d_h))
+                linear("enh.cross.wk", d_h, (d_h, d_h))
+                linear("enh.cross.wv", d_h, (d_h, d_h))
+                linear("enh.cross.wo", d_h, (d_h, d_h))
+                linear("enh.out_s.w", d_h, (d_h, d_h))
+                zeros("enh.out_s.b", (d_h,))
+                linear("enh.out_o.w", d_h, (d_h, d_h))
+                zeros("enh.out_o.b", (d_h,))
+                ones("enh.ln_s.g", (d_h,))
+                zeros("enh.ln_s.b", (d_h,))
+                ones("enh.ln_o.g", (d_h,))
+                zeros("enh.ln_o.b", (d_h,))
 
         d_b = pc.d_biaffine
-        self.biaffine_params = None
         if not abl.no_biaffine_predictor:
-            self.biaffine_params = pred_mod.BiaffineParams(
-                subj_w=self._linear("pred.subj.w", d_h, (d_h, d_b)),
-                subj_b=self._zeros("pred.subj.b", (d_b,)),
-                obj_w=self._linear("pred.obj.w", d_h, (d_h, d_b)),
-                obj_b=self._zeros("pred.obj.b", (d_b,)),
-                biaffine_u=self._linear("pred.biaffine.u", d_b, (d_b, n_tags, d_b)),
-                biaffine_w=self._linear("pred.biaffine.w", 2 * d_b, (2 * d_b, n_tags)),
-                biaffine_b=self._zeros("pred.biaffine.b", (n_tags,)),
-            )
+            linear("pred.subj.w", d_h, (d_h, d_b))
+            zeros("pred.subj.b", (d_b,))
+            linear("pred.obj.w", d_h, (d_h, d_b))
+            zeros("pred.obj.b", (d_b,))
+            linear("pred.biaffine.u", d_b, (d_b, n_tags, d_b))
+            linear("pred.biaffine.w", 2 * d_b, (2 * d_b, n_tags))
+            zeros("pred.biaffine.b", (n_tags,))
         if not abl.no_mlp_predictor:
-            self.mlp_params = pred_mod.MlpParams(
-                mlp_w1=self._linear("pred.mlp.w1", d4, (d4, pc.d_hidden)),
-                mlp_b1=self._zeros("pred.mlp.b1", (pc.d_hidden,)),
-                mlp_w2=self._linear("pred.mlp.w2", pc.d_hidden, (pc.d_hidden, n_tags)),
-                mlp_b2=self._zeros("pred.mlp.b2", (n_tags,)),
-            )
+            linear("pred.mlp.w1", d4, (d4, pc.d_hidden))
+            zeros("pred.mlp.b1", (pc.d_hidden,))
+            linear("pred.mlp.w2", pc.d_hidden, (pc.d_hidden, n_tags))
+            zeros("pred.mlp.b2", (n_tags,))
 
     # ------------------------------------------------------------------
     # forward paths
@@ -269,19 +249,17 @@ class CrenerModel:
         """(..., n, n, |R|) scores and the (..., n, n) cell mask for (..., n)
         ids and masks; scores at masked cells are meaningless. `dropout`,
         given in training only, holds one multiplier pair per encoder layer,
-        shaped (..., n, d_h). A stage or head runs when its parameters exist."""
+        shaped (..., n, d_h). A stage or head runs when its weights are in the store."""
+        store = self.store
         h, attn = enc_mod.encode(
-            char_ids, mask, self.encoder_params, context_vectors=context_vectors,
+            char_ids, mask, store, self.config.encoder, context_vectors=context_vectors,
             use_scaling=self.config.ablations.use_scaling_factor, dropout=dropout,
         )
-        tf = None if self.mlp_params is None else enh_mod.run_enhancement(
-            h, mask, attn, self.grid_params, self.tag_params,
-            self.enhance_params, self.config.grid, self.config.enhance,
+        tf = None if "pred.mlp.w1" not in store else enh_mod.run_enhancement(
+            h, mask, attn, store, self.config.grid, self.config.enhance
         )
-        y_bi = None if self.biaffine_params is None else pred_mod.biaffine_scores(
-            h, self.biaffine_params
-        )
-        y_mlp = None if tf is None else pred_mod.mlp_scores(tf, self.mlp_params)
+        y_bi = None if "pred.subj.w" not in store else pred_mod.biaffine_scores(h, store)
+        y_mlp = None if tf is None else pred_mod.mlp_scores(tf, store)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
         if not np.isfinite(fused.data).all():
             raise FloatingPointError("non-finite scores in forward pass")

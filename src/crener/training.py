@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .corpus import (
     Sentence,
     TagVocabulary,
     build_tag_vocabulary,
-    sentence_to_obj,
 )
 from .errors import ConfigError, CorpusError, DivergenceError
 from .model import CrenerModel
@@ -145,15 +144,7 @@ class EvalReport:
     per_type: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "gold": self.gold,
-            "predicted": self.predicted,
-            "correct": self.correct,
-            "per_type": self.per_type,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [("ALL", self.precision, self.recall, self.f1, self.gold)]
@@ -344,10 +335,6 @@ def predict(checkpoint: Checkpoint, sentences, context_provider=None) -> list[Se
         mentions = sorted(model.predict_sentence(s), key=lambda e: (e.indices, e.type))
         out.append(Sentence(s.id, list(s.chars), list(mentions)))
     return out
-
-
-def predictions_to_jsonl(sentences) -> str:
-    return "".join(json.dumps(sentence_to_obj(s), ensure_ascii=False) + "\n" for s in sentences)
 
 
 # ----------------------------------------------------------------------

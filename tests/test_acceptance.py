@@ -248,13 +248,12 @@ def test_06_attention_invariants(capsys):
     model, sents = small_model(config=small_config(double=True))
     sent = max(sents, key=len)
     ids, mask, _ = model.sentence_inputs(sent, pad_to=len(sent) + 3)
-    params = model.encoder_params
-    cfg = model.config.encoder
+    store, cfg = model.store, model.config.encoder
 
-    h0, _ = enc_mod._embed_with_attention(ids, mask, params)
+    h0, _ = enc_mod._embed_with_attention(ids, mask, store, cfg)
     rel = enc_mod.relative_position_embedding(len(ids), cfg.d_h)
-    _, weights = enc_mod.adapted_attention(h0, mask, params.layers[0], cfg, rel=rel)
-    _, attn = enc_mod.encode(ids, mask, params)
+    _, weights = enc_mod.adapted_attention(h0, mask, store, 0, cfg, rel=rel)
+    _, attn = enc_mod.encode(ids, mask, store, cfg)
 
     row_err = 0.0
     masked_leak = 0.0
@@ -290,17 +289,17 @@ def test_06_attention_invariants(capsys):
 
 def test_07_cln_degenerates_to_layer_norm(capsys):
     model, _ = small_model(config=small_config(double=True))
-    gp = model.grid_params
-    gp.cln_gain_w.data[:] = 0.0
-    gp.cln_gain_b.data[:] = 1.0
-    gp.cln_bias_w.data[:] = 0.0
-    gp.cln_bias_b.data[:] = 0.0
+    store = model.store
+    store["grid.cln.gain_w"].data[:] = 0.0
+    store["grid.cln.gain_b"].data[:] = 1.0
+    store["grid.cln.bias_w"].data[:] = 0.0
+    store["grid.cln.bias_b"].data[:] = 0.0
 
     rng = np.random.default_rng(7)
-    n, d = 10, gp.cln_gain_b.data.shape[0]
+    n, d = 10, store["grid.cln.gain_b"].data.shape[0]
     h_s = Tensor(rng.normal(size=(n, d)))
     h_o = Tensor(rng.normal(size=(n, d)))
-    v = conditional_layer_norm(h_s, h_o, gp).data
+    v = conditional_layer_norm(h_s, h_o, store).data
 
     mean_err = float(np.abs(v.mean(axis=-1)).max())
     std_err = float(np.abs(v.std(axis=-1) - 1.0).max())

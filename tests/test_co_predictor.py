@@ -33,24 +33,24 @@ def gelu_ref(x):
 
 def test_biaffine_matches_scalar_loops(rng):
     model, _ = small_model()
-    p = model.biaffine_params
+    p = {name: t.data for name, t in model.store.items()}
     d = model.config.encoder.d_h
     d_b = model.config.predictor.d_biaffine
     n, n_tags = 4, len(model.tag_vocab)
     h = rng.normal(size=(n, d)).astype(np.float32)
-    got = biaffine_scores(Tensor(h), p).data
+    got = biaffine_scores(Tensor(h), model.store).data
 
-    s = gelu_ref(h @ p.subj_w.data + p.subj_b.data)
-    o = gelu_ref(h @ p.obj_w.data + p.obj_b.data)
+    s = gelu_ref(h @ p["pred.subj.w"] + p["pred.subj.b"])
+    o = gelu_ref(h @ p["pred.obj.w"] + p["pred.obj.b"])
     expect = np.zeros((n, n, n_tags))
     for i in range(n):
         for j in range(n):
             for t in range(n_tags):
                 expect[i, j, t] = (
-                    s[i] @ p.biaffine_u.data[:, t, :] @ o[j]
-                    + p.biaffine_w.data[:d_b, t] @ s[i]
-                    + p.biaffine_w.data[d_b:, t] @ o[j]
-                    + p.biaffine_b.data[t]
+                    s[i] @ p["pred.biaffine.u"][:, t, :] @ o[j]
+                    + p["pred.biaffine.w"][:d_b, t] @ s[i]
+                    + p["pred.biaffine.w"][d_b:, t] @ o[j]
+                    + p["pred.biaffine.b"][t]
                 )
     np.testing.assert_allclose(got, expect, atol=1e-4)
 
@@ -59,15 +59,14 @@ def test_biaffine_padded_batch_matches_each_sentence(rng):
     # Two sentences of lengths 6 and 4, the second padded to 6: each real
     # block of the batched scores is that sentence's unbatched output.
     model, _ = small_model()
-    p = model.biaffine_params
     d = model.config.encoder.d_h
     lengths = (6, 4)
     h = rng.normal(size=(2, 6, d)).astype(np.float32)
     h[1, 4:] = 0.0
-    got = biaffine_scores(Tensor(h), p).data
+    got = biaffine_scores(Tensor(h), model.store).data
     assert got.shape == (2, 6, 6, len(model.tag_vocab))
     for b, n in enumerate(lengths):
-        alone = biaffine_scores(Tensor(h[b, :n]), p).data
+        alone = biaffine_scores(Tensor(h[b, :n]), model.store).data
         np.testing.assert_allclose(got[b, :n, :n], alone, atol=1e-4)
 
 
@@ -75,22 +74,21 @@ def test_biaffine_bilinear_term_superposition(rng):
     # With W and b zeroed the score is bilinear in (s, o); doubling the
     # input to GELU is nonlinear, so probe at the s/o level via U only.
     model, _ = small_model()
-    p = model.biaffine_params
-    p.biaffine_w = Tensor(np.zeros_like(p.biaffine_w.data))
-    p.biaffine_b = Tensor(np.zeros_like(p.biaffine_b.data))
+    model.store["pred.biaffine.w"].data[:] = 0.0
+    model.store["pred.biaffine.b"].data[:] = 0.0
     d = model.config.encoder.d_h
     h = rng.normal(size=(3, d)).astype(np.float32)
-    y = biaffine_scores(Tensor(h), p).data
+    y = biaffine_scores(Tensor(h), model.store).data
     assert np.abs(y).sum() > 0  # U term alive on its own
 
 
 def test_mlp_matches_manual(rng):
     model, _ = small_model()
-    p = model.mlp_params
+    p = {name: t.data for name, t in model.store.items()}
     d4 = 4 * model.config.enhance.d_r
     tf = rng.normal(size=(3, 3, d4)).astype(np.float32)
-    got = mlp_scores(Tensor(tf), p).data
-    expect = gelu_ref(tf @ p.mlp_w1.data + p.mlp_b1.data) @ p.mlp_w2.data + p.mlp_b2.data
+    got = mlp_scores(Tensor(tf), model.store).data
+    expect = gelu_ref(tf @ p["pred.mlp.w1"] + p["pred.mlp.b1"]) @ p["pred.mlp.w2"] + p["pred.mlp.b2"]
     np.testing.assert_allclose(got, expect, atol=1e-5)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import tag_grid
+from crener import corpus as corpus_mod
 from crener.corpus import (
     CharVocabulary,
     EntityMention,
@@ -28,6 +29,62 @@ from crener.corpus import (
     sentence_to_obj,
 )
 from crener.errors import CorpusError
+
+
+def scalar_draw_corpus(seed, count, max_len, types, min_len, nested_fraction,
+                       discontinuous_fraction):
+    """`generate_synthetic_corpus` written with one scalar draw per
+    character: the oracle for its vector draws."""
+    rng = np.random.default_rng(seed)
+    pool = corpus_mod._TYPE_ALPHABET_POOL
+    alphabets = {
+        t: [pool[(4 * i + k) % len(pool)] for k in range(4)] for i, t in enumerate(types)
+    }
+    background = corpus_mod._BACKGROUND_ALPHABET
+    sentences = []
+    for si in range(count):
+        n = int(rng.integers(min_len, max_len + 1))
+        chars = [background[int(rng.integers(len(background)))] for _ in range(n)]
+        occupied = np.zeros(n, dtype=bool)
+        entities = []
+        if types:
+            for _ in range(int(rng.integers(0, 4))):
+                length = int(rng.integers(1, 5))
+                if length > n:
+                    continue
+                start = int(rng.integers(0, n - length + 1))
+                if occupied[start:start + length].any():
+                    continue
+                occupied[start:start + length] = True
+                etype = types[int(rng.integers(len(types)))]
+                for p in range(start, start + length):
+                    chars[p] = alphabets[etype][int(rng.integers(4))]
+                entities.append(EntityMention(tuple(range(start, start + length)), etype))
+            if nested_fraction > 0 and rng.random() < nested_fraction:
+                outers = [e for e in entities if len(e.indices) >= 3]
+                if outers:
+                    outer = outers[int(rng.integers(len(outers)))]
+                    lo, hi = outer.head, outer.tail
+                    a = int(rng.integers(lo, hi + 1))
+                    b = int(rng.integers(a, hi + 1))
+                    if (a, b) != (lo, hi):
+                        etype = types[int(rng.integers(len(types)))]
+                        inner = EntityMention(tuple(range(a, b + 1)), etype)
+                        if inner not in entities:
+                            entities.append(inner)
+            if discontinuous_fraction > 0 and rng.random() < discontinuous_fraction and n >= 3:
+                free = np.flatnonzero(~occupied)
+                gaps = [p for p in free[:-2] if not occupied[p + 2] and p + 2 < n]
+                if gaps:
+                    a = int(gaps[int(rng.integers(len(gaps)))])
+                    etype = types[int(rng.integers(len(types)))]
+                    occupied[a] = occupied[a + 2] = True
+                    chars[a] = alphabets[etype][int(rng.integers(4))]
+                    chars[a + 2] = alphabets[etype][int(rng.integers(4))]
+                    entities.append(EntityMention((a, a + 2), etype))
+        entities.sort(key=lambda e: (e.indices, e.type))
+        sentences.append(Sentence(f"syn-{si:05d}", chars, entities))
+    return sentences
 
 
 class TestDataModel:
@@ -275,6 +332,23 @@ class TestStatsAndSynthesis:
     def test_synthetic_plain_mode_contiguous_only(self):
         sents = generate_synthetic_corpus(seed=2, count=50, max_len=30, types=list("ABCD"))
         assert all(e.is_contiguous() for s in sents for e in s.entities)
+
+    @pytest.mark.parametrize("seed, min_len, max_len, types, nested, discontinuous", [
+        (0, 1, 8, ["A", "B"], 0.0, 0.0),
+        (1, 1, 1, ["A"], 0.5, 0.5),
+        (5, 4, 16, ["A", "B"], 0.3, 0.3),
+        (9, 48, 64, ["PER", "LOC", "ORG"], 0.2, 0.2),
+        (13, 2, 30, list("ABCD"), 1.0, 1.0),
+        (17, 1, 12, [], 0.5, 0.5),
+    ])
+    def test_synthetic_matches_scalar_draws(self, seed, min_len, max_len, types,
+                                            nested, discontinuous):
+        got = generate_synthetic_corpus(
+            seed=seed, count=40, max_len=max_len, types=types, min_len=min_len,
+            nested_fraction=nested, discontinuous_fraction=discontinuous,
+        )
+        expect = scalar_draw_corpus(seed, 40, max_len, types, min_len, nested, discontinuous)
+        assert [sentence_to_obj(s) for s in got] == [sentence_to_obj(s) for s in expect]
 
     def test_build_tag_vocabulary_sorts_types(self):
         sents = [Sentence("a", list("ab"), [

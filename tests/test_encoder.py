@@ -61,11 +61,12 @@ class TestEmbedding:
         model, _ = small_model()
         ids = np.array([2, 3, 4, 0, 0])
         mask = np.array([True, True, True, False, False])
-        h, _ = _embed_with_attention(ids, mask, model.encoder_params)
+        h, _ = _embed_with_attention(ids, mask, model.store, model.config.encoder)
         assert h.shape == (5, model.config.encoder.d_h)
         assert np.abs(h.data[:3]).sum() > 0
         # Masked rows hold whatever their ids give them and reach no real row.
-        other, _ = _embed_with_attention(np.array([2, 3, 4, 1, 2]), mask, model.encoder_params)
+        other, _ = _embed_with_attention(
+            np.array([2, 3, 4, 1, 2]), mask, model.store, model.config.encoder)
         assert not np.array_equal(other.data[3:], h.data[3:])
         np.testing.assert_array_equal(other.data[:3], h.data[:3])
 
@@ -75,7 +76,7 @@ class TestEmbedding:
         ids = np.array([2, 3])
         mask = np.ones(2, dtype=bool)
         vecs = np.full((2, cfg.d_context), 0.25, dtype=np.float32)
-        h, _ = _embed_with_attention(ids, mask, model.encoder_params, context_vectors=vecs)
+        h, _ = _embed_with_attention(ids, mask, model.store, cfg, context_vectors=vecs)
         np.testing.assert_allclose(h.data[:, : cfg.d_context], 0.25, atol=1e-6)
 
     def test_wrong_vector_width_rejected(self):
@@ -83,20 +84,21 @@ class TestEmbedding:
         ids = np.array([2, 3])
         mask = np.ones(2, dtype=bool)
         with pytest.raises(CrenerError, match="shape"):
-            _embed_with_attention(ids, mask, model.encoder_params, np.zeros((2, 3)))
+            _embed_with_attention(ids, mask, model.store, model.config.encoder,
+                                  np.zeros((2, 3)))
 
     def test_max_len_enforced(self):
         model, _ = small_model()
         n = model.config.encoder.max_len + 1
         with pytest.raises(CrenerError, match="max_len"):
             _embed_with_attention(np.zeros(n, dtype=np.int64), np.ones(n, bool),
-                                  model.encoder_params)
+                                  model.store, model.config.encoder)
 
 
 def test_adapted_scores_match_scalar_loops(rng):
     model, _ = small_model()
     cfg = model.config.encoder
-    layer = model.encoder_params.layers[0]
+    w = {name: model.store["enc0." + name].data for name in ("wq", "wk", "wkr", "u", "v")}
     n, d, heads = 6, cfg.d_h, cfg.heads
     dh = d // heads
     mask = np.array([True] * 5 + [False])
@@ -104,15 +106,15 @@ def test_adapted_scores_match_scalar_loops(rng):
     hvals[~mask] = 0.0
 
     rel = relative_position_embedding(n, d).astype(np.float32)
-    _, attn = adapted_attention(Tensor(hvals), mask, layer, cfg, rel)
+    _, attn = adapted_attention(Tensor(hvals), mask, model.store, 0, cfg, rel)
 
-    q = hvals @ layer.wq.data
-    k = hvals @ layer.wk.data
-    relp = rel.reshape(n * n, d) @ layer.wkr.data
+    q = hvals @ w["wq"]
+    k = hvals @ w["wk"]
+    relp = rel.reshape(n * n, d) @ w["wkr"]
     relp = relp.reshape(n, n, d)
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        u_h, v_h = layer.u.data[sl], layer.v.data[sl]
+        u_h, v_h = w["u"][sl], w["v"][sl]
         scores = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
@@ -134,18 +136,18 @@ def test_adapted_attention_padded_batch_matches_each_sentence(rng):
     # attention block match its unbatched, unpadded run.
     model, _ = small_model()
     cfg = model.config.encoder
-    layer = model.encoder_params.layers[0]
     lengths = (6, 4)
     mask = np.arange(6)[None, :] < np.array(lengths)[:, None]
     hvals = rng.normal(size=(2, 6, cfg.d_h)).astype(np.float32)
     hvals[~mask] = 0.0
 
     out, attn = adapted_attention(
-        Tensor(hvals), mask, layer, cfg, relative_position_embedding(6, cfg.d_h, np.float32))
+        Tensor(hvals), mask, model.store, 0, cfg,
+        relative_position_embedding(6, cfg.d_h, np.float32))
     assert attn.shape == (2, cfg.heads, 6, 6)
     for b, n in enumerate(lengths):
         alone, alone_attn = adapted_attention(
-            Tensor(hvals[b, :n]), mask[b, :n], layer, cfg,
+            Tensor(hvals[b, :n]), mask[b, :n], model.store, 0, cfg,
             relative_position_embedding(n, cfg.d_h, np.float32))
         np.testing.assert_allclose(attn[b, :, :n, :n], alone_attn, atol=1e-5)
         np.testing.assert_array_equal(attn[b, :, :, n:], 0.0)
@@ -154,15 +156,14 @@ def test_adapted_attention_padded_batch_matches_each_sentence(rng):
 
 def test_scaling_flag_divides_scores(rng):
     model, _ = small_model()
-    cfg = model.config.encoder
-    layer = model.encoder_params.layers[0]
+    cfg, store = model.config.encoder, model.store
     n = 5
     mask = np.ones(n, dtype=bool)
     hvals = rng.normal(size=(n, cfg.d_h)).astype(np.float32)
 
     rel = relative_position_embedding(n, cfg.d_h, np.float32)
-    _, plain = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, rel)
-    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, layer, cfg, rel, use_scaling=True)
+    _, plain = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, rel)
+    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, rel, use_scaling=True)
     assert not np.allclose(plain, scaled)
     # Scaling flattens: average row entropy goes up.
     def entropy(w):
@@ -200,7 +201,7 @@ class TestEncode:
     def test_attention_rows_stochastic_and_masked_zero(self):
         model, sents = small_model()
         ids, mask, _ = model.sentence_inputs(sents[0], pad_to=len(sents[0]) + 3)
-        _, attn = encode(ids, mask, model.encoder_params)
+        _, attn = encode(ids, mask, model.store, model.config.encoder)
         n_real = int(mask.sum())
         np.testing.assert_allclose(attn[:n_real].sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_array_equal(attn[:, ~mask], 0.0)
@@ -210,8 +211,8 @@ class TestEncode:
         s = sents[0]
         ids, mask, _ = model.sentence_inputs(s)
         ids_p, mask_p, _ = model.sentence_inputs(s, pad_to=len(s) + 5)
-        h, attn = encode(ids, mask, model.encoder_params)
-        h_p, attn_p = encode(ids_p, mask_p, model.encoder_params)
+        h, attn = encode(ids, mask, model.store, model.config.encoder)
+        h_p, attn_p = encode(ids_p, mask_p, model.store, model.config.encoder)
         n = len(s)
         np.testing.assert_allclose(h_p.data[:n], h.data, atol=1e-6)
         np.testing.assert_allclose(attn_p[:n, :n], attn, atol=1e-6)
@@ -220,23 +221,24 @@ class TestEncode:
         """No layers (`encoder.layers = 0`, the no-adapted-transformer
         ablation) leave the raw embedding."""
         model, sents = small_model()
+        cfg = model.config.encoder
         ids, mask, _ = model.sentence_inputs(sents[0])
-        skipped, _ = encode(ids, mask, dataclasses.replace(model.encoder_params, layers=[]))
-        raw, _ = _embed_with_attention(ids, mask, model.encoder_params)
+        skipped, _ = encode(ids, mask, model.store, dataclasses.replace(cfg, layers=0))
+        raw, _ = _embed_with_attention(ids, mask, model.store, cfg)
         np.testing.assert_array_equal(skipped.data, raw.data)
-        full, _ = encode(ids, mask, model.encoder_params)
+        full, _ = encode(ids, mask, model.store, cfg)
         assert not np.allclose(full.data, raw.data)
 
     def test_dropout_only_when_rng_given(self):
         model, sents = small_model()
-        model.config.encoder.dropout = 0.3
+        cfg = model.config.encoder
+        cfg.dropout = 0.3
         ids, mask, _ = model.sentence_inputs(sents[0])
-        a, _ = encode(ids, mask, model.encoder_params)
-        b, _ = encode(ids, mask, model.encoder_params)
+        a, _ = encode(ids, mask, model.store, cfg)
+        b, _ = encode(ids, mask, model.store, cfg)
         np.testing.assert_array_equal(a.data, b.data)
-        keep = draw_dropout(np.random.default_rng(0), len(ids), model.config.encoder,
-                            model.store.dtype)
-        c, _ = encode(ids, mask, model.encoder_params, dropout=keep)
+        keep = draw_dropout(np.random.default_rng(0), len(ids), cfg, model.store.dtype)
+        c, _ = encode(ids, mask, model.store, cfg, dropout=keep)
         assert not np.allclose(a.data, c.data)
 
 

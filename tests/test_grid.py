@@ -7,7 +7,7 @@ from scipy.special import erf
 
 from conftest import small_model
 from crener import kernels
-from crener.autodiff import Tensor
+from crener.autodiff import ParamStore, Tensor
 from crener.errors import CrenerError
 from crener.grid import (
     GridConfig,
@@ -38,31 +38,30 @@ def grid_parts(n=5, seed=0):
 class TestProjections:
     def test_affine_oracle(self):
         model, h, _, _ = grid_parts()
-        p = model.grid_params
-        h_s, h_o = project_subject_object(h, p)
+        p = {name: t.data for name, t in model.store.items()}
+        h_s, h_o = project_subject_object(h, model.store)
         np.testing.assert_allclose(
-            h_s.data, h.data @ p.subj_w.data + p.subj_b.data, atol=1e-6
+            h_s.data, h.data @ p["grid.subj.w"] + p["grid.subj.b"], atol=1e-6
         )
         np.testing.assert_allclose(
-            h_o.data, h.data @ p.obj_w.data + p.obj_b.data, atol=1e-6
+            h_o.data, h.data @ p["grid.obj.w"] + p["grid.obj.b"], atol=1e-6
         )
 
 
 class TestConditionalLayerNorm:
     @staticmethod
-    def degenerate_params(d, dtype=np.float64):
-        model, _ = small_model()
-        p = model.grid_params
-        p.cln_gain_w = Tensor(np.zeros((d, d), dtype=dtype))
-        p.cln_gain_b = Tensor(np.ones(d, dtype=dtype))
-        p.cln_bias_w = Tensor(np.zeros((d, d), dtype=dtype))
-        p.cln_bias_b = Tensor(np.zeros(d, dtype=dtype))
-        return p
+    def degenerate_store(d, dtype=np.float64):
+        store = ParamStore(dtype)
+        store.add("grid.cln.gain_w", np.zeros((d, d)))
+        store.add("grid.cln.gain_b", np.ones(d))
+        store.add("grid.cln.bias_w", np.zeros((d, d)))
+        store.add("grid.cln.bias_b", np.zeros(d))
+        return store
 
     def test_frozen_two_point_example(self):
         # Object vector [1, 3] with unit gain and zero bias normalizes
         # to [-1, 1].
-        p = self.degenerate_params(2)
+        p = self.degenerate_store(2)
         h_s = Tensor(np.zeros((1, 2)))
         h_o = Tensor(np.array([[1.0, 3.0]]))
         v = conditional_layer_norm(h_s, h_o, p)
@@ -70,7 +69,7 @@ class TestConditionalLayerNorm:
 
     def test_degenerate_rows_are_standardized(self, rng):
         d = 16
-        p = self.degenerate_params(d)
+        p = self.degenerate_store(d)
         h_s = Tensor(rng.normal(size=(6, d)))
         h_o = Tensor(rng.normal(size=(6, d)) * 3.0 + 1.5)
         v = conditional_layer_norm(h_s, h_o, p).data
@@ -81,7 +80,7 @@ class TestConditionalLayerNorm:
 
     def test_subject_conditions_only_its_row(self, rng):
         model, h, _, _ = grid_parts()
-        p = model.grid_params
+        p = model.store
         h_s, h_o = project_subject_object(h, p)
         base = conditional_layer_norm(h_s, h_o, p).data.copy()
         bumped = h_s.data.copy()
@@ -93,7 +92,7 @@ class TestConditionalLayerNorm:
 
     def test_object_change_moves_column(self, rng):
         model, h, _, _ = grid_parts()
-        p = model.grid_params
+        p = model.store
         h_s, h_o = project_subject_object(h, p)
         base = conditional_layer_norm(h_s, h_o, p).data.copy()
         bumped = h_o.data.copy()
@@ -155,30 +154,31 @@ class TestIndexEmbeddingIds:
 class TestPairFeatures:
     def test_matches_manual_concat(self):
         model, h, attn, mask2d = grid_parts(n=4)
-        p, gc = model.grid_params, model.config.grid
-        h_s, h_o = project_subject_object(h, p)
-        v = conditional_layer_norm(h_s, h_o, p)
-        c = pair_features(v, attn, p, gc).data
+        store, gc = model.store, model.config.grid
+        p = {name: t.data for name, t in store.items()}
+        h_s, h_o = project_subject_object(h, store)
+        v = conditional_layer_norm(h_s, h_o, store)
+        c = pair_features(v, attn, store, gc).data
 
         n = 4
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]
         cat = np.concatenate(
             [
                 v.data,
-                p.dist_table.data[distance_bucket(offs)],
-                p.region_table.data[region_ids(n)],
-                p.attn_table.data[attention_bucket(attn, gc.attn_buckets)],
+                p["grid.dist_emb"][distance_bucket(offs)],
+                p["grid.region_emb"][region_ids(n)],
+                p["grid.attn_emb"][attention_bucket(attn, gc.attn_buckets)],
             ],
             axis=-1,
         )
-        expect = gelu_ref(cat @ p.mlp1_w.data + p.mlp1_b.data)
+        expect = gelu_ref(cat @ p["grid.mlp1.w"] + p["grid.mlp1.b"])
         np.testing.assert_allclose(c, expect, atol=1e-5)
 
 
 class TestDilatedConvolutions:
     def test_gelu_of_backend_forward(self):
         model, h, attn, mask2d = grid_parts(n=6)
-        p, gc = model.grid_params, model.config.grid
+        p, gc = model.store, model.config.grid
         h_s, h_o = project_subject_object(h, p)
         v = conditional_layer_norm(h_s, h_o, p)
         c = pair_features(v, attn, p, gc)
@@ -186,9 +186,9 @@ class TestDilatedConvolutions:
         assert q.shape == (6, 6, len(gc.dilations) * gc.d_conv)
         pieces = [
             gelu_ref(kernels.conv2d_forward(
-                c.data.astype(np.float64), w.data.astype(np.float64),
-                b.data.astype(np.float64), dil))
-            for w, b, dil in zip(p.conv_w, p.conv_b, gc.dilations)
+                c.data.astype(np.float64), p[f"grid.conv{dil}.w"].data.astype(np.float64),
+                p[f"grid.conv{dil}.b"].data.astype(np.float64), dil))
+            for dil in gc.dilations
         ]
         np.testing.assert_allclose(q, np.concatenate(pieces, axis=-1), atol=1e-5)
 
@@ -198,7 +198,7 @@ def test_grid_stage_ignores_padding(rng):
     # matching mask, must not leak into the live block anywhere along
     # CLN -> pair features -> convolutions.
     model, h, attn, _ = grid_parts(n=5, seed=3)
-    p, gc = model.grid_params, model.config.grid
+    p, gc = model.store, model.config.grid
     n, pad = 5, 3
 
     def run(hv, attn2, mask1d):

@@ -184,38 +184,37 @@ class TestAblationRouting:
         model, sents = self.model_with(no_mlp_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
-        h, _ = encode(ids, mask, model.encoder_params)
-        expect = pred_mod.biaffine_scores(h, model.biaffine_params)
+        h, _ = encode(ids, mask, model.store, model.config.encoder)
+        expect = pred_mod.biaffine_scores(h, model.store)
         np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_no_biaffine_leaves_mlp_only(self):
         model, sents = self.model_with(no_biaffine_predictor=True)
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
-        h, attn = encode(ids, mask, model.encoder_params)
+        h, attn = encode(ids, mask, model.store, model.config.encoder)
         tf = run_enhancement(
-            h, mask, attn, model.grid_params, model.tag_params, model.enhance_params,
-            model.config.grid, model.config.enhance,
+            h, mask, attn, model.store, model.config.grid, model.config.enhance
         )
-        expect = pred_mod.mlp_scores(tf, model.mlp_params)
+        expect = pred_mod.mlp_scores(tf, model.store)
         np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_pair_feature_width_tracks_flags(self):
         base, _ = self.model_with()
         gc = base.config.grid
         d_h = base.config.encoder.d_h
-        assert base.grid_params.mlp1_w.shape[0] == d_h + gc.d_dist + gc.d_region + gc.d_attn
+        assert base.store["grid.mlp1.w"].shape[0] == d_h + gc.d_dist + gc.d_region + gc.d_attn
         slim, _ = self.model_with(
             no_distance_matrix=True, no_region_matrix=True, no_attn_matrix=True
         )
-        assert slim.grid_params.mlp1_w.shape[0] == d_h
+        assert slim.store["grid.mlp1.w"].shape[0] == d_h
 
     def test_no_dilated_conv_narrows_tag_input(self):
         base, _ = self.model_with()
         gc = base.config.grid
-        assert base.tag_params.tag_nnc_w.shape[0] == len(gc.dilations) * gc.d_conv
+        assert base.store["enh.tag_nnc.w"].shape[0] == len(gc.dilations) * gc.d_conv
         flat, _ = self.model_with(no_dilated_conv=True)
-        assert flat.tag_params.tag_nnc_w.shape[0] == gc.d_reduced
+        assert flat.store["enh.tag_nnc.w"].shape[0] == gc.d_reduced
 
     def test_rounds_override_changes_scores(self):
         """`enhance.rounds = 1` against the default two rounds, with the
@@ -294,6 +293,37 @@ class TestContextProvider:
         fused, _ = model.forward(ids, mask, vecs)
         fused_plain, _ = plain.forward(*plain.sentence_inputs(sents[0])[:2])
         assert not np.allclose(fused.data, fused_plain.data)
+
+    @pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
+    def test_padded_sidecar_batch_matches_sentences_alone(self, double):
+        """Sidecar rows that `sentence_inputs` pads with zeros reach no real
+        cell: a mixed-length padded batch gives the loss and real-cell
+        scores of its sentences run alone."""
+        cfg = small_config(double=double)
+        sents = generate_synthetic_corpus(seed=9, count=4, max_len=8, types=["A", "B"])
+        assert len({len(s) for s in sents}) > 1  # some slots are padded
+        rng = np.random.default_rng(3)
+        provider = {
+            s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
+            for s in sents
+        }
+        model = CrenerModel(
+            cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents), provider
+        )
+        width = max(len(s) for s in sents)
+        ids, masks, vectors = zip(*(model.sentence_inputs(s, pad_to=width) for s in sents))
+        fused, _ = model.forward(np.stack(ids), np.stack(masks), np.stack(vectors))
+        loss, cells = model.batch_loss(sents)
+        tol = 1e-10 if double else 2e-5
+        alone_loss = 0.0
+        for b, s in enumerate(sents):
+            n = len(s)
+            np.testing.assert_array_equal(vectors[b][n:], 0.0)
+            alone, _ = model.forward(*model.sentence_inputs(s))
+            np.testing.assert_allclose(fused.data[b, :n, :n], alone.data, rtol=tol, atol=tol)
+            alone_loss += model.batch_loss([s])[0].item()
+        assert cells == sum(len(s) ** 2 for s in sents)
+        np.testing.assert_allclose(loss.item(), alone_loss, rtol=tol)
 
     def test_missing_sidecar_id_raises(self):
         model, sents = small_model()

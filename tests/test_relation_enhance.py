@@ -31,28 +31,21 @@ def setup(n=5, seed=7):
 
 def test_tag_features_is_ordered_concat(rng):
     model, _, _, _ = setup()
-    p = model.tag_params
+    p = model.store
     dr = model.config.enhance.d_r
-    q = Tensor(rng.normal(size=(4, 4, p.tag_nnc_w.shape[0])).astype(np.float32))
+    q = Tensor(rng.normal(size=(4, 4, p["enh.tag_nnc.w"].shape[0])).astype(np.float32))
     tf = enh.tag_features(q, p).data
     assert tf.shape == (4, 4, 4 * dr)
-    groups = [
-        (p.tag_nnc_w, p.tag_nnc_b),
-        (p.tag_pnc_w, p.tag_pnc_b),
-        (p.tag_htc_w, p.tag_htc_b),
-        (p.tag_thc_w, p.tag_thc_b),
-    ]
-    for g, (w, b) in enumerate(groups):
-        np.testing.assert_allclose(
-            tf[:, :, g * dr:(g + 1) * dr], q.data @ w.data + b.data, atol=1e-5
-        )
+    for g, group in enumerate(("nnc", "pnc", "htc", "thc")):
+        w, b = p[f"enh.tag_{group}.w"].data, p[f"enh.tag_{group}.b"].data
+        np.testing.assert_allclose(tf[:, :, g * dr:(g + 1) * dr], q.data @ w + b, atol=1e-5)
 
 
 def test_tag_features_padded_batch_matches_each_sentence(rng):
     model, _, _, _ = setup()
-    p = model.tag_params
+    p = model.store
     lengths = (6, 4)
-    q = rng.normal(size=(2, 6, 6, p.tag_nnc_w.shape[0])).astype(np.float32)
+    q = rng.normal(size=(2, 6, 6, p["enh.tag_nnc.w"].shape[0])).astype(np.float32)
     q[1, 4:] = 0.0
     q[1, :, 4:] = 0.0
     tf = enh.tag_features(Tensor(q), p).data
@@ -65,24 +58,24 @@ def test_tag_features_padded_batch_matches_each_sentence(rng):
 class TestPoolRecover:
     def test_max_pool_oracle(self, rng):
         model, _, _, mask = setup(n=4)
-        p = model.enhance_params
+        p = {name: t.data for name, t in model.store.items()}
         d4 = 4 * model.config.enhance.d_r
         tf = Tensor(rng.normal(size=(4, 4, d4)).astype(np.float32))
-        h_s, h_o = enh.pool_recover(tf, mask, p)
+        h_s, h_o = enh.pool_recover(tf, mask, model.store)
         np.testing.assert_allclose(
             h_s.data,
-            gelu_ref(tf.data.max(axis=1) @ p.pool_s_w.data + p.pool_s_b.data),
+            gelu_ref(tf.data.max(axis=1) @ p["enh.pool_s.w"] + p["enh.pool_s.b"]),
             atol=1e-5,
         )
         np.testing.assert_allclose(
             h_o.data,
-            gelu_ref(tf.data.max(axis=0) @ p.pool_o_w.data + p.pool_o_b.data),
+            gelu_ref(tf.data.max(axis=0) @ p["enh.pool_o.w"] + p["enh.pool_o.b"]),
             atol=1e-5,
         )
 
     def test_masked_cells_never_win(self, rng):
         model, _, _, _ = setup(n=5)
-        p = model.enhance_params
+        p = model.store
         d4 = 4 * model.config.enhance.d_r
         mask = np.array([True, True, True, False, False])
         tf = rng.normal(size=(5, 5, d4)).astype(np.float32)
@@ -99,7 +92,7 @@ class TestPoolRecover:
 
 def test_attention_stage_scalar_oracle(rng):
     model, _, _, _ = setup()
-    p = model.enhance_params
+    p = {name: t.data for name, t in model.store.items()}
     cfg = model.config.enhance
     d = model.config.encoder.d_h
     n, heads = 4, cfg.heads
@@ -108,13 +101,12 @@ def test_attention_stage_scalar_oracle(rng):
     q_in = rng.normal(size=(n, d)).astype(np.float32)
     kv_in = rng.normal(size=(n, d)).astype(np.float32)
     out = enh._multi_head_attention(
-        Tensor(q_in), Tensor(kv_in), mask,
-        p.self_wq, p.self_wk, p.self_wv, p.self_wo, heads,
+        Tensor(q_in), Tensor(kv_in), mask, model.store, "self", heads
     ).data
 
-    q = q_in @ p.self_wq.data
-    k = kv_in @ p.self_wk.data
-    v = kv_in @ p.self_wv.data
+    q = q_in @ p["enh.self.wq"]
+    k = kv_in @ p["enh.self.wk"]
+    v = kv_in @ p["enh.self.wv"]
     merged = np.zeros((n, d))
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
@@ -123,14 +115,14 @@ def test_attention_stage_scalar_oracle(rng):
         w = np.zeros((n, n))
         w[:, mask] = e / e.sum(axis=1, keepdims=True)
         merged[:, sl] = w @ v[:, sl]
-    np.testing.assert_allclose(out, merged @ p.self_wo.data, atol=1e-4)
+    np.testing.assert_allclose(out, merged @ p["enh.self.wo"], atol=1e-4)
 
 
 def test_enhance_round_matches_manual_composition(rng):
     from crener import autodiff as ad
 
     model, _, _, mask = setup(n=4)
-    p = model.enhance_params
+    p = model.store
     cfg = model.config.enhance
     d = model.config.encoder.d_h
     h_s_r = Tensor(rng.normal(size=(4, d)).astype(np.float32))
@@ -139,55 +131,46 @@ def test_enhance_round_matches_manual_composition(rng):
     h_o0 = Tensor(rng.normal(size=(4, d)).astype(np.float32))
     got_s, got_o = enh.enhance_round(h_s_r, h_o_r, h_s0, h_o0, mask, p, cfg)
 
-    def stage(x, kv, wq, wk, wv, wo):
-        return enh._multi_head_attention(x, kv, mask, wq, wk, wv, wo, cfg.heads)
+    def stage(x, kv, name):
+        return enh._multi_head_attention(x, kv, mask, p, name, cfg.heads)
 
-    s_tt = stage(h_s_r, h_s_r, p.self_wq, p.self_wk, p.self_wv, p.self_wo)
-    s_ct = stage(s_tt, h_s0, p.cross_wq, p.cross_wk, p.cross_wv, p.cross_wo)
-    s_exp = ad.layer_norm(
-        h_s_r + Tensor(gelu_ref(s_ct.data @ p.out_s_w.data + p.out_s_b.data)), p.ln_s_g, p.ln_s_b
-    )
+    def fuse(h_r, ct, side):
+        out = gelu_ref(ct.data @ p[f"enh.out_{side}.w"].data + p[f"enh.out_{side}.b"].data)
+        return ad.layer_norm(h_r + Tensor(out), p[f"enh.ln_{side}.g"], p[f"enh.ln_{side}.b"])
+
+    s_exp = fuse(h_s_r, stage(stage(h_s_r, h_s_r, "self"), h_s0, "cross"), "s")
     np.testing.assert_allclose(got_s.data, s_exp.data, atol=1e-5)
 
-    o_tt = stage(h_o_r, h_o_r, p.self_wq, p.self_wk, p.self_wv, p.self_wo)
-    o_ct = stage(o_tt, h_o0, p.cross_wq, p.cross_wk, p.cross_wv, p.cross_wo)
-    o_exp = ad.layer_norm(
-        h_o_r + Tensor(gelu_ref(o_ct.data @ p.out_o_w.data + p.out_o_b.data)), p.ln_o_g, p.ln_o_b
-    )
+    o_exp = fuse(h_o_r, stage(stage(h_o_r, h_o_r, "self"), h_o0, "cross"), "o")
     np.testing.assert_allclose(got_o.data, o_exp.data, atol=1e-5)
 
 
 class TestRunEnhancement:
     def run(self, model, h, attn, mask, rounds=None):
         """The loop as a model with `enhance.rounds = rounds` runs it, on
-        `model`'s weights; one round has no enhancement weights."""
+        `model`'s weights; one round reads no enhancement weight."""
         config = model.config.enhance
         if rounds is not None:
             config = dataclasses.replace(config, rounds=rounds)
-        return enh.run_enhancement(
-            h, mask, attn, model.grid_params, model.tag_params,
-            model.enhance_params if config.rounds > 1 else None,
-            model.config.grid, config,
-        )
+        return enh.run_enhancement(h, mask, attn, model.store, model.config.grid, config)
 
     def grid_pass(self, model, h_s, h_o, attn, mask):
-        gp, gc = model.grid_params, model.config.grid
+        gp, gc = model.store, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
         v = grid_mod.conditional_layer_norm(h_s, h_o, gp)
         c = grid_mod.pair_features(v, attn, gp, gc)
         q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
-        return enh.tag_features(q, model.tag_params)
+        return enh.tag_features(q, gp)
 
     def test_round_loop_matches_manual_replay(self):
         model, h, attn, mask = setup()
         tf = self.run(model, h, attn, mask, rounds=2)
 
-        h_s0, h_o0 = grid_mod.project_subject_object(h, model.grid_params)
+        h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
         tf0 = self.grid_pass(model, h_s0, h_o0, attn, mask)
-        hs_r, ho_r = enh.pool_recover(tf0, mask, model.enhance_params)
+        hs_r, ho_r = enh.pool_recover(tf0, mask, model.store)
         cs, co = enh.enhance_round(
-            hs_r, ho_r, h_s0, h_o0, mask,
-            model.enhance_params, model.config.enhance,
+            hs_r, ho_r, h_s0, h_o0, mask, model.store, model.config.enhance
         )
         tf_exp = self.grid_pass(model, cs, co, attn, mask)
         np.testing.assert_allclose(tf.data, tf_exp.data, atol=1e-5)
@@ -204,7 +187,7 @@ class TestRunEnhancement:
         over the round-0 projections."""
         model, h, attn, mask = setup()
         tf = self.run(model, h, attn, mask, rounds=1)
-        h_s0, h_o0 = grid_mod.project_subject_object(h, model.grid_params)
+        h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
         np.testing.assert_array_equal(
             tf.data, self.grid_pass(model, h_s0, h_o0, attn, mask).data
         )

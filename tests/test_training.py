@@ -23,6 +23,7 @@ from crener.corpus import (
     generate_synthetic_corpus,
     load_corpus,
     save_corpus,
+    sentences_to_jsonl,
 )
 from crener.errors import ConfigError, DivergenceError
 from crener.model import CrenerModel
@@ -34,7 +35,6 @@ from crener.training import (
     Checkpoint,
     evaluate_model,
     predict,
-    predictions_to_jsonl,
     train,
 )
 
@@ -317,7 +317,7 @@ def test_predictions_round_trip(tmp_path):
     ck = train(cfg, sents)
     out = predict(ck, sents)
     assert [s.id for s in out] == [s.id for s in sents]
-    text = predictions_to_jsonl(out)
+    text = sentences_to_jsonl(out)
     path = tmp_path / "pred.jsonl"
     path.write_text(text)
     back = load_corpus(path)
