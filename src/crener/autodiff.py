@@ -12,10 +12,11 @@ one output array each: `linear` (affine map, optionally followed by GELU,
 which saves GELU's derivative rather than its input), `scale_shift`,
 `masked_max` and `dilated_conv_gelu`; so are multi-head `attention` and
 the per-row `normalize` under every layer norm. GELU runs in place over
-cache-sized blocks of its array. ``backward()`` releases
-the tape as it walks it: once a node's closure has run, the node drops
-its gradient, closure and parents, so the arrays the closure saved are
-freed before the walk ends. Leaves keep ``.grad``.
+cache-sized blocks of its array; its normal CDF is a 7-term tanh form in
+float32 and a 24-term erfc form in float64 (`normal_cdf`).
+``backward()`` releases the tape as it walks it: once a node's closure
+has run, the node drops its gradient, closure and parents, so the arrays
+the closure saved are freed before the walk ends. Leaves keep ``.grad``.
 
 Gradient ownership: a closure hands each parent its gradient through
 ``parent._accumulate(g, owned)``. On the parent's first write an owned
@@ -46,22 +47,15 @@ from . import kernels
 
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
-# `normal_cdf`'s polynomial P, highest power of s first. P is the Chebyshev
-# series of f(s) = z^2 + ln(erfc(z) / t) on s in (-1, 1], where
+# `normal_cdf`'s float64 polynomial P, highest power of s first. P is the
+# Chebyshev series of f(s) = z^2 + ln(erfc(z) / t) on s in (-1, 1], where
 # t = (1 + s) / 2 and z = 2 / t - 2 (Numerical Recipes, 3rd ed., 2007,
-# section 6.2, `erfccheb`), cut to its first 10 terms for float32 and 24
-# for float64, rewritten in powers of s, with -ln 2 added to the constant
-# term so that t * exp(-z^2 + P) is erfc(z) / 2. The series was computed
-# once in 60-digit arithmetic with mpmath: c_k = (2 / N) * sum_j f(cos a_j)
-# * cos(k a_j), a_j = pi (j + 1/2) / N, N = 96, c_0 halved. The first
-# terms dropped (|c_10| + |c_11| ~ 1e-7, |c_24| ~ 1.5e-15) bound P's
-# error, which is erfc's relative error.
-_CDF_POLY_F32 = (
-    0.00033373589390861395, -0.00020790912059481928, -0.002048734760496573,
-    0.0017765646350106873, 0.008703812035218805, -0.009873768747331393,
-    -0.04687488817886134, 0.047343106290901014, 0.6726422171554879,
-    -1.3649412566142796,
-)
+# section 6.2, `erfccheb`), cut to its first 24 terms, rewritten in powers
+# of s, with -ln 2 added to the constant term so that t * exp(-z^2 + P) is
+# erfc(z) / 2. The series was computed once in 60-digit arithmetic with
+# mpmath: c_k = (2 / N) * sum_j f(cos a_j) * cos(k a_j), a_j = pi (j + 1/2)
+# / N, N = 96, c_0 halved. The first term dropped (|c_24| ~ 1.5e-15)
+# bounds P's error, which is erfc's relative error.
 _CDF_POLY_F64 = (
     2.980513364515168e-08, 7.992047577730608e-10, -2.895626567435524e-07,
     1.5975482569412025e-07, 1.283394915356199e-06, -1.7128780471140371e-06,
@@ -73,24 +67,35 @@ _CDF_POLY_F64 = (
     0.04734330684142489, 0.6726432239776583, -1.364941264616636,
 )
 
+# `normal_cdf`'s float32 polynomial R, highest power of s = x^2 first, so
+# that Phi(x) = (1 + tanh(x R(s))) / 2. R is a degree-6 fit of
+# atanh(erf(x / sqrt 2)) / x on x in [0, 5.5], weighted by Phi's
+# sensitivity to it, x sech^2(x R) / 2, and made near-minimax by Lawson's
+# iteratively reweighted least squares (300 iterations over 20,001 points,
+# float64 references from scipy's `erf` and `erfc`). Its weighted error,
+# and so Phi's error before rounding, is below 3e-8. s is clipped at
+# 5.5^2 = 30.25, where tanh has reached +-1 in float32 and past which R
+# has not been fitted; beyond it x R(30.25) still grows with |x|.
+_CDF_POLY_F32 = (
+    1.7561712576015863e-09, -1.3226335685637508e-07, 3.964744618454588e-06,
+    -5.5306194716448906e-05, -3.259497338255784e-05, 0.03633308457213666,
+    0.7978849414607408,
+)
 
-def _cdf_constants(dtype, poly: tuple) -> tuple:
-    """`normal_cdf`'s scalars as read-only 0-d arrays of `dtype`, which a
-    ufunc takes in less time than a Python float or a numpy scalar."""
 
-    def const(value):
-        a = np.array(value, dtype=dtype)
-        a.flags.writeable = False
-        return a
-
-    return (const(2.0 * np.sqrt(2.0)), const(1.0), const(2.0), const(0.5),
-            tuple(const(c) for c in poly))
+def _constant(value, dtype) -> np.ndarray:
+    """A read-only 0-d array of `dtype`, which a ufunc takes in less time
+    than a Python float or a numpy scalar."""
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
-_CDF_CONSTANTS = {
-    np.dtype(np.float32): _cdf_constants(np.float32, _CDF_POLY_F32),
-    np.dtype(np.float64): _cdf_constants(np.float64, _CDF_POLY_F64),
-}
+_CDF_F64 = (_constant(2.0 * np.sqrt(2.0), np.float64), _constant(1.0, np.float64),
+            _constant(2.0, np.float64), _constant(0.5, np.float64),
+            tuple(_constant(c, np.float64) for c in _CDF_POLY_F64))
+_CDF_F32 = (_constant(5.5 ** 2, np.float32), _constant(1.0, np.float32),
+            _constant(0.5, np.float32), tuple(_constant(c, np.float32) for c in _CDF_POLY_F32))
 
 # Off inside `no_grad()`; read by `Tensor._make` and `Tensor.backward`.
 _grad_enabled = True
@@ -297,17 +302,38 @@ def neg(a: Tensor) -> Tensor:
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF of a float32 or float64 array, in its dtype.
 
-    Phi(x) = 1/2 + sign(x) * (1/2 - erfc(|x| / sqrt 2) / 2), with
-    erfc(z) = t * exp(-z^2 + P(s)), t = 2 / (2 + z) and s = 2t - 1. Its
-    largest absolute error is below 2e-7 in float32 and 1e-15 in float64.
+    float32: Phi(x) = (1 + tanh(x R(min(x^2, 30.25)))) / 2, with R the
+    7-term polynomial of `_CDF_POLY_F32`; 18 ufunc passes. Its largest
+    absolute error is 9.6e-8 on [-10, 10]. In the negative tail it loses
+    relative accuracy: from x = -6.06 to -5.5, where Phi is below 2e-8, it
+    reads at most 3e-8, and below that 0.
+
+    float64: Phi(x) = 1/2 + sign(x) * (1/2 - erfc(|x| / sqrt 2) / 2), with
+    erfc(z) = t * exp(-z^2 + P(s)), t = 2 / (2 + z), s = 2t - 1 and P the
+    24-term polynomial of `_CDF_POLY_F64`; 59 passes. Its largest absolute
+    error is below 1e-15.
     """
     return _normal_cdf_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
 
 
 def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """`normal_cdf(x)` written into `p` and returned, with `t` and `s` as
-    scratch; all three have x's shape and dtype."""
-    two_sqrt2, one, two, half, poly = _CDF_CONSTANTS[x.dtype]
+    """`normal_cdf(x)` written into `p` and returned, with `t` (read in
+    float64 only) and `s` as scratch; all three have x's shape and dtype."""
+    if x.dtype == np.float32:
+        clip, one, half, poly = _CDF_F32
+        np.multiply(x, x, out=s)
+        np.minimum(s, clip, out=s)
+        np.multiply(s, poly[0], out=p)
+        p += poly[1]
+        for c in poly[2:]:
+            p *= s
+            p += c
+        p *= x
+        np.tanh(p, out=p)
+        p += one
+        p *= half
+        return p
+    two_sqrt2, one, two, half, poly = _CDF_F64
     np.abs(x, out=t)
     t += two_sqrt2
     np.divide(two_sqrt2, t, out=t)
@@ -329,27 +355,31 @@ def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray)
     return p
 
 
-# Elements per GELU block. `normal_cdf` makes about 31 passes over its
-# scratch, so a block and its three scratch arrays (4 x 128 KB in float32)
-# should stay in one core's 2 MB L2 cache. Chosen by long predicts (default
-# config, n in [48, 64], 2-core Xeon, four processes per size, interleaved):
-# p50 read 26.9-29.6 ms in blocks of 32,768 elements, 28.9-30.9 in 16,384,
-# 28.0-31.9 in 65,536, 30.0-33.3 in 131,072 and 33.0-39.3 over the whole
-# grid, with 463, 463, 671, 1,273 and 2,350 minor page faults per predict.
-# In float64, one GELU over a (56, 56, 64) grid took 5.0 ms and no faults in
-# 32K blocks, against 6.4-6.8 ms and 384 faults in 64K blocks and 10.1 ms
-# and 1,144 faults whole.
+# Elements per GELU block. A block and its three scratch arrays (4 x 128 KB
+# in float32) should stay in one core's 2 MB L2 cache while `normal_cdf`
+# makes its passes over them. Chosen by long predicts with the erfc form in
+# both dtypes (default config, n in [48, 64], 2-core Xeon, four processes
+# per size, interleaved): p50 read 26.9-29.6 ms in blocks of 32,768
+# elements, 28.9-30.9 in 16,384, 28.0-31.9 in 65,536, 30.0-33.3 in 131,072
+# and 33.0-39.3 over the whole grid, with 463, 463, 671, 1,273 and 2,350
+# minor page faults per predict. In float64, one GELU over a (56, 56, 64)
+# grid took 5.0 ms and no faults in 32K blocks, against 6.4-6.8 ms and 384
+# faults in 64K blocks and 10.1 ms and 1,144 faults whole. With the float32
+# tanh form, one GELU over that grid took 0.66-0.89 ms in 32K blocks,
+# 0.64-0.90 in 64K and 0.77-1.08 in 16K: no size was clearly better, so the
+# block stayed.
 _GELU_BLOCK = 32_768
 
 
 def _gelu_in_place(z: np.ndarray, derivative: bool) -> np.ndarray | None:
     """Overwrite the C-contiguous `z` with the exact (erf-based) GELU
-    z * Phi(z). Returns GELU's derivative Phi(z) + z * phi(z) when
-    `derivative`, else None.
+    z * Phi(z), Phi as `normal_cdf` computes it in z's dtype. Returns
+    GELU's derivative Phi(z) + z * phi(z) when `derivative`, else None.
 
     Works over `_GELU_BLOCK` elements at a time, so its scratch is three
     block-sized arrays whatever the size of `z`; the arithmetic is
-    elementwise, so the result does not depend on the block size.
+    elementwise, so the result does not depend on the block size. In
+    float32 a block takes 19 ufunc passes, and 6 more for the derivative.
     """
     flat = np.reshape(z, -1, copy=False)
     d = np.empty_like(flat) if derivative else None
@@ -610,6 +640,10 @@ def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
     out_data += shift.data
 
     def backward(g):
+        # A strided g (the CLN grid's slice of `pair_features`' concat
+        # gradient) is read three times below; one copy makes each read
+        # contiguous. The sums and products keep their bits.
+        g = np.ascontiguousarray(g)
         if shift.requires_grad:
             shift._accumulate(_unbroadcast(g, shift.data.shape))
         if a.requires_grad:

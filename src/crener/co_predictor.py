@@ -1,5 +1,5 @@
 """Co-predictor: biaffine scores over character representations plus MLP
-scores over the final tag features, summed per cell. Each head reads
+scores over the final round's tag features, summed per cell. Each head reads
 its weights from the `ParamStore` by name (`pred.subj.*`, `pred.obj.*`,
 `pred.biaffine.*`; `pred.mlp.*`); an ablated head has none there.
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import relation_enhance as enh_mod
 from .autodiff import ParamStore, Tensor
 from .corpus import TagVocabulary
 from .errors import CrenerError
@@ -70,9 +71,20 @@ def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
     return bilinear + linear + store["pred.biaffine.b"]
 
 
-def mlp_scores(tf: Tensor, store: ParamStore) -> Tensor:
-    """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|."""
-    hidden = ad.linear(tf, store["pred.mlp.w1"], store["pred.mlp.b1"], gelu=True)
+def mlp_scores(q: Tensor, store: ParamStore) -> Tensor:
+    """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|, from the final
+    round's convolved grid Q, where TF = Q W_tag + b_tag are its tag
+    features (`relation_enhance.tag_affine`).
+
+    Nothing lies between the tag-feature map and the first layer, so they
+    run as one map of Q: W = W_tag W1 and b = b_tag W1 + b1, recomputed from
+    the stored weights on every call, which the gradients reach through
+    these small products. The (..., n, n, 4*d_r) tag-feature grid is never
+    built.
+    """
+    w_tag, b_tag = enh_mod.tag_affine(store)
+    w1 = store["pred.mlp.w1"]
+    hidden = ad.linear(q, w_tag @ w1, ad.linear(b_tag, w1, store["pred.mlp.b1"]), gelu=True)
     return ad.linear(hidden, store["pred.mlp.w2"], store["pred.mlp.b2"])
 
 
@@ -137,9 +149,9 @@ def multi_tag_loss(
     """Per cell: log(e^{-s0} + sum_pos e^{-s}) + log(e^{s0} + sum_neg e^{s}).
 
     Every gold tag is pushed above s0 and every other tag below it.
-    Implemented as two masked log-sum-exps with the threshold prepended
-    as a constant column. Reduction is the mean (default) or sum over
-    unmasked cells.
+    Implemented as two masked log-sum-exps over one array, the scores with
+    the threshold prepended as a constant column, and its negation.
+    Reduction is the mean (default) or sum over unmasked cells.
     """
     cells = fused.shape[:-1]
     pos = gold_tag_mask(gold, vocab, mask2d)
@@ -147,13 +159,10 @@ def multi_tag_loss(
 
     ones = np.ones(cells + (1,), dtype=bool)
     thr = Tensor(np.full(cells + (1,), s0, dtype=fused.dtype))
+    scores = ad.concat([thr, fused], axis=-1)
 
-    pos_term = ad.logsumexp(
-        ad.concat([-thr, -fused], axis=-1), mask=np.concatenate([ones, pos], axis=-1)
-    )
-    neg_term = ad.logsumexp(
-        ad.concat([thr, fused], axis=-1), mask=np.concatenate([ones, neg], axis=-1)
-    )
+    pos_term = ad.logsumexp(-scores, mask=np.concatenate([ones, pos], axis=-1))
+    neg_term = ad.logsumexp(scores, mask=np.concatenate([ones, neg], axis=-1))
     per_cell = (pos_term + neg_term) * mask2d.astype(fused.dtype)
     total = per_cell.sum()
     if reduction == "sum":

@@ -38,9 +38,13 @@ _TYPE_ALPHABET_POOL = "甲乙丙丁戊己庚辛壬癸子丑寅卯辰巳午未申
 _BACKGROUND_ALPHABET = "天地玄黄宇宙洪荒日月盈昃寒来暑往"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityMention:
-    """One entity: its character positions (strictly increasing) and type."""
+    """One entity: its character positions (strictly increasing) and type.
+
+    Slotted: a prediction holds hundreds of mentions per long sentence, and
+    without an instance dict each one takes about 100 bytes less.
+    """
 
     indices: tuple[int, ...]
     type: str
@@ -63,9 +67,8 @@ class EntityMention:
         for a caller whose `indices` are already a tuple of strictly
         increasing non-negative ints and whose `type` is not empty."""
         mention = object.__new__(cls)
-        fields = mention.__dict__
-        fields["indices"] = indices
-        fields["type"] = type
+        object.__setattr__(mention, "indices", indices)
+        object.__setattr__(mention, "type", type)
         return mention
 
     @property
@@ -451,11 +454,15 @@ def generate_synthetic_corpus(
     that a lookup embedder can learn the tagging from character
     identity. A sentence's background and an entity's characters are
     each one vector draw, which yields the values, and leaves the
-    generator in the state, of one scalar draw per character.
+    generator in the state, of one scalar draw per character. Mentions
+    are built with `EntityMention.trusted`: their indices are strictly
+    increasing by construction, and every type is checked once here.
     """
     if count < 0 or max_len < 1 or min_len < 1 or min_len > max_len:
         raise ValueError("count >= 0 and 1 <= min_len <= max_len required")
     types = list(types)
+    if not all(types):
+        raise CorpusError("entity has empty type label")
     rng = np.random.default_rng(seed)
     pool = _TYPE_ALPHABET_POOL
     alphabets = {
@@ -467,7 +474,7 @@ def generate_synthetic_corpus(
     for si in range(count):
         n = int(rng.integers(min_len, max_len + 1))
         chars = [background[k] for k in rng.integers(len(background), size=n).tolist()]
-        occupied = np.zeros(n, dtype=bool)
+        occupied = [False] * n
         entities: list[EntityMention] = []
         if types:
             for _ in range(int(rng.integers(0, 4))):
@@ -475,13 +482,13 @@ def generate_synthetic_corpus(
                 if length > n:
                     continue
                 start = int(rng.integers(0, n - length + 1))
-                if occupied[start:start + length].any():
+                if any(occupied[start:start + length]):
                     continue
-                occupied[start:start + length] = True
+                occupied[start:start + length] = [True] * length
                 etype = types[int(rng.integers(len(types)))]
                 picks = rng.integers(4, size=length).tolist()
                 chars[start:start + length] = [alphabets[etype][k] for k in picks]
-                entities.append(EntityMention(tuple(range(start, start + length)), etype))
+                entities.append(EntityMention.trusted(tuple(range(start, start + length)), etype))
 
             if nested_fraction > 0 and rng.random() < nested_fraction:
                 outers = [e for e in entities if len(e.indices) >= 3]
@@ -492,20 +499,20 @@ def generate_synthetic_corpus(
                     b = int(rng.integers(a, hi + 1))
                     if (a, b) != (lo, hi):
                         etype = types[int(rng.integers(len(types)))]
-                        inner = EntityMention(tuple(range(a, b + 1)), etype)
+                        inner = EntityMention.trusted(tuple(range(a, b + 1)), etype)
                         if inner not in entities:
                             entities.append(inner)
 
             if discontinuous_fraction > 0 and rng.random() < discontinuous_fraction and n >= 3:
-                free = np.flatnonzero(~occupied)
+                free = [p for p, used in enumerate(occupied) if not used]
                 gaps = [p for p in free[:-2] if not occupied[p + 2] and p + 2 < n]
                 if gaps:
-                    a = int(gaps[int(rng.integers(len(gaps)))])
+                    a = gaps[int(rng.integers(len(gaps)))]
                     etype = types[int(rng.integers(len(types)))]
                     occupied[a] = occupied[a + 2] = True
                     chars[a] = alphabets[etype][int(rng.integers(4))]
                     chars[a + 2] = alphabets[etype][int(rng.integers(4))]
-                    entities.append(EntityMention((a, a + 2), etype))
+                    entities.append(EntityMention.trusted((a, a + 2), etype))
 
         entities.sort(key=lambda e: (e.indices, e.type))
         sentences.append(Sentence(f"syn-{si:05d}", chars, entities))

@@ -255,11 +255,11 @@ class CrenerModel:
             char_ids, mask, store, self.config.encoder, context_vectors=context_vectors,
             use_scaling=self.config.ablations.use_scaling_factor, dropout=dropout,
         )
-        tf = None if "pred.mlp.w1" not in store else enh_mod.run_enhancement(
+        q = None if "pred.mlp.w1" not in store else enh_mod.run_enhancement(
             h, mask, attn, store, self.config.grid, self.config.enhance
         )
         y_bi = None if "pred.subj.w" not in store else pred_mod.biaffine_scores(h, store)
-        y_mlp = None if tf is None else pred_mod.mlp_scores(tf, store)
+        y_mlp = None if q is None else pred_mod.mlp_scores(q, store)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
         if not np.isfinite(fused.data).all():
             raise FloatingPointError("non-finite scores in forward pass")

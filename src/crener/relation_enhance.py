@@ -7,12 +7,14 @@ followed by cross-attention against the round-0 projections, and fuses
 through a GELU linear layer with a residual layer norm. The refined
 subject/object vectors condition the next round's grid, so only the
 rounds before the last one pool and enhance. Weights are shared
-across rounds and read from the `ParamStore` by name; the final round's
-tag features feed the MLP predictor. With one round (`enhance.rounds =
-1`, the no-enhancement ablation) the grid is built once, nothing is
-enhanced, and the pool, attention and fuse weights (`enh.pool_*`,
-`enh.self.*`, `enh.cross.*`, `enh.out_*`, `enh.ln_*`) are not in the
-store.
+across rounds and read from the `ParamStore` by name. The final round's
+tag features feed only the MLP predictor's first affine map, with
+nothing in between, so that round stops at its convolved grid and
+`co_predictor.mlp_scores` applies the two maps as one (see
+`tag_affine`). With one round (`enhance.rounds = 1`, the
+no-enhancement ablation) the grid is built once, nothing is enhanced,
+and the pool, attention and fuse weights (`enh.pool_*`, `enh.self.*`,
+`enh.cross.*`, `enh.out_*`, `enh.ln_*`) are not in the store.
 
 Every function accepts any number of leading batch axes: character
 vectors are (..., n, d), grids (..., n, n, c) and masks (..., n).
@@ -50,16 +52,19 @@ class EnhanceConfig:
             raise CrenerError("enhance.heads must be >= 1")
 
 
-def tag_features(q: Tensor, store: ParamStore) -> Tensor:
-    """The four tag-group affine maps of the grid, concatenated in the order
-    NNC, PNC, HTC, THC: (..., n, n, 4*d_r).
-
-    Computed as one `linear` against the four weights placed side by side,
-    with their biases side by side.
-    """
+def tag_affine(store: ParamStore) -> tuple[Tensor, Tensor]:
+    """The four tag-group affine maps side by side, in the order NNC, PNC,
+    HTC, THC: a (c, 4*d_r) weight and a (4*d_r,) bias."""
     w = ad.concat([store[f"enh.tag_{group}.w"] for group in TAG_GROUPS])
     b = ad.concat([store[f"enh.tag_{group}.b"] for group in TAG_GROUPS])
-    return ad.linear(q, w, b)
+    return w, b
+
+
+def tag_features(q: Tensor, store: ParamStore) -> Tensor:
+    """The four tag-group affine maps of the grid, concatenated in the order
+    NNC, PNC, HTC, THC: (..., n, n, 4*d_r), as one `linear` by `tag_affine`.
+    """
+    return ad.linear(q, *tag_affine(store))
 
 
 def pool_recover(
@@ -124,32 +129,33 @@ def run_enhancement(
     grid_config: grid_mod.GridConfig,
     enhance_config: EnhanceConfig,
 ) -> Tensor:
-    """Run the grid + enhancement loop; returns the final round's TF.
+    """Run the grid + enhancement loop; returns the final round's convolved
+    grid Q, (..., n, n, c).
 
     Round 0 projects the encoder output into subject/object views. Every
     one of the `enhance_config.rounds` rounds rebuilds the grid from the
-    current views (CLN, pair features, convolutions, tag features); every
-    round but the last then pools, attends, and fuses, feeding the
-    refined views to the next round. So the `enh.*` pool, attention and
-    fuse weights are read only with two rounds or more, and each stage
+    current views (CLN, pair features, convolutions); every round but the
+    last then maps it to tag features, pools, attends, and fuses, feeding
+    the refined views to the next round. So the `enh.*` pool, attention
+    and fuse weights are read only with two rounds or more, and each stage
     skips what the store lacks: no `grid.conv{d}.*` kernel, no
-    convolution.
+    convolution. The last round's tag features are left to
+    `co_predictor.mlp_scores`, which folds them into its first layer.
 
     Each grid is referenced only by the stage that reads it, so a
     tape-free forward frees it as soon as that stage returns.
     """
     mask2d = grid_mod.pair_mask(mask)  # read by the convolutions alone
 
-    def tag_grid(h_s: Tensor, h_o: Tensor) -> Tensor:
+    def conv_grid(h_s: Tensor, h_o: Tensor) -> Tensor:
         grid = grid_mod.pair_features(
             grid_mod.conditional_layer_norm(h_s, h_o, store), attn, store, grid_config
         )
-        grid = grid_mod.dilated_convolutions(grid, mask2d, store, grid_config)
-        return tag_features(grid, store)
+        return grid_mod.dilated_convolutions(grid, mask2d, store, grid_config)
 
     h_s0, h_o0 = grid_mod.project_subject_object(h, store)
     h_s, h_o = h_s0, h_o0
     for _ in range(enhance_config.rounds - 1):
-        h_s_r, h_o_r = pool_recover(tag_grid(h_s, h_o), mask, store)
+        h_s_r, h_o_r = pool_recover(tag_features(conv_grid(h_s, h_o), store), mask, store)
         h_s, h_o = enhance_round(h_s_r, h_o_r, h_s0, h_o0, mask, store, enhance_config)
-    return tag_grid(h_s, h_o)
+    return conv_grid(h_s, h_o)

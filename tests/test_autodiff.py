@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from crener import autodiff as ad
 from crener.autodiff import ParamStore, Tensor
@@ -96,6 +96,25 @@ class TestElementwise:
         np.testing.assert_allclose(cdf, [0.0, 0.0, 0.5, 1.0, 1.0, np.nan], atol=3e-7)
         one, zero = Tensor(np.ones((1, 1), dtype=dtype)), Tensor(np.zeros(1, dtype=dtype))
         assert ad.linear(Tensor(x[1:4, None]), one, zero, gelu=True).data.dtype == dtype
+
+    def test_float32_gelu_value_and_derivative_bounds(self):
+        # float32 GELU on a dense grid against the float64 erfc form. The
+        # value's error is about one rounding of z * Phi(z) near z = 10, the
+        # derivative's that of Phi. In the negative tail, where GELU is tiny,
+        # its relative error is as large as the README gives it: below 1e-3
+        # on [-4, -3) and 0.1 on [-5, -4).
+        x = np.linspace(-10.0, 10.0, 400_001).astype(np.float32)
+        z = x.copy()
+        d = ad._gelu_in_place(z, True)
+        x64 = x.astype(np.float64)
+        cdf = 0.5 * erfc(-x64 / np.sqrt(2.0))
+        value = x64 * cdf
+        derivative = cdf + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+        assert np.abs(z - value).max() <= 6e-7
+        assert np.abs(d - derivative).max() <= 2e-7
+        for lo, hi, bound in ((-4.0, -3.0, 1e-3), (-5.0, -4.0, 0.1)):
+            tail = (x >= lo) & (x < hi)
+            assert (np.abs(z[tail] - value[tail]) / np.abs(value[tail])).max() <= bound
 
     @pytest.mark.parametrize("size", ["1", "B-1", "B", "B+1", "2B+3"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

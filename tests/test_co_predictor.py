@@ -85,9 +85,10 @@ def test_biaffine_bilinear_term_superposition(rng):
 def test_mlp_matches_manual(rng):
     model, _ = small_model()
     p = {name: t.data for name, t in model.store.items()}
-    d4 = 4 * model.config.enhance.d_r
-    tf = rng.normal(size=(3, 3, d4)).astype(np.float32)
-    got = mlp_scores(Tensor(tf), model.store).data
+    q = rng.normal(size=(3, 3, p["enh.tag_nnc.w"].shape[0])).astype(np.float32)
+    got = mlp_scores(Tensor(q), model.store).data
+    tf = np.concatenate(
+        [q @ p[f"enh.tag_{g}.w"] + p[f"enh.tag_{g}.b"] for g in ("nnc", "pnc", "htc", "thc")], axis=-1)
     expect = gelu_ref(tf @ p["pred.mlp.w1"] + p["pred.mlp.b1"]) @ p["pred.mlp.w2"] + p["pred.mlp.b2"]
     np.testing.assert_allclose(got, expect, atol=1e-5)
 

@@ -90,6 +90,24 @@ def test_backends_agree(case, dilation, dtype):
         np.testing.assert_allclose(a, bb, rtol=tol, atol=tol)
 
 
+@pytest.mark.parametrize("cells", [10, 14, 49, 100, 10_000])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_blocked_backward_matches_scalar_reference(rng, monkeypatch, cells, dilation):
+    """Whatever the block of cells the backward gathers at a time (rows of
+    one grid, one grid, or several grids, with a short last block), it
+    gives each grid's scalar-loop gradients, summed over the batch for dw
+    and db."""
+    monkeypatch.setattr(kernels, "_BACKWARD_CELLS", cells)
+    x = rng.normal(size=(3, 7, 7, 3))
+    w = rng.normal(size=(3, 3, 3, 4))
+    g = rng.normal(size=(3, 7, 7, 4))
+    dx, dw, db = kernels.conv2d_backward(x, w, g, dilation)
+    refs = [scalar_conv_backward(x[i], w, g[i], dilation) for i in range(3)]
+    np.testing.assert_allclose(dx, np.stack([r[0] for r in refs]), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(dw, sum(r[1] for r in refs), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(db, sum(r[2] for r in refs), rtol=1e-10, atol=1e-10)
+
+
 def test_backward_matches_finite_differences(rng):
     x = rng.normal(size=(4, 4, 2))
     w = rng.normal(size=(3, 3, 2, 2))

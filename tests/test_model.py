@@ -173,6 +173,45 @@ def test_padding_contents_never_reach_real_cells(overrides, double):
         np.testing.assert_array_equal(g_grads[name], grads[name], err_msg=name)
 
 
+@pytest.mark.parametrize("case", ["default", "rounds-1", "no_dilated_conv"])
+def test_folded_mlp_head_matches_the_explicit_composition(monkeypatch, case):
+    """`mlp_scores` folds the last round's tag-feature map into its first
+    layer. In float64, the scores, the loss and every gradient (the
+    `enh.tag_*` and `pred.mlp.*` ones included) match the unfolded
+    mlp(tag_features(Q)) to 1e-12 of each array's largest magnitude. The
+    biases that start at zero are drawn first, so the folded bias
+    b_tag W1 + b1 is tested too."""
+    from crener import autodiff as ad
+    from crener import relation_enhance as enh_mod
+
+    cfg = ablated_config(case)
+    cfg.optimizer.double_precision = True
+    model, sents = small_model(config=cfg)
+    rng = np.random.default_rng(0)
+    for name in [n for n in model.store.names() if n.startswith("enh.tag_") or n == "pred.mlp.b1"]:
+        model.store[name].data[...] = rng.normal(scale=0.3, size=model.store[name].shape)
+    batch = sents[:4]
+    folded = padded_batch_run(model, batch)
+
+    def unfolded(q, store):
+        tf = enh_mod.tag_features(q, store)
+        hidden = ad.linear(tf, store["pred.mlp.w1"], store["pred.mlp.b1"], gelu=True)
+        return ad.linear(hidden, store["pred.mlp.w2"], store["pred.mlp.b2"])
+
+    monkeypatch.setattr(pred_mod, "mlp_scores", unfolded)
+    scores, loss, grads = padded_batch_run(model, batch)
+
+    def close(got, expect):
+        return np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    assert close(folded[0], scores)
+    assert abs(folded[1] - loss) <= 1e-12 * abs(loss)
+    assert folded[2].keys() == grads.keys()
+    assert {"enh.tag_nnc.w", "enh.tag_thc.b", "pred.mlp.w1", "pred.mlp.b1"} <= grads.keys()
+    for name, g in grads.items():
+        assert close(folded[2][name], g), name
+
+
 class TestAblationRouting:
     def model_with(self, **flags):
         cfg = small_config()
@@ -193,10 +232,10 @@ class TestAblationRouting:
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
         h, attn = encode(ids, mask, model.store, model.config.encoder)
-        tf = run_enhancement(
+        q = run_enhancement(
             h, mask, attn, model.store, model.config.grid, model.config.enhance
         )
-        expect = pred_mod.mlp_scores(tf, model.store)
+        expect = pred_mod.mlp_scores(q, model.store)
         np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_pair_feature_width_tracks_flags(self):
@@ -406,7 +445,7 @@ def tape_bytes(loss) -> int:
 
 def test_tape_of_a_default_forward_stays_lean():
     # The grid-sized stages are fused ops that keep one output array and
-    # only what their backward reads: about 7.0 MB here, against 12.4 MB
+    # only what their backward reads: about 6.2 MB here, against 12.4 MB
     # when every `x @ w + b`, GELU, scale-shift, pooling fill and conv mask
     # kept an array of its own.
     sents = generate_synthetic_corpus(
@@ -419,10 +458,11 @@ def test_tape_of_a_default_forward_stays_lean():
 
 
 def test_backward_peak_stays_near_the_forward():
-    # Gradients are handed over rather than copied, and GELU's derivative
-    # is freed once read, so a default float32 step on one n = 64 sentence
-    # raises tracemalloc's peak by about 0.8 MB over the level its forward
-    # leaves, against 5.1 MB when every first write was copied.
+    # Gradients are handed over rather than copied, GELU's derivative is
+    # freed once read, and the conv backward gathers its im2col in blocks,
+    # so a default float32 step on one n = 64 sentence raises
+    # tracemalloc's peak by about 0.7 MB over the level its forward leaves,
+    # against 5.1 MB when every first write was copied.
     sents = generate_synthetic_corpus(
         seed=3, count=1, max_len=64, types=["PER", "LOC"], min_len=64)
     model = CrenerModel(default_config(), CharVocabulary.from_sentences(sents),

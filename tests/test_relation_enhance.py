@@ -155,41 +155,41 @@ class TestRunEnhancement:
         return enh.run_enhancement(h, mask, attn, model.store, model.config.grid, config)
 
     def grid_pass(self, model, h_s, h_o, attn, mask):
+        """One round's convolved grid Q from its subject/object views."""
         gp, gc = model.store, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
         v = grid_mod.conditional_layer_norm(h_s, h_o, gp)
         c = grid_mod.pair_features(v, attn, gp, gc)
-        q = grid_mod.dilated_convolutions(c, mask2d, gp, gc)
-        return enh.tag_features(q, gp)
+        return grid_mod.dilated_convolutions(c, mask2d, gp, gc)
 
     def test_round_loop_matches_manual_replay(self):
         model, h, attn, mask = setup()
-        tf = self.run(model, h, attn, mask, rounds=2)
+        q = self.run(model, h, attn, mask, rounds=2)
 
         h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
-        tf0 = self.grid_pass(model, h_s0, h_o0, attn, mask)
+        tf0 = enh.tag_features(self.grid_pass(model, h_s0, h_o0, attn, mask), model.store)
         hs_r, ho_r = enh.pool_recover(tf0, mask, model.store)
         cs, co = enh.enhance_round(
             hs_r, ho_r, h_s0, h_o0, mask, model.store, model.config.enhance
         )
-        tf_exp = self.grid_pass(model, cs, co, attn, mask)
-        np.testing.assert_allclose(tf.data, tf_exp.data, atol=1e-5)
+        q_exp = self.grid_pass(model, cs, co, attn, mask)
+        np.testing.assert_allclose(q.data, q_exp.data, atol=1e-5)
 
     def test_feedback_changes_later_rounds(self):
         model, h, attn, mask = setup()
-        tf1 = self.run(model, h, attn, mask, rounds=1)
-        tf2 = self.run(model, h, attn, mask, rounds=2)
-        assert tf1.shape == tf2.shape
-        assert not np.allclose(tf1.data, tf2.data)
+        q1 = self.run(model, h, attn, mask, rounds=1)
+        q2 = self.run(model, h, attn, mask, rounds=2)
+        assert q1.shape == q2.shape
+        assert not np.allclose(q1.data, q2.data)
 
     def test_disabled_enhancement_is_single_grid_pass(self):
         """One round, the paper's no-enhancement ablation, is one grid pass
         over the round-0 projections."""
         model, h, attn, mask = setup()
-        tf = self.run(model, h, attn, mask, rounds=1)
+        q = self.run(model, h, attn, mask, rounds=1)
         h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
         np.testing.assert_array_equal(
-            tf.data, self.grid_pass(model, h_s0, h_o0, attn, mask).data
+            q.data, self.grid_pass(model, h_s0, h_o0, attn, mask).data
         )
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
@@ -207,11 +207,30 @@ class TestRunEnhancement:
         self.run(model, h, attn, mask, rounds=rounds)
         assert calls == {"pool_recover": rounds - 1, "enhance_round": rounds - 1}
 
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_forward_builds_tag_features_only_before_the_last_round(self, monkeypatch, rounds):
+        """The last round's tag features are folded into the MLP head's first
+        layer, so a whole forward never builds that round's tag-feature grid."""
+        calls = []
+        original = enh.tag_features
+
+        def counted(q, store):
+            calls.append(q.shape)
+            return original(q, store)
+
+        monkeypatch.setattr(enh, "tag_features", counted)
+        cfg = small_config()
+        cfg.enhance.rounds = rounds
+        model, sents = small_model(config=cfg)
+        ids, mask, _ = model.sentence_inputs(sents[0])
+        model.forward(ids, mask)
+        assert len(calls) == rounds - 1
+
     def test_default_round_count_comes_from_config(self):
         model, h, attn, mask = setup()
-        tf_default = self.run(model, h, attn, mask)
-        tf2 = self.run(model, h, attn, mask, rounds=model.config.enhance.rounds)
-        np.testing.assert_array_equal(tf_default.data, tf2.data)
+        q_default = self.run(model, h, attn, mask)
+        q2 = self.run(model, h, attn, mask, rounds=model.config.enhance.rounds)
+        np.testing.assert_array_equal(q_default.data, q2.data)
 
     def test_rejects_zero_rounds(self):
         cfg = small_config()
