@@ -110,6 +110,9 @@ def _grid_from_obj(obj, lineno: int, path: str) -> tuple[np.ndarray, TagVocabula
     where = f"{path}:{lineno}"
     if not isinstance(obj, dict) or "n" not in obj or "cells" not in obj:
         raise CorpusError(f"{where}: grid record needs 'n' and 'cells'")
+    unknown = sorted(set(obj) - {"n", "cells"})
+    if unknown:
+        raise CorpusError(f"{where}: unknown grid record key {unknown[0]!r}")
     n, cells = obj["n"], obj["cells"]
     # The array costs n * n * |R| bytes, so the side is capped at the
     # longest sentence the encoder accepts by default.

@@ -7,12 +7,12 @@ weights from the `ParamStore` by their checkpoint names and runs what
 it finds there.
 
 The forward pass takes (..., n) character ids and validity masks with any
-number of leading batch axes. `batch_loss` pads a list of sentences to
-the longest one and runs them as one (B, n) batch; the one-sentence loss
-is the batch of one, and prediction runs one unpadded sentence at a time.
-Prediction runs tape-free: `predict_grid` enters `autodiff.no_grad()`
-around the same forward, so it records no tape and keeps no
-intermediate array alive for a backward pass that never comes.
+number of leading batch axes. `batch_loss` and `predict_batch` pad a
+list of sentences to the longest one and run them as one (B, n) batch;
+the one-sentence loss and the one-sentence prediction are each the
+batch of one. Prediction runs tape-free: `predict_batch` enters
+`autodiff.no_grad()` around the same forward, so it records no tape and
+keeps no intermediate array alive for a backward pass that never comes.
 The loss is summed over unmasked cells; dividing by the total cell
 count gives the mean over a batch.
 
@@ -45,6 +45,15 @@ from .autodiff import ParamStore, Tensor, no_grad
 from .config import ModelConfig
 from .corpus import CharVocabulary, EntityMention, Sentence, TagVocabulary, encode_grid
 from .errors import ConfigError, CorpusError
+
+
+class _NonFiniteScores(FloatingPointError):
+    """A forward's scores hold a non-finite value; `rows` holds the flat
+    indices of the batch entries where they do, in ascending order."""
+
+    def __init__(self, message: str, rows: np.ndarray):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _pad_stack(rows: list[np.ndarray], width: int) -> np.ndarray:
@@ -232,6 +241,15 @@ class CrenerModel:
                 )
         return ids, mask, vectors
 
+    def _batch_inputs(self, sentences: list[Sentence]):
+        """(B, width) char ids and masks and the (B, width, d_context)
+        context vectors (None without a provider) of `sentences`, each
+        padded to the longest one."""
+        width = max(len(s) for s in sentences)
+        ids, masks, vectors = zip(*(self.sentence_inputs(s, pad_to=width) for s in sentences))
+        vectors = None if self.context_provider is None else np.stack(vectors)
+        return np.stack(ids), np.stack(masks), vectors
+
     def draw_dropout(
         self, sentence: Sentence, rng: np.random.Generator
     ) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -249,7 +267,9 @@ class CrenerModel:
         """(..., n, n, |R|) scores and the (..., n, n) cell mask for (..., n)
         ids and masks; scores at masked cells are meaningless. `dropout`,
         given in training only, holds one multiplier pair per encoder layer,
-        shaped (..., n, d_h). A stage or head runs when its weights are in the store."""
+        shaped (..., n, d_h). A stage or head runs when its weights are in the store.
+        A non-finite score raises FloatingPointError, whose `rows` are the flat
+        indices over the leading axes of the sentences that hold one."""
         store = self.store
         h, attn = enc_mod.encode(
             char_ids, mask, store, self.config.encoder, context_vectors=context_vectors,
@@ -262,7 +282,8 @@ class CrenerModel:
         y_mlp = None if q is None else pred_mod.mlp_scores(q, store)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
         if not np.isfinite(fused.data).all():
-            raise FloatingPointError("non-finite scores in forward pass")
+            finite = np.isfinite(fused.data).reshape(fused.shape[:-3] + (-1,)).all(axis=-1)
+            raise _NonFiniteScores("non-finite scores in forward pass", np.flatnonzero(~finite))
         return fused, grid_mod.pair_mask(mask)
 
     def batch_loss(
@@ -277,10 +298,8 @@ class CrenerModel:
         In training `dropout` holds one `draw_dropout` result per
         sentence, in batch order.
         """
-        width = max(len(s) for s in sentences)
-        ids, masks, vectors = zip(*(self.sentence_inputs(s, pad_to=width) for s in sentences))
-        ids, mask = np.stack(ids), np.stack(masks)
-        vectors = None if self.context_provider is None else np.stack(vectors)
+        ids, mask, vectors = self._batch_inputs(sentences)
+        width = mask.shape[-1]
         gold = np.zeros(mask.shape + (width, len(self.tag_vocab)), dtype=bool)
         for b, s in enumerate(sentences):
             gold[b, :len(s), :len(s)] = encode_grid(s, self.tag_vocab)
@@ -308,28 +327,51 @@ class CrenerModel:
         dropout = None if dropout_rng is None else [self.draw_dropout(sentence, dropout_rng)]
         return self.batch_loss([sentence], dropout, reduction)
 
-    def predict_grid(self, sentence: Sentence) -> np.ndarray:
-        """Boolean (n, n, |R|) predicted tag grid for one sentence.
+    def _predict_grids(self, sentences: list[Sentence]) -> list[np.ndarray]:
+        """Boolean (n, n, |R|) predicted tag grids, one per sentence in input
+        order, from one padded forward over all of them.
 
         The forward runs tape-free (inside `no_grad()`): nothing is kept
-        for a backward pass, and the scores are those of the taped forward.
-        Non-finite scores raise FloatingPointError naming the sentence;
-        the overflow or invalid operation that made them issues no numpy
+        for a backward pass. Non-finite scores raise FloatingPointError
+        naming the first sentence in `sentences` that holds them; the
+        overflow or invalid operation that made them issues no numpy
         warning first.
         """
-        ids, mask, vectors = self.sentence_inputs(sentence)
+        ids, mask, vectors = self._batch_inputs(sentences)
         try:
             with no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 fused, mask2d = self.forward(ids, mask, vectors)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"sentence {sentence.id!r}: {exc}") from None
-        return pred_mod.predict_cells(
+        except _NonFiniteScores as exc:
+            bad = sentences[int(exc.rows[0])]
+            raise FloatingPointError(f"sentence {bad.id!r}: {exc}") from None
+        hits = pred_mod.predict_cells(
             fused, self.tag_vocab, mask2d,
             mode=self.config.predictor.mode, s0=self.config.predictor.threshold,
         )
+        return [hits[b, :len(s), :len(s)] for b, s in enumerate(sentences)]
+
+    def predict_batch(self, sentences: list[Sentence]) -> list[set[EntityMention]]:
+        """Each sentence's predicted mentions, in input order, from one
+        padded no-grad forward and one `predict_cells` over the batch.
+
+        Padding reaches no real cell (see the module docstring), so each
+        sentence's scores are those of its batch of one up to the order of
+        floating-point sums. Memory grows with the padded cells, size times
+        longest length squared; `training` keeps a batch of two or more
+        within `MAX_SUB_BATCH_CELLS` of them.
+        """
+        if not sentences:
+            return []
+        contiguous = self.config.decode.contiguous
+        return [
+            decode_mod.decode_grid(grid, self.tag_vocab, contiguous=contiguous)
+            for grid in self._predict_grids(sentences)
+        ]
+
+    def predict_grid(self, sentence: Sentence) -> np.ndarray:
+        """Boolean (n, n, |R|) predicted tag grid for one sentence: the
+        batch of one of `predict_batch`'s forward."""
+        return self._predict_grids([sentence])[0]
 
     def predict_sentence(self, sentence: Sentence) -> set[EntityMention]:
-        grid = self.predict_grid(sentence)
-        return decode_mod.decode_grid(
-            grid, self.tag_vocab, contiguous=self.config.decode.contiguous
-        )
+        return self.predict_batch([sentence])[0]

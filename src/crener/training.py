@@ -11,8 +11,9 @@ its longest length squared in cells, plus a fixed cost per forward and
 backward. `_sub_batches` finds the split of least modelled cost exactly,
 with no sub-batch of two or more sentences above MAX_SUB_BATCH_CELLS.
 Each sub-batch is backpropagated straight after its forward, so only one
-sub-batch's tape is alive at a time. Each epoch logs one JSON record; the
-best dev-F1 parameters are kept. A checkpoint is a directory:
+sub-batch's tape is alive at a time. Evaluation and prediction use the
+same split, one no-grad forward per sub-batch. Each epoch logs one JSON
+record; the best dev-F1 parameters are kept. A checkpoint is a directory:
 manifest.json plus one .npy blob per parameter, little-endian. It holds
 what prediction needs and nothing else: there is no resume, so the
 optimizer state is not saved.
@@ -40,13 +41,13 @@ from .model import CrenerModel
 
 CHECKPOINT_FORMAT_VERSION = 3
 
-# The most padded cells (size x longest length squared) of a training
-# forward over two or more sentences; a longer sentence runs alone. The
-# bound caps a step's memory, since only one sub-batch's tape is alive at
-# a time: with the default config in float32 a 4,096-cell forward + loss
-# (one n = 64 sentence, or four of n = 32) leaves about 26 MB of tape, and
-# its backward peaks at about 27 MB (tracemalloc, from just before the
-# forward). 4,096 is one n = 64 grid.
+# The most padded cells (size x longest length squared) of a training or
+# inference forward over two or more sentences; a longer sentence runs
+# alone. The bound caps a step's memory, since only one sub-batch's tape
+# is alive at a time: with the default config in float32 a 4,096-cell
+# forward + loss (one n = 64 sentence, or four of n = 32) leaves about
+# 26 MB of tape, and its backward peaks at about 27 MB (tracemalloc,
+# from just before the forward). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
 
 # The fixed cost of one sub-batch's forward and backward, in padded cells:
@@ -165,6 +166,14 @@ def _prf(gold: int, predicted: int, correct: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
+def _predicted_mentions(model: CrenerModel, sentences: list[Sentence]):
+    """(position in `sentences`, predicted mentions) for every sentence,
+    yielded one sub-batch at a time, in the sub-batches `_sub_batches`
+    picks for training: one `predict_batch` call each."""
+    for sub in _sub_batches([len(s) for s in sentences], MAX_SUB_BATCH_CELLS):
+        yield from zip(sub, model.predict_batch([sentences[k] for k in sub]))
+
+
 def evaluate_model(model: CrenerModel, sentences) -> EvalReport:
     """Exact (indices, type) matching of predicted vs gold mentions."""
     gold_n = pred_n = correct_n = 0
@@ -173,9 +182,9 @@ def evaluate_model(model: CrenerModel, sentences) -> EvalReport:
     def bucket(t: str) -> dict:
         return per_type.setdefault(t, {"gold": 0, "predicted": 0, "correct": 0})
 
-    for sentence in sentences:
-        gold = sentence.entity_set()
-        pred = model.predict_sentence(sentence)
+    sentences = list(sentences)
+    for k, pred in _predicted_mentions(model, sentences):
+        gold = sentences[k].entity_set()
         gold_n += len(gold)
         pred_n += len(pred)
         correct_n += len(gold & pred)
@@ -330,11 +339,12 @@ def evaluate(checkpoint: Checkpoint, sentences, context_provider=None) -> EvalRe
 def predict(checkpoint: Checkpoint, sentences, context_provider=None) -> list[Sentence]:
     """Sentences with entities replaced by model predictions, input order kept."""
     model = checkpoint.build_model(context_provider)
-    out = []
-    for s in sentences:
-        mentions = sorted(model.predict_sentence(s), key=lambda e: (e.indices, e.type))
-        out.append(Sentence(s.id, list(s.chars), list(mentions)))
-    return out
+    sentences = list(sentences)
+    predicted = dict(_predicted_mentions(model, sentences))
+    return [
+        Sentence(s.id, list(s.chars), sorted(predicted[k], key=lambda e: (e.indices, e.type)))
+        for k, s in enumerate(sentences)
+    ]
 
 
 # ----------------------------------------------------------------------

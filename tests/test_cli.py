@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import small_config
+from crener import training
 from crener.cli import main
 from crener.config import (
     apply_overrides,
@@ -430,6 +431,33 @@ def test_overflowing_sidecar_exits_2(workspace, tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_overflowing_sidecar_in_a_shared_sub_batch_exits_2(workspace, tmp_path, capsys, command):
+    """The data error names the sentence whose scores overflow, not the
+    sentences that share its padded forward."""
+    sentences = [json.loads(line) for line in workspace["dev"].read_text().splitlines()]
+    (sub,) = training._sub_batches([len(s["text"]) for s in sentences],
+                                   training.MAX_SUB_BATCH_CELLS)
+    bad = sentences[sub[1]]
+    d_context = small_config().encoder.d_context
+    records = [
+        {"id": s["id"], "vectors": [[1e30 if s is bad else 0.5] * d_context] * len(s["text"])}
+        for s in sentences
+    ]
+    ckpt = checkpoint_with_sidecar(workspace, tmp_path, records)
+    dev = str(workspace["dev"])
+    argv = (["eval", "--data", dev, "--out", str(tmp_path / "r.json")] if command == "eval"
+            else ["predict", "--input", dev, "--output", "-"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--checkpoint", str(ckpt)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    message = f"sentence {bad['id']!r}: non-finite scores in forward pass"
+    assert captured.err == f"data error: {message}\n"
+
+
 class TestPredictCommand:
     def test_stdout_mode_emits_jsonl(self, workspace, capsys):
         code = main(["predict", "--checkpoint", str(workspace["ckpt"]),
@@ -497,6 +525,14 @@ class TestDecodeGridCommand:
         assert main(["decode-grid", "--grid", str(path)]) == 2
         err = capsys.readouterr().err
         assert "grid.jsonl:1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [{"types": ["A"]}, {"N": 2}], ids=["types", "N"])
+    def test_unknown_record_key_exits_2(self, tmp_path, capsys, extra):
+        (key,) = extra
+        path = self.write_grid(tmp_path, [{"n": 2, "cells": []}, {"n": 2, "cells": [], **extra}])
+        assert main(["decode-grid", "--grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}:2: unknown grid record key {key!r}\n"
 
     def test_largest_side_accepted(self, tmp_path, capsys):
         path = self.write_grid(tmp_path, [{"n": 256, "cells": [[255, 255, "THC_X"]]}])

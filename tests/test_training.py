@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import small_config, small_model
 from crener import training
 from crener.autodiff import ParamStore, Tensor
 from crener.config import apply_overrides
@@ -112,6 +112,9 @@ class _FixedPredictor:
 
     def predict_sentence(self, sentence):
         return set(self.table.get(sentence.id, ()))
+
+    def predict_batch(self, sentences):
+        return [self.predict_sentence(s) for s in sentences]
 
 
 class TestEvaluation:
@@ -533,3 +536,124 @@ def test_sub_batches_reach_the_brute_force_minimum(seed, max_cells):
         groups = [[lengths[k] for k in sub] for sub in subs]
         assert all(len(g) == 1 or len(g) * g[-1] ** 2 <= max_cells for g in groups), groups
         assert sum(split_cost(g) for g in groups) == brute_force_min_cost(sorted(lengths), max_cells)
+
+
+# ----------------------------------------------------------------------
+# sub-batched inference
+
+
+def record_forwards(monkeypatch):
+    """Patch the model to log every forward's scores, one (..., n, n, |R|)
+    array per call, in call order."""
+    calls = []
+    forward = CrenerModel.forward
+
+    def logged_forward(self, *args, **kwargs):
+        fused, mask2d = forward(self, *args, **kwargs)
+        calls.append(fused.data)
+        return fused, mask2d
+
+    monkeypatch.setattr(CrenerModel, "forward", logged_forward)
+    return calls
+
+
+def predicted_in_order(model, sents):
+    found = dict(training._predicted_mentions(model, sents))
+    assert sorted(found) == list(range(len(sents)))
+    return [found[k] for k in range(len(sents))]
+
+
+def inference_model(count, double, seed=8, provider=False):
+    """An untrained small model (max_len 64) and `count` sentences of 2 to
+    50 characters, with a sidecar of random context vectors if asked."""
+    cfg = small_config(double=double)
+    cfg.encoder.max_len = 64
+    sents = generate_synthetic_corpus(
+        seed=seed, count=count, max_len=50, types=["A", "B"], min_len=2,
+        nested_fraction=0.5, discontinuous_fraction=0.5,
+    )
+    vectors = None
+    if provider:
+        rng = np.random.default_rng(seed)
+        vectors = {s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
+                   for s in sents}
+    model = CrenerModel(cfg, CharVocabulary.from_sentences(sents),
+                        build_tag_vocabulary(sents), vectors)
+    return model, sents
+
+
+@pytest.mark.parametrize("provider", [False, True], ids=["plain", "sidecar"])
+def test_sub_batched_scores_match_sentences_alone(monkeypatch, provider):
+    """float64: every sentence's real-cell scores in its sub-batch's forward
+    match its lone forward, and its mentions are those of its batch of one."""
+    model, sents = inference_model(24, double=True, provider=provider)
+    lengths = [len(s) for s in sents]
+    assert min(lengths) == 2 and max(lengths) >= 46
+    subs = training._sub_batches(lengths, MAX_SUB_BATCH_CELLS)
+    assert any(len(sub) > 1 for sub in subs) and any(len(sub) == 1 for sub in subs)
+    forwards = record_forwards(monkeypatch)
+    predicted = predicted_in_order(model, sents)
+    batched = list(forwards)
+    assert len(batched) == len(subs)
+    for sub, scores in zip(subs, batched):
+        assert scores.shape[:2] == (len(sub), lengths[sub[-1]])
+        for b, k in enumerate(sub):
+            n = lengths[k]
+            alone, _ = model.forward(*model.sentence_inputs(sents[k]))
+            np.testing.assert_allclose(scores[b, :n, :n], alone.data, rtol=1e-10, atol=1e-10)
+    assert predicted == [model.predict_sentence(s) for s in sents]
+    assert sum(map(len, predicted)) > 0
+
+
+def test_float32_sub_batches_predict_the_mentions_of_sentences_alone():
+    model, sents = inference_model(200, double=False, seed=7)
+    predicted = predicted_in_order(model, sents)
+    assert predicted == [model.predict_sentence(s) for s in sents]
+    assert sum(map(len, predicted)) > 0
+
+
+def test_predict_batch_keeps_input_order():
+    model, sents = inference_model(12, double=False)
+    batch = sorted(sents, key=len, reverse=True)[:5]
+    assert model.predict_batch(batch) == [model.predict_sentence(s) for s in batch]
+    assert model.predict_batch([]) == []
+    report = evaluate_model(model, [])
+    assert (report.gold, report.predicted, report.correct, report.f1) == (0, 0, 0, 0.0)
+
+
+def test_short_sentences_share_inference_forwards(monkeypatch):
+    forwards = record_forwards(monkeypatch)
+    model, _ = small_model()
+    sents = generate_synthetic_corpus(seed=2, count=16, max_len=16, types=["A"], min_len=4)
+    subs = training._sub_batches([len(s) for s in sents], MAX_SUB_BATCH_CELLS)
+    evaluate_model(model, sents)
+    assert len(forwards) == len(subs) < 16
+
+
+def test_eight_sentences_of_48_are_evaluated_one_at_a_time(monkeypatch):
+    forwards = record_forwards(monkeypatch)
+    cfg = small_config()
+    cfg.encoder.max_len = 64
+    sents = generate_synthetic_corpus(seed=2, count=8, max_len=48, types=["A"], min_len=48)
+    model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents))
+    evaluate_model(model, sents)
+    assert [scores.shape[:2] for scores in forwards] == [(1, 48)] * 8
+
+
+def test_non_finite_sentence_is_named_alone_in_its_sub_batch():
+    model, sents = inference_model(24, double=False, provider=True)
+    lengths = [len(s) for s in sents]
+    sub = max(training._sub_batches(lengths, MAX_SUB_BATCH_CELLS), key=len)
+    assert len(sub) > 2
+    bad = sents[sub[1]]
+    model.context_provider[bad.id] = np.full_like(model.context_provider[bad.id], 1e30)
+    with pytest.raises(FloatingPointError) as caught:
+        evaluate_model(model, sents)
+    message = str(caught.value)
+    assert message == f"sentence {bad.id!r}: non-finite scores in forward pass"
+    assert all(sents[k].id not in message for k in sub if k != sub[1])
+    # grad mode is back on: the loss is taped and its backward reaches the head
+    loss, _ = model.sentence_loss(sents[sub[0]])
+    assert loss.requires_grad
+    loss.backward()
+    assert model.store["pred.mlp.w2"].grad is not None
