@@ -235,11 +235,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis, keepdims)
 
@@ -477,15 +472,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         a._accumulate(g.reshape(old_shape), owned=True)
 
     return Tensor._make(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes: tuple) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        a._accumulate(g.transpose(inverse), owned=True)
-
-    return Tensor._make(a.data.transpose(axes), (a,), backward)
 
 
 def getitem(a: Tensor, idx) -> Tensor:

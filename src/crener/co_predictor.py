@@ -144,14 +144,13 @@ def multi_tag_loss(
     vocab: TagVocabulary,
     mask2d: np.ndarray,
     s0: float = 0.0,
-    reduction: str = "mean",
 ) -> Tensor:
     """Per cell: log(e^{-s0} + sum_pos e^{-s}) + log(e^{s0} + sum_neg e^{s}).
 
     Every gold tag is pushed above s0 and every other tag below it.
     Implemented as two masked log-sum-exps over one array, the scores with
     the threshold prepended as a constant column, and its negation.
-    Reduction is the mean (default) or sum over unmasked cells.
+    The loss is the sum over unmasked cells.
     """
     cells = fused.shape[:-1]
     pos = gold_tag_mask(gold, vocab, mask2d)
@@ -164,10 +163,4 @@ def multi_tag_loss(
     pos_term = ad.logsumexp(-scores, mask=np.concatenate([ones, pos], axis=-1))
     neg_term = ad.logsumexp(scores, mask=np.concatenate([ones, neg], axis=-1))
     per_cell = (pos_term + neg_term) * mask2d.astype(fused.dtype)
-    total = per_cell.sum()
-    if reduction == "sum":
-        return total
-    if reduction == "mean":
-        count = max(int(mask2d.sum()), 1)
-        return total * (1.0 / count)
-    raise CrenerError(f"unknown reduction {reduction!r}")
+    return per_cell.sum()

@@ -211,7 +211,7 @@ def adapted_attention(
     # Both R terms laid out (..., n_i, heads, n_j, 1), then moved to
     # (..., heads, n_i, n_j).
     rel_proj = Tensor(rel) @ store[p + "wkr"]
-    rel_proj = rel_proj.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3)
+    rel_proj = ad.swapaxes(rel_proj.reshape(n, n, heads, d_head), 1, 2)
     position = rel_proj @ q.reshape(lead + (n, heads, d_head, 1))  # Q_i . R_ij W_kR
     rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3))
     position_bias = rel_heads @ store[p + "v"].reshape(heads, d_head, 1)  # v . R_ij

@@ -290,10 +290,9 @@ class CrenerModel:
         self,
         sentences: list[Sentence],
         dropout: list | None = None,
-        reduction: str = "sum",
     ) -> tuple[Tensor, int]:
-        """Loss over a batch padded to its longest sentence, plus the
-        unmasked cell count; the sum over unmasked cells by default.
+        """Loss summed over the unmasked cells of a batch padded to its
+        longest sentence, plus the unmasked cell count.
 
         In training `dropout` holds one `draw_dropout` result per
         sentence, in batch order.
@@ -312,7 +311,7 @@ class CrenerModel:
         fused, mask2d = self.forward(ids, mask, vectors, dropout=keep)
         loss = pred_mod.multi_tag_loss(
             fused, gold, self.tag_vocab, mask2d,
-            s0=self.config.predictor.threshold, reduction=reduction,
+            s0=self.config.predictor.threshold,
         )
         return loss, int(mask2d.sum())
 
@@ -320,12 +319,12 @@ class CrenerModel:
         self,
         sentence: Sentence,
         dropout_rng: np.random.Generator | None = None,
-        reduction: str = "mean",
     ) -> tuple[Tensor, int]:
-        """Loss over one sentence's grid plus the unmasked cell count;
-        a `dropout_rng` (training) draws the encoder's dropout."""
+        """Loss averaged over one sentence's grid plus its cell count; a
+        `dropout_rng` (training) draws the encoder's dropout."""
         dropout = None if dropout_rng is None else [self.draw_dropout(sentence, dropout_rng)]
-        return self.batch_loss([sentence], dropout, reduction)
+        loss, cells = self.batch_loss([sentence], dropout)
+        return loss * (1.0 / max(cells, 1)), cells
 
     def _predict_grids(self, sentences: list[Sentence]) -> list[np.ndarray]:
         """Boolean (n, n, |R|) predicted tag grids, one per sentence in input

@@ -13,10 +13,12 @@ with no sub-batch of two or more sentences above MAX_SUB_BATCH_CELLS.
 Each sub-batch is backpropagated straight after its forward, so only one
 sub-batch's tape is alive at a time. Evaluation and prediction use the
 same split, one no-grad forward per sub-batch. Each epoch logs one JSON
-record; the best dev-F1 parameters are kept. A checkpoint is a directory:
-manifest.json plus one .npy blob per parameter, little-endian. It holds
-what prediction needs and nothing else: there is no resume, so the
-optimizer state is not saved.
+record; the best dev-F1 parameters are kept. A checkpoint is one
+uncompressed zip archive, checkpoint.npz, in a directory: a JSON manifest
+(config, vocabularies, epoch, history) and one little-endian .npy member
+per parameter, replaced whole by one rename on each save. It holds what
+prediction needs and nothing else: there is no resume, so the optimizer
+state is not saved.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .corpus import (
 from .errors import ConfigError, CorpusError, DivergenceError
 from .model import CrenerModel
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 # The most padded cells (size x longest length squared) of a training or
 # inference forward over two or more sentences; a longer sentence runs
@@ -211,19 +213,11 @@ def evaluate_model(model: CrenerModel, sentences) -> EvalReport:
 # checkpointing
 
 
-def _param_path(directory: str, name: str) -> str:
-    return os.path.join(directory, "params", name + ".npy")
-
+# The archive a checkpoint directory holds.
+ARCHIVE_NAME = "checkpoint.npz"
 
 # Manifest keys `Checkpoint.load` reads, with the JSON type each must have.
-_MANIFEST_KEYS = {
-    "config": dict,
-    "chars": list,
-    "entity_types": list,
-    "none_is_implicit": bool,
-    "parameters": list,
-    "epoch": int,
-}
+_MANIFEST_KEYS = {"config": dict, "chars": list, "entity_types": list, "epoch": int}
 
 
 @dataclass
@@ -234,91 +228,102 @@ class Checkpoint:
     params: dict
     epoch: int
     history: list
-    # The directory `load` read it from, named in data errors.
-    directory: str | None = None
+    # The archive `load` read it from, named in data errors.
+    path: str | None = None
 
     def save(self, directory: str) -> None:
-        os.makedirs(os.path.join(directory, "params"), exist_ok=True)
+        """Write `<directory>/checkpoint.npz`: the manifest as UTF-8 JSON
+        bytes in a uint8 member, and one little-endian member per parameter.
+        The archive is written to a temporary file beside it, flushed to
+        disk and renamed over the old one, so the directory holds the old
+        checkpoint or the new one, never a mix."""
         manifest = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": config_to_flat(self.config),
             "chars": self.char_vocab.chars,
             "entity_types": list(self.tag_vocab.entity_types),
-            "none_is_implicit": self.tag_vocab.none_is_implicit,
             "epoch": self.epoch,
             "history": self.history,
-            "parameters": sorted(self.params),
         }
-        with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, ensure_ascii=False, indent=2)
+        text = json.dumps(manifest, ensure_ascii=False).encode("utf-8")
         le = "<f8" if self.config.optimizer.double_precision else "<f4"
-        for name, array in self.params.items():
-            np.save(_param_path(directory, name), np.asarray(array).astype(le))
+        params = {name: np.asarray(array).astype(le) for name, array in self.params.items()}
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, ARCHIVE_NAME)
+        with open(path + ".tmp", "wb") as fh:
+            np.savez(fh, manifest=np.frombuffer(text, dtype=np.uint8), **params)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(path + ".tmp", path)
 
     @classmethod
     def load(cls, directory: str) -> "Checkpoint":
-        """Read a checkpoint directory; a corrupt manifest or parameter
-        file raises CorpusError naming the file."""
-        manifest_path = os.path.join(directory, "manifest.json")
-        if not os.path.exists(manifest_path):
-            raise CorpusError(f"no checkpoint manifest at {manifest_path}")
+        """Read `<directory>/checkpoint.npz`. A damaged archive, manifest
+        or parameter raises CorpusError naming the archive; the zip's
+        per-member CRC-32 turns a damaged byte into a read error."""
+        path = os.path.join(directory, ARCHIVE_NAME)
+        if not os.path.exists(path):
+            if os.path.exists(os.path.join(directory, "manifest.json")):
+                raise ConfigError(
+                    f"{directory}: checkpoint formats 1-3 (manifest.json and params/) "
+                    "are retired: retrain the model"
+                )
+            raise CorpusError(f"no checkpoint archive at {path}")
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"{manifest_path}: not a JSON checkpoint manifest: {exc}") from None
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not a zip archive")
+            with archive:
+                params = {name: archive[name] for name in archive.files}
+            for name, value in params.items():
+                if not isinstance(value, np.ndarray):  # a member that is not .npy reads as bytes
+                    raise ValueError(f"member {name} is not a .npy array")
+        except Exception as exc:
+            # A damaged zip or .npy member raises BadZipFile, NotImplementedError
+            # (a flipped compression method, flag or version), EOFError,
+            # ValueError, OSError or a decompressor's own error: all are data errors.
+            raise CorpusError(f"{path}: unreadable checkpoint archive: {exc}") from None
+        raw = params.pop("manifest", None)
+        try:
+            if raw is None or raw.dtype != np.uint8:
+                raise ValueError("no uint8 manifest member")
+            manifest = json.loads(raw.tobytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+            raise CorpusError(f"{path}: not a JSON checkpoint manifest: {exc}") from None
         if not isinstance(manifest, dict):
-            raise CorpusError(f"{manifest_path}: checkpoint manifest is not a JSON object")
+            raise CorpusError(f"{path}: checkpoint manifest is not a JSON object")
         version = manifest.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
-            # Format 1 saved optimizer moments, format 2 ablated ingredients' parameters.
-            why = "is retired: retrain the model" if version in (1, 2) else "is unknown"
             raise ConfigError(
-                f"{directory}: unsupported checkpoint format {version!r}; only format "
-                f"{CHECKPOINT_FORMAT_VERSION} is read (format {version!r} {why})"
+                f"{path}: unsupported checkpoint format {version!r}; only format "
+                f"{CHECKPOINT_FORMAT_VERSION} is read"
             )
         bad = [key for key, kind in _MANIFEST_KEYS.items() if not isinstance(manifest.get(key), kind)]
-        for key in ("chars", "entity_types", "parameters"):
+        for key in ("chars", "entity_types"):
             if key not in bad and not all(isinstance(v, str) for v in manifest[key]):
                 bad.append(key)
         if bad:
-            raise CorpusError(
-                f"{manifest_path}: checkpoint manifest has missing or malformed {', '.join(bad)}"
-            )
+            raise CorpusError(f"{path}: checkpoint manifest has missing or malformed {', '.join(bad)}")
         try:
             config = config_from_flat(manifest["config"])
             config.validate()
         except ConfigError as exc:
-            raise CorpusError(f"{manifest_path}: bad checkpoint config: {exc}") from None
-        none_is_implicit = manifest["none_is_implicit"]
-        if (config.predictor.mode == "softmax") == none_is_implicit:
-            raise CorpusError(
-                f"{manifest_path}: checkpoint manifest's none_is_implicit = "
-                f"{str(none_is_implicit).lower()} contradicts its predictor.mode = "
-                f"{config.predictor.mode!r}"
-            )
-        chars = manifest["chars"]
-        char_vocab = CharVocabulary(chars[2:])  # first two slots are pad/unk
-        tag_vocab = TagVocabulary(manifest["entity_types"], none_is_implicit=none_is_implicit)
-        params = {}
-        for name in manifest["parameters"]:
-            path = _param_path(directory, name)
-            try:
-                array = np.load(path)
-            except (OSError, ValueError, EOFError) as exc:
-                raise CorpusError(f"{path}: unreadable checkpoint parameter: {exc}") from None
+            raise CorpusError(f"{path}: bad checkpoint config: {exc}") from None
+        for name, array in params.items():
             # `save` writes finite floats; anything else would fail later, mid-forward.
             if array.dtype.kind != "f" or not np.isfinite(array).all():
-                raise CorpusError(f"{path}: checkpoint parameter is not a finite float array")
-            params[name] = array
+                raise CorpusError(f"{path}: checkpoint parameter {name} is not a finite float array")
         return cls(
             config=config,
-            char_vocab=char_vocab,
-            tag_vocab=tag_vocab,
+            char_vocab=CharVocabulary(manifest["chars"][2:]),  # first two slots are pad/unk
+            tag_vocab=TagVocabulary(
+                manifest["entity_types"],
+                none_is_implicit=config.predictor.mode == "threshold",
+            ),
             params=params,
             epoch=manifest["epoch"],
             history=manifest.get("history", []),
-            directory=directory,
+            path=path,
         )
 
     def build_model(self, context_provider: dict | None = None) -> CrenerModel:
@@ -328,7 +333,7 @@ class Checkpoint:
         try:
             model.store.load_state_dict(self.params)
         except ValueError as exc:  # wrong names, shapes or dtypes
-            raise CorpusError(f"{self.directory or 'checkpoint'}: {exc}") from None
+            raise CorpusError(f"{self.path or 'checkpoint'}: {exc}") from None
         return model
 
 

@@ -7,6 +7,7 @@ from crener import config as cfg_mod
 from crener.autodiff import Tensor
 from crener.corpus import CharVocabulary, build_tag_vocabulary, generate_synthetic_corpus
 from crener.model import CrenerModel
+from crener.training import Checkpoint
 
 
 def small_config(double: bool = False, seed: int = 42) -> cfg_mod.ModelConfig:
@@ -41,6 +42,24 @@ def small_model(double: bool = False, seed: int = 42, config=None):
         sents, none_is_implicit=cfg.predictor.mode == "threshold"
     )
     return CrenerModel(cfg, char_vocab, tag_vocab), sents
+
+
+def untrained_checkpoint(config=None, seed: int = 42) -> Checkpoint:
+    """A checkpoint of `small_model`'s initial parameters."""
+    model, _ = small_model(seed=seed, config=config)
+    return Checkpoint(model.config, model.char_vocab, model.tag_vocab,
+                      model.store.state_dict(), epoch=0, history=[])
+
+
+def assert_same_checkpoint(back: Checkpoint, ck: Checkpoint) -> None:
+    """`back` holds `ck`'s config, vocabularies and parameters, bit for bit."""
+    assert cfg_mod.config_to_flat(back.config) == cfg_mod.config_to_flat(ck.config)
+    assert back.char_vocab.chars == ck.char_vocab.chars
+    assert back.tag_vocab.tags == ck.tag_vocab.tags
+    assert back.params.keys() == ck.params.keys()
+    for name, array in ck.params.items():
+        assert back.params[name].dtype == array.dtype
+        assert back.params[name].tobytes() == array.tobytes(), name
 
 
 def tag_grid(n, vocab, cells=()):

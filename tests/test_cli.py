@@ -1,19 +1,22 @@
 """Config file parsing and the command-line entry points, driven through
 main() the way a shell would use them."""
 
+import io
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import assert_same_checkpoint, small_config, untrained_checkpoint
 from crener import training
 from crener.cli import main
 from crener.config import (
@@ -25,7 +28,7 @@ from crener.config import (
     save_config,
 )
 from crener.corpus import Sentence, generate_synthetic_corpus, save_corpus
-from crener.errors import ConfigError
+from crener.errors import ConfigError, CorpusError
 
 
 class TestConfigText:
@@ -40,6 +43,12 @@ class TestConfigText:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="optimizer.momentum"):
             parse_config_text("optimizer.momentum = 0.9")
+
+    def test_paths_test_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("paths.train = train.jsonl\npaths.test = test.jsonl\n")
+        assert main(["train", "--config", str(path), "--quiet"]) == 1
+        assert "unknown config key 'paths.test'" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,9 +151,7 @@ def workspace(tmp_path_factory):
 class TestTrainCommand:
     def test_checkpoint_layout(self, workspace, capsys):
         ckpt = workspace["ckpt"]
-        assert (ckpt / "manifest.json").is_file()
-        assert (ckpt / "train_log.jsonl").is_file()
-        assert any((ckpt / "params").glob("*.npy"))
+        assert sorted(os.listdir(ckpt)) == ["checkpoint.npz", "train_log.jsonl"]
         log = [json.loads(l) for l in (ckpt / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in log] == [1, 2]
 
@@ -164,8 +171,7 @@ class TestTrainCommand:
                      "--checkpoint-dir", str(ckpt), "--quiet",
                      "--set", "optimizer.epochs=1"])
         assert code == 0
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        assert manifest["config"]["optimizer.seed"] == 7
+        assert training.Checkpoint.load(str(ckpt)).config.optimizer.seed == 7
 
     def test_bad_env_seed_is_config_error(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CRENER_SEED", "soon")
@@ -234,13 +240,12 @@ class TestEvalCommand:
                      "--data", str(tmp_path / "none.jsonl")])
         assert code == 2
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_format_1_checkpoint_exits_1(self, workspace, tmp_path, capsys, version):
+        """A directory of formats 1-3 holds manifest.json and params/*.npy."""
         ckpt = tmp_path / "old"
-        shutil.copytree(workspace["ckpt"], ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["format_version"] = version
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        (ckpt / "params").mkdir(parents=True)
+        (ckpt / "manifest.json").write_text(json.dumps({"format_version": version}))
         code = main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(workspace["dev"]), "--out", str(tmp_path / "r.json")])
         assert code == 1
@@ -280,7 +285,7 @@ def test_mistyped_entity_exits_2(workspace, tmp_path, capsys, command, entity):
     assert err.startswith(f"data error: {data}:1: entity #0: ") and "Traceback" not in err
 
 
-MANIFEST_KEYS = ["config", "chars", "entity_types", "none_is_implicit", "parameters", "epoch"]
+MANIFEST_KEYS = ["config", "chars", "entity_types", "epoch"]
 # case -> (change made to the manifest, phrase the error must contain)
 MANIFEST_DAMAGE = {
     "manifest-chars-not-strings": (
@@ -296,16 +301,44 @@ MANIFEST_DAMAGE = {
     "manifest-config-invalid": (
         lambda m: m["config"].update({"encoder.heads": 0}),
         "bad checkpoint config: encoder.heads must be >= 1"),
-    "manifest-none-contradicts-mode": (
-        lambda m: m.update({"none_is_implicit": not m["none_is_implicit"]}),
-        "contradicts its predictor.mode"),
 }
 CORRUPT_CHECKPOINT_CASES = (
-    ["manifest-not-utf8", "manifest-not-json"]
+    ["manifest-missing", "manifest-not-utf8", "manifest-not-json"]
     + [f"manifest-without-{key}" for key in MANIFEST_KEYS]
     + list(MANIFEST_DAMAGE)
     + ["param-missing", "param-unreadable", "param-non-finite", "param-wrong-shape"]
 )
+
+
+def rewrite_archive(ckpt, edit):
+    """Rewrite the archive in `ckpt` with `edit` applied to its members, a
+    dict from name to array in which a bytes value is written as the
+    member's raw contents; returns the archive's path."""
+    path = ckpt / "checkpoint.npz"
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in members.items():
+            if not isinstance(value, bytes):
+                buffer = io.BytesIO()
+                np.save(buffer, value)
+                value = buffer.getvalue()
+            archive.writestr(name + ".npy", value)
+    return path
+
+
+def manifest_member(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, dtype=np.uint8)
+
+
+def edit_manifest(damage):
+    """An archive edit that applies `damage` to the parsed manifest."""
+    def edit(members):
+        manifest = json.loads(members["manifest"].tobytes())
+        damage(manifest)
+        members["manifest"] = manifest_member(json.dumps(manifest).encode())
+    return edit
 
 
 def corrupt_checkpoint(workspace, tmp_path, case):
@@ -313,39 +346,30 @@ def corrupt_checkpoint(workspace, tmp_path, case):
     for a copy of the workspace checkpoint damaged as `case` says."""
     ckpt = tmp_path / "damaged"
     shutil.copytree(workspace["ckpt"], ckpt)
-    manifest_path = ckpt / "manifest.json"
-    param_path = ckpt / "params" / "embed.attn.wk.npy"
-    if case == "manifest-not-utf8":
-        manifest_path.write_bytes(b"\xff\xfe{")
-        return ckpt, manifest_path, "not a JSON checkpoint manifest"
-    if case == "manifest-not-json":
-        manifest_path.write_text('{"format_version": 2')
-        return ckpt, manifest_path, "not a JSON checkpoint manifest"
+    name = "embed.attn.wk"
     if case.startswith("manifest-without-"):
         key = case[len("manifest-without-"):]
-        manifest = json.loads(manifest_path.read_text())
-        del manifest[key]
-        manifest_path.write_text(json.dumps(manifest))
-        return ckpt, manifest_path, f"missing or malformed {key}"
-    if case in MANIFEST_DAMAGE:
+        edit, phrase = edit_manifest(lambda m: m.pop(key)), f"missing or malformed {key}"
+    elif case in MANIFEST_DAMAGE:
         damage, phrase = MANIFEST_DAMAGE[case]
-        manifest = json.loads(manifest_path.read_text())
-        damage(manifest)
-        manifest_path.write_text(json.dumps(manifest))
-        return ckpt, manifest_path, phrase
-    if case == "param-missing":
-        param_path.unlink()
-        return ckpt, param_path, "unreadable checkpoint parameter"
-    if case == "param-unreadable":
-        param_path.write_bytes(b"not an npy file")
-        return ckpt, param_path, "unreadable checkpoint parameter"
-    if case == "param-non-finite":
-        array = np.load(param_path)
-        array.flat[0] = np.nan
-        np.save(param_path, array)
-        return ckpt, param_path, "not a finite float array"
-    np.save(param_path, np.zeros(3, dtype="<f4"))  # param-wrong-shape
-    return ckpt, ckpt, "shape mismatch for embed.attn.wk"
+        edit = edit_manifest(damage)
+    else:
+        edit, phrase = {
+            "manifest-missing": (lambda m: m.pop("manifest"), "not a JSON checkpoint manifest"),
+            "manifest-not-utf8": (lambda m: m.update(manifest=manifest_member(b"\xff\xfe{")),
+                                  "not a JSON checkpoint manifest"),
+            "manifest-not-json": (
+                lambda m: m.update(manifest=manifest_member(b'{"format_version": 4')),
+                "not a JSON checkpoint manifest"),
+            "param-missing": (lambda m: m.pop(name), f"missing=['{name}']"),
+            "param-unreadable": (lambda m: m.update({name: b"not an npy file"}),
+                                 "unreadable checkpoint archive"),
+            "param-non-finite": (lambda m: np.put(m[name], 0, np.nan),
+                                 f"checkpoint parameter {name} is not a finite float array"),
+            "param-wrong-shape": (lambda m: m.update({name: np.zeros(3, dtype="<f4")}),
+                                  f"shape mismatch for {name}"),
+        }[case]
+    return ckpt, rewrite_archive(ckpt, edit), phrase
 
 
 @pytest.mark.parametrize("case", CORRUPT_CHECKPOINT_CASES)
@@ -361,15 +385,83 @@ def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys, command, case):
     assert err.startswith(f"data error: {path}: ") and phrase in err
     assert "Traceback" not in err
 
+@pytest.mark.parametrize("damage", ["empty", "truncated", "npy"])
+def test_unreadable_archive_exits_2(workspace, tmp_path, capsys, damage):
+    ckpt = tmp_path / "damaged"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    path = ckpt / "checkpoint.npz"
+    if damage == "npy":
+        with path.open("wb") as fh:
+            np.save(fh, np.zeros(3, dtype="<f4"))
+    else:
+        path.write_bytes(b"" if damage == "empty" else path.read_bytes()[:-100])
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["dev"]),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith(f"data error: {path}: unreadable checkpoint archive")
+
+
+# Small-config ablations that leave 28 of the 79 parameters, so that the
+# archive, and the flipped-byte test over it, stays short.
+FEW_PARAMETERS = [
+    "encoder.layers=0", "enhance.rounds=1", "ablations.no_biaffine_predictor=true",
+    "ablations.no_dilated_conv=true", "ablations.no_region_matrix=true",
+    "ablations.no_distance_matrix=true", "ablations.no_attn_matrix=true",
+]
+
+
+def test_flipped_bytes_fail_or_change_nothing(workspace, tmp_path, capsys):
+    """Flip (xor 0xff) every byte of the zip's central directory and every
+    31st byte before it, one at a time. Each flip either fails the load with
+    a data error naming the archive or loads the checkpoint unchanged. The
+    load and build are the first steps of `crener eval`, which exits 2 on
+    a data error; every 16th failure also runs the command."""
+    cfg = small_config()
+    apply_overrides(cfg, FEW_PARAMETERS)
+    ck = untrained_checkpoint(cfg)
+    ckpt = tmp_path / "ckpt"
+    ck.save(str(ckpt))
+    path = ckpt / "checkpoint.npz"
+    data = path.read_bytes()
+    assert data[-22:-18] == b"PK\x05\x06"  # the end record, with no comment after it
+    (directory_start,) = struct.unpack("<I", data[-6:-2])
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(workspace["dev"]),
+            "--out", str(tmp_path / "r.json")]
+    failed = unchanged = 0
+    with path.open("r+b") as fh:
+        for position in sorted({*range(0, directory_start, 31),
+                                *range(directory_start, len(data))}):
+            fh.seek(position)
+            fh.write(bytes([data[position] ^ 0xFF]))
+            fh.flush()
+            try:
+                back = training.Checkpoint.load(str(ckpt))
+                back.build_model()
+            except CorpusError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                failed += 1
+                if failed % 16 == 0:
+                    assert main(argv) == 2
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+            else:
+                assert_same_checkpoint(back, ck)
+                unchanged += 1
+            fh.seek(position)
+            fh.write(data[position:position + 1])
+            fh.flush()
+    assert failed > unchanged > 0
+
+
 def checkpoint_with_sidecar(workspace, tmp_path, records):
     """A copy of the workspace checkpoint whose config points at a sidecar."""
     sidecar = tmp_path / "vectors.jsonl"
     sidecar.write_text("".join(json.dumps(r) + "\n" for r in records))
     ckpt = tmp_path / "with-sidecar"
-    shutil.copytree(workspace["ckpt"], ckpt)
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["config"]["paths.vectors_sidecar"] = str(sidecar)
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    checkpoint = training.Checkpoint.load(str(workspace["ckpt"]))
+    checkpoint.config.paths.vectors_sidecar = str(sidecar)
+    checkpoint.save(str(ckpt))
     return ckpt
 
 

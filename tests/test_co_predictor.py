@@ -236,24 +236,19 @@ class TestLoss:
         assert loss_at(delta_pos=1.0) < loss_at()
         assert loss_at(delta_neg=1.0) > loss_at()
 
-    def test_reduction_mean_vs_sum(self, rng):
-        vocab = TagVocabulary(["A"])
-        gold = tag_grid(3, vocab, [(0, 1, vocab.nnc_id)])
-        mask2d = np.ones((3, 3), bool)
-        mask2d[2, :] = False
-        fused = Tensor(rng.normal(size=(3, 3, 4)))
-        mean = multi_tag_loss(fused, gold, vocab, mask2d, reduction="mean").item()
-        total = multi_tag_loss(fused, gold, vocab, mask2d, reduction="sum").item()
-        np.testing.assert_allclose(total, mean * int(mask2d.sum()), rtol=1e-12)
-        with pytest.raises(CrenerError):
-            multi_tag_loss(fused, gold, vocab, mask2d, reduction="max")
+    def test_reduction_mean_vs_sum(self):
+        model, sents = small_model(double=True)
+        total, cells = model.batch_loss([sents[0]])
+        mean, mean_cells = model.sentence_loss(sents[0])
+        assert mean_cells == cells == len(sents[0]) ** 2
+        assert mean.item() == total.item() * (1.0 / cells)
 
     def test_masked_cells_contribute_nothing(self, rng):
         vocab = TagVocabulary(["A"])
         gold = tag_grid(2, vocab)
         mask2d = np.array([[True, True], [True, False]])
         fused = rng.normal(size=(2, 2, 4))
-        base = multi_tag_loss(Tensor(fused.copy()), gold, vocab, mask2d, reduction="sum").item()
+        base = multi_tag_loss(Tensor(fused.copy()), gold, vocab, mask2d).item()
         fused[1, 1] = 100.0
-        spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d, reduction="sum").item()
+        spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d).item()
         np.testing.assert_allclose(base, spiked, rtol=1e-12)

@@ -6,12 +6,13 @@ import copy
 import json
 import os
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import small_config, small_model
+from conftest import assert_same_checkpoint, small_config, small_model, untrained_checkpoint
 from crener import training
 from crener.autodiff import ParamStore, Tensor
 from crener.config import apply_overrides
@@ -28,6 +29,7 @@ from crener.corpus import (
 from crener.errors import ConfigError, DivergenceError
 from crener.model import CrenerModel
 from crener.training import (
+    ARCHIVE_NAME,
     CHECKPOINT_FORMAT_VERSION,
     MAX_SUB_BATCH_CELLS,
     SUB_BATCH_OVERHEAD_CELLS,
@@ -266,7 +268,7 @@ class TestCheckpoint:
 
     def test_only_manifest_and_params_written(self, tmp_path):
         _, _, _, directory = self.trained(tmp_path)
-        assert sorted(os.listdir(directory)) == ["manifest.json", "params"]
+        assert os.listdir(directory) == [ARCHIVE_NAME]
 
     def test_eval_f1_reproduced_exactly(self, tmp_path):
         _, sents, ck, directory = self.trained(tmp_path)
@@ -277,40 +279,87 @@ class TestCheckpoint:
 
     def test_param_files_little_endian(self, tmp_path):
         _, _, ck, directory = self.trained(tmp_path)
-        arr = np.load(os.path.join(directory, "params", "grid.mlp1.w.npy"))
-        assert arr.dtype == np.dtype("<f4")
+        assert Checkpoint.load(directory).params["grid.mlp1.w"].dtype == np.dtype("<f4")
 
     def test_double_precision_files(self, tmp_path):
         _, _, _, directory = self.trained(tmp_path, double=True)
-        arr = np.load(os.path.join(directory, "params", "grid.mlp1.w.npy"))
-        assert arr.dtype == np.dtype("<f8")
+        assert Checkpoint.load(directory).params["grid.mlp1.w"].dtype == np.dtype("<f8")
 
     def test_manifest_is_json(self, tmp_path):
         _, _, ck, directory = self.trained(tmp_path)
-        manifest = json.loads(
-            open(os.path.join(directory, "manifest.json"), encoding="utf-8").read()
-        )
+        with np.load(os.path.join(directory, ARCHIVE_NAME)) as archive:
+            manifest = json.loads(archive["manifest"].tobytes())
+            assert sorted(archive.files) == sorted(["manifest", *ck.params])
         assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert manifest["parameters"] == sorted(ck.params)
-        assert manifest["none_is_implicit"] is True
+        assert sorted(manifest) == ["chars", "config", "entity_types", "epoch",
+                                    "format_version", "history"]
+        back = Checkpoint.load(directory)
+        assert sorted(back.params) == sorted(ck.params)
+        assert back.tag_vocab.none_is_implicit is True
 
     def test_missing_manifest(self, tmp_path):
         from crener.errors import CorpusError
 
-        with pytest.raises(CorpusError, match="manifest"):
+        with pytest.raises(CorpusError, match="no checkpoint archive"):
             Checkpoint.load(str(tmp_path / "nothing"))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_format_1_is_retired(self, tmp_path, version):
-        _, _, _, directory = self.trained(tmp_path)
-        path = os.path.join(directory, "manifest.json")
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        manifest["format_version"] = version
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh)
-        with pytest.raises(ConfigError, match=f"format {version} is retired: retrain the model"):
-            Checkpoint.load(directory)
+        """A directory of formats 1-3 holds manifest.json and params/*.npy."""
+        directory = tmp_path / "old"
+        (directory / "params").mkdir(parents=True)
+        (directory / "manifest.json").write_text(json.dumps({"format_version": version}))
+        with pytest.raises(ConfigError, match="retired: retrain the model"):
+            Checkpoint.load(str(directory))
+
+
+def fail_on_call(monkeypatch, owner, name, after=0):
+    """Make `owner.name` raise OSError once it has run `after` times."""
+    real = getattr(owner, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > after:
+            raise OSError(f"injected failure in {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+@pytest.mark.parametrize("step", ["archive", "fsync", "replace"])
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, step):
+    """A save of B over A that fails at any step leaves A, bit for bit;
+    a second save then writes B."""
+    a, b = untrained_checkpoint(seed=1), untrained_checkpoint(seed=2)
+    directory = str(tmp_path / "ckpt")
+    a.save(directory)
+    # Each `ZipFile.open` for writing begins one member: the manifest, then
+    # every parameter.
+    afters = range(1 + len(b.params)) if step == "archive" else [0]
+    owner, name = {"archive": (zipfile.ZipFile, "open"), "fsync": (os, "fsync"),
+                   "replace": (os, "replace")}[step]
+    for after in afters:
+        with pytest.MonkeyPatch.context() as patch:
+            fail_on_call(patch, owner, name, after)
+            with pytest.raises(OSError, match="injected"):
+                b.save(directory)
+        assert_same_checkpoint(Checkpoint.load(directory), a)
+    b.save(directory)
+    assert_same_checkpoint(Checkpoint.load(directory), b)
+    assert os.listdir(directory) == [ARCHIVE_NAME]
+
+
+def test_save_over_another_config_leaves_no_stale_parameter(tmp_path):
+    cfg = small_config()
+    apply_overrides(cfg, ["enhance.rounds=1", "ablations.no_biaffine_predictor=true"])
+    a, b = untrained_checkpoint(), untrained_checkpoint(cfg)
+    assert set(b.params) < set(a.params)
+    directory = str(tmp_path / "ckpt")
+    a.save(directory)
+    b.save(directory)
+    assert_same_checkpoint(Checkpoint.load(directory), b)
+    assert os.listdir(directory) == [ARCHIVE_NAME]
 
 
 def test_predictions_round_trip(tmp_path):
@@ -378,7 +427,7 @@ def test_batched_loss_and_gradients_match_per_sentence(case):
     rng = np.random.default_rng(3)
     expected_loss, expected_cells = 0.0, 0
     for s in sents:
-        loss, cells = model.sentence_loss(s, dropout_rng=rng, reduction="sum")
+        loss, cells = model.batch_loss([s], dropout=[model.draw_dropout(s, rng)])
         loss.backward()
         expected_loss += loss.item()
         expected_cells += cells
@@ -416,8 +465,8 @@ def reference_train(cfg, sents):
             model.store.zero_grad()
             total, cells = None, 0
             for idx in order[start:start + opt.batch_size]:
-                loss, count = model.sentence_loss(
-                    sents[int(idx)], dropout_rng=dropout_rng, reduction="sum")
+                s = sents[int(idx)]
+                loss, count = model.batch_loss([s], dropout=[model.draw_dropout(s, dropout_rng)])
                 total = loss if total is None else total + loss
                 cells += count
             batch_loss = total * (1.0 / cells)
