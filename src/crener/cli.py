@@ -229,10 +229,12 @@ def main(argv=None) -> int:
     except CorpusError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
-        # A missing input, a directory where a file is read or written, or
-        # a file where a directory is made.
-        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:
+        # A missing input, a directory where a file is read or written, a
+        # file where a directory is made, or an output that cannot be
+        # written (full disk, permission denied).
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         # Non-finite scores in eval or predict, from a checkpoint whose

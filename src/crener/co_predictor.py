@@ -3,18 +3,13 @@ scores over the final round's tag features, summed per cell. Each head reads
 its weights from the `ParamStore` by name (`pred.subj.*`, `pred.obj.*`,
 `pred.biaffine.*`; `pred.mlp.*`); an ablated head has none there.
 
-Prediction runs in one of two regimes:
-
-* threshold (default): a cell carries every tag scoring above a fixed
-  threshold s0; a cell with no tag is the implicit NONE. The
-  matching loss drives every gold-tag score above s0 and every other
-  score below it.
-* softmax: an explicit NONE class joins the tag set and each cell
-  predicts its argmax singleton.
-
-Both return the boolean (n, n, |R|) grid that the decoder reads and the
-gold codec writes. Scores, grids and the loss also take leading batch
-axes: (..., n, n, |R|) with (..., n, n) masks.
+A cell carries every tag scoring above a fixed threshold s0, and the
+matching loss drives every gold-tag score above s0 and every other score
+below it. A cell may carry several tags: a 2-character mention needs NNC
+and HTC_y in one cell, so no choice of one tag per cell decodes it.
+Prediction returns the boolean (n, n, |R|) grid that the decoder reads
+and the gold codec writes. Scores, grids and the loss also take leading
+batch axes: (..., n, n, |R|) with (..., n, n) masks.
 """
 
 from __future__ import annotations
@@ -34,14 +29,11 @@ from .errors import CrenerError
 class PredictorConfig:
     d_biaffine: int = 32
     d_hidden: int = 64
-    mode: str = "threshold"
     threshold: float = 0.0
 
     def validate(self) -> None:
         if self.d_biaffine < 1 or self.d_hidden < 1:
             raise CrenerError("predictor widths must be >= 1")
-        if self.mode not in ("threshold", "softmax"):
-            raise CrenerError(f"predictor.mode must be threshold or softmax, got {self.mode!r}")
 
 
 def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
@@ -99,43 +91,10 @@ def fuse_scores(y_biaffine: Tensor | None, y_mlp: Tensor | None) -> Tensor:
     return y_biaffine + y_mlp
 
 
-def predict_cells(
-    fused: Tensor,
-    vocab: TagVocabulary,
-    mask2d: np.ndarray,
-    mode: str = "threshold",
-    s0: float = 0.0,
-) -> np.ndarray:
-    """Boolean (n, n, |R|) predicted tag grid from fused scores.
-
-    Threshold mode keeps every tag with score > s0; softmax mode keeps
-    the argmax unless it is the explicit NONE class. Masked cells carry
-    no tags.
-    """
-    scores = fused.data
-    if mode == "threshold":
-        hits = scores > s0
-    elif mode == "softmax":
-        if vocab.none_id is None:
-            raise CrenerError("softmax mode requires a vocabulary with an explicit NONE")
-        hits = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(hits, scores.argmax(axis=-1)[..., None], True, axis=-1)
-        hits[..., vocab.none_id] = False
-    else:
-        raise CrenerError(f"unknown prediction mode {mode!r}")
-    return hits & mask2d[..., None]
-
-
-def gold_tag_mask(gold: np.ndarray, vocab: TagVocabulary, mask2d: np.ndarray) -> np.ndarray:
-    """Boolean (n, n, |R|) positive-tag indicator from a gold grid.
-
-    With an explicit NONE class, empty unmasked cells mark NONE positive
-    so the loss pushes it above the threshold there.
-    """
-    pos = gold & mask2d[..., None]
-    if vocab.none_id is not None:
-        pos[..., vocab.none_id] = ~gold.any(axis=-1) & mask2d
-    return pos
+def predict_cells(fused: Tensor, mask2d: np.ndarray, s0: float = 0.0) -> np.ndarray:
+    """Boolean (n, n, |R|) predicted tag grid from fused scores: every tag
+    with score > s0. Masked cells carry no tags."""
+    return (fused.data > s0) & mask2d[..., None]
 
 
 def multi_tag_loss(
@@ -150,10 +109,11 @@ def multi_tag_loss(
     Every gold tag is pushed above s0 and every other tag below it.
     Implemented as two masked log-sum-exps over one array, the scores with
     the threshold prepended as a constant column, and its negation.
-    The loss is the sum over unmasked cells.
+    The loss is the sum over unmasked cells. `gold` and `fused` follow
+    `vocab`'s tag order; the loss reads only the arrays.
     """
     cells = fused.shape[:-1]
-    pos = gold_tag_mask(gold, vocab, mask2d)
+    pos = gold & mask2d[..., None]
     neg = ~pos & mask2d[..., None]
 
     ones = np.ones(cells + (1,), dtype=bool)

@@ -2,14 +2,15 @@
 
 Entities are strictly increasing character index sequences with a type
 label. The grid codec maps them onto a boolean (N, N, |R|) array, where
-grid[i, j, t] means cell (i, j) carries tag t of a five-role schema:
+grid[i, j, t] means cell (i, j) carries tag t of a four-role schema:
 
 * NNC / PNC: untyped, mark consecutive same-entity characters in the
   upper / lower triangle,
 * THC_y / HTC_y: typed, link the tail and head characters of a type-y
-  entity at (tail, head) and (head, tail),
-* NONE: the absence of tags (implicit by default; an explicit class
-  only in the softmax prediction regime).
+  entity at (tail, head) and (head, tail).
+
+A cell may carry several tags; the absence of tags is implicit and has no
+tag of its own.
 
 Gold and predicted grids share this one format; a predicted grid may
 break the triangle placement rules.
@@ -26,7 +27,6 @@ from .errors import CorpusError
 
 NNC = "NNC"
 PNC = "PNC"
-NONE = "NONE"
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -111,29 +111,21 @@ class Sentence:
 class TagVocabulary:
     """The tag schema instantiated for a fixed, ordered set of entity types.
 
-    Tag order is [NNC, PNC] + THC per type + HTC per type, with NONE
-    prepended only when `none_is_implicit` is false.
+    Tag order is [NNC, PNC] + THC per type + HTC per type.
     """
 
-    def __init__(self, entity_types, none_is_implicit: bool = True):
+    def __init__(self, entity_types):
         self.entity_types: tuple[str, ...] = tuple(entity_types)
         if len(set(self.entity_types)) != len(self.entity_types):
             raise CorpusError("duplicate entity types")
-        self.none_is_implicit = bool(none_is_implicit)
         tags = [NNC, PNC]
         tags += [f"THC_{y}" for y in self.entity_types]
         tags += [f"HTC_{y}" for y in self.entity_types]
-        if not self.none_is_implicit:
-            tags = [NONE] + tags
         self.tags: tuple[str, ...] = tuple(tags)
         self._ids = {t: i for i, t in enumerate(self.tags)}
 
     def __len__(self) -> int:
         return len(self.tags)
-
-    @property
-    def none_id(self) -> int | None:
-        return None if self.none_is_implicit else self._ids[NONE]
 
     @property
     def nnc_id(self) -> int:
@@ -373,10 +365,10 @@ def save_corpus(sentences, path) -> None:
 # vocabulary and grid codec
 
 
-def build_tag_vocabulary(sentences, none_is_implicit: bool = True) -> TagVocabulary:
+def build_tag_vocabulary(sentences) -> TagVocabulary:
     """Tag vocabulary over the sorted distinct entity types in `sentences`."""
     types = sorted({e.type for s in sentences for e in s.entities})
-    return TagVocabulary(types, none_is_implicit=none_is_implicit)
+    return TagVocabulary(types)
 
 
 def encode_grid(sentence: Sentence, vocab: TagVocabulary) -> np.ndarray:

@@ -44,7 +44,7 @@ from . import relation_enhance as enh_mod
 from .autodiff import ParamStore, Tensor, no_grad
 from .config import ModelConfig
 from .corpus import CharVocabulary, EntityMention, Sentence, TagVocabulary, encode_grid
-from .errors import ConfigError, CorpusError
+from .errors import CorpusError
 
 
 class _NonFiniteScores(FloatingPointError):
@@ -75,11 +75,6 @@ class CrenerModel:
         context_provider: dict[str, np.ndarray] | None = None,
     ):
         config.validate()
-        if (config.predictor.mode == "softmax") == tag_vocab.none_is_implicit:
-            raise ConfigError(
-                "softmax mode requires an explicit-NONE tag vocabulary and "
-                "threshold mode an implicit one"
-            )
         self.config = config
         self.char_vocab = char_vocab
         self.tag_vocab = tag_vocab
@@ -343,10 +338,7 @@ class CrenerModel:
         except _NonFiniteScores as exc:
             bad = sentences[int(exc.rows[0])]
             raise FloatingPointError(f"sentence {bad.id!r}: {exc}") from None
-        hits = pred_mod.predict_cells(
-            fused, self.tag_vocab, mask2d,
-            mode=self.config.predictor.mode, s0=self.config.predictor.threshold,
-        )
+        hits = pred_mod.predict_cells(fused, mask2d, s0=self.config.predictor.threshold)
         return [hits[b, :len(s), :len(s)] for b, s in enumerate(sentences)]
 
     def predict_batch(self, sentences: list[Sentence]) -> list[set[EntityMention]]:

@@ -304,8 +304,13 @@ class Checkpoint:
                 bad.append(key)
         if bad:
             raise CorpusError(f"{path}: checkpoint manifest has missing or malformed {', '.join(bad)}")
+        flat = manifest["config"]
+        # Format-4 manifests written while a softmax regime existed hold
+        # predictor.mode; its threshold value is the only regime left.
+        if flat.pop("predictor.mode", "threshold") != "threshold":
+            raise ConfigError(f"{path}: softmax-mode checkpoints are retired: retrain the model")
         try:
-            config = config_from_flat(manifest["config"])
+            config = config_from_flat(flat)
             config.validate()
         except ConfigError as exc:
             raise CorpusError(f"{path}: bad checkpoint config: {exc}") from None
@@ -316,10 +321,7 @@ class Checkpoint:
         return cls(
             config=config,
             char_vocab=CharVocabulary(manifest["chars"][2:]),  # first two slots are pad/unk
-            tag_vocab=TagVocabulary(
-                manifest["entity_types"],
-                none_is_implicit=config.predictor.mode == "threshold",
-            ),
+            tag_vocab=TagVocabulary(manifest["entity_types"]),
             params=params,
             epoch=manifest["epoch"],
             history=manifest.get("history", []),
@@ -409,9 +411,7 @@ def train(
     if not train_sentences:
         raise CorpusError("empty training corpus")
     char_vocab = CharVocabulary.from_sentences(train_sentences)
-    tag_vocab = build_tag_vocabulary(
-        train_sentences, none_is_implicit=config.predictor.mode == "threshold"
-    )
+    tag_vocab = build_tag_vocabulary(train_sentences)
     model = CrenerModel(config, char_vocab, tag_vocab, context_provider)
     opt_cfg = config.optimizer
     optimizer = Adam(

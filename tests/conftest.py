@@ -38,10 +38,7 @@ def small_model(double: bool = False, seed: int = 42, config=None):
     cfg = config if config is not None else small_config(double=double, seed=seed)
     sents = generate_synthetic_corpus(seed=9, count=8, max_len=8, types=["A", "B"])
     char_vocab = CharVocabulary.from_sentences(sents)
-    tag_vocab = build_tag_vocabulary(
-        sents, none_is_implicit=cfg.predictor.mode == "threshold"
-    )
-    return CrenerModel(cfg, char_vocab, tag_vocab), sents
+    return CrenerModel(cfg, char_vocab, build_tag_vocabulary(sents)), sents
 
 
 def untrained_checkpoint(config=None, seed: int = 42) -> Checkpoint:

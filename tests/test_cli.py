@@ -1,6 +1,7 @@
 """Config file parsing and the command-line entry points, driven through
 main() the way a shell would use them."""
 
+import errno
 import io
 import json
 import os
@@ -86,8 +87,8 @@ class TestConfigText:
     def test_text_round_trip(self):
         cfg = default_config()
         cfg.optimizer.epochs = 7
-        cfg.predictor.mode = "softmax"
         cfg.paths.train = "x.jsonl"
+        cfg.paths.dev = "y.jsonl"
         back = parse_config_text(config_to_text(cfg))
         assert config_to_flat(back) == config_to_flat(cfg)
 
@@ -303,7 +304,7 @@ MANIFEST_DAMAGE = {
         "bad checkpoint config: encoder.heads must be >= 1"),
 }
 CORRUPT_CHECKPOINT_CASES = (
-    ["manifest-missing", "manifest-not-utf8", "manifest-not-json"]
+    ["manifest-missing", "manifest-not-utf8", "manifest-not-json", "manifest-not-object"]
     + [f"manifest-without-{key}" for key in MANIFEST_KEYS]
     + list(MANIFEST_DAMAGE)
     + ["param-missing", "param-unreadable", "param-non-finite", "param-wrong-shape"]
@@ -361,6 +362,8 @@ def corrupt_checkpoint(workspace, tmp_path, case):
             "manifest-not-json": (
                 lambda m: m.update(manifest=manifest_member(b'{"format_version": 4')),
                 "not a JSON checkpoint manifest"),
+            "manifest-not-object": (lambda m: m.update(manifest=manifest_member(b"[4]")),
+                                    "checkpoint manifest is not a JSON object"),
             "param-missing": (lambda m: m.pop(name), f"missing=['{name}']"),
             "param-unreadable": (lambda m: m.update({name: b"not an npy file"}),
                                  "unreadable checkpoint archive"),
@@ -400,6 +403,74 @@ def test_unreadable_archive_exits_2(workspace, tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert err.startswith(f"data error: {path}: unreadable checkpoint archive")
+
+
+def with_predictor_mode(mode):
+    """A manifest edit that puts `predictor.mode` back where the format-4
+    writer of the softmax-regime era put it, after `predictor.d_hidden`."""
+    def damage(manifest):
+        items = list(manifest["config"].items())
+        at = [k for k, _ in items].index("predictor.d_hidden") + 1
+        manifest["config"] = dict(items[:at] + [("predictor.mode", mode)] + items[at:])
+    return edit_manifest(damage)
+
+
+def test_format_4_threshold_mode_manifest_predicts_the_same(workspace, tmp_path, capsys):
+    """Format-4 manifests written while the softmax regime existed hold
+    `predictor.mode = "threshold"`; the key is dropped on load."""
+    ckpt = tmp_path / "with-mode"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    rewrite_archive(ckpt, with_predictor_mode("threshold"))
+    outputs = []
+    for directory in (workspace["ckpt"], ckpt):
+        assert main(["predict", "--checkpoint", str(directory),
+                     "--input", str(workspace["dev"]), "--output", "-"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
+    assert_same_checkpoint(training.Checkpoint.load(str(ckpt)),
+                           training.Checkpoint.load(str(workspace["ckpt"])))
+
+
+REFUSED_MANIFESTS = {
+    "softmax-mode": (with_predictor_mode("softmax"),
+                     "softmax-mode checkpoints are retired: retrain the model"),
+    "format-5": (edit_manifest(lambda m: m.update(format_version=5)),
+                 "unsupported checkpoint format 5; only format 4 is read"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_MANIFESTS))
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_refused_manifest_exits_1(workspace, tmp_path, capsys, command, case):
+    edit, message = REFUSED_MANIFESTS[case]
+    ckpt = tmp_path / "refused"
+    shutil.copytree(workspace["ckpt"], ckpt)
+    path = rewrite_archive(ckpt, edit)
+    if command == "eval":
+        argv = ["eval", "--data", str(workspace["dev"]), "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["predict", "--input", str(workspace["dev"]), "--output", "-"]
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_predictor_mode_is_an_unknown_key(workspace, tmp_path, capsys, where):
+    cfg = tmp_path / "run.cfg"
+    text = workspace["cfg"].read_text()
+    argv = ["train", "--config", str(cfg), "--quiet", "--checkpoint-dir", str(tmp_path / "ck")]
+    if where == "file":
+        text += "predictor.mode = threshold\n"
+    else:
+        argv += ["--set", "predictor.mode=threshold"]
+    cfg.write_text(text)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(
+        "unknown config key 'predictor.mode'\n")
+    assert not (tmp_path / "ck").exists()
 
 
 # Small-config ablations that leave 28 of the 79 parameters, so that the
@@ -689,6 +760,33 @@ def test_bad_path_exits_2(workspace, tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_output_on_a_full_disk_exits_2(workspace, capsys, command):
+    """Writing to /dev/full fails with ENOSPC when the file is flushed,
+    an OSError that names no file."""
+    ckpt, dev = str(workspace["ckpt"]), str(workspace["dev"])
+    if command == "eval":
+        argv = ["eval", "--checkpoint", ckpt, "--data", dev, "--out", "/dev/full"]
+    else:
+        argv = ["predict", "--checkpoint", ckpt, "--input", dev, "--output", "/dev/full"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "data error: No space left on device\n"
+
+
+def test_checkpoint_save_on_a_full_disk_exits_2(workspace, tmp_path, capsys, monkeypatch):
+    def full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", full)
+    ckpt = tmp_path / "ck"
+    code = main(["train", "--config", str(workspace["cfg"]), "--checkpoint-dir", str(ckpt),
+                 "--quiet", "--set", "optimizer.epochs=1"])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: No space left on device\n"
+    assert not (ckpt / "checkpoint.npz").exists()
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -17,7 +17,6 @@ from crener.autodiff import Tensor
 from crener.co_predictor import (
     biaffine_scores,
     fuse_scores,
-    gold_tag_mask,
     mlp_scores,
     multi_tag_loss,
     predict_cells,
@@ -110,78 +109,34 @@ class TestPredictCells:
         scores[0, 1, vocab.nnc_id] = 0.5
         scores[1, 0, vocab.pnc_id] = 0.0  # exactly at threshold: excluded
         scores[1, 1, vocab.thc_id("A")] = -0.1
-        grid = predict_cells(Tensor(scores), vocab, np.ones((2, 2), bool))
+        grid = predict_cells(Tensor(scores), np.ones((2, 2), bool))
         np.testing.assert_array_equal(grid, tag_grid(2, vocab, [(0, 1, vocab.nnc_id)]))
 
     def test_custom_threshold(self):
         vocab = TagVocabulary(["A"])
         scores = np.full((1, 1, 4), 0.8, dtype=np.float32)
-        grid = predict_cells(Tensor(scores), vocab, np.ones((1, 1), bool), s0=0.75)
+        grid = predict_cells(Tensor(scores), np.ones((1, 1), bool), s0=0.75)
         assert grid[0, 0].all()
-        grid = predict_cells(Tensor(scores), vocab, np.ones((1, 1), bool), s0=0.9)
+        grid = predict_cells(Tensor(scores), np.ones((1, 1), bool), s0=0.9)
         assert not grid.any()
 
     def test_masked_cells_yield_nothing(self):
         vocab = TagVocabulary(["A"])
         scores = np.full((2, 2, 4), 5.0, dtype=np.float32)
         mask2d = np.array([[True, False], [False, False]])
-        grid = predict_cells(Tensor(scores), vocab, mask2d)
+        grid = predict_cells(Tensor(scores), mask2d)
         np.testing.assert_array_equal(grid.any(axis=-1), mask2d)
 
-    def test_softmax_argmax_singleton(self):
-        vocab = TagVocabulary(["A"], none_is_implicit=False)
-        scores = np.zeros((2, 2, 5), dtype=np.float32)
-        scores[0, 1, vocab.nnc_id] = 3.0
-        scores[1, 0, vocab.none_id] = 9.0  # NONE wins: cell stays empty
-        scores[1, 1, vocab.htc_id("A")] = 1.0
-        grid = predict_cells(Tensor(scores), vocab, np.ones((2, 2), bool), mode="softmax")
-        # All-zero cells argmax to index 0, which is NONE, so only the
-        # two real hits survive.
-        expect = tag_grid(2, vocab, [(0, 1, vocab.nnc_id), (1, 1, vocab.htc_id("A"))])
-        np.testing.assert_array_equal(grid, expect)
-
-    @pytest.mark.parametrize("mode", ["threshold", "softmax"])
-    def test_matches_per_cell_loop(self, rng, mode):
-        vocab = TagVocabulary(["A", "B"], none_is_implicit=mode == "threshold")
+    def test_matches_per_cell_loop(self, rng):
+        vocab = TagVocabulary(["A", "B"])
         n = 7
         scores = rng.normal(size=(n, n, len(vocab))).astype(np.float32)
         mask2d = rng.random((n, n)) < 0.7
         expect = tag_grid(n, vocab)
         for i, j in zip(*np.nonzero(mask2d)):
-            if mode == "threshold":
-                expect[i, j] = scores[i, j] > 0.0
-            elif scores[i, j].argmax() != vocab.none_id:
-                expect[i, j, scores[i, j].argmax()] = True
-        grid = predict_cells(Tensor(scores), vocab, mask2d, mode=mode)
+            expect[i, j] = scores[i, j] > 0.0
+        grid = predict_cells(Tensor(scores), mask2d)
         np.testing.assert_array_equal(grid, expect)
-
-    def test_softmax_requires_explicit_none(self):
-        vocab = TagVocabulary(["A"])
-        with pytest.raises(CrenerError, match="NONE"):
-            predict_cells(
-                Tensor(np.zeros((1, 1, 4), np.float32)), vocab,
-                np.ones((1, 1), bool), mode="softmax",
-            )
-
-
-class TestGoldMask:
-    def test_implicit_none(self):
-        vocab = TagVocabulary(["A"])
-        gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id)])
-        pos = gold_tag_mask(gold, vocab, np.ones((2, 2), bool))
-        assert pos[0, 1, vocab.nnc_id]
-        assert pos.sum() == 1
-
-    def test_explicit_none_fills_empty_cells(self):
-        vocab = TagVocabulary(["A"], none_is_implicit=False)
-        gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id)])
-        mask2d = np.ones((2, 2), bool)
-        mask2d[1, 1] = False
-        pos = gold_tag_mask(gold, vocab, mask2d)
-        assert pos[0, 1, vocab.nnc_id]
-        assert pos[0, 0, vocab.none_id] and pos[1, 0, vocab.none_id]
-        assert not pos[1, 1].any()  # masked cell carries nothing
-        assert pos.sum() == 3
 
 
 class TestLoss:
@@ -252,3 +207,27 @@ class TestLoss:
         fused[1, 1] = 100.0
         spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d).item()
         np.testing.assert_allclose(base, spiked, rtol=1e-12)
+
+    def test_gold_tags_are_the_only_positives(self, rng):
+        # Each unmasked gold tag's score is pushed up and every other
+        # unmasked score down. A gold tag under the mask joins no positive
+        # term: even at -inf, which as a positive would make that term
+        # inf - inf, its score leaves the loss and every gradient as
+        # without the tag.
+        vocab = TagVocabulary(["A"])
+        mask2d = np.array([[True, True], [True, False]])
+        fused = rng.normal(size=(2, 2, 4))
+        fused[1, 1, vocab.htc_id("A")] = -np.inf
+        gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id)])
+        masked_gold = tag_grid(2, vocab, [(0, 1, vocab.nnc_id), (1, 1, vocab.htc_id("A"))])
+        runs = []
+        for g in (gold, masked_gold):
+            t = Tensor(fused.copy(), requires_grad=True)
+            loss = multi_tag_loss(t, g, vocab, mask2d)
+            loss.backward()
+            runs.append((loss.item(), t.grad))
+        assert np.isfinite(runs[0][0]) and runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        grad = runs[1][1]
+        np.testing.assert_array_equal(grad < 0, gold)
+        np.testing.assert_array_equal(grad > 0, ~gold & mask2d[..., None])

@@ -121,7 +121,6 @@ class TestTagVocabulary:
         vocab = TagVocabulary(["A", "B"])
         assert vocab.tags == ("NNC", "PNC", "THC_A", "THC_B", "HTC_A", "HTC_B")
         assert len(vocab) == 2 + 2 * 2
-        assert vocab.none_id is None
         assert vocab.nnc_id == 0 and vocab.pnc_id == 1
 
     def test_given_type_order_is_preserved(self):
@@ -130,18 +129,18 @@ class TestTagVocabulary:
         vocab = TagVocabulary(["B", "A"])
         assert vocab.tags == ("NNC", "PNC", "THC_B", "THC_A", "HTC_B", "HTC_A")
 
-    def test_explicit_none_prepended(self):
-        vocab = TagVocabulary(["A"], none_is_implicit=False)
-        assert vocab.tags[0] == "NONE"
-        assert len(vocab) == 3 + 2 * 1
-        assert vocab.none_id == 0
-
     def test_unknown_type_and_tag(self):
         vocab = TagVocabulary(["A"])
         with pytest.raises(CorpusError):
             vocab.thc_id("Z")
         with pytest.raises(CorpusError):
+            vocab.htc_id("Z")
+        with pytest.raises(CorpusError):
             vocab.tag_id("BOGUS")
+
+    def test_duplicate_types_rejected(self):
+        with pytest.raises(CorpusError, match="duplicate entity types"):
+            TagVocabulary(["A", "B", "A"])
 
 
 class TestGridCodec:

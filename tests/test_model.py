@@ -289,30 +289,6 @@ class TestAblationRouting:
             assert moved, case
 
 
-class TestVocabularyModeCoupling:
-    def test_threshold_mode_rejects_explicit_none(self):
-        cfg = small_config()
-        model, sents = small_model()
-        bad_vocab = build_tag_vocabulary(sents, none_is_implicit=False)
-        with pytest.raises(ConfigError, match="NONE"):
-            CrenerModel(cfg, model.char_vocab, bad_vocab)
-
-    def test_softmax_mode_end_to_end(self):
-        cfg = small_config()
-        cfg.predictor.mode = "softmax"
-        from crener.corpus import generate_synthetic_corpus
-
-        sents = generate_synthetic_corpus(seed=9, count=8, max_len=8, types=["A", "B"])
-        vocab = build_tag_vocabulary(sents, none_is_implicit=False)
-        model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), vocab)
-        loss, _ = model.sentence_loss(sents[0])
-        assert np.isfinite(loss.item())
-        grid = model.predict_grid(sents[0])
-        assert grid.shape == (len(sents[0]),) * 2 + (len(vocab),)
-        assert (grid.sum(axis=-1) <= 1).all()  # argmax singletons only
-        assert not grid[:, :, vocab.none_id].any()
-
-
 class TestContextProvider:
     def test_sidecar_vectors_used(self):
         cfg = small_config()
@@ -381,19 +357,14 @@ def test_non_finite_scores_raise():
 
 class TestTapeFreePrediction:
     @pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
-    @pytest.mark.parametrize("mode", ["threshold", "softmax"])
-    def test_predict_grid_matches_taped_reference(self, double, mode):
+    def test_predict_grid_matches_taped_reference(self, double):
         cfg = small_config(double=double)
-        cfg.predictor.mode = mode
         model, sents = small_model(config=cfg)
         for s in sents:
             ids, mask, vectors = model.sentence_inputs(s)
             fused, mask2d = model.forward(ids, mask, vectors)
             assert fused.requires_grad  # the reference keeps its tape
-            expected = pred_mod.predict_cells(
-                fused, model.tag_vocab, mask2d,
-                mode=mode, s0=cfg.predictor.threshold,
-            )
+            expected = pred_mod.predict_cells(fused, mask2d, s0=cfg.predictor.threshold)
             got = model.predict_grid(s)
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)

@@ -293,9 +293,9 @@ class TestCheckpoint:
         assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert sorted(manifest) == ["chars", "config", "entity_types", "epoch",
                                     "format_version", "history"]
+        assert "predictor.mode" not in manifest["config"]
         back = Checkpoint.load(directory)
         assert sorted(back.params) == sorted(ck.params)
-        assert back.tag_vocab.none_is_implicit is True
 
     def test_missing_manifest(self, tmp_path):
         from crener.errors import CorpusError
@@ -448,10 +448,7 @@ def test_batched_loss_and_gradients_match_per_sentence(case):
 def reference_train(cfg, sents):
     """The training loop run one sentence at a time, every tape of a batch
     alive until one backward: (final parameters, epoch train losses)."""
-    model = CrenerModel(
-        cfg, CharVocabulary.from_sentences(sents),
-        build_tag_vocabulary(sents, none_is_implicit=cfg.predictor.mode == "threshold"),
-    )
+    model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents))
     opt = cfg.optimizer
     optimizer = Adam(model.store, learning_rate=opt.learning_rate,
                      weight_decay=opt.weight_decay, grad_clip_norm=opt.grad_clip_norm)
