@@ -609,16 +609,6 @@ def logsumexp(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def dropout(a: Tensor, keep: np.ndarray) -> Tensor:
-    """Inverted dropout: `keep` is 0 where an entry is dropped and
-    1 / (1 - p) where it is kept. Call only in training mode."""
-
-    def backward(g):
-        a._accumulate(g * keep, owned=True)
-
-    return Tensor._make(a.data * keep, (a,), backward)
-
-
 def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
     """a * b + shift with numpy broadcasting, as one output array; `shift`
     must broadcast to the shape of a * b."""

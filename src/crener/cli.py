@@ -2,7 +2,6 @@
 
 Commands: train, eval, predict, decode-grid, corpus-stats. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 training divergence.
-The CRENER_SEED environment variable overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -35,19 +34,9 @@ def _sidecar(config):
     return load_sidecar_vectors(path, config.encoder.d_context)
 
 
-def _apply_env_seed(config) -> None:
-    seed = os.environ.get("CRENER_SEED")
-    if seed is not None:
-        try:
-            config.optimizer.seed = int(seed)
-        except ValueError:
-            raise ConfigError(f"CRENER_SEED must be an integer, got {seed!r}") from None
-
-
 def cmd_train(args) -> int:
     config = parse_config(args.config)
     apply_overrides(config, args.set)
-    _apply_env_seed(config)
     config.validate()
     ckpt_dir = args.checkpoint_dir or config.paths.checkpoint_dir
     if not ckpt_dir:

@@ -21,8 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import relation_enhance as enh_mod
 from .autodiff import ParamStore, Tensor
-from .corpus import TagVocabulary
-from .errors import CrenerError
+from .errors import ConfigError
 
 
 @dataclass
@@ -33,7 +32,7 @@ class PredictorConfig:
 
     def validate(self) -> None:
         if self.d_biaffine < 1 or self.d_hidden < 1:
-            raise CrenerError("predictor widths must be >= 1")
+            raise ConfigError("predictor widths must be >= 1")
 
 
 def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
@@ -81,9 +80,8 @@ def mlp_scores(q: Tensor, store: ParamStore) -> Tensor:
 
 
 def fuse_scores(y_biaffine: Tensor | None, y_mlp: Tensor | None) -> Tensor:
-    """Sum of whichever predictor heads are enabled."""
-    if y_biaffine is None and y_mlp is None:
-        raise CrenerError("both predictor heads disabled")
+    """Sum of whichever predictor heads are enabled (at least one is; see
+    `AblationFlags.validate`)."""
     if y_biaffine is None:
         return y_mlp
     if y_mlp is None:
@@ -100,7 +98,6 @@ def predict_cells(fused: Tensor, mask2d: np.ndarray, s0: float = 0.0) -> np.ndar
 def multi_tag_loss(
     fused: Tensor,
     gold: np.ndarray,
-    vocab: TagVocabulary,
     mask2d: np.ndarray,
     s0: float = 0.0,
 ) -> Tensor:
@@ -109,8 +106,7 @@ def multi_tag_loss(
     Every gold tag is pushed above s0 and every other tag below it.
     Implemented as two masked log-sum-exps over one array, the scores with
     the threshold prepended as a constant column, and its negation.
-    The loss is the sum over unmasked cells. `gold` and `fused` follow
-    `vocab`'s tag order; the loss reads only the arrays.
+    The loss is the sum over unmasked cells.
     """
     cells = fused.shape[:-1]
     pos = gold & mask2d[..., None]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 from .co_predictor import PredictorConfig
 from .encoder import EncoderConfig
-from .errors import ConfigError, CrenerError
+from .errors import ConfigError
 from .grid import GridConfig
 from .relation_enhance import EnhanceConfig
 
@@ -66,6 +66,8 @@ class OptimizerConfig:
             raise ConfigError("optimizer.batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("optimizer.epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("optimizer.seed must be >= 0")
 
 
 @dataclass
@@ -93,13 +95,10 @@ class ModelConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> None:
-        try:
-            self.encoder.validate()
-            self.grid.validate()
-            self.enhance.validate()
-            self.predictor.validate()
-        except CrenerError as exc:
-            raise ConfigError(str(exc)) from None
+        self.encoder.validate()
+        self.grid.validate()
+        self.enhance.validate()
+        self.predictor.validate()
         # Enhancement's multi-head attention splits the encoder width.
         if self.encoder.d_h % self.enhance.heads != 0:
             raise ConfigError(

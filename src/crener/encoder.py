@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .corpus import read_lines
-from .errors import CorpusError, CrenerError
+from .errors import ConfigError, CorpusError
 
 # The largest `encoder.max_len` a config may set. A float32 training forward
 # with the default config keeps about 6.5 KB of tape per grid cell, so a
@@ -52,17 +52,17 @@ class EncoderConfig:
     def validate(self) -> None:
         for name in ("d_context", "d_pos", "d_region", "d_attn", "heads", "max_len"):
             if getattr(self, name) < 1:
-                raise CrenerError(f"encoder.{name} must be >= 1")
+                raise ConfigError(f"encoder.{name} must be >= 1")
         if self.max_len > MAX_LEN_LIMIT:
-            raise CrenerError(f"encoder.max_len must be <= {MAX_LEN_LIMIT}, got {self.max_len}")
+            raise ConfigError(f"encoder.max_len must be <= {MAX_LEN_LIMIT}, got {self.max_len}")
         if self.layers < 0:
-            raise CrenerError("encoder.layers must be >= 0")
+            raise ConfigError("encoder.layers must be >= 0")
         if self.d_h % self.heads != 0:
-            raise CrenerError(
+            raise ConfigError(
                 f"encoder width {self.d_h} not divisible by heads {self.heads}"
             )
         if not 0.0 <= self.dropout < 1.0:
-            raise CrenerError("encoder.dropout must be in [0, 1)")
+            raise ConfigError("encoder.dropout must be in [0, 1)")
 
 
 def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
@@ -104,18 +104,17 @@ def relative_position_embedding(n: int, d_model: int, dtype=np.float64) -> np.nd
     R[i, j, 2k]   = sin((i - j) / 10000^(2k / d_model))
     R[i, j, 2k+1] = cos((i - j) / 10000^(2k / d_model))
 
-    Computed in float64; the (2n - 1, d_model) table of offsets is cast
-    to `dtype` before it is gathered into the (n, n, d_model) result.
+    An odd `d_model` ends with a sine column. Computed in float64; the
+    (2n - 1, d_model) table of offsets is cast to `dtype` before it is
+    gathered into the (n, n, d_model) result.
     """
-    if n < 1 or d_model < 2 or d_model % 2 != 0:
-        raise CrenerError("relative embedding needs n >= 1 and even d_model >= 2")
     offsets = np.arange(1 - n, n)  # every value of i - j
-    ks = np.arange(d_model // 2)
+    ks = np.arange((d_model + 1) // 2)
     inv_freq = 10000.0 ** (-2.0 * ks / d_model)
     ang = offsets[:, None].astype(np.float64) * inv_freq[None, :]
     table = np.empty((2 * n - 1, d_model), dtype=np.float64)
     table[:, 0::2] = np.sin(ang)
-    table[:, 1::2] = np.cos(ang)
+    table[:, 1::2] = np.cos(ang[:, :d_model // 2])
     dist = np.arange(n)[:, None] - np.arange(n)[None, :]
     return table.astype(dtype, copy=False)[dist + n - 1]
 
@@ -153,15 +152,8 @@ def _embed_with_attention(
     raw-attention weights used for H^A."""
     char_ids = np.asarray(char_ids)
     n = char_ids.shape[-1]
-    if n > config.max_len:
-        raise CrenerError(f"sentence length {n} exceeds max_len {config.max_len}")
-
     if context_vectors is not None:
-        ctx_arr = np.asarray(context_vectors, dtype=store.dtype)
-        expected = char_ids.shape + (config.d_context,)
-        if ctx_arr.shape != expected:
-            raise CrenerError(f"context vectors shape {ctx_arr.shape} != {expected}")
-        h_ctx = Tensor(ctx_arr)
+        h_ctx = Tensor(np.asarray(context_vectors, dtype=store.dtype))
     else:
         h_ctx = ad.embedding(store["embed.context"], char_ids)
     positions = np.broadcast_to(np.arange(n), char_ids.shape)
@@ -223,13 +215,13 @@ def adapted_attention(
     )
     out = out @ store[p + "wo"]
     if dropout is not None:
-        out = ad.dropout(out, dropout[0])
+        out = out * dropout[0]
     h1 = ad.layer_norm(h + out, store[p + "ln1.g"], store[p + "ln1.b"])
 
     f = ad.linear(h1, store[p + "ffn.w1"], store[p + "ffn.b1"], gelu=True)
     f = ad.linear(f, store[p + "ffn.w2"], store[p + "ffn.b2"])
     if dropout is not None:
-        f = ad.dropout(f, dropout[1])
+        f = f * dropout[1]
     return ad.layer_norm(h1 + f, store[p + "ln2.g"], store[p + "ln2.b"]), attn
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .errors import CrenerError
+from .errors import ConfigError
 
 
 @dataclass
@@ -45,13 +45,15 @@ class GridConfig:
             "attn_buckets", "d_reduced", "d_conv", "kernel",
         ):
             if getattr(self, name) < 1:
-                raise CrenerError(f"grid.{name} must be >= 1")
+                raise ConfigError(f"grid.{name} must be >= 1")
         if not self.dilations or len(set(self.dilations)) != len(self.dilations):
-            raise CrenerError("grid.dilations must be non-empty and distinct")
+            raise ConfigError("grid.dilations must be non-empty and distinct")
+        if min(self.dilations) < 1:
+            raise ConfigError("grid.dilations must all be >= 1")
         if self.distance_buckets < 19:
-            raise CrenerError("grid.distance_buckets must cover the 19 signed-log ids")
+            raise ConfigError("grid.distance_buckets must cover the 19 signed-log ids")
         if self.kernel % 2 != 1:
-            raise CrenerError("grid.kernel must be odd for same-size padding")
+            raise ConfigError("grid.kernel must be odd for same-size padding")
 
 
 def project_subject_object(h: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:

@@ -304,10 +304,7 @@ class CrenerModel:
                 for layer in range(len(dropout[0]))
             ]
         fused, mask2d = self.forward(ids, mask, vectors, dropout=keep)
-        loss = pred_mod.multi_tag_loss(
-            fused, gold, self.tag_vocab, mask2d,
-            s0=self.config.predictor.threshold,
-        )
+        loss = pred_mod.multi_tag_loss(fused, gold, mask2d, s0=self.config.predictor.threshold)
         return loss, int(mask2d.sum())
 
     def sentence_loss(

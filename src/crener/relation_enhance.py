@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import grid as grid_mod
 from .autodiff import ParamStore, Tensor
-from .errors import CrenerError
+from .errors import ConfigError
 
 _MASK_FILL = -1e9
 
@@ -45,11 +45,11 @@ class EnhanceConfig:
 
     def validate(self) -> None:
         if self.d_r < 1:
-            raise CrenerError("enhance.d_r must be >= 1")
+            raise ConfigError("enhance.d_r must be >= 1")
         if self.rounds < 1:
-            raise CrenerError("enhance.rounds must be >= 1")
+            raise ConfigError("enhance.rounds must be >= 1")
         if self.heads < 1:
-            raise CrenerError("enhance.heads must be >= 1")
+            raise ConfigError("enhance.heads must be >= 1")
 
 
 def tag_affine(store: ParamStore) -> tuple[Tensor, Tensor]:

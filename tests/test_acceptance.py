@@ -153,7 +153,7 @@ def test_03_loss_forms_agree(capsys):
         gold = np.zeros((1, 1, n_tags), dtype=bool)
         gold[0, 0, np.concatenate([pos_ids, dead_ids])] = True
         fused = Tensor(scores.reshape(1, 1, n_tags).copy())
-        product_form = float(multi_tag_loss(fused, gold, vocab, mask2d, s0=s0).data)
+        product_form = float(multi_tag_loss(fused, gold, mask2d, s0=s0).data)
 
         s_pos = scores[pos_ids]
         s_neg = scores[neg_ids]

@@ -1,6 +1,7 @@
 """Config file parsing and the command-line entry points, driven through
 main() the way a shell would use them."""
 
+import ast
 import errno
 import io
 import json
@@ -165,21 +166,35 @@ class TestTrainCommand:
         assert "epoch 1" in out
         assert "checkpoint written to" in out
 
-    def test_env_seed_overrides_config(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CRENER_SEED", "7")
+    def test_seed_override_lands_in_checkpoint(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "seeded"
         code = main(["train", "--config", str(workspace["cfg"]),
                      "--checkpoint-dir", str(ckpt), "--quiet",
-                     "--set", "optimizer.epochs=1"])
+                     "--set", "optimizer.epochs=1", "--set", "optimizer.seed=7"])
         assert code == 0
         assert training.Checkpoint.load(str(ckpt)).config.optimizer.seed == 7
 
-    def test_bad_env_seed_is_config_error(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CRENER_SEED", "soon")
+    @pytest.mark.parametrize("override, message", [
+        ("optimizer.seed=-1", "optimizer.seed must be >= 0"),
+        ("grid.dilations=[-1,2,3]", "grid.dilations must all be >= 1"),
+        ("grid.dilations=[0,2]", "grid.dilations must all be >= 1"),
+    ], ids=["optimizer.seed=-1", "grid.dilations=[-1,2,3]", "grid.dilations=[0,2]"])
+    def test_invalid_value_exits_1(self, workspace, tmp_path, capsys, override, message):
         code = main(["train", "--config", str(workspace["cfg"]),
-                     "--checkpoint-dir", str(tmp_path / "x"), "--quiet"])
+                     "--checkpoint-dir", str(tmp_path / "x"), "--quiet", "--set", override])
         assert code == 1
-        assert "CRENER_SEED" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_odd_encoder_width_trains(self, workspace, tmp_path, capsys):
+        # d_h = 33 + 4 + 2 + 2 = 41 reaches the relative-position table.
+        code = main(["train", "--config", str(workspace["cfg"]),
+                     "--checkpoint-dir", str(tmp_path / "odd"), "--quiet",
+                     "--set", "optimizer.epochs=1", "--set", "encoder.heads=1",
+                     "--set", "enhance.heads=1", "--set", "encoder.d_context=33"])
+        assert code == 0
+        config = training.Checkpoint.load(str(tmp_path / "odd")).config
+        assert config.encoder.d_h == 41
 
     def test_unknown_override_exits_1(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["cfg"]),
@@ -621,6 +636,37 @@ def test_overflowing_sidecar_in_a_shared_sub_batch_exits_2(workspace, tmp_path, 
     assert captured.err == f"data error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_sidecar_one_row_short_exits_2(workspace, tmp_path, capsys, command):
+    """`CrenerModel.sentence_inputs` is the one check of a sidecar's row
+    count: the encoder reads the vectors as given."""
+    sentences = [json.loads(line) for line in
+                 (workspace["root"] / "train.jsonl").read_text().splitlines()]
+    bad = next(s for s in sentences if len(s["text"]) > 1)
+    d_context = small_config().encoder.d_context
+    records = [
+        {"id": s["id"], "vectors": [[0.5] * d_context] * (len(s["text"]) - (s is bad))}
+        for s in sentences
+    ]
+    if command == "train":
+        sidecar = tmp_path / "vectors.jsonl"
+        sidecar.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main(["train", "--config", str(workspace["cfg"]), "--quiet",
+                     "--checkpoint-dir", str(tmp_path / "ck"),
+                     "--set", f"paths.vectors_sidecar={sidecar}"])
+    else:
+        data = tmp_path / "one.jsonl"
+        data.write_text(json.dumps(bad) + "\n")
+        argv = (["eval", "--data", str(data), "--out", str(tmp_path / "r.json")]
+                if command == "eval" else ["predict", "--input", str(data), "--output", "-"])
+        code = main(argv + ["--checkpoint", str(checkpoint_with_sidecar(workspace, tmp_path, records))])
+    n = len(bad["text"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: sidecar vectors for sentence {bad['id']!r} have {n - 1} rows, "
+        f"expected one per character ({n})\n"
+    )
+
 class TestPredictCommand:
     def test_stdout_mode_emits_jsonl(self, workspace, capsys):
         code = main(["predict", "--checkpoint", str(workspace["ckpt"]),
@@ -809,3 +855,62 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def sweep_cases():
+    """Every int, float and tuple config key at -1, 0 and 1, plus an odd
+    encoder width (d_h = 41)."""
+    cases = []
+    for key, value in config_to_flat(default_config()).items():
+        if isinstance(value, (int, float, tuple)) and not isinstance(value, bool):
+            form = "[{}]" if isinstance(value, tuple) else "{}"
+            cases += [[f"{key}={form.format(v)}"] for v in (-1, 0, 1)]
+    return cases + [["encoder.heads=1", "enhance.heads=1", "encoder.d_context=33"]]
+
+
+def test_config_sweep_exits_with_a_documented_code(tmp_path, capsys):
+    """No config value the parser accepts makes `train` end in a traceback:
+    validation rejects it (exit 1) or the run ends with exit 0, 2 or 3.
+    Each case trains one epoch on 4 sentences."""
+    save_corpus(generate_synthetic_corpus(seed=5, count=4, max_len=6, types=["PER"]),
+                tmp_path / "train.jsonl")
+    cfg = small_config()
+    cfg.optimizer.epochs = 1
+    cfg.paths.train = str(tmp_path / "train.jsonl")
+    save_config(cfg, tmp_path / "run.cfg")
+    cases = sweep_cases()
+    assert len(cases) == 3 * 29 + 1
+    failures = []
+    for k, overrides in enumerate(cases):
+        argv = ["train", "--config", str(tmp_path / "run.cfg"), "--checkpoint-dir",
+                str(tmp_path / f"ck{k}"), "--quiet"]
+        for item in overrides:
+            argv += ["--set", item]
+        try:
+            with np.errstate(all="ignore"):
+                code = main(argv)
+        except Exception as exc:  # what a shell would see as a traceback
+            failures.append(f"{overrides}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            failures.append(f"{overrides}: exit {code}, stderr {err!r}")
+    assert not failures, "\n".join(failures)
+
+
+def test_package_raises_no_bare_crener_error():
+    """Every error the package raises is a `CrenerError` subclass that
+    `cli.main` maps to an exit code, never the base class itself."""
+    src = Path(__file__).resolve().parents[1] / "src" / "crener"
+    raised, bare = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            raised.add(name)
+            if name == "CrenerError":
+                bare.append(f"{path.name}:{node.lineno}")
+    assert {"ConfigError", "CorpusError", "DivergenceError"} <= raised
+    assert not bare, bare

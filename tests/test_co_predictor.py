@@ -10,7 +10,6 @@ The implementation computes form B; form A is the cross-check here.
 """
 
 import numpy as np
-import pytest
 
 from conftest import small_model, tag_grid
 from crener.autodiff import Tensor
@@ -22,7 +21,6 @@ from crener.co_predictor import (
     predict_cells,
 )
 from crener.corpus import TagVocabulary
-from crener.errors import CrenerError
 from scipy.special import erf
 
 
@@ -98,8 +96,6 @@ def test_fuse_semantics(rng):
     np.testing.assert_array_equal(fuse_scores(a, b).data, a.data + b.data)
     assert fuse_scores(a, None) is a
     assert fuse_scores(None, b) is b
-    with pytest.raises(CrenerError):
-        fuse_scores(None, None)
 
 
 class TestPredictCells:
@@ -146,13 +142,13 @@ class TestLoss:
         vocab = TagVocabulary([])
         gold = tag_grid(1, vocab, [(0, 0, vocab.nnc_id)])
         fused = Tensor(np.array([[[10.0, -1e9]]]))
-        loss = multi_tag_loss(fused, gold, vocab, np.ones((1, 1), bool))
+        loss = multi_tag_loss(fused, gold, np.ones((1, 1), bool))
         np.testing.assert_allclose(loss.item(), 4.5399e-5, rtol=1e-3)
 
     def test_empty_cell_with_low_scores_costs_nothing(self):
         vocab = TagVocabulary(["A"])
         fused = Tensor(np.full((1, 1, 4), -50.0))
-        loss = multi_tag_loss(fused, tag_grid(1, vocab), vocab, np.ones((1, 1), bool))
+        loss = multi_tag_loss(fused, tag_grid(1, vocab), np.ones((1, 1), bool))
         assert loss.item() < 1e-15
 
     def test_dual_form_identity(self, rng):
@@ -166,7 +162,7 @@ class TestLoss:
             pos_ids = rng.choice(n_tags, size=n_pos, replace=False)
             gold = tag_grid(1, vocab, [(0, 0, t) for t in pos_ids])
             fused = Tensor(scores.reshape(1, 1, n_tags).astype(np.float64))
-            got = multi_tag_loss(fused, gold, vocab, np.ones((1, 1), bool), s0=s0).item()
+            got = multi_tag_loss(fused, gold, np.ones((1, 1), bool), s0=s0).item()
 
             pos = scores[sorted(pos_ids)]
             neg = np.delete(scores, sorted(pos_ids))
@@ -186,7 +182,7 @@ class TestLoss:
             s = base.copy()
             s[0, 0, vocab.thc_id("A")] += delta_pos
             s[0, 0, vocab.nnc_id] += delta_neg
-            return multi_tag_loss(Tensor(s), gold, vocab, np.ones((1, 1), bool)).item()
+            return multi_tag_loss(Tensor(s), gold, np.ones((1, 1), bool)).item()
 
         assert loss_at(delta_pos=1.0) < loss_at()
         assert loss_at(delta_neg=1.0) > loss_at()
@@ -203,9 +199,9 @@ class TestLoss:
         gold = tag_grid(2, vocab)
         mask2d = np.array([[True, True], [True, False]])
         fused = rng.normal(size=(2, 2, 4))
-        base = multi_tag_loss(Tensor(fused.copy()), gold, vocab, mask2d).item()
+        base = multi_tag_loss(Tensor(fused.copy()), gold, mask2d).item()
         fused[1, 1] = 100.0
-        spiked = multi_tag_loss(Tensor(fused), gold, vocab, mask2d).item()
+        spiked = multi_tag_loss(Tensor(fused), gold, mask2d).item()
         np.testing.assert_allclose(base, spiked, rtol=1e-12)
 
     def test_gold_tags_are_the_only_positives(self, rng):
@@ -223,7 +219,7 @@ class TestLoss:
         runs = []
         for g in (gold, masked_gold):
             t = Tensor(fused.copy(), requires_grad=True)
-            loss = multi_tag_loss(t, g, vocab, mask2d)
+            loss = multi_tag_loss(t, g, mask2d)
             loss.backward()
             runs.append((loss.item(), t.grad))
         assert np.isfinite(runs[0][0]) and runs[0][0] == runs[1][0]

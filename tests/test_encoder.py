@@ -13,6 +13,7 @@ import pytest
 from conftest import small_model
 from crener import autodiff as ad
 from crener.autodiff import Tensor
+from crener.corpus import Sentence
 from crener.encoder import (
     EncoderConfig,
     _embed_with_attention,
@@ -22,7 +23,7 @@ from crener.encoder import (
     load_sidecar_vectors,
     relative_position_embedding,
 )
-from crener.errors import CorpusError, CrenerError
+from crener.errors import ConfigError, CorpusError
 
 
 class TestRelativeEmbedding:
@@ -51,9 +52,14 @@ class TestRelativeEmbedding:
         np.testing.assert_allclose(r[2, 0][0::2], -r[0, 2][0::2], atol=1e-12)
         np.testing.assert_allclose(r[2, 0][1::2], r[0, 2][1::2], atol=1e-12)
 
-    def test_rejects_odd_width(self):
-        with pytest.raises(CrenerError):
-            relative_position_embedding(3, 5)
+    def test_odd_width_ends_with_a_sine(self):
+        # d_model = 5: two sin/cos pairs, then the sine of the third frequency.
+        r = relative_position_embedding(3, 5)
+        assert r.shape == (3, 3, 5)
+        np.testing.assert_array_equal(r[1, 1], [0.0, 1.0, 0.0, 1.0, 0.0])
+        freqs = 10000.0 ** (-2.0 * np.arange(3) / 5)
+        expect = np.stack([np.sin(2 * freqs), np.cos(2 * freqs)], axis=-1).ravel()[:5]
+        np.testing.assert_allclose(r[2, 0], expect, atol=1e-15)
 
 
 class TestEmbedding:
@@ -79,20 +85,13 @@ class TestEmbedding:
         h, _ = _embed_with_attention(ids, mask, model.store, cfg, context_vectors=vecs)
         np.testing.assert_allclose(h.data[:, : cfg.d_context], 0.25, atol=1e-6)
 
-    def test_wrong_vector_width_rejected(self):
-        model, _ = small_model()
-        ids = np.array([2, 3])
-        mask = np.ones(2, dtype=bool)
-        with pytest.raises(CrenerError, match="shape"):
-            _embed_with_attention(ids, mask, model.store, model.config.encoder,
-                                  np.zeros((2, 3)))
-
     def test_max_len_enforced(self):
-        model, _ = small_model()
+        # The model's input builder is the one check; the encoder trusts it.
+        model, sents = small_model()
         n = model.config.encoder.max_len + 1
-        with pytest.raises(CrenerError, match="max_len"):
-            _embed_with_attention(np.zeros(n, dtype=np.int64), np.ones(n, bool),
-                                  model.store, model.config.encoder)
+        long = Sentence("long", [sents[0].chars[0]] * n, [])
+        with pytest.raises(CorpusError, match="'long' has 33 characters, more than encoder.max_len 32"):
+            model.sentence_inputs(long)
 
 
 def test_adapted_scores_match_scalar_loops(rng):
@@ -279,5 +278,5 @@ class TestSidecar:
 
 def test_config_divisibility_check():
     cfg = EncoderConfig(d_context=8, d_pos=4, d_region=2, d_attn=2, heads=3)
-    with pytest.raises(CrenerError, match="divisible"):
+    with pytest.raises(ConfigError, match="divisible"):
         cfg.validate()

@@ -8,7 +8,7 @@ from scipy.special import erf
 from conftest import small_model
 from crener import kernels
 from crener.autodiff import ParamStore, Tensor
-from crener.errors import CrenerError
+from crener.errors import ConfigError, CrenerError
 from crener.grid import (
     GridConfig,
     attention_bucket,
@@ -231,3 +231,8 @@ class TestConfigValidation:
     def test_duplicate_dilations_rejected(self):
         with pytest.raises(CrenerError, match="dilations"):
             GridConfig(dilations=(1, 1)).validate()
+
+    @pytest.mark.parametrize("dilations", [(-1, 2, 3), (0, 2)])
+    def test_dilations_below_one_rejected(self, dilations):
+        with pytest.raises(ConfigError, match="grid.dilations must all be >= 1"):
+            GridConfig(dilations=dilations).validate()

@@ -142,8 +142,7 @@ def padded_batch_run(model, sentences, fill=None):
         gold[b, :len(s), :len(s)] = encode_grid(s, model.tag_vocab)
     model.store.zero_grad()
     fused, mask2d = model.forward(ids, mask)
-    loss = pred_mod.multi_tag_loss(fused, gold, model.tag_vocab, mask2d,
-                                   s0=model.config.predictor.threshold)
+    loss = pred_mod.multi_tag_loss(fused, gold, mask2d, s0=model.config.predictor.threshold)
     loss.backward()
     grads = {name: t.grad.copy() for name, t in model.store.items()}
     return fused.data[mask2d], loss.item(), grads
