@@ -422,27 +422,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(a.data @ b.data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, gelu: bool = False) -> Tensor:
+def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) -> Tensor:
     """x @ w + b over any leading axes of x, then exact GELU when `gelu`.
 
     One output array: the bias is added, and GELU applied, in place on the
     GEMM's result. The backward reads GELU's derivative, which the forward
     computes instead of keeping GELU's input, and only when it records.
+
+    `w` and `b` may instead be equal-length tuples of k weights and biases,
+    one per view of a stacked stream. Then x's leading axis is k (one input
+    per weight) or 1 (one input that every weight reads), the result's is
+    k, and out[i] = x[i] @ w[i] + b[i]. The op stacks the weights' data
+    itself and hands each weight and bias its own slice of the gradient, so
+    k views cost one tape node.
     """
-    out_data = x.data @ w.data
-    out_data += b.data
-    d = _gelu_in_place(out_data, _records((x, w, b))) if gelu else None
+    views = isinstance(w, tuple)
+    parents = (x, *w, *b) if views else (x, w, b)
+    if views:
+        w_data = np.array([t.data for t in w])  # (k, d_in, d_out)
+        xs = x.data.reshape(x.shape[0], -1, x.shape[-1])  # (k or 1, cells, d_in)
+        out_data = np.matmul(xs, w_data)
+        out_data += np.array([t.data for t in b])[:, None, :]
+        out_data = out_data.reshape((len(w),) + x.shape[1:-1] + (w_data.shape[-1],))
+    else:
+        xs, w_data = x.data, w.data
+        out_data = xs @ w_data
+        out_data += b.data
+    d = _gelu_in_place(out_data, _records(parents)) if gelu else None
 
     def backward(g):
         nonlocal d
         if d is not None:
             g = _times_derivative(g, d)
             d = None  # read once: freed before the GEMMs allocate
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-        _matmul_backward(x, w, g)
+        if not views:
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.data.shape))
+            _matmul_backward(x, w, g)
+            return
+        gs = g.reshape(len(w), -1, g.shape[-1])
+        for t, gt in zip(b, gs.sum(axis=1)):
+            t._accumulate(gt, owned=True)
+        if x.requires_grad:
+            gx = np.matmul(gs, np.swapaxes(w_data, -1, -2))
+            if len(gx) != x.shape[0]:  # one input read by every weight
+                gx = gx.sum(axis=0, keepdims=True)
+            x._accumulate(gx.reshape(x.shape), owned=True)
+        for t, gt in zip(w, np.matmul(np.swapaxes(xs, -1, -2), gs)):
+            t._accumulate(gt, owned=True)
 
-    return Tensor._make(out_data, (x, w, b), backward)
+    return Tensor._make(out_data, parents, backward)
 
 
 def _times_derivative(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -477,12 +506,11 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 def getitem(a: Tensor, idx) -> Tensor:
     """a[idx]; the backward scatters with `np.add.at` only for an advanced
     index, which may repeat an element."""
-    basic = all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
-                for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g):
         gz = np.zeros_like(a.data)
-        if basic:
+        if all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
+               for i in (idx if isinstance(idx, tuple) else (idx,))):
             gz[idx] = g  # a basic index names each element once
         else:
             np.add.at(gz, idx, g)
@@ -494,11 +522,11 @@ def getitem(a: Tensor, idx) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
             t._accumulate(g[tuple(sl)], owned=True)
@@ -521,36 +549,40 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> tuple[Tensor, Tensor]:
+def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> Tensor:
     """Row and column maxima of an (..., n, n, c) grid over the cells where
-    the (..., n, n) boolean `mask` holds.
-
-    Returns (rows, cols), both (..., n, c): rows[..., i, :] is the max over
-    j of x[..., i, j, :] and cols[..., j, :] the max over i. Masked cells
-    read as `fill`, so a fully masked row pools to `fill`. The filled grid
-    is built once for both axes; each backward reads only its boolean
-    arg-max pattern and tie counts. Ties split the gradient evenly, and
-    masked cells get none. With no cell masked, x is read as it is.
+    the (..., n, n) boolean `mask` holds, stacked as one (2, ..., n, c)
+    tensor: [0, ..., i, :] is the max over j of x[..., i, j, :] and
+    [1, ..., j, :] the max over i. Masked cells read as `fill`, so a fully
+    masked row pools to `fill`. The filled grid is built once for both
+    axes; the backward reads only each axis's boolean arg-max pattern and
+    tie counts. Ties split the gradient evenly, and masked cells get none.
+    With no cell masked, x is read as it is.
     """
     m = mask[..., None]
     filled = x.data if mask.all() else np.where(m, x.data, fill)
-    record = _records((x,))
-
-    def pooled(axis: int) -> Tensor:
-        out_data = filled.max(axis=axis)
-        if not record:
-            return Tensor._make(out_data, (x,), None)
-        hit = filled == np.expand_dims(out_data, axis)
+    axes = (-2, -3)
+    out_data = np.empty((2,) + filled.shape[:-3] + filled.shape[-2:], dtype=filled.dtype)
+    for axis, best in zip(axes, out_data):
+        filled.max(axis=axis, out=best)
+    if not _records((x,)):
+        return Tensor._make(out_data, (x,), None)
+    patterns = []
+    for axis, best in zip(axes, out_data):
+        hit = filled == np.expand_dims(best, axis)
         counts = hit.sum(axis=axis, keepdims=True)
         hit &= m
+        patterns.append((hit, counts))
 
-        def backward(g):
-            share = (np.expand_dims(g, axis) / counts).astype(x.data.dtype)
-            x._accumulate(np.where(hit, share, 0), owned=True)
+    def backward(g):
+        gx = None
+        for axis, (hit, counts), g_axis in zip(axes, patterns, g):
+            share = (np.expand_dims(g_axis, axis) / counts).astype(x.data.dtype)
+            part = np.where(hit, share, 0)
+            gx = part if gx is None else np.add(gx, part, out=gx)
+        x._accumulate(gx, owned=True)
 
-        return Tensor._make(out_data, (x,), backward)
-
-    return pooled(-2), pooled(-3)
+    return Tensor._make(out_data, (x,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -609,25 +641,47 @@ def logsumexp(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def scale_shift(a: Tensor, b: Tensor, shift: Tensor) -> Tensor:
+def scale_shift(a: Tensor, b: Tensor | tuple, shift: Tensor | tuple) -> Tensor:
     """a * b + shift with numpy broadcasting, as one output array; `shift`
-    must broadcast to the shape of a * b."""
-    out_data = a.data * b.data
-    out_data += shift.data
+    must broadcast to the shape of a * b.
+
+    `b` and `shift` may instead be equal-length tuples of k (d,) gains and
+    biases, one per view along a's leading axis of k: view i is scaled by
+    b[i] and shifted by shift[i]. Each gain and bias gets its own slice of
+    the gradient, so k views cost one tape node.
+    """
+    views = isinstance(b, tuple)
+    if views:
+        per_view = (len(b),) + (1,) * (a.data.ndim - 2) + (-1,)
+        b_data = np.array([t.data for t in b]).reshape(per_view)
+        shift_data = np.array([t.data for t in shift]).reshape(per_view)
+        parents = (a, *b, *shift)
+    else:
+        b_data, shift_data, parents = b.data, shift.data, (a, b, shift)
+    out_data = a.data * b_data
+    out_data += shift_data
+
+    def hand(params, grad) -> None:  # a (k, 1, ..., d) gradient, one slice per view
+        for t, gt in zip(params, grad):
+            t._accumulate(gt.reshape(t.data.shape))
 
     def backward(g):
         # A strided g (the CLN grid's slice of `pair_features`' concat
         # gradient) is read three times below; one copy makes each read
         # contiguous. The sums and products keep their bits.
         g = np.ascontiguousarray(g)
-        if shift.requires_grad:
+        if views:
+            hand(shift, _unbroadcast(g, shift_data.shape))
+        elif shift.requires_grad:
             shift._accumulate(_unbroadcast(g, shift.data.shape))
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
+            a._accumulate(_unbroadcast(g * b_data, a.data.shape), owned=True)
+        if views:
+            hand(b, _unbroadcast(g * a.data, b_data.shape))
+        elif b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
-    return Tensor._make(out_data, (a, b, shift), backward)
+    return Tensor._make(out_data, parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
@@ -658,7 +712,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
         weights += score_bias.data
     weights *= weights.dtype.type(scale)
     # Mask before exp, so that a huge masked score cannot overflow.
-    weights[~np.broadcast_to(key_mask[..., None, None, :], weights.shape)] = -np.inf
+    if not key_mask.all():
+        np.copyto(weights, -np.inf, where=~key_mask[..., None, None, :])
     top = weights.max(axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     weights -= top

@@ -2,18 +2,22 @@
 
 Subject/object projections of the encoder output feed a conditional
 layer normalization: the subject vector generates per-row gain and bias
-applied to the normalized object vector, giving V[i, j]. Each cell is
-then concatenated with three index embeddings (signed-log distance
-bucket, triangle region, bucketed encoder attention weight), reduced by
-an MLP, and run through parallel dilated convolutions whose outputs are
+applied to the normalized object vector, giving V[i, j]. The two views
+travel as one stacked (2, ..., n, d_h) pair, [0] the subject and [1] the
+object, so each pair of per-view weights is one op. Each cell is then
+concatenated with three index embeddings (signed-log distance bucket,
+triangle region, bucketed encoder attention weight), reduced by an MLP,
+and run through parallel dilated convolutions whose outputs are
 concatenated channel-wise. Bucket indices are plain integers computed
-outside the graph; only the embedding tables behind them train. Every
-weight is read from the `ParamStore` under its `grid.*` name; an ablated
-embedding table or convolution kernel has no name there and is skipped.
+outside the graph, and the embeddings depend on them alone, so a forward
+looks them up once for every round (`index_features`); only the tables
+behind them train. Every weight is read from the `ParamStore` under its
+`grid.*` name; an ablated embedding table or convolution kernel has no
+name there and is skipped.
 
 Grids are (..., n, n, c) with any number of leading batch axes, and
-masks (..., n, n); the index ids depend on n alone and broadcast over
-the batch.
+masks (..., n, n); the distance and region ids depend on n alone and
+broadcast over the batch.
 """
 
 from __future__ import annotations
@@ -56,27 +60,27 @@ class GridConfig:
             raise ConfigError("grid.kernel must be odd for same-size padding")
 
 
-def project_subject_object(h: Tensor, store: ParamStore) -> tuple[Tensor, Tensor]:
-    """Affine subject and object views of the character representations."""
-    h_s = ad.linear(h, store["grid.subj.w"], store["grid.subj.b"])
-    h_o = ad.linear(h, store["grid.obj.w"], store["grid.obj.b"])
-    return h_s, h_o
+def project_subject_object(h: Tensor, store: ParamStore) -> Tensor:
+    """Affine subject and object views of the (..., n, d_h) character
+    representations, stacked as one (2, ..., n, d_h) pair."""
+    return ad.linear(h.reshape((1,) + h.shape), (store["grid.subj.w"], store["grid.obj.w"]),
+                     (store["grid.subj.b"], store["grid.obj.b"]))
 
 
-def conditional_layer_norm(
-    h_s: Tensor, h_o: Tensor, store: ParamStore, eps: float = 1e-5
-) -> Tensor:
-    """V[i, j] = gain(h_s[i]) * normalize(h_o[j]) + bias(h_s[i]).
+def conditional_layer_norm(pair: Tensor, store: ParamStore, eps: float = 1e-5) -> Tensor:
+    """V[i, j] = gain(h_s[i]) * normalize(h_o[j]) + bias(h_s[i]) for the
+    stacked (2, ..., n, d) pair of subject views h_s and object views h_o.
 
     Normalization is over the feature axis of the object vector;
-    sqrt(var + eps) keeps constant vectors finite.
+    sqrt(var + eps) keeps constant vectors finite. Gain and bias, both
+    affine maps of h_s, are one op.
     """
-    lead, (n, d) = h_s.shape[:-2], h_s.shape[-2:]
-    rows, cols = lead + (n, 1, d), lead + (1, n, d)
-    gain = ad.linear(h_s, store["grid.cln.gain_w"], store["grid.cln.gain_b"])
-    bias = ad.linear(h_s, store["grid.cln.bias_w"], store["grid.cln.bias_b"])
-    normed = ad.normalize(h_o, eps)
-    return ad.scale_shift(gain.reshape(rows), normed.reshape(cols), bias.reshape(rows))
+    gain_bias = ad.linear(  # (2, ..., n, 1, d): the gain, then the bias
+        pair[:1, ..., None, :], (store["grid.cln.gain_w"], store["grid.cln.bias_w"]),
+        (store["grid.cln.gain_b"], store["grid.cln.bias_b"]),
+    )
+    normed = ad.normalize(pair[1, ..., None, :, :], eps)  # (..., 1, n, d)
+    return ad.scale_shift(gain_bias[0], normed, gain_bias[1])
 
 
 def pair_mask(mask: np.ndarray) -> np.ndarray:
@@ -116,32 +120,36 @@ def attention_bucket(attn: np.ndarray, buckets: int) -> np.ndarray:
     return ids.astype(np.int64)
 
 
-def pair_features(
-    v: Tensor,
-    attn: np.ndarray,
-    store: ParamStore,
-    config: GridConfig,
-) -> Tensor:
-    """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels.
+def index_features(attn: np.ndarray, store: ParamStore, config: GridConfig) -> list[Tensor]:
+    """[E^d, E^r, E^a]: the (..., n, n, d_*) embeddings of every cell's
+    distance, region and attention-bucket ids, for the (..., n, n) encoder
+    attention `attn`.
 
-    Only the index embeddings whose table is in the store join the
-    concatenation; an ablated one has none, and `grid.mlp1.w` is built
-    that narrower.
+    Only the tables in the store are looked up; an ablated one has none.
+    The ids depend on n and `attn` alone, so one forward builds these once
+    and every round's `pair_features` reads them.
     """
-    n = v.shape[-2]
-    cells = v.shape[:-1]
-    parts = [v]
+    cells = attn.shape
+    n = cells[-1]
+    features = []
     if "grid.dist_emb" in store:
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]  # j - i
         # GridConfig.validate makes the table cover all 19 distance ids.
         ids = np.broadcast_to(distance_bucket(offs), cells)
-        parts.append(ad.embedding(store["grid.dist_emb"], ids))
+        features.append(ad.embedding(store["grid.dist_emb"], ids))
     if "grid.region_emb" in store:
-        parts.append(ad.embedding(store["grid.region_emb"], np.broadcast_to(region_ids(n), cells)))
+        features.append(ad.embedding(store["grid.region_emb"], np.broadcast_to(region_ids(n), cells)))
     if "grid.attn_emb" in store:
         ids = attention_bucket(attn, config.attn_buckets)
-        parts.append(ad.embedding(store["grid.attn_emb"], ids))
-    cat = parts[0] if len(parts) == 1 else ad.concat(parts, axis=-1)
+        features.append(ad.embedding(store["grid.attn_emb"], ids))
+    return features
+
+
+def pair_features(v: Tensor, index: list[Tensor], store: ParamStore) -> Tensor:
+    """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels, where
+    `index` holds the `index_features` of V's cells; `grid.mlp1.w` is as
+    narrow as the embeddings left after ablation."""
+    cat = ad.concat([v, *index], axis=-1) if index else v
     return ad.linear(cat, store["grid.mlp1.w"], store["grid.mlp1.b"], gelu=True)
 
 

@@ -1,11 +1,13 @@
 """Hot numeric kernels: dilated 2D convolution forward and backward.
 
 Both take (..., n, n, c_in) grids, with any number of leading batch
-axes, and (k, k, c_in, c_out) kernels, and keep the spatial size via
-zero padding of (k // 2) * dilation on each side.
+axes, and (k, k, c_in, c_out) kernels, and keep the spatial size as zero
+padding of (k // 2) * dilation on each side would; a tap that would read
+nothing but that padding is skipped.
 
 * forward: each kernel tap is one matmul over a shifted slice of a
-  zero-padded copy, so the arithmetic runs in BLAS;
+  zero-padded copy, so the arithmetic runs in BLAS; the copy is padded
+  only as far as the furthest tap that reaches a real cell;
 * backward: the upstream gradient is gathered into per-tap columns
   (im2col of g, k*k*c_out wide) a block of cells at a time, and one GEMM
   each gives the block's part of dx and dw.
@@ -51,17 +53,32 @@ _BACKWARD_CELLS = 1024
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
-    """Same-size dilated convolution of (..., n, n, c_in) grids."""
+    """Same-size dilated convolution of (..., n, n, c_in) grids.
+
+    Taps that read nothing but padding add nothing and are skipped, and
+    the padded copy reaches only as far as the furthest tap left, so its
+    size does not grow with the dilation. Every tap kept reads a whole
+    (rows, cols) window of the copy, so its product has the shape, and the
+    sums their order, that full padding gives.
+    """
     rows, cols = x.shape[-3], x.shape[-2]
     k = w.shape[0]
-    pad = (k // 2) * dilation
-    xp = np.zeros(x.shape[:-3] + (rows + 2 * pad, cols + 2 * pad, x.shape[-1]), dtype=x.dtype)
-    xp[..., pad:pad + rows, pad:pad + cols, :] = x
-    out = np.broadcast_to(b, x.shape[:-1] + b.shape).copy()
+    half = k // 2
+    pad_r = min(half, (rows - 1) // dilation) * dilation
+    pad_c = min(half, (cols - 1) // dilation) * dilation
+    xp = np.zeros(x.shape[:-3] + (rows + 2 * pad_r, cols + 2 * pad_c, x.shape[-1]), dtype=x.dtype)
+    xp[..., pad_r:pad_r + rows, pad_c:pad_c + cols, :] = x
+    out = np.empty(x.shape[:-1] + b.shape, dtype=b.dtype)
+    out[...] = b
     for a in range(k):
+        top = (a - half) * dilation
+        if abs(top) > pad_r:  # a tap row wholly in the padding
+            continue
         for c in range(k):
-            patch = xp[..., a * dilation:a * dilation + rows, c * dilation:c * dilation + cols, :]
-            out += patch @ w[a, c]
+            left = (c - half) * dilation
+            if abs(left) <= pad_c:
+                patch = xp[..., pad_r + top:pad_r + top + rows, pad_c + left:pad_c + left + cols, :]
+                out += patch @ w[a, c]
     return out
 
 

@@ -7,7 +7,13 @@ followed by cross-attention against the round-0 projections, and fuses
 through a GELU linear layer with a residual layer norm. The refined
 subject/object vectors condition the next round's grid, so only the
 rounds before the last one pool and enhance. Weights are shared
-across rounds and read from the `ParamStore` by name. The final round's
+across rounds and read from the `ParamStore` by name.
+
+The subject and object views run as one stream: a (2, ..., n, d_h)
+pair, [0] the subject and [1] the object (see `grid`). The two views
+share the self- and cross-attention weights, so each attention runs once
+over both, and each per-view weight pair (`enh.pool_s`/`pool_o`,
+`enh.out_s`/`out_o`, `enh.ln_s`/`ln_o`) is one op. The final round's
 tag features feed only the MLP predictor's first affine map, with
 nothing in between, so that round stops at its convolved grid and
 `co_predictor.mlp_scores` applies the two maps as one (see
@@ -17,7 +23,8 @@ and the pool, attention and fuse weights (`enh.pool_*`, `enh.self.*`,
 `enh.cross.*`, `enh.out_*`, `enh.ln_*`) are not in the store.
 
 Every function accepts any number of leading batch axes: character
-vectors are (..., n, d), grids (..., n, n, c) and masks (..., n).
+vectors are (..., n, d), view pairs (2, ..., n, d), grids (..., n, n, c)
+and masks (..., n).
 """
 
 from __future__ import annotations
@@ -67,22 +74,20 @@ def tag_features(q: Tensor, store: ParamStore) -> Tensor:
     return ad.linear(q, *tag_affine(store))
 
 
-def pool_recover(
-    tf: Tensor, mask: np.ndarray, store: ParamStore
-) -> tuple[Tensor, Tensor]:
-    """Max over columns -> subject vectors, max over rows -> object vectors.
+def pool_recover(tf: Tensor, mask: np.ndarray, store: ParamStore) -> Tensor:
+    """Max over columns -> subject vectors, max over rows -> object vectors,
+    as one (2, ..., n, d_h) pair.
 
     One `autodiff.masked_max` op reads masked cells as a large negative
     constant, so they never win a real row's or column's max; each pooled
-    map passes through its own affine + GELU to character width. A padded
-    position pools only that constant, so its rows are re-zeroed rather
-    than carry its scale into enhancement.
+    map passes through its own affine + GELU to character width, both in
+    one op. A padded position pools only that constant, so its rows are
+    re-zeroed rather than carry its scale into enhancement.
     """
-    pooled_s, pooled_o = ad.masked_max(tf, grid_mod.pair_mask(mask), _MASK_FILL)
-    h_s = ad.linear(pooled_s, store["enh.pool_s.w"], store["enh.pool_s.b"], gelu=True)
-    h_o = ad.linear(pooled_o, store["enh.pool_o.w"], store["enh.pool_o.b"], gelu=True)
-    mcol = mask.astype(tf.dtype)[..., None]
-    return h_s * mcol, h_o * mcol
+    pooled = ad.masked_max(tf, grid_mod.pair_mask(mask), _MASK_FILL)
+    pair = ad.linear(pooled, (store["enh.pool_s.w"], store["enh.pool_o.w"]),
+                     (store["enh.pool_s.b"], store["enh.pool_o.b"]), gelu=True)
+    return pair * mask.astype(tf.dtype)[..., None]
 
 
 def _multi_head_attention(
@@ -99,26 +104,22 @@ def _multi_head_attention(
 
 
 def enhance_round(
-    h_s_r: Tensor,
-    h_o_r: Tensor,
-    h_s0: Tensor,
-    h_o0: Tensor,
+    recovered: Tensor,
+    pair0: Tensor,
     mask: np.ndarray,
     store: ParamStore,
     config: EnhanceConfig,
-) -> tuple[Tensor, Tensor]:
-    """Self-attention over the recovered vectors, cross-attention against
-    the round-0 projections, GELU linear, then LayerNorm(recovered + out)."""
+) -> Tensor:
+    """Self-attention over the recovered (2, ..., n, d) pair, cross-attention
+    against the round-0 pair `pair0`, GELU linear, then
+    LayerNorm(recovered + out); each view attends only within itself."""
     heads = config.heads
-    s_tt = _multi_head_attention(h_s_r, h_s_r, mask, store, "self", heads)
-    o_tt = _multi_head_attention(h_o_r, h_o_r, mask, store, "self", heads)
-    s_ct = _multi_head_attention(s_tt, h_s0, mask, store, "cross", heads)
-    o_ct = _multi_head_attention(o_tt, h_o0, mask, store, "cross", heads)
-    s_out = ad.linear(s_ct, store["enh.out_s.w"], store["enh.out_s.b"], gelu=True)
-    o_out = ad.linear(o_ct, store["enh.out_o.w"], store["enh.out_o.b"], gelu=True)
-    h_s_next = ad.layer_norm(h_s_r + s_out, store["enh.ln_s.g"], store["enh.ln_s.b"])
-    h_o_next = ad.layer_norm(h_o_r + o_out, store["enh.ln_o.g"], store["enh.ln_o.b"])
-    return h_s_next, h_o_next
+    tt = _multi_head_attention(recovered, recovered, mask, store, "self", heads)
+    ct = _multi_head_attention(tt, pair0, mask, store, "cross", heads)
+    out = ad.linear(ct, (store["enh.out_s.w"], store["enh.out_o.w"]),
+                    (store["enh.out_s.b"], store["enh.out_o.b"]), gelu=True)
+    return ad.layer_norm(recovered + out, (store["enh.ln_s.g"], store["enh.ln_o.g"]),
+                         (store["enh.ln_s.b"], store["enh.ln_o.b"]))
 
 
 def run_enhancement(
@@ -132,11 +133,12 @@ def run_enhancement(
     """Run the grid + enhancement loop; returns the final round's convolved
     grid Q, (..., n, n, c).
 
-    Round 0 projects the encoder output into subject/object views. Every
-    one of the `enhance_config.rounds` rounds rebuilds the grid from the
-    current views (CLN, pair features, convolutions); every round but the
-    last then maps it to tag features, pools, attends, and fuses, feeding
-    the refined views to the next round. So the `enh.*` pool, attention
+    Round 0 projects the encoder output into the subject/object pair.
+    Every one of the `enhance_config.rounds` rounds rebuilds the grid from
+    the current pair (CLN, pair features, convolutions), reading the index
+    embeddings that the forward looked up once; every round but the last
+    then maps it to tag features, pools, attends, and fuses, feeding the
+    refined pair to the next round. So the `enh.*` pool, attention
     and fuse weights are read only with two rounds or more, and each stage
     skips what the store lacks: no `grid.conv{d}.*` kernel, no
     convolution. The last round's tag features are left to
@@ -146,16 +148,15 @@ def run_enhancement(
     tape-free forward frees it as soon as that stage returns.
     """
     mask2d = grid_mod.pair_mask(mask)  # read by the convolutions alone
+    index = grid_mod.index_features(attn, store, grid_config)
 
-    def conv_grid(h_s: Tensor, h_o: Tensor) -> Tensor:
-        grid = grid_mod.pair_features(
-            grid_mod.conditional_layer_norm(h_s, h_o, store), attn, store, grid_config
-        )
+    def conv_grid(pair: Tensor) -> Tensor:
+        grid = grid_mod.pair_features(grid_mod.conditional_layer_norm(pair, store), index, store)
         return grid_mod.dilated_convolutions(grid, mask2d, store, grid_config)
 
-    h_s0, h_o0 = grid_mod.project_subject_object(h, store)
-    h_s, h_o = h_s0, h_o0
+    pair0 = grid_mod.project_subject_object(h, store)
+    pair = pair0
     for _ in range(enhance_config.rounds - 1):
-        h_s_r, h_o_r = pool_recover(tag_features(conv_grid(h_s, h_o), store), mask, store)
-        h_s, h_o = enhance_round(h_s_r, h_o_r, h_s0, h_o0, mask, store, enhance_config)
-    return conv_grid(h_s, h_o)
+        recovered = pool_recover(tag_features(conv_grid(pair), store), mask, store)
+        pair = enhance_round(recovered, pair0, mask, store, enhance_config)
+    return conv_grid(pair)

@@ -23,9 +23,11 @@ state is not saved.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -65,9 +67,21 @@ MAX_SUB_BATCH_CELLS = 4096
 # way once the backward stopped copying gradients (eight processes, each
 # interleaved with one of the copying backward): 4.5-8.0 ms + 26-31 us per
 # cell, 152-292 cells, median 239 (the copying backward: median 223); with
-# the per-sentence term, median 207 (224). The value is kept, since a new
-# one moves the split and so float32 results.
+# the per-sentence term, median 207 (224). Re-fit once the subject and
+# object views ran as one stream (sub-batches whose other sentences drew
+# random lengths up to the longest; four processes per tree, alternating):
+# 4.1-4.3 ms + 16.7-18.1 us per cell, 235-251 cells, median 242 (two
+# streams: 5.0-5.3 ms, 268-293 cells, median 279); with the per-sentence
+# term, 211-230 (239-272). The value is kept, since a new one moves the
+# split and so float32 results.
 SUB_BATCH_OVERHEAD_CELLS = 240
+
+# The most sentences in one sub-batch. It bounds `_sub_batches`' inner loop,
+# which otherwise tries up to MAX_SUB_BATCH_CELLS / n^2 sizes per sentence:
+# 4,096 for sentences of one character, so 20,000 lengths in [1, 4] took
+# 2.8-4.7 s to plan. Sentences of 4 or more characters fill 4,096 cells with
+# at most 256 of them, so the cap changes no split of theirs.
+MAX_SUB_BATCH_SENTENCES = 256
 
 
 class Adam:
@@ -270,14 +284,15 @@ class Checkpoint:
                 )
             raise CorpusError(f"no checkpoint archive at {path}")
         try:
-            archive = np.load(path, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("not a zip archive")
-            with archive:
-                params = {name: archive[name] for name in archive.files}
-            for name, value in params.items():
-                if not isinstance(value, np.ndarray):  # a member that is not .npy reads as bytes
-                    raise ValueError(f"member {name} is not a .npy array")
+            params = {}
+            with zipfile.ZipFile(path) as archive:
+                for member in archive.namelist():
+                    name, suffix = os.path.splitext(member)
+                    if suffix != ".npy":
+                        raise ValueError(f"member {member} is not a .npy array")
+                    # `read` checks the member's CRC-32 once it has read it whole.
+                    params[name] = np.lib.format.read_array(
+                        io.BytesIO(archive.read(member)), allow_pickle=False)
         except Exception as exc:
             # A damaged zip or .npy member raises BadZipFile, NotImplementedError
             # (a flipped compression method, flag or version), EOFError,
@@ -367,23 +382,25 @@ def _sub_batches(lengths: list[int], max_cells: int) -> list[list[int]]:
     """Positions into `lengths`, sorted by length and cut into contiguous
     sub-batches, in ascending length order, that minimise the sum over
     sub-batches of SUB_BATCH_OVERHEAD_CELLS + size x longest squared. A
-    sub-batch of two or more sentences holds at most `max_cells` padded
-    cells; a single sentence may hold more."""
+    sub-batch holds at most MAX_SUB_BATCH_SENTENCES sentences and, with two
+    or more, at most `max_cells` padded cells; a single sentence may hold
+    more."""
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
     # best[j]: least cost of the first j sorted sentences; start[j]: where
     # the last sub-batch of that split begins.
-    best = [0] * (len(order) + 1)
+    best = np.zeros(len(order) + 1, dtype=np.int64)
     start = [0] * (len(order) + 1)
+    positions = np.arange(len(order) + 1)
     for j in range(1, len(order) + 1):
         area = lengths[order[j - 1]] ** 2
-        best[j] = best[j - 1] + SUB_BATCH_OVERHEAD_CELLS + area
-        start[j] = j - 1
-        for i in range(j - 2, -1, -1):
-            if (j - i) * area > max_cells:
-                break
-            cost = best[i] + SUB_BATCH_OVERHEAD_CELLS + (j - i) * area
-            if cost < best[j]:
-                best[j], start[j] = cost, i
+        # The last sub-batch is sorted sentences i..j-1: one alone, or up to
+        # MAX_SUB_BATCH_SENTENCES within max_cells. Its cost, less the parts
+        # that do not depend on i, for each i in [lo, j); the largest i wins
+        # a tie.
+        lo = max(j - max(1, min(MAX_SUB_BATCH_SENTENCES, max_cells // area)), 0)
+        cost = best[lo:j] - area * positions[lo:j]
+        start[j] = j - 1 - int(np.argmin(cost[::-1]))
+        best[j] = cost[start[j] - lo] + j * area + SUB_BATCH_OVERHEAD_CELLS
     subs: list[list[int]] = []
     j = len(order)
     while j:

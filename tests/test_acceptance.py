@@ -297,9 +297,8 @@ def test_07_cln_degenerates_to_layer_norm(capsys):
 
     rng = np.random.default_rng(7)
     n, d = 10, store["grid.cln.gain_b"].data.shape[0]
-    h_s = Tensor(rng.normal(size=(n, d)))
-    h_o = Tensor(rng.normal(size=(n, d)))
-    v = conditional_layer_norm(h_s, h_o, store).data
+    h_s_and_h_o = Tensor(rng.normal(size=(2, n, d)))  # the same draws as two (n, d) arrays
+    v = conditional_layer_norm(h_s_and_h_o, store).data
 
     mean_err = float(np.abs(v.mean(axis=-1)).max())
     std_err = float(np.abs(v.std(axis=-1) - 1.0).max())

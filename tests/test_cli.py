@@ -196,6 +196,15 @@ class TestTrainCommand:
         config = training.Checkpoint.load(str(tmp_path / "odd")).config
         assert config.encoder.d_h == 41
 
+    def test_huge_dilation_trains(self, workspace, tmp_path, capsys):
+        # Every tap but the centre reads only padding, which is not allocated.
+        code = main(["train", "--config", str(workspace["cfg"]),
+                     "--checkpoint-dir", str(tmp_path / "wide"), "--quiet",
+                     "--set", "optimizer.epochs=1", "--set", "grid.dilations=[10000000]"])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert training.Checkpoint.load(str(tmp_path / "wide")).config.grid.dilations == (10_000_000,)
+
     def test_unknown_override_exits_1(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["cfg"]),
                      "--checkpoint-dir", str(tmp_path / "x"),

@@ -15,6 +15,7 @@ from crener.grid import (
     conditional_layer_norm,
     dilated_convolutions,
     distance_bucket,
+    index_features,
     pair_features,
     project_subject_object,
     region_ids,
@@ -39,12 +40,13 @@ class TestProjections:
     def test_affine_oracle(self):
         model, h, _, _ = grid_parts()
         p = {name: t.data for name, t in model.store.items()}
-        h_s, h_o = project_subject_object(h, model.store)
+        pair = project_subject_object(h, model.store)
+        assert pair.shape == (2,) + h.shape
         np.testing.assert_allclose(
-            h_s.data, h.data @ p["grid.subj.w"] + p["grid.subj.b"], atol=1e-6
+            pair.data[0], h.data @ p["grid.subj.w"] + p["grid.subj.b"], atol=1e-6
         )
         np.testing.assert_allclose(
-            h_o.data, h.data @ p["grid.obj.w"] + p["grid.obj.b"], atol=1e-6
+            pair.data[1], h.data @ p["grid.obj.w"] + p["grid.obj.b"], atol=1e-6
         )
 
 
@@ -62,17 +64,17 @@ class TestConditionalLayerNorm:
         # Object vector [1, 3] with unit gain and zero bias normalizes
         # to [-1, 1].
         p = self.degenerate_store(2)
-        h_s = Tensor(np.zeros((1, 2)))
-        h_o = Tensor(np.array([[1.0, 3.0]]))
-        v = conditional_layer_norm(h_s, h_o, p)
+        h_s = np.zeros((1, 2))
+        h_o = np.array([[1.0, 3.0]])
+        v = conditional_layer_norm(Tensor(np.stack([h_s, h_o])), p)
         np.testing.assert_allclose(v.data[0, 0], [-1.0, 1.0], atol=1e-4)
 
     def test_degenerate_rows_are_standardized(self, rng):
         d = 16
         p = self.degenerate_store(d)
-        h_s = Tensor(rng.normal(size=(6, d)))
-        h_o = Tensor(rng.normal(size=(6, d)) * 3.0 + 1.5)
-        v = conditional_layer_norm(h_s, h_o, p).data
+        h_s = rng.normal(size=(6, d))
+        h_o = rng.normal(size=(6, d)) * 3.0 + 1.5
+        v = conditional_layer_norm(Tensor(np.stack([h_s, h_o])), p).data
         means = v.mean(axis=-1)
         stds = v.std(axis=-1)
         assert np.abs(means).max() <= 1e-5
@@ -81,11 +83,11 @@ class TestConditionalLayerNorm:
     def test_subject_conditions_only_its_row(self, rng):
         model, h, _, _ = grid_parts()
         p = model.store
-        h_s, h_o = project_subject_object(h, p)
-        base = conditional_layer_norm(h_s, h_o, p).data.copy()
-        bumped = h_s.data.copy()
-        bumped[2] += 1.0
-        v2 = conditional_layer_norm(Tensor(bumped), h_o, p).data
+        pair = project_subject_object(h, p)
+        base = conditional_layer_norm(pair, p).data.copy()
+        bumped = pair.data.copy()
+        bumped[0, 2] += 1.0
+        v2 = conditional_layer_norm(Tensor(bumped), p).data
         assert not np.allclose(v2[2], base[2])
         keep = [i for i in range(v2.shape[0]) if i != 2]
         np.testing.assert_array_equal(v2[keep], base[keep])
@@ -93,11 +95,11 @@ class TestConditionalLayerNorm:
     def test_object_change_moves_column(self, rng):
         model, h, _, _ = grid_parts()
         p = model.store
-        h_s, h_o = project_subject_object(h, p)
-        base = conditional_layer_norm(h_s, h_o, p).data.copy()
-        bumped = h_o.data.copy()
-        bumped[1] *= 2.0
-        v2 = conditional_layer_norm(h_s, Tensor(bumped), p).data
+        pair = project_subject_object(h, p)
+        base = conditional_layer_norm(pair, p).data.copy()
+        bumped = pair.data.copy()
+        bumped[1, 1] *= 2.0
+        v2 = conditional_layer_norm(Tensor(bumped), p).data
         assert not np.allclose(v2[:, 1], base[:, 1])
         keep = [j for j in range(v2.shape[1]) if j != 1]
         np.testing.assert_array_equal(v2[:, keep], base[:, keep])
@@ -156,9 +158,8 @@ class TestPairFeatures:
         model, h, attn, mask2d = grid_parts(n=4)
         store, gc = model.store, model.config.grid
         p = {name: t.data for name, t in store.items()}
-        h_s, h_o = project_subject_object(h, store)
-        v = conditional_layer_norm(h_s, h_o, store)
-        c = pair_features(v, attn, store, gc).data
+        v = conditional_layer_norm(project_subject_object(h, store), store)
+        c = pair_features(v, index_features(attn, store, gc), store).data
 
         n = 4
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]
@@ -179,9 +180,8 @@ class TestDilatedConvolutions:
     def test_gelu_of_backend_forward(self):
         model, h, attn, mask2d = grid_parts(n=6)
         p, gc = model.store, model.config.grid
-        h_s, h_o = project_subject_object(h, p)
-        v = conditional_layer_norm(h_s, h_o, p)
-        c = pair_features(v, attn, p, gc)
+        v = conditional_layer_norm(project_subject_object(h, p), p)
+        c = pair_features(v, index_features(attn, p, gc), p)
         q = dilated_convolutions(c, mask2d, p, gc).data
         assert q.shape == (6, 6, len(gc.dilations) * gc.d_conv)
         pieces = [
@@ -203,9 +203,8 @@ def test_grid_stage_ignores_padding(rng):
 
     def run(hv, attn2, mask1d):
         mask2d = np.logical_and(mask1d[:, None], mask1d[None, :])
-        h_s, h_o = project_subject_object(Tensor(hv), p)
-        v = conditional_layer_norm(h_s, h_o, p)
-        c = pair_features(v, attn2, p, gc)
+        v = conditional_layer_norm(project_subject_object(Tensor(hv), p), p)
+        c = pair_features(v, index_features(attn2, p, gc), p)
         return dilated_convolutions(c, mask2d, p, gc).data
 
     small = run(h.data, attn, np.ones(n, dtype=bool))

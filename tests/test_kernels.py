@@ -6,6 +6,8 @@ and for the gradients (dx, dw, db); finite differences check that the
 backward kernel differentiates the forward one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,27 @@ def test_numpy_forward_matches_scalar_reference(case, dilation, dtype):
     assert out.dtype == dtype
     tol = dict(rtol=1e-5, atol=1e-5) if dtype == np.float32 else dict(rtol=1e-12)
     np.testing.assert_allclose(out, scalar_conv(x, w, b, dilation), **tol)
+
+
+@pytest.mark.parametrize("dilation", [5, 6, 10_000_000])
+def test_forward_pads_only_as_far_as_a_real_cell(case, dilation):
+    """At n = 6, dilation 5 leaves every tap one edge strip of real
+    cells, and dilations 6 and 10^7 only the centre tap; taps that read
+    padding alone are skipped, and the padding is not allocated: one
+    n = 6 grid of 64 channels at dilation 10^7 allocates well under 1 MB."""
+    x, w, b, _ = case
+    np.testing.assert_allclose(kernels.conv2d_forward(x, w, b, dilation),
+                               scalar_conv(x, w, b, dilation), rtol=1e-12)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(6, 6, 64)).astype(np.float32)
+    w = rng.normal(size=(3, 3, 64, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        kernels.conv2d_forward(x, w, np.zeros(16, np.float32), dilation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 3])

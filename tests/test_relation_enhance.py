@@ -129,7 +129,10 @@ def test_enhance_round_matches_manual_composition(rng):
     h_o_r = Tensor(rng.normal(size=(4, d)).astype(np.float32))
     h_s0 = Tensor(rng.normal(size=(4, d)).astype(np.float32))
     h_o0 = Tensor(rng.normal(size=(4, d)).astype(np.float32))
-    got_s, got_o = enh.enhance_round(h_s_r, h_o_r, h_s0, h_o0, mask, p, cfg)
+    got_s, got_o = enh.enhance_round(
+        Tensor(np.stack([h_s_r.data, h_o_r.data])), Tensor(np.stack([h_s0.data, h_o0.data])),
+        mask, p, cfg,
+    ).data
 
     def stage(x, kv, name):
         return enh._multi_head_attention(x, kv, mask, p, name, cfg.heads)
@@ -139,10 +142,10 @@ def test_enhance_round_matches_manual_composition(rng):
         return ad.layer_norm(h_r + Tensor(out), p[f"enh.ln_{side}.g"], p[f"enh.ln_{side}.b"])
 
     s_exp = fuse(h_s_r, stage(stage(h_s_r, h_s_r, "self"), h_s0, "cross"), "s")
-    np.testing.assert_allclose(got_s.data, s_exp.data, atol=1e-5)
+    np.testing.assert_allclose(got_s, s_exp.data, atol=1e-5)
 
     o_exp = fuse(h_o_r, stage(stage(h_o_r, h_o_r, "self"), h_o0, "cross"), "o")
-    np.testing.assert_allclose(got_o.data, o_exp.data, atol=1e-5)
+    np.testing.assert_allclose(got_o, o_exp.data, atol=1e-5)
 
 
 class TestRunEnhancement:
@@ -154,25 +157,23 @@ class TestRunEnhancement:
             config = dataclasses.replace(config, rounds=rounds)
         return enh.run_enhancement(h, mask, attn, model.store, model.config.grid, config)
 
-    def grid_pass(self, model, h_s, h_o, attn, mask):
-        """One round's convolved grid Q from its subject/object views."""
+    def grid_pass(self, model, pair, attn, mask):
+        """One round's convolved grid Q from its subject/object pair."""
         gp, gc = model.store, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
-        v = grid_mod.conditional_layer_norm(h_s, h_o, gp)
-        c = grid_mod.pair_features(v, attn, gp, gc)
+        v = grid_mod.conditional_layer_norm(pair, gp)
+        c = grid_mod.pair_features(v, grid_mod.index_features(attn, gp, gc), gp)
         return grid_mod.dilated_convolutions(c, mask2d, gp, gc)
 
     def test_round_loop_matches_manual_replay(self):
         model, h, attn, mask = setup()
         q = self.run(model, h, attn, mask, rounds=2)
 
-        h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
-        tf0 = enh.tag_features(self.grid_pass(model, h_s0, h_o0, attn, mask), model.store)
-        hs_r, ho_r = enh.pool_recover(tf0, mask, model.store)
-        cs, co = enh.enhance_round(
-            hs_r, ho_r, h_s0, h_o0, mask, model.store, model.config.enhance
-        )
-        q_exp = self.grid_pass(model, cs, co, attn, mask)
+        pair0 = grid_mod.project_subject_object(h, model.store)
+        tf0 = enh.tag_features(self.grid_pass(model, pair0, attn, mask), model.store)
+        recovered = enh.pool_recover(tf0, mask, model.store)
+        pair1 = enh.enhance_round(recovered, pair0, mask, model.store, model.config.enhance)
+        q_exp = self.grid_pass(model, pair1, attn, mask)
         np.testing.assert_allclose(q.data, q_exp.data, atol=1e-5)
 
     def test_feedback_changes_later_rounds(self):
@@ -187,10 +188,8 @@ class TestRunEnhancement:
         over the round-0 projections."""
         model, h, attn, mask = setup()
         q = self.run(model, h, attn, mask, rounds=1)
-        h_s0, h_o0 = grid_mod.project_subject_object(h, model.store)
-        np.testing.assert_array_equal(
-            q.data, self.grid_pass(model, h_s0, h_o0, attn, mask).data
-        )
+        pair0 = grid_mod.project_subject_object(h, model.store)
+        np.testing.assert_array_equal(q.data, self.grid_pass(model, pair0, attn, mask).data)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     def test_only_rounds_before_the_last_enhance(self, monkeypatch, rounds):

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import re
+import time
 import zipfile
 from pathlib import Path
 
@@ -582,6 +583,22 @@ def test_sub_batches_reach_the_brute_force_minimum(seed, max_cells):
         groups = [[lengths[k] for k in sub] for sub in subs]
         assert all(len(g) == 1 or len(g) * g[-1] ** 2 <= max_cells for g in groups), groups
         assert sum(split_cost(g) for g in groups) == brute_force_min_cost(sorted(lengths), max_cells)
+
+
+def test_sub_batches_of_very_short_sentences_plan_quickly():
+    lengths = [int(n) for n in np.random.default_rng(0).integers(1, 5, size=20_000)]
+    start = time.perf_counter()
+    subs = training._sub_batches(lengths, MAX_SUB_BATCH_CELLS)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(k for sub in subs for k in sub) == list(range(len(lengths)))
+    assert max(len(sub) for sub in subs) <= training.MAX_SUB_BATCH_SENTENCES
+
+
+def test_sentence_cap_moves_no_split_of_four_or_more_characters(monkeypatch):
+    lengths = [int(n) for n in np.random.default_rng(1).integers(4, 65, size=3_000)]
+    capped = training._sub_batches(lengths, MAX_SUB_BATCH_CELLS)
+    monkeypatch.setattr(training, "MAX_SUB_BATCH_SENTENCES", len(lengths))
+    assert capped == training._sub_batches(lengths, MAX_SUB_BATCH_CELLS)
 
 
 # ----------------------------------------------------------------------
