@@ -21,7 +21,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .decode import brute_force_decode, decode_grid
+from .decode import decode_grid
 from .errors import ConfigError, CorpusError, CrenerError, DivergenceError
 from .model import CrenerModel
 from .training import Adam, Checkpoint, EvalReport, evaluate, evaluate_model, predict, train
@@ -43,7 +43,6 @@ __all__ = [
     "ModelConfig",
     "Sentence",
     "TagVocabulary",
-    "brute_force_decode",
     "build_tag_vocabulary",
     "corpus_stats",
     "decode_grid",

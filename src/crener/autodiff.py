@@ -13,7 +13,7 @@ which saves GELU's derivative rather than its input), `scale_shift`,
 `masked_max` and `dilated_conv_gelu`; so are multi-head `attention` and
 the per-row `normalize` under every layer norm. GELU runs in place over
 cache-sized blocks of its array; its normal CDF is a 7-term tanh form in
-float32 and a 24-term erfc form in float64 (`normal_cdf`).
+float32 and a 24-term erfc form in float64 (`_normal_cdf_into`).
 ``backward()`` releases the tape as it walks it: once a node's closure
 has run, the node drops its gradient, closure and parents, so the arrays
 the closure saved are freed before the walk ends. Leaves keep ``.grad``.
@@ -28,6 +28,8 @@ for an array it has just allocated, or for its own incoming `g` or a view
 of it, provided each region of that memory goes to one parent only and
 the closure reads it no more afterwards. A broadcast view, or a `g` handed
 to two parents (as `add` does), is never owned by more than one of them.
+`getitem` alone writes its parent's ``.grad`` directly, adding `g` into
+the region its index names, which that exclusivity makes safe.
 
 Grad mode: inside ``with no_grad():`` operations record no tape. Each
 result is a plain tensor with no parents, no closure and
@@ -47,7 +49,7 @@ from . import kernels
 
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
-# `normal_cdf`'s float64 polynomial P, highest power of s first. P is the
+# `_normal_cdf_into`'s float64 polynomial P, highest power of s first. P is the
 # Chebyshev series of f(s) = z^2 + ln(erfc(z) / t) on s in (-1, 1], where
 # t = (1 + s) / 2 and z = 2 / t - 2 (Numerical Recipes, 3rd ed., 2007,
 # section 6.2, `erfccheb`), cut to its first 24 terms, rewritten in powers
@@ -67,7 +69,7 @@ _CDF_POLY_F64 = (
     0.04734330684142489, 0.6726432239776583, -1.364941264616636,
 )
 
-# `normal_cdf`'s float32 polynomial R, highest power of s = x^2 first, so
+# `_normal_cdf_into`'s float32 polynomial R, highest power of s = x^2 first, so
 # that Phi(x) = (1 + tanh(x R(s))) / 2. R is a degree-6 fit of
 # atanh(erf(x / sqrt 2)) / x on x in [0, 5.5], weighted by Phi's
 # sensitivity to it, x sech^2(x R) / 2, and made near-minimax by Lawson's
@@ -230,6 +232,10 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
+    # Not iterable: `a, b = t` would otherwise split any tensor whose first
+    # axis is 2 into two `getitem` nodes, through `__getitem__`.
+    __iter__ = None
+
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -294,8 +300,10 @@ def neg(a: Tensor) -> Tensor:
     return Tensor._make(-a.data, (a,), backward)
 
 
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of a float32 or float64 array, in its dtype.
+def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a float32 or float64 array `x`, in its dtype,
+    written into `p` and returned, with `t` (read in float64 only) and `s`
+    as scratch; all three have x's shape and dtype.
 
     float32: Phi(x) = (1 + tanh(x R(min(x^2, 30.25)))) / 2, with R the
     7-term polynomial of `_CDF_POLY_F32`; 18 ufunc passes. Its largest
@@ -308,12 +316,6 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     24-term polynomial of `_CDF_POLY_F64`; 59 passes. Its largest absolute
     error is below 1e-15.
     """
-    return _normal_cdf_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
-
-
-def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """`normal_cdf(x)` written into `p` and returned, with `t` (read in
-    float64 only) and `s` as scratch; all three have x's shape and dtype."""
     if x.dtype == np.float32:
         clip, one, half, poly = _CDF_F32
         np.multiply(x, x, out=s)
@@ -351,7 +353,7 @@ def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray)
 
 
 # Elements per GELU block. A block and its three scratch arrays (4 x 128 KB
-# in float32) should stay in one core's 2 MB L2 cache while `normal_cdf`
+# in float32) should stay in one core's 2 MB L2 cache while `_normal_cdf_into`
 # makes its passes over them. Chosen by long predicts with the erfc form in
 # both dtypes (default config, n in [48, 64], 2-core Xeon, four processes
 # per size, interleaved): p50 read 26.9-29.6 ms in blocks of 32,768
@@ -368,7 +370,7 @@ _GELU_BLOCK = 32_768
 
 def _gelu_in_place(z: np.ndarray, derivative: bool) -> np.ndarray | None:
     """Overwrite the C-contiguous `z` with the exact (erf-based) GELU
-    z * Phi(z), Phi as `normal_cdf` computes it in z's dtype. Returns
+    z * Phi(z), Phi as `_normal_cdf_into` computes it in z's dtype. Returns
     GELU's derivative Phi(z) + z * phi(z) when `derivative`, else None.
 
     Works over `_GELU_BLOCK` elements at a time, so its scratch is three
@@ -504,17 +506,18 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    """a[idx]; the backward scatters with `np.add.at` only for an advanced
-    index, which may repeat an element."""
+    """a[idx] for a basic index (ints, slices, None, Ellipsis), which names
+    each element of `a` at most once; an advanced index raises TypeError."""
+    if not all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
+               for i in (idx if isinstance(idx, tuple) else (idx,))):
+        raise TypeError(f"getitem takes a basic index, got {idx!r}")
 
     def backward(g):
-        gz = np.zeros_like(a.data)
-        if all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
-               for i in (idx if isinstance(idx, tuple) else (idx,))):
-            gz[idx] = g  # a basic index names each element once
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+            a.grad[idx] = g
         else:
-            np.add.at(gz, idx, g)
-        a._accumulate(gz, owned=True)
+            a.grad[idx] += g
 
     return Tensor._make(a.data[idx], (a,), backward)
 

@@ -194,37 +194,6 @@ def config_to_flat(config: ModelConfig) -> dict:
     return flat
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return json.dumps(list(value))
-    if isinstance(value, str):
-        return value
-    return repr(value)
-
-
-def config_to_text(config: ModelConfig) -> str:
-    lines = []
-    last_section = None
-    for key, value in config_to_flat(config).items():
-        section = key.split(".", 1)[0]
-        if section != last_section:
-            if last_section is not None:
-                lines.append("")
-            lines.append(f"# {section}")
-            last_section = section
-        lines.append(f"{key} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def save_config(config: ModelConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(config))
-
-
 def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig:
     config = copy.deepcopy(base) if base is not None else default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):

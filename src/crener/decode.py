@@ -15,15 +15,9 @@ index sequence from head to tail whose consecutive pairs are all links.
 * Discontinuous mode is a path search. From each trigger's head, a
   depth-first search follows links a -> b with b in (a, tail], never
   past the tail; every path that reaches the tail is one mention.
-
-`brute_force_decode` checks the same acceptance rule by plain
-enumeration, reading the cells itself, and exists purely to
-cross-validate both modes.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -73,45 +67,4 @@ def decode_grid(
                     found.add(EntityMention.trusted(path + (b,), etype))
                 else:
                     stack.append(path + (b,))
-    return found
-
-
-def brute_force_decode(
-    grid: np.ndarray,
-    vocab: TagVocabulary,
-    contiguous: bool = True,
-) -> set[EntityMention]:
-    """Enumerate every candidate index sequence and test the tag rule.
-
-    Exponential in grid size; refuses n > 12. Accepts [c_1..c_m] with
-    type y iff THC_y sits at (c_m, c_1) or HTC_y at (c_1, c_m), and every
-    consecutive pair carries NNC/PNC (vacuous for m = 1).
-    """
-    n = grid.shape[0]
-    if n > 12:
-        raise ValueError(f"grid side {n} too large for brute force (max 12)")
-    cells = grid.tolist()
-    nnc, pnc = vocab.nnc_id, vocab.pnc_id
-    typed = [(y, vocab.thc_id(y), vocab.htc_id(y)) for y in vocab.entity_types]
-
-    def candidates():
-        if contiguous:
-            for i in range(n):
-                for j in range(i, n):
-                    yield tuple(range(i, j + 1))
-        else:
-            for m in range(1, n + 1):
-                yield from combinations(range(n), m)
-
-    found: set[EntityMention] = set()
-    for seq in candidates():
-        head, tail = seq[0], seq[-1]
-        triggered = [
-            y for y, thc, htc in typed if cells[tail][head][thc] or cells[head][tail][htc]
-        ]
-        if not triggered:
-            continue
-        if all(cells[a][b][nnc] and cells[b][a][pnc] for a, b in zip(seq, seq[1:])):
-            for y in triggered:
-                found.add(EntityMention(seq, y))
     return found

@@ -356,10 +356,5 @@ class CrenerModel:
             for grid in self._predict_grids(sentences)
         ]
 
-    def predict_grid(self, sentence: Sentence) -> np.ndarray:
-        """Boolean (n, n, |R|) predicted tag grid for one sentence: the
-        batch of one of `predict_batch`'s forward."""
-        return self._predict_grids([sentence])[0]
-
     def predict_sentence(self, sentence: Sentence) -> set[EntityMention]:
         return self.predict_batch([sentence])[0]

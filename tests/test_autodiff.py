@@ -23,6 +23,11 @@ def gelu_ref(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def normal_cdf(x):
+    """`ad._normal_cdf_into` with freshly allocated scratch and output."""
+    return ad._normal_cdf_into(x, np.empty_like(x), np.empty_like(x), np.empty_like(x))
+
+
 def square(t):
     return t * t
 
@@ -86,12 +91,12 @@ class TestElementwise:
         # Both tails, where erfc underflows, and the sign change at 0.
         x = np.linspace(-10.0, 10.0, 400_001).astype(dtype)
         expected = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
-        assert np.abs(ad.normal_cdf(x) - expected).max() <= bound
+        assert np.abs(normal_cdf(x) - expected).max() <= bound
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_normal_cdf_keeps_dtype_and_limits(self, dtype):
         x = np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan], dtype=dtype)
-        cdf = ad.normal_cdf(x)
+        cdf = normal_cdf(x)
         assert cdf.dtype == dtype
         np.testing.assert_allclose(cdf, [0.0, 0.0, 0.5, 1.0, 1.0, np.nan], atol=3e-7)
         one, zero = Tensor(np.ones((1, 1), dtype=dtype)), Tensor(np.zeros(1, dtype=dtype))
@@ -123,7 +128,7 @@ class TestElementwise:
         block = ad._GELU_BLOCK
         n = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+3": 2 * block + 3}[size]
         z = (rng.normal(size=(1, n, 1)) * 4.0).astype(dtype)
-        cdf = ad.normal_cdf(z)
+        cdf = normal_cdf(z)
         expected_d = np.exp(z * -0.5 * z) * ad._INV_SQRT2PI * z + cdf
         expected = z * cdf
         d = ad._gelu_in_place(z, derivative)
@@ -170,10 +175,18 @@ class TestShape:
 
     def test_getitem_slice_and_fancy(self, rng):
         a = rng.normal(size=(5, 4))
-        fd_check(
-            lambda x: square(x[1:3]).sum() + cube(x[np.array([0, 0, 2])]).sum(),
-            [a],
-        )
+        fd_check(lambda x: square(x[1:3]).sum(), [a])
+        # Overlapping basic indexes of one parent: their gradients sum.
+        fd_check(lambda x: square(x[1:4]).sum() + cube(x[2:, None, ..., 1:]).sum()
+                 + cube(x[1]).sum(), [a])
+        # An advanced index is refused; `embedding` is the gather op.
+        with pytest.raises(TypeError, match="basic index"):
+            Tensor(a, requires_grad=True)[np.array([0, 0, 2])]
+
+    def test_tensor_is_not_iterable(self):
+        t = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        with pytest.raises(TypeError):
+            a, b = t
 
     def test_concat(self, rng):
         a = rng.normal(size=(3, 2))
@@ -202,25 +215,28 @@ class TestReductions:
         wr, wc = Tensor(wr), Tensor(wc)
 
         def fn(x):
-            rows, cols = ad.masked_max(x, mask, -1e9)
+            pooled = ad.masked_max(x, mask, -1e9)
+            rows, cols = pooled[0], pooled[1]
             return (rows * wr).sum() + (cols * wc).sum()
 
         fd_check(fn, [a])
-        rows, cols = ad.masked_max(Tensor(a), mask, -1e9)
+        pooled = ad.masked_max(Tensor(a), mask, -1e9)
+        rows, cols = pooled[0], pooled[1]
         filled = np.where(mask[..., None], a, -np.inf)
         np.testing.assert_array_equal(rows.data[:, :3], filled.max(axis=-2)[:, :3])
         np.testing.assert_array_equal(cols.data[0], filled[0].max(axis=-3))
 
     def test_max_splits_ties_evenly(self):
         a = Tensor(np.array([[[1.0], [3.0]], [[3.0], [0.0]]]), requires_grad=True)
-        rows, cols = ad.masked_max(a, np.ones((2, 2), dtype=bool), -1e9)
+        pooled = ad.masked_max(a, np.ones((2, 2), dtype=bool), -1e9)
+        rows, cols = pooled[0], pooled[1]
         np.testing.assert_array_equal(rows.data, [[3.0], [3.0]])
         np.testing.assert_array_equal(cols.data, [[3.0], [3.0]])
         (rows.sum() + cols.sum()).backward()
         # Each 3.0 wins one row and one column and takes both gradients.
         np.testing.assert_allclose(a.grad[..., 0], [[0.0, 2.0], [2.0, 0.0]])
         b = Tensor(np.array([[[3.0], [3.0]], [[0.0], [3.0]]]), requires_grad=True)
-        rows, _ = ad.masked_max(b, np.ones((2, 2), dtype=bool), -1e9)
+        rows = ad.masked_max(b, np.ones((2, 2), dtype=bool), -1e9)[0]
         rows.sum().backward()  # row 0 ties
         np.testing.assert_allclose(b.grad[..., 0], [[0.5, 0.5], [0.0, 1.0]])
 
@@ -230,7 +246,8 @@ class TestReductions:
         mask[:2, :2] = True
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows, cols = ad.masked_max(a, mask, -1e9)
+            pooled = ad.masked_max(a, mask, -1e9)
+            rows, cols = pooled[0], pooled[1]
             (rows.sum() + cols.sum()).backward()
         np.testing.assert_array_equal(rows.data[2], [-1e9, -1e9])
         np.testing.assert_array_equal(cols.data[2], [-1e9, -1e9])

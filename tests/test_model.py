@@ -364,13 +364,13 @@ class TestTapeFreePrediction:
             fused, mask2d = model.forward(ids, mask, vectors)
             assert fused.requires_grad  # the reference keeps its tape
             expected = pred_mod.predict_cells(fused, mask2d, s0=cfg.predictor.threshold)
-            got = model.predict_grid(s)
+            got = model._predict_grids([s])[0]
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
 
     def test_predict_grid_records_no_tape(self, made_tensors):
         model, sents = small_model()
-        model.predict_grid(sents[0])
+        model.predict_sentence(sents[0])
         assert len(made_tensors) > 100
         for t in made_tensors:
             assert t._parents == () and t._backward is None and not t.requires_grad

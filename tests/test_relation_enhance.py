@@ -61,7 +61,8 @@ class TestPoolRecover:
         p = {name: t.data for name, t in model.store.items()}
         d4 = 4 * model.config.enhance.d_r
         tf = Tensor(rng.normal(size=(4, 4, d4)).astype(np.float32))
-        h_s, h_o = enh.pool_recover(tf, mask, model.store)
+        h = enh.pool_recover(tf, mask, model.store)
+        h_s, h_o = h[0], h[1]
         np.testing.assert_allclose(
             h_s.data,
             gelu_ref(tf.data.max(axis=1) @ p["enh.pool_s.w"] + p["enh.pool_s.b"]),
@@ -79,11 +80,13 @@ class TestPoolRecover:
         d4 = 4 * model.config.enhance.d_r
         mask = np.array([True, True, True, False, False])
         tf = rng.normal(size=(5, 5, d4)).astype(np.float32)
-        base_s, base_o = enh.pool_recover(Tensor(tf.copy()), mask, p)
+        base = enh.pool_recover(Tensor(tf.copy()), mask, p)
+        base_s, base_o = base[0], base[1]
         spiked = tf.copy()
         spiked[3:, :, :] = 1e6  # masked rows
         spiked[:, 3:, :] = 1e6  # masked columns
-        got_s, got_o = enh.pool_recover(Tensor(spiked), mask, p)
+        got = enh.pool_recover(Tensor(spiked), mask, p)
+        got_s, got_o = got[0], got[1]
         np.testing.assert_array_equal(got_s.data, base_s.data)
         np.testing.assert_array_equal(got_o.data, base_o.data)
         np.testing.assert_array_equal(got_s.data[3:], 0.0)
