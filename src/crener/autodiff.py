@@ -9,9 +9,10 @@ runs in float32 (training default) and float64 (gradient-check mode).
 Operations accept any number of leading (batch) axes. Each op keeps only
 what its backward reads. The grid-sized stages are single fused ops with
 one output array each: `linear` (affine map, optionally followed by GELU,
-which saves GELU's derivative rather than its input), `scale_shift`,
-`masked_max` and `dilated_conv_gelu`; so are multi-head `attention` and
-the per-row `normalize` under every layer norm. GELU runs in place over
+which saves GELU's derivative rather than its input), `layer_norm` (CLN's
+included), `masked_max` and `dilated_conv_gelu`; so are multi-head
+`attention`, every other layer norm, and the per-cell `threshold_loss`
+that training sums. GELU runs in place over
 cache-sized blocks of its array; its normal CDF is a 7-term tanh form in
 float32 and a 24-term erfc form in float64 (`_normal_cdf_into`).
 ``backward()`` releases the tape as it walks it: once a node's closure
@@ -223,9 +224,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, self._coerce(other))
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, self._coerce(other))
 
@@ -291,13 +289,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(-g, owned=True)
-
-    return Tensor._make(-a.data, (a,), backward)
 
 
 def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -623,70 +614,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(table.data[ids], (table,), backward)
 
 
-def logsumexp(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Stable log-sum-exp over `axis` of the entries where the boolean
-    `mask`, broadcastable to `a`, holds.
-
-    Every reduced slice must contain at least one valid entry.
-    """
-    x = a.data
-    valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    neg = np.where(valid, x, -np.inf)
-    m = neg.max(axis=axis, keepdims=True)
-    e = np.exp(np.where(valid, x - m, -np.inf))
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(s), axis=axis)
-    weights = e / s
-
-    def backward(g):
-        a._accumulate(np.expand_dims(g, axis) * weights, owned=True)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def scale_shift(a: Tensor, b: Tensor | tuple, shift: Tensor | tuple) -> Tensor:
-    """a * b + shift with numpy broadcasting, as one output array; `shift`
-    must broadcast to the shape of a * b.
-
-    `b` and `shift` may instead be equal-length tuples of k (d,) gains and
-    biases, one per view along a's leading axis of k: view i is scaled by
-    b[i] and shifted by shift[i]. Each gain and bias gets its own slice of
-    the gradient, so k views cost one tape node.
-    """
-    views = isinstance(b, tuple)
-    if views:
-        per_view = (len(b),) + (1,) * (a.data.ndim - 2) + (-1,)
-        b_data = np.array([t.data for t in b]).reshape(per_view)
-        shift_data = np.array([t.data for t in shift]).reshape(per_view)
-        parents = (a, *b, *shift)
-    else:
-        b_data, shift_data, parents = b.data, shift.data, (a, b, shift)
-    out_data = a.data * b_data
-    out_data += shift_data
-
-    def hand(params, grad) -> None:  # a (k, 1, ..., d) gradient, one slice per view
-        for t, gt in zip(params, grad):
-            t._accumulate(gt.reshape(t.data.shape))
-
-    def backward(g):
-        # A strided g (the CLN grid's slice of `pair_features`' concat
-        # gradient) is read three times below; one copy makes each read
-        # contiguous. The sums and products keep their bits.
-        g = np.ascontiguousarray(g)
-        if views:
-            hand(shift, _unbroadcast(g, shift_data.shape))
-        elif shift.requires_grad:
-            shift._accumulate(_unbroadcast(g, shift.data.shape))
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b_data, a.data.shape), owned=True)
-        if views:
-            hand(b, _unbroadcast(g * a.data, b_data.shape))
-        elif b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
-
-    return Tensor._make(out_data, parents, backward)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
               scale: float, score_bias: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention of (..., n, d) queries over (..., m, d) keys
@@ -794,27 +721,90 @@ def dilated_conv_gelu(
     return Tensor._make(out_data, parents, backward)
 
 
-def normalize(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """y = (x - mean) / sqrt(var + eps) over the last axis; a constant row
-    maps to zeros. The backward is the closed form (Ba et al., 2016)
-    dx = (g - mean(g) - y * mean(g * y)) / sqrt(var + eps).
+def layer_norm(x: Tensor, gain: Tensor | tuple, bias: Tensor | tuple, eps: float = 1e-5) -> Tensor:
+    """gain * y + bias for y = (x - mean) / sqrt(var + eps) over the last
+    axis, as one output array; a constant row normalizes to zeros. `gain`
+    and `bias` broadcast against y: (d,) parameters, or CLN's (..., n, 1, d)
+    per-row gains and biases over (..., 1, n, d) object rows. They may
+    instead be equal-length tuples of k (d,) parameters, one per view along
+    x's leading axis of k, each handed its own slice of the gradient.
+
+    The backward keeps y and 1 / sqrt(var + eps) and takes the closed form
+    (Ba et al., 2016) dx = (dy - mean(dy) - y * mean(dy * y)) / sqrt(var + eps),
+    where dy = gain * g is y's gradient.
     """
-    out_data = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = ((out_data * out_data).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    out_data *= inv_std
+    views = isinstance(gain, tuple)
+    if views:
+        gains, biases = gain, bias
+        per_view = (len(gain),) + (1,) * (x.data.ndim - 2) + (-1,)
+        gain_data, bias_data = (np.array([t.data for t in ts]).reshape(per_view)
+                                for ts in (gain, bias))
+    else:
+        gains, biases = (gain,), (bias,)
+        gain_data, bias_data = gain.data, bias.data
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = ((normed * normed).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normed *= inv_std
+    out_data = gain_data * normed
+    out_data += bias_data
+
+    def hand(params, grad, owned=False) -> None:  # one slice of grad per view
+        for t, gt in zip(params, grad if views else (grad,)):
+            t._accumulate(gt.reshape(t.data.shape), owned)
 
     def backward(g):
-        dx = g - g.mean(axis=-1, keepdims=True)
-        dx -= out_data * (g * out_data).mean(axis=-1, keepdims=True)
-        dx *= inv_std
-        x._accumulate(dx, owned=True)
+        # A strided g (the CLN grid's slice of `pair_features`' concat
+        # gradient) is read three times below; one copy makes each read
+        # contiguous. The sums and products keep their bits.
+        g = np.ascontiguousarray(g)
+        hand(biases, _unbroadcast(g, bias_data.shape))
+        if x.requires_grad:
+            dy = _unbroadcast(g * gain_data, normed.shape)
+            dx = dy - dy.mean(axis=-1, keepdims=True)
+            dx -= normed * (dy * normed).mean(axis=-1, keepdims=True)
+            dx *= inv_std
+            x._accumulate(dx, owned=True)
+        hand(gains, _unbroadcast(g * normed, gain_data.shape), owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(out_data, (x, *gains, *biases), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer norm over the last axis with learnable gain/bias."""
-    return scale_shift(normalize(x, eps), gain, bias)
+def threshold_loss(scores: Tensor, gold: np.ndarray, cells: np.ndarray, s0: float) -> Tensor:
+    """The (..., n, n) per-cell loss of (..., n, n, |R|) scores against the
+    boolean `gold` tags, as one op: log(e^{-s0} + sum_pos e^{-s}) +
+    log(e^{s0} + sum_neg e^{s}) in each cell of the boolean `cells`, and 0
+    elsewhere. pos are the cell's gold tags and neg the rest.
+
+    Each term is a stable log-sum-exp over the scores with the threshold
+    prepended as a constant entry, so no sum is empty. A score outside a
+    term is dropped before the exponential, so any finite value there adds
+    nothing. The backward keeps the two terms' softmax weights over the
+    scores: a cell's gradient is its neg weights less its pos weights.
+    """
+    keep = cells.astype(scores.dtype)
+    pos = gold & cells[..., None]
+    ones = np.ones(cells.shape + (1,), dtype=bool)
+    with_thr = np.concatenate([np.full(cells.shape + (1,), s0, dtype=scores.dtype), scores.data],
+                              axis=-1)
+
+    def log_sum_exp(x, valid):  # and the softmax weights of x's score columns
+        valid = np.concatenate([ones, valid], axis=-1)
+        m = np.where(valid, x, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(valid, x - m, -np.inf))
+        total = e.sum(axis=-1, keepdims=True)
+        return np.squeeze(m + np.log(total), axis=-1), (e / total)[..., 1:]
+
+    pos_term, pos_weights = log_sum_exp(-with_thr, pos)
+    neg_term, neg_weights = log_sum_exp(with_thr, ~pos & cells[..., None])
+    out_data = (pos_term + neg_term) * keep
+
+    def backward(g):
+        gk = (g * keep)[..., None]
+        grad = gk * neg_weights
+        grad -= gk * pos_weights
+        scores._accumulate(grad, owned=True)
+
+    return Tensor._make(out_data, (scores,), backward)
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,13 @@ scores over the final round's tag features, summed per cell. Each head reads
 its weights from the `ParamStore` by name (`pred.subj.*`, `pred.obj.*`,
 `pred.biaffine.*`; `pred.mlp.*`); an ablated head has none there.
 
-A cell carries every tag scoring above a fixed threshold s0, and the
-matching loss drives every gold-tag score above s0 and every other score
-below it. A cell may carry several tags: a 2-character mention needs NNC
-and HTC_y in one cell, so no choice of one tag per cell decodes it.
+The MLP head reads the tag map that the forward builds once
+(`relation_enhance.tag_affine`). A cell carries every tag scoring above
+a fixed threshold s0, and the matching loss, one
+`autodiff.threshold_loss` op, drives every gold-tag score above s0 and
+every other score below it. A cell may carry several tags: a 2-character
+mention needs NNC and HTC_y in one cell, so no choice of one tag per
+cell decodes it.
 Prediction returns the boolean (n, n, |R|) grid that the decoder reads
 and the gold codec writes. Scores, grids and the loss also take leading
 batch axes: (..., n, n, |R|) with (..., n, n) masks.
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import relation_enhance as enh_mod
 from .autodiff import ParamStore, Tensor
 from .errors import ConfigError
 
@@ -62,18 +64,17 @@ def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
     return bilinear + linear + store["pred.biaffine.b"]
 
 
-def mlp_scores(q: Tensor, store: ParamStore) -> Tensor:
+def mlp_scores(q: Tensor, store: ParamStore, tag_map: tuple[Tensor, Tensor]) -> Tensor:
     """y''[i, j] = affine(GELU(affine(TF[i, j]))), width |R|, from the final
     round's convolved grid Q, where TF = Q W_tag + b_tag are its tag
-    features (`relation_enhance.tag_affine`).
+    features by the forward's tag map (W_tag, b_tag).
 
     Nothing lies between the tag-feature map and the first layer, so they
-    run as one map of Q: W = W_tag W1 and b = b_tag W1 + b1, recomputed from
-    the stored weights on every call, which the gradients reach through
-    these small products. The (..., n, n, 4*d_r) tag-feature grid is never
-    built.
+    run as one map of Q: W = W_tag W1 and b = b_tag W1 + b1, recomputed on
+    every call, which the gradients reach through these small products.
+    The (..., n, n, 4*d_r) tag-feature grid is never built.
     """
-    w_tag, b_tag = enh_mod.tag_affine(store)
+    w_tag, b_tag = tag_map
     w1 = store["pred.mlp.w1"]
     hidden = ad.linear(q, w_tag @ w1, ad.linear(b_tag, w1, store["pred.mlp.b1"]), gelu=True)
     return ad.linear(hidden, store["pred.mlp.w2"], store["pred.mlp.b2"])
@@ -103,20 +104,8 @@ def multi_tag_loss(
 ) -> Tensor:
     """Per cell: log(e^{-s0} + sum_pos e^{-s}) + log(e^{s0} + sum_neg e^{s}).
 
-    Every gold tag is pushed above s0 and every other tag below it.
-    Implemented as two masked log-sum-exps over one array, the scores with
-    the threshold prepended as a constant column, and its negation.
-    The loss is the sum over unmasked cells.
+    Every gold tag is pushed above s0 and every other tag below it. The
+    per-cell loss is one `autodiff.threshold_loss` op, and the loss is its
+    sum over unmasked cells.
     """
-    cells = fused.shape[:-1]
-    pos = gold & mask2d[..., None]
-    neg = ~pos & mask2d[..., None]
-
-    ones = np.ones(cells + (1,), dtype=bool)
-    thr = Tensor(np.full(cells + (1,), s0, dtype=fused.dtype))
-    scores = ad.concat([thr, fused], axis=-1)
-
-    pos_term = ad.logsumexp(-scores, mask=np.concatenate([ones, pos], axis=-1))
-    neg_term = ad.logsumexp(scores, mask=np.concatenate([ones, neg], axis=-1))
-    per_cell = (pos_term + neg_term) * mask2d.astype(fused.dtype)
-    return per_cell.sum()
+    return ad.threshold_loss(fused, gold, mask2d, s0).sum()

@@ -449,6 +449,8 @@ def generate_synthetic_corpus(
     generator in the state, of one scalar draw per character. Mentions
     are built with `EntityMention.trusted`: their indices are strictly
     increasing by construction, and every type is checked once here.
+    Sentence i is named `syn-<seed>-<i, five digits>`, so corpora drawn
+    with different seeds share no id and one vector sidecar can cover them.
     """
     if count < 0 or max_len < 1 or min_len < 1 or min_len > max_len:
         raise ValueError("count >= 0 and 1 <= min_len <= max_len required")
@@ -507,5 +509,5 @@ def generate_synthetic_corpus(
                     entities.append(EntityMention.trusted((a, a + 2), etype))
 
         entities.sort(key=lambda e: (e.indices, e.type))
-        sentences.append(Sentence(f"syn-{si:05d}", chars, entities))
+        sentences.append(Sentence(f"syn-{seed}-{si:05d}", chars, entities))
     return sentences

@@ -2,9 +2,10 @@
 
 Subject/object projections of the encoder output feed a conditional
 layer normalization: the subject vector generates per-row gain and bias
-applied to the normalized object vector, giving V[i, j]. The two views
-travel as one stacked (2, ..., n, d_h) pair, [0] the subject and [1] the
-object, so each pair of per-view weights is one op. Each cell is then
+applied to the normalized object vector, giving V[i, j], in one
+`autodiff.layer_norm` op. The two views travel as one stacked
+(2, ..., n, d_h) pair, [0] the subject and [1] the object, so each pair
+of per-view weights is one op. Each cell is then
 concatenated with three index embeddings (signed-log distance bucket,
 triangle region, bucketed encoder attention weight), reduced by an MLP,
 and run through parallel dilated convolutions whose outputs are
@@ -73,14 +74,14 @@ def conditional_layer_norm(pair: Tensor, store: ParamStore, eps: float = 1e-5) -
 
     Normalization is over the feature axis of the object vector;
     sqrt(var + eps) keeps constant vectors finite. Gain and bias, both
-    affine maps of h_s, are one op.
+    affine maps of h_s, are one op; the layer norm that broadcasts them
+    over the object rows is another.
     """
     gain_bias = ad.linear(  # (2, ..., n, 1, d): the gain, then the bias
         pair[:1, ..., None, :], (store["grid.cln.gain_w"], store["grid.cln.bias_w"]),
         (store["grid.cln.gain_b"], store["grid.cln.bias_b"]),
     )
-    normed = ad.normalize(pair[1, ..., None, :, :], eps)  # (..., 1, n, d)
-    return ad.scale_shift(gain_bias[0], normed, gain_bias[1])
+    return ad.layer_norm(pair[1, ..., None, :, :], gain_bias[0], gain_bias[1], eps)
 
 
 def pair_mask(mask: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ weights from the `ParamStore` by their checkpoint names and runs what
 it finds there.
 
 The forward pass takes (..., n) character ids and validity masks with any
-number of leading batch axes. `batch_loss` and `predict_batch` pad a
-list of sentences to the longest one and run them as one (B, n) batch;
+number of leading batch axes. With the MLP head, it builds the tag map
+(`relation_enhance.tag_affine`) once and hands it to the enhancement
+rounds and the head. `batch_loss` and `predict_batch` pad a list of
+sentences to the longest one and run them as one (B, n) batch;
 the one-sentence loss and the one-sentence prediction are each the
 batch of one. Prediction runs tape-free: `predict_batch` enters
 `autodiff.no_grad()` around the same forward, so it records no tape and
@@ -270,11 +272,14 @@ class CrenerModel:
             char_ids, mask, store, self.config.encoder, context_vectors=context_vectors,
             use_scaling=self.config.ablations.use_scaling_factor, dropout=dropout,
         )
-        q = None if "pred.mlp.w1" not in store else enh_mod.run_enhancement(
-            h, mask, attn, store, self.config.grid, self.config.enhance
-        )
+        y_mlp = None
+        if "pred.mlp.w1" in store:
+            tag_map = enh_mod.tag_affine(store)
+            q = enh_mod.run_enhancement(
+                h, mask, attn, store, self.config.grid, self.config.enhance, tag_map
+            )
+            y_mlp = pred_mod.mlp_scores(q, store, tag_map)
         y_bi = None if "pred.subj.w" not in store else pred_mod.biaffine_scores(h, store)
-        y_mlp = None if q is None else pred_mod.mlp_scores(q, store)
         fused = pred_mod.fuse_scores(y_bi, y_mlp)
         if not np.isfinite(fused.data).all():
             finite = np.isfinite(fused.data).reshape(fused.shape[:-3] + (-1,)).all(axis=-1)

@@ -13,11 +13,13 @@ The subject and object views run as one stream: a (2, ..., n, d_h)
 pair, [0] the subject and [1] the object (see `grid`). The two views
 share the self- and cross-attention weights, so each attention runs once
 over both, and each per-view weight pair (`enh.pool_s`/`pool_o`,
-`enh.out_s`/`out_o`, `enh.ln_s`/`ln_o`) is one op. The final round's
-tag features feed only the MLP predictor's first affine map, with
-nothing in between, so that round stops at its convolved grid and
-`co_predictor.mlp_scores` applies the two maps as one (see
-`tag_affine`). With one round (`enhance.rounds = 1`, the
+`enh.out_s`/`out_o`, and the residual `layer_norm`'s `enh.ln_s`/`ln_o`)
+is one op. The forward concatenates the four tag-group maps into one tag
+map (`tag_affine`) once and hands it to every round and to the MLP
+predictor. The final round's tag features feed only that predictor's
+first affine map, with nothing in between, so that round stops at its
+convolved grid and `co_predictor.mlp_scores` applies the two maps as
+one. With one round (`enhance.rounds = 1`, the
 no-enhancement ablation) the grid is built once, nothing is enhanced,
 and the pool, attention and fuse weights (`enh.pool_*`, `enh.self.*`,
 `enh.cross.*`, `enh.out_*`, `enh.ln_*`) are not in the store.
@@ -60,18 +62,19 @@ class EnhanceConfig:
 
 
 def tag_affine(store: ParamStore) -> tuple[Tensor, Tensor]:
-    """The four tag-group affine maps side by side, in the order NNC, PNC,
-    HTC, THC: a (c, 4*d_r) weight and a (4*d_r,) bias."""
+    """The tag map: the four tag-group affine maps side by side, in the
+    order NNC, PNC, HTC, THC, as a (c, 4*d_r) weight and a (4*d_r,) bias.
+    A forward builds it once and hands it to every stage that reads it."""
     w = ad.concat([store[f"enh.tag_{group}.w"] for group in TAG_GROUPS])
     b = ad.concat([store[f"enh.tag_{group}.b"] for group in TAG_GROUPS])
     return w, b
 
 
-def tag_features(q: Tensor, store: ParamStore) -> Tensor:
+def tag_features(q: Tensor, tag_map: tuple[Tensor, Tensor]) -> Tensor:
     """The four tag-group affine maps of the grid, concatenated in the order
-    NNC, PNC, HTC, THC: (..., n, n, 4*d_r), as one `linear` by `tag_affine`.
+    NNC, PNC, HTC, THC: (..., n, n, 4*d_r), as one `linear` by the tag map.
     """
-    return ad.linear(q, *tag_affine(store))
+    return ad.linear(q, *tag_map)
 
 
 def pool_recover(tf: Tensor, mask: np.ndarray, store: ParamStore) -> Tensor:
@@ -129,6 +132,7 @@ def run_enhancement(
     store: ParamStore,
     grid_config: grid_mod.GridConfig,
     enhance_config: EnhanceConfig,
+    tag_map: tuple[Tensor, Tensor],
 ) -> Tensor:
     """Run the grid + enhancement loop; returns the final round's convolved
     grid Q, (..., n, n, c).
@@ -141,8 +145,9 @@ def run_enhancement(
     refined pair to the next round. So the `enh.*` pool, attention
     and fuse weights are read only with two rounds or more, and each stage
     skips what the store lacks: no `grid.conv{d}.*` kernel, no
-    convolution. The last round's tag features are left to
-    `co_predictor.mlp_scores`, which folds them into its first layer.
+    convolution. Tag features are one `linear` by `tag_map`, the
+    `tag_affine` pair that the forward built. The last round's are left
+    to `co_predictor.mlp_scores`, which folds them into its first layer.
 
     Each grid is referenced only by the stage that reads it, so a
     tape-free forward frees it as soon as that stage returns.
@@ -157,6 +162,6 @@ def run_enhancement(
     pair0 = grid_mod.project_subject_object(h, store)
     pair = pair0
     for _ in range(enhance_config.rounds - 1):
-        recovered = pool_recover(tag_features(conv_grid(pair), store), mask, store)
+        recovered = pool_recover(tag_features(conv_grid(pair), tag_map), mask, store)
         pair = enhance_round(recovered, pair0, mask, store, enhance_config)
     return conv_grid(pair)

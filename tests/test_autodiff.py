@@ -70,11 +70,11 @@ class TestElementwise:
     def test_sub_mul(self, rng):
         a = rng.normal(size=(2, 5))
         b = rng.normal(size=(2, 5)) + 3.0
-        fd_check(lambda x, y: ((x + -y) * x * y).sum(), [a, b])
+        fd_check(lambda x, y: ((x + y * -1.0) * x * y).sum(), [a, b])
 
     def test_scalar_coercion_preserves_dtype(self):
         t = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-        out = -((t * 2.0 + 1.0) * 0.25) + 0.5
+        out = (t * 2.0 + 1.0) * -0.25 + 0.5
         assert out.data.dtype == np.float32
 
     def test_gelu_matches_erf_form(self, rng):
@@ -311,39 +311,75 @@ class TestFusedOps:
         np.testing.assert_array_equal(out.data[2], 0.0)
         fd_check(lambda *t: (ad.attention(*t, mask, 2, 0.7)[0] * w_out).sum(), [q, k, v])
 
-    def test_normalize_value_and_gradient(self, rng):
+    def test_layer_norm_value_and_gradient(self, rng):
         x = rng.normal(size=(4, 8)) * 3 + 1
         x[2] = 0.75  # a constant row normalizes to zeros, with a finite gradient
-        out = ad.normalize(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out[[0, 1, 3]].var(axis=-1), 1.0, rtol=1e-4)
-        np.testing.assert_array_equal(out[2], 0.0)
+        g, b = rng.normal(size=(8,)), rng.normal(size=(8,))
+        out = ad.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+        normed = (out - b) / g
+        np.testing.assert_allclose(normed.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(normed[[0, 1, 3]].var(axis=-1), 1.0, rtol=1e-4)
+        np.testing.assert_array_equal(out[2], b)
         w1, w2 = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
 
-        def loss(t, rows=slice(None)):
-            y = ad.normalize(t)
+        def loss(t, gg, bb, rows=slice(None)):
+            y = ad.layer_norm(t, gg, bb)
             return (y * Tensor(w1[rows]) + square(y) * Tensor(w2[rows])).sum()
 
-        fd_check(loss, [x])
-        fd_check(lambda t: loss(t, slice(2, 3)), [x[2:3]])  # the constant row alone
+        fd_check(loss, [x, g, b])
+        fd_check(lambda t, gg, bb: loss(t, gg, bb, slice(2, 3)), [x[2:3], g, b])  # the constant row
 
-    def test_logsumexp_value_and_gradient(self, rng):
-        x = rng.normal(size=(4, 7)) * 3
-        mask = rng.random((4, 7)) > 0.3
-        mask[:, 0] = True
-        out = ad.logsumexp(Tensor(x), mask=mask)
-        expected = np.log(np.where(mask, np.exp(x - x.max()), 0).sum(axis=-1)) + x.max()
-        np.testing.assert_allclose(out.data, expected, rtol=1e-10)
-        fd_check(lambda t: ad.logsumexp(t, mask=mask).sum(), [x])
+    def test_threshold_loss_value(self, rng):
+        # Two sentences' 3 x 3 grids of 5 tags, the second padded to 2
+        # characters; scores in masked cells are never read.
+        scores = rng.normal(size=(2, 3, 3, 5)) * 3
+        gold = rng.random((2, 3, 3, 5)) > 0.6
+        cells = np.ones((2, 3, 3), dtype=bool)
+        cells[1, 2, :] = cells[1, :, 2] = False
+        for s0 in (0.0, -0.7):
+            out = ad.threshold_loss(Tensor(scores), gold, cells, s0).data
+            assert out.shape == cells.shape
+            for idx in np.ndindex(cells.shape):
+                s, pos = scores[idx], gold[idx]
+                expected = (np.log(np.exp(-s0) + np.exp(-s[pos]).sum())
+                            + np.log(np.exp(s0) + np.exp(s[~pos]).sum())) if cells[idx] else 0.0
+                np.testing.assert_allclose(out[idx], expected, rtol=1e-12, err_msg=str(idx))
+
+    def test_threshold_loss_gradient(self, rng):
+        scores = rng.normal(size=(2, 3, 3, 4))
+        gold = rng.random((2, 3, 3, 4)) > 0.5
+        cells = np.ones((2, 3, 3), dtype=bool)
+        cells[1, 2, :] = cells[1, :, 2] = False
+        w = rng.normal(size=(2, 3, 3))
+        # A cell with no gold tag beside one whose every tag is gold; `fd_check`
+        # checks 6 entries, so here it checks all of them.
+        edge = rng.normal(size=(1, 1, 2, 3))
+        edge_gold = np.array([False, True])[None, None, :, None].repeat(3, axis=-1)
+        edge_cells = np.ones((1, 1, 2), dtype=bool)
+        for s0 in (0.0, 0.4):
+            fd_check(lambda t: (ad.threshold_loss(t, gold, cells, s0) * w).sum(), [scores])
+            fd_check(lambda t: (ad.threshold_loss(t, edge_gold, edge_cells, s0)
+                                * w[0, 0, :2]).sum(), [edge])
 
     def test_masked_entries_may_hold_extreme_values(self):
-        # A masked score of +-1e9 must not poison the reduction: mask
-        # first, exponentiate after.
-        x = np.array([[0.0, 1e9, -1e9, 2.0]])
-        mask = np.array([[True, False, False, True]])
-        lse = ad.logsumexp(Tensor(x), mask=mask)
-        np.testing.assert_allclose(lse.data, np.logaddexp(0.0, 2.0), rtol=1e-12)
-        sm = self.softmax_of(Tensor(x), mask[0])
+        # Scores of +-1e30 in masked cells, or masked keys, must not poison
+        # the loss, its gradient or a softmax: mask first, exponentiate after.
+        scores = np.zeros((1, 2, 2, 3))
+        scores[0, 1] = [[1e30, -1e30, 1e30], [-1e30, 1e30, -1e30]]
+        cells = np.array([[[True, True], [False, False]]])
+        gold = np.zeros((1, 2, 2, 3), dtype=bool)
+        gold[0, 0, 1, 0] = True
+        t = Tensor(scores, requires_grad=True)
+        loss = ad.threshold_loss(t, gold, cells, 0.0)
+        loss.sum().backward()
+        assert np.isfinite(loss.data).all() and np.isfinite(t.grad).all()
+        np.testing.assert_array_equal(loss.data[0, 1], 0.0)
+        np.testing.assert_array_equal(t.grad[0, 1], 0.0)
+        np.testing.assert_allclose(loss.data[0, 0], [np.log(4.0), np.log(2.0) + np.log(3.0)],
+                                   rtol=1e-12)
+        x = np.array([[0.0, 1e30, -1e30, 2.0]])
+        mask = np.array([True, False, False, True])
+        sm = self.softmax_of(Tensor(x), mask)
         assert np.isfinite(sm.data).all()
         np.testing.assert_array_equal(sm.data[0, 1:3], 0.0)
         np.testing.assert_allclose(sm.data.sum(), 1.0, rtol=1e-12)
@@ -395,13 +431,25 @@ class TestFusedOps:
         np.testing.assert_array_equal(out.data, x @ w + b)
         fd_check(lambda t, ww, bb: square(ad.linear(t, ww, bb)).sum(), [x, w, b])
 
-    def test_scale_shift_gradient(self, rng):
-        # CLN's shapes: per-row gain and bias times a per-column vector.
-        a, b = rng.normal(size=(2, 3, 1, 4)), rng.normal(size=(2, 1, 3, 4))
-        c = rng.normal(size=(2, 3, 1, 4))
-        out = ad.scale_shift(Tensor(a), Tensor(b), Tensor(c))
-        np.testing.assert_array_equal(out.data, a * b + c)
-        fd_check(lambda x, y, z: square(ad.scale_shift(x, y, z)).sum(), [a, b, c])
+    def test_layer_norm_broadcast_and_view_gradients(self, rng):
+        # CLN's shapes: per-row gains and biases over normalized object
+        # rows, then enhancement's: one (d,) gain and bias per view.
+        x = rng.normal(size=(2, 1, 3, 4))
+        g, b = rng.normal(size=(2, 3, 1, 4)), rng.normal(size=(2, 3, 1, 4))
+        normed = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        out = ad.layer_norm(Tensor(x), Tensor(g), Tensor(b))
+        assert out.shape == (2, 3, 3, 4)
+        np.testing.assert_allclose(out.data, g * normed + b, rtol=1e-12)
+        fd_check(lambda t, gg, bb: square(ad.layer_norm(t, gg, bb)).sum(), [x, g, b])
+
+        x = rng.normal(size=(2, 3, 5, 4))
+        gains, biases = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        out = ad.layer_norm(Tensor(x), tuple(map(Tensor, gains)), tuple(map(Tensor, biases)))
+        for view in range(2):
+            expect = ad.layer_norm(Tensor(x[view]), Tensor(gains[view]), Tensor(biases[view]))
+            np.testing.assert_array_equal(out.data[view], expect.data)
+        fd_check(lambda t, g0, g1, b0, b1: square(ad.layer_norm(t, (g0, g1), (b0, b1))).sum(),
+                 [x, gains[0], gains[1], biases[0], biases[1]])
 
     def test_layer_norm_gradient(self, rng):
         x = rng.normal(size=(3, 8))
@@ -522,7 +570,7 @@ class TestGradMode:
         monkeypatch.setattr(ad, "_gelu_in_place", recording)
         with ad.no_grad():
             out = self.forward(*params)
-        assert len(made_tensors) == 5 and made_tensors[-1] is out
+        assert len(made_tensors) == 4 and made_tensors[-1] is out
         for t in made_tensors:
             assert t._parents == () and t._backward is None and not t.requires_grad
         assert derivatives == [False]  # GELU's derivative is not computed

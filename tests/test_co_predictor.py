@@ -21,6 +21,7 @@ from crener.co_predictor import (
     predict_cells,
 )
 from crener.corpus import TagVocabulary
+from crener.relation_enhance import tag_affine
 from scipy.special import erf
 
 
@@ -83,7 +84,7 @@ def test_mlp_matches_manual(rng):
     model, _ = small_model()
     p = {name: t.data for name, t in model.store.items()}
     q = rng.normal(size=(3, 3, p["enh.tag_nnc.w"].shape[0])).astype(np.float32)
-    got = mlp_scores(Tensor(q), model.store).data
+    got = mlp_scores(Tensor(q), model.store, tag_affine(model.store)).data
     tf = np.concatenate(
         [q @ p[f"enh.tag_{g}.w"] + p[f"enh.tag_{g}.b"] for g in ("nnc", "pnc", "htc", "thc")], axis=-1)
     expect = gelu_ref(tf @ p["pred.mlp.w1"] + p["pred.mlp.b1"]) @ p["pred.mlp.w2"] + p["pred.mlp.b2"]

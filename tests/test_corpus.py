@@ -83,7 +83,7 @@ def scalar_draw_corpus(seed, count, max_len, types, min_len, nested_fraction,
                     chars[a + 2] = alphabets[etype][int(rng.integers(4))]
                     entities.append(EntityMention((a, a + 2), etype))
         entities.sort(key=lambda e: (e.indices, e.type))
-        sentences.append(Sentence(f"syn-{si:05d}", chars, entities))
+        sentences.append(Sentence(f"syn-{seed}-{si:05d}", chars, entities))
     return sentences
 
 
@@ -316,6 +316,15 @@ class TestStatsAndSynthesis:
         assert [sentence_to_obj(s) for s in a] == [sentence_to_obj(s) for s in b]
         c = generate_synthetic_corpus(seed=8, count=40, max_len=12, types=["A", "B"])
         assert [sentence_to_obj(s) for s in a] != [sentence_to_obj(s) for s in c]
+
+    def test_synthetic_ids_differ_across_seeds(self):
+        # The quick start's train (seed 1) and dev (seed 2) corpora; a vector
+        # sidecar is keyed by sentence id, so one file covers both only if
+        # no id repeats.
+        train = generate_synthetic_corpus(seed=1, count=200, max_len=12, types=["PER", "LOC"])
+        dev = generate_synthetic_corpus(seed=2, count=50, max_len=12, types=["PER", "LOC"])
+        ids = [s.id for s in train + dev]
+        assert len(set(ids)) == len(ids)
 
     def test_synthetic_entities_well_formed(self):
         sents = generate_synthetic_corpus(

@@ -2,6 +2,7 @@
 and gradient flow through the whole stack."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from crener.corpus import (
 from crener.encoder import encode
 from crener.errors import ConfigError, CorpusError
 from crener.model import CrenerModel
-from crener.relation_enhance import run_enhancement
+from crener.relation_enhance import run_enhancement, tag_affine
 
 
 EXPECTED_GROUP_PREFIXES = [
@@ -192,8 +193,8 @@ def test_folded_mlp_head_matches_the_explicit_composition(monkeypatch, case):
     batch = sents[:4]
     folded = padded_batch_run(model, batch)
 
-    def unfolded(q, store):
-        tf = enh_mod.tag_features(q, store)
+    def unfolded(q, store, tag_map):
+        tf = enh_mod.tag_features(q, tag_map)
         hidden = ad.linear(tf, store["pred.mlp.w1"], store["pred.mlp.b1"], gelu=True)
         return ad.linear(hidden, store["pred.mlp.w2"], store["pred.mlp.b2"])
 
@@ -231,10 +232,11 @@ class TestAblationRouting:
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
         h, attn = encode(ids, mask, model.store, model.config.encoder)
+        tag_map = tag_affine(model.store)
         q = run_enhancement(
-            h, mask, attn, model.store, model.config.grid, model.config.enhance
+            h, mask, attn, model.store, model.config.grid, model.config.enhance, tag_map
         )
-        expect = pred_mod.mlp_scores(q, model.store)
+        expect = pred_mod.mlp_scores(q, model.store, tag_map)
         np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_pair_feature_width_tracks_flags(self):
@@ -371,7 +373,9 @@ class TestTapeFreePrediction:
     def test_predict_grid_records_no_tape(self, made_tensors):
         model, sents = small_model()
         model.predict_sentence(sents[0])
-        assert len(made_tensors) > 100
+        # Only checks that a whole forward ran. It makes 95 tensors; the
+        # floor leaves room for a later fusion of a few more.
+        assert len(made_tensors) > 80
         for t in made_tensors:
             assert t._parents == () and t._backward is None and not t.requires_grad
 
@@ -507,13 +511,23 @@ def test_no_gradient_shares_memory_with_another_array():
             assert not np.shares_memory(g, t.data)
 
 
+# The tape of a default forward and loss, by op: each attention is one
+# `attention` node and each layer norm one `layer_norm` node; the loss is
+# one `threshold_loss` node and its sum; the subject and object views run
+# as one stacked stream, so each enhancement attention and each per-view
+# weight pair is one node; the index embeddings are looked up, and the tag
+# map concatenated, once per forward. The same 97 nodes at either batch
+# shape; a change that adds one names its op here.
+DEFAULT_TAPE = {
+    "add": 9, "attention": 4, "concat": 5, "dilated_conv_gelu": 2, "embedding": 6,
+    "getitem": 10, "layer_norm": 5, "linear": 15, "masked_max": 1, "matmul": 23, "mul": 1,
+    "reshape": 10, "swapaxes": 4, "tensor_sum": 1, "threshold_loss": 1,
+}
+
+
 def test_default_forward_records_few_tape_nodes(made_tensors):
-    # Each attention is one `autodiff.attention` node and each layer norm
-    # a `normalize` and a `scale_shift`; the subject and object views run
-    # as one stacked stream, so each enhancement attention and each
-    # per-view weight pair is one node, and the index embeddings are looked
-    # up once for both rounds. 109 nodes at either batch shape, against 129
-    # with two streams and 232 when the fused ops were built from generic ops.
+    # A recording node's op is the function whose backward closure it holds.
+    assert sum(DEFAULT_TAPE.values()) == 97
     for count, shortest, longest in ((8, 12, 15), (2, 8, 8)):
         sents = generate_synthetic_corpus(
             seed=3, count=count, max_len=longest, types=["PER", "LOC"], min_len=shortest)
@@ -523,4 +537,6 @@ def test_default_forward_records_few_tape_nodes(made_tensors):
         made_tensors.clear()
         loss, _ = model.batch_loss(sents)
         assert loss.requires_grad
-        assert sum(t.requires_grad for t in made_tensors) <= 109
+        ops = Counter(t._backward.__qualname__.split(".")[0]
+                      for t in made_tensors if t.requires_grad)
+        assert dict(ops) == DEFAULT_TAPE

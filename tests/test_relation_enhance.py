@@ -34,7 +34,7 @@ def test_tag_features_is_ordered_concat(rng):
     p = model.store
     dr = model.config.enhance.d_r
     q = Tensor(rng.normal(size=(4, 4, p["enh.tag_nnc.w"].shape[0])).astype(np.float32))
-    tf = enh.tag_features(q, p).data
+    tf = enh.tag_features(q, enh.tag_affine(p)).data
     assert tf.shape == (4, 4, 4 * dr)
     for g, group in enumerate(("nnc", "pnc", "htc", "thc")):
         w, b = p[f"enh.tag_{group}.w"].data, p[f"enh.tag_{group}.b"].data
@@ -48,10 +48,10 @@ def test_tag_features_padded_batch_matches_each_sentence(rng):
     q = rng.normal(size=(2, 6, 6, p["enh.tag_nnc.w"].shape[0])).astype(np.float32)
     q[1, 4:] = 0.0
     q[1, :, 4:] = 0.0
-    tf = enh.tag_features(Tensor(q), p).data
+    tf = enh.tag_features(Tensor(q), enh.tag_affine(p)).data
     assert tf.shape == (2, 6, 6, 4 * model.config.enhance.d_r)
     for b, n in enumerate(lengths):
-        alone = enh.tag_features(Tensor(q[b, :n, :n]), p).data
+        alone = enh.tag_features(Tensor(q[b, :n, :n]), enh.tag_affine(p)).data
         np.testing.assert_allclose(tf[b, :n, :n], alone, atol=1e-5)
 
 
@@ -158,7 +158,8 @@ class TestRunEnhancement:
         config = model.config.enhance
         if rounds is not None:
             config = dataclasses.replace(config, rounds=rounds)
-        return enh.run_enhancement(h, mask, attn, model.store, model.config.grid, config)
+        return enh.run_enhancement(h, mask, attn, model.store, model.config.grid, config,
+                                   enh.tag_affine(model.store))
 
     def grid_pass(self, model, pair, attn, mask):
         """One round's convolved grid Q from its subject/object pair."""
@@ -173,7 +174,8 @@ class TestRunEnhancement:
         q = self.run(model, h, attn, mask, rounds=2)
 
         pair0 = grid_mod.project_subject_object(h, model.store)
-        tf0 = enh.tag_features(self.grid_pass(model, pair0, attn, mask), model.store)
+        q0 = self.grid_pass(model, pair0, attn, mask)
+        tf0 = enh.tag_features(q0, enh.tag_affine(model.store))
         recovered = enh.pool_recover(tf0, mask, model.store)
         pair1 = enh.enhance_round(recovered, pair0, mask, model.store, model.config.enhance)
         q_exp = self.grid_pass(model, pair1, attn, mask)
@@ -216,9 +218,9 @@ class TestRunEnhancement:
         calls = []
         original = enh.tag_features
 
-        def counted(q, store):
+        def counted(q, tag_map):
             calls.append(q.shape)
-            return original(q, store)
+            return original(q, tag_map)
 
         monkeypatch.setattr(enh, "tag_features", counted)
         cfg = small_config()
