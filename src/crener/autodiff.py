@@ -11,10 +11,11 @@ what its backward reads. The grid-sized stages are single fused ops with
 one output array each: `linear` (affine map, optionally followed by GELU,
 which saves GELU's derivative rather than its input), `layer_norm` (CLN's
 included), `masked_max` and `dilated_conv_gelu`; so are multi-head
-`attention`, every other layer norm, and the per-cell `threshold_loss`
-that training sums. GELU runs in place over
-cache-sized blocks of its array; its normal CDF is a 7-term tanh form in
-float32 and a 24-term erfc form in float64 (`_normal_cdf_into`).
+`attention`, its relative-position score bias (`relative_scores`), every
+other layer norm, and the per-cell `threshold_loss` that training sums.
+GELU runs in place over cache-sized blocks of its array; its normal CDF is
+a 7-term tanh form in float32 and a 24-term erfc form in float64
+(`_normal_cdf_into`).
 ``backward()`` releases the tape as it walks it: once a node's closure
 has run, the node drops its gradient, closure and parents, so the arrays
 the closure saved are freed before the walk ends. Leaves keep ``.grad``.
@@ -417,6 +418,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) -> Tensor:
     """x @ w + b over any leading axes of x, then exact GELU when `gelu`.
+    `b` is a bias row or any tensor that broadcasts to the result, such as
+    `grid.pair_projection`'s grid-shaped index term.
 
     One output array: the bias is added, and GELU applied, in place on the
     GEMM's result. The backward reads GELU's derivative, which the forward
@@ -449,9 +452,9 @@ def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) 
             g = _times_derivative(g, d)
             d = None  # read once: freed before the GEMMs allocate
         if not views:
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
             _matmul_backward(x, w, g)
+            if b.requires_grad:  # last, so a bias shaped like g may keep it
+                b._accumulate(_unbroadcast(g, b.data.shape), owned=True)
             return
         gs = g.reshape(len(w), -1, g.shape[-1])
         for t, gt in zip(b, gs.sum(axis=1)):
@@ -671,6 +674,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
     return Tensor._make(merge(weights @ vh), parents, backward), weights
 
 
+def _by_offset(z: np.ndarray) -> np.ndarray:
+    """The (..., n, n) view of a C-contiguous (..., n, 2n - 1) array whose
+    column r holds offset n - 1 - r: element [i, j] is z[i, n - 1 - i + j],
+    the column of offset i - j (Transformer-XL's relative shift). Distinct
+    (i, j) name distinct elements, so a write through the view scatters."""
+    n = z.shape[-2]
+    row, col = z.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        z[..., n - 1:], z.shape[:-1] + (n,), z.strides[:-2] + (row - col, col))
+
+
+def relative_scores(q: Tensor, wkr: Tensor, v: Tensor, table: np.ndarray, heads: int) -> Tensor:
+    """The (..., heads, n, n) score bias q_i . (R_ij W_kR) + v . R_ij of
+    relative-position attention, for (..., n, d) queries, a (d, d) W_kR and
+    a (d,) v, each split into `heads` blocks of d / heads columns.
+
+    R_ij is row i - j + n - 1 of the (2n - 1, d) offset `table`, so both
+    terms are computed once per offset, as (..., heads, n, 2n - 1) scores
+    against `table @ W_kR` and `table`, and then read out by offset
+    (`_by_offset`). The backward scatters its gradient back onto the
+    offsets and keeps only q, the projected table and the table.
+    """
+    n, d = q.shape[-2:]
+    d_head = d // heads
+    rows = np.ascontiguousarray(table[::-1])  # row r: offset n - 1 - r
+    keys = rows @ wkr.data  # (2n - 1, d)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (2n - 1, d) -> (heads, 2n - 1, d / heads)
+        return x.reshape(2 * n - 1, heads, d_head).transpose(1, 0, 2)
+
+    qh = np.swapaxes(q.data.reshape(q.shape[:-1] + (heads, d_head)), -3, -2)
+    kh, th = split(keys), split(rows)
+    vh = v.data.reshape(heads, d_head, 1)
+    z = qh @ np.swapaxes(kh, -1, -2)  # (..., heads, n, 2n - 1)
+    z += np.swapaxes(th @ vh, -1, -2)  # v . R for each head and offset
+    out_data = np.ascontiguousarray(_by_offset(z))
+
+    def backward(g):
+        gz = np.zeros(g.shape[:-1] + (2 * n - 1,), dtype=g.dtype)
+        _by_offset(gz)[...] = g
+        if q.requires_grad:
+            gq = np.swapaxes(gz @ kh, -3, -2)
+            q._accumulate(gq.reshape(q.shape), owned=True)
+        if wkr.requires_grad:
+            gk = _unbroadcast(np.swapaxes(gz, -1, -2) @ qh, kh.shape)  # (heads, 2n - 1, d / heads)
+            wkr._accumulate(rows.T @ gk.transpose(1, 0, 2).reshape(2 * n - 1, d), owned=True)
+        if v.requires_grad:
+            per_offset = _unbroadcast(gz.sum(axis=-2, keepdims=True), (heads, 1, 2 * n - 1))
+            v._accumulate((per_offset @ th).reshape(d), owned=True)
+
+    return Tensor._make(out_data, (q, wkr, v), backward)
+
+
 def dilated_conv_gelu(
     x: Tensor,
     mask: np.ndarray,
@@ -753,9 +809,8 @@ def layer_norm(x: Tensor, gain: Tensor | tuple, bias: Tensor | tuple, eps: float
             t._accumulate(gt.reshape(t.data.shape), owned)
 
     def backward(g):
-        # A strided g (the CLN grid's slice of `pair_features`' concat
-        # gradient) is read three times below; one copy makes each read
-        # contiguous. The sums and products keep their bits.
+        # A strided g would be read three times below; one copy makes each
+        # read contiguous. The sums and products keep their bits.
         g = np.ascontiguousarray(g)
         hand(biases, _unbroadcast(g, bias_data.shape))
         if x.requires_grad:

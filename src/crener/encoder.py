@@ -29,8 +29,8 @@ from .corpus import read_lines
 from .errors import ConfigError, CorpusError
 
 # The largest `encoder.max_len` a config may set. A float32 training forward
-# with the default config keeps about 6.5 KB of tape per grid cell, so a
-# single sentence of 1,024 characters already needs about 7 GB.
+# with the default config keeps about 4.8 KB of tape per grid cell, so a
+# single sentence of 1,024 characters already needs about 5 GB.
 MAX_LEN_LIMIT = 1024
 
 
@@ -98,15 +98,16 @@ def load_sidecar_vectors(path, d_context: int) -> dict[str, np.ndarray]:
     return out
 
 
-def relative_position_embedding(n: int, d_model: int, dtype=np.float64) -> np.ndarray:
-    """Sinusoidal embedding of the signed offset i - j; no parameters.
+def relative_position_table(n: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """Sinusoidal embedding of every signed offset i - j of an n-character
+    sentence, as a (2n - 1, d_model) table whose row i - j + n - 1 is R_ij;
+    no parameters.
 
-    R[i, j, 2k]   = sin((i - j) / 10000^(2k / d_model))
-    R[i, j, 2k+1] = cos((i - j) / 10000^(2k / d_model))
+    R_ij[2k]   = sin((i - j) / 10000^(2k / d_model))
+    R_ij[2k+1] = cos((i - j) / 10000^(2k / d_model))
 
-    An odd `d_model` ends with a sine column. Computed in float64; the
-    (2n - 1, d_model) table of offsets is cast to `dtype` before it is
-    gathered into the (n, n, d_model) result.
+    An odd `d_model` ends with a sine column. Computed in float64, then cast
+    to `dtype`.
     """
     offsets = np.arange(1 - n, n)  # every value of i - j
     ks = np.arange((d_model + 1) // 2)
@@ -115,8 +116,7 @@ def relative_position_embedding(n: int, d_model: int, dtype=np.float64) -> np.nd
     table = np.empty((2 * n - 1, d_model), dtype=np.float64)
     table[:, 0::2] = np.sin(ang)
     table[:, 1::2] = np.cos(ang[:, :d_model // 2])
-    dist = np.arange(n)[:, None] - np.arange(n)[None, :]
-    return table.astype(dtype, copy=False)[dist + n - 1]
+    return table.astype(dtype, copy=False)
 
 
 def draw_dropout(
@@ -175,7 +175,7 @@ def adapted_attention(
     store: ParamStore,
     layer: int,
     config: EncoderConfig,
-    rel: np.ndarray,
+    table: np.ndarray,
     use_scaling: bool = False,
     dropout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
@@ -183,32 +183,22 @@ def adapted_attention(
     self-attention plus FFN.
 
     Of the four score terms of the module docstring, u . K_j joins
-    Q_i . K_j as (Q_i + u) . K_j; the two terms in R_ij are one taped
-    (..., heads, n, n) score bias of `autodiff.attention`, each a matmul
-    that contracts d_head per head: R W_kR against each Q_i (a
-    matrix-vector product per head and row) and R against v. Takes
-    (..., n, d_h) rows and their (..., n) mask; returns the new rows and
-    the (..., heads, n, n) attention weights. `rel` is the
-    `relative_position_embedding` table in the rows' dtype.
-    `use_scaling` restores the conventional 1/sqrt(d_k) factor (off by
-    default). Dropout runs only when the (attention output, FFN output)
-    multipliers of `draw_dropout` are supplied.
+    Q_i . K_j as (Q_i + u) . K_j; the two terms in R_ij are one
+    `autodiff.relative_scores` op, which scores each query against the
+    2n - 1 offsets of `table` (the `relative_position_table` in the rows'
+    dtype) and hands `autodiff.attention` the (..., heads, n, n) score
+    bias. Takes (..., n, d_h) rows and their (..., n) mask; returns the new
+    rows and the (..., heads, n, n) attention weights. `use_scaling`
+    restores the conventional 1/sqrt(d_k) factor (off by default). Dropout
+    runs only when the (attention output, FFN output) multipliers of
+    `draw_dropout` are supplied.
     """
     p = f"enc{layer}."
-    lead, n = h.shape[:-2], h.shape[-2]
     heads = config.heads
     d_head = config.d_h // heads
 
     q = h @ store[p + "wq"]
-    # Both R terms laid out (..., n_i, heads, n_j, 1), then moved to
-    # (..., heads, n_i, n_j).
-    rel_proj = Tensor(rel) @ store[p + "wkr"]
-    rel_proj = ad.swapaxes(rel_proj.reshape(n, n, heads, d_head), 1, 2)
-    position = rel_proj @ q.reshape(lead + (n, heads, d_head, 1))  # Q_i . R_ij W_kR
-    rel_heads = Tensor(rel.reshape(n, n, heads, d_head).transpose(0, 2, 1, 3))
-    position_bias = rel_heads @ store[p + "v"].reshape(heads, d_head, 1)  # v . R_ij
-    score_bias = ad.swapaxes((position + position_bias).reshape(lead + (n, heads, n)), -3, -2)
-
+    score_bias = ad.relative_scores(q, store[p + "wkr"], store[p + "v"], table, heads)
     out, attn = ad.attention(
         q + store[p + "u"], h @ store[p + "wk"], h @ store[p + "wv"], mask, heads,
         scale=1.0 / np.sqrt(d_head) if use_scaling else 1.0, score_bias=score_bias,
@@ -246,10 +236,10 @@ def encode(
     """
     h, attn = _embed_with_attention(char_ids, mask, store, config, context_vectors)
     if config.layers:
-        rel = relative_position_embedding(h.shape[-2], config.d_h, h.dtype)
+        table = relative_position_table(h.shape[-2], config.d_h, h.dtype)
         for i in range(config.layers):
             h, attn_heads = adapted_attention(
-                h, mask, store, i, config, rel, use_scaling=use_scaling,
+                h, mask, store, i, config, table, use_scaling=use_scaling,
                 dropout=None if dropout is None else dropout[i],
             )
         attn = attn_heads.mean(axis=-3)

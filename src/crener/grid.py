@@ -5,16 +5,18 @@ layer normalization: the subject vector generates per-row gain and bias
 applied to the normalized object vector, giving V[i, j], in one
 `autodiff.layer_norm` op. The two views travel as one stacked
 (2, ..., n, d_h) pair, [0] the subject and [1] the object, so each pair
-of per-view weights is one op. Each cell is then
-concatenated with three index embeddings (signed-log distance bucket,
-triangle region, bucketed encoder attention weight), reduced by an MLP,
-and run through parallel dilated convolutions whose outputs are
-concatenated channel-wise. Bucket indices are plain integers computed
-outside the graph, and the embeddings depend on them alone, so a forward
-looks them up once for every round (`index_features`); only the tables
-behind them train. Every weight is read from the `ParamStore` under its
-`grid.*` name; an ablated embedding table or convolution kernel has no
-name there and is skipped.
+of per-view weights is one op. Each cell's V is then joined by three
+index embeddings E (signed-log distance bucket, triangle region, bucketed
+encoder attention weight), reduced by an MLP, and run through parallel
+dilated convolutions whose outputs are concatenated channel-wise. Bucket
+indices are plain integers computed outside the graph, and the
+embeddings depend on them alone, so a forward looks them up and projects
+them by their rows of the MLP's weight once for every round
+(`pair_projection`); each round's reduction adds that term to its V GEMM
+and builds no concatenated grid. Only the tables behind the embeddings
+train. Every weight is read from the `ParamStore` under its `grid.*`
+name; an ablated embedding table or convolution kernel has no name there
+and is skipped.
 
 Grids are (..., n, n, c) with any number of leading batch axes, and
 masks (..., n, n); the distance and region ids depend on n alone and
@@ -127,8 +129,8 @@ def index_features(attn: np.ndarray, store: ParamStore, config: GridConfig) -> l
     attention `attn`.
 
     Only the tables in the store are looked up; an ablated one has none.
-    The ids depend on n and `attn` alone, so one forward builds these once
-    and every round's `pair_features` reads them.
+    The ids depend on n and `attn` alone, so one forward looks these up
+    once, for `pair_projection`.
     """
     cells = attn.shape
     n = cells[-1]
@@ -146,12 +148,33 @@ def index_features(attn: np.ndarray, store: ParamStore, config: GridConfig) -> l
     return features
 
 
-def pair_features(v: Tensor, index: list[Tensor], store: ParamStore) -> Tensor:
-    """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels, where
-    `index` holds the `index_features` of V's cells; `grid.mlp1.w` is as
-    narrow as the embeddings left after ablation."""
-    cat = ad.concat([v, *index], axis=-1) if index else v
-    return ad.linear(cat, store["grid.mlp1.w"], store["grid.mlp1.b"], gelu=True)
+def pair_projection(attn: np.ndarray, store: ParamStore, config: GridConfig) -> tuple[Tensor, Tensor]:
+    """`pair_features`' weight and bias for the (..., n, n) encoder
+    attention `attn`: W_v, the rows of `grid.mlp1.w` that read the CLN grid
+    V, and the (..., n, n, d_reduced) index term E W_e + b1, where E is the
+    concatenated `index_features` and W_e the rest of `grid.mlp1.w`.
+
+    [V ; E] W_1 + b1 = V W_v + (E W_e + b1), and E is the same in every
+    round, so one forward builds this pair once and every round's
+    `pair_features` reads it; W_v and W_e are two views of the one
+    checkpoint array. With every index embedding ablated, the pair is
+    `grid.mlp1.w` and `grid.mlp1.b` themselves.
+    """
+    w, b = store["grid.mlp1.w"], store["grid.mlp1.b"]
+    index = index_features(attn, store, config)
+    if not index:
+        return w, b
+    e = ad.concat(index, axis=-1)
+    d_v = w.shape[0] - e.shape[-1]
+    return w[:d_v], ad.linear(e, w[d_v:], b)
+
+
+def pair_features(v: Tensor, projection: tuple[Tensor, Tensor]) -> Tensor:
+    """Reduce [V ; E^d ; E^r ; E^a] per cell to d_reduced channels, as
+    GELU(V W_v + (E W_e + b1)) with `projection` the (W_v, E W_e + b1) pair
+    of `pair_projection`: one `linear` op whose bias is the grid-shaped
+    index term."""
+    return ad.linear(v, *projection, gelu=True)
 
 
 def dilated_convolutions(

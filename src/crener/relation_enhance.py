@@ -140,9 +140,9 @@ def run_enhancement(
     Round 0 projects the encoder output into the subject/object pair.
     Every one of the `enhance_config.rounds` rounds rebuilds the grid from
     the current pair (CLN, pair features, convolutions), reading the index
-    embeddings that the forward looked up once; every round but the last
-    then maps it to tag features, pools, attends, and fuses, feeding the
-    refined pair to the next round. So the `enh.*` pool, attention
+    embeddings' projection that the forward built once; every round but the
+    last then maps it to tag features, pools, attends, and fuses, feeding
+    the refined pair to the next round. So the `enh.*` pool, attention
     and fuse weights are read only with two rounds or more, and each stage
     skips what the store lacks: no `grid.conv{d}.*` kernel, no
     convolution. Tag features are one `linear` by `tag_map`, the
@@ -153,10 +153,10 @@ def run_enhancement(
     tape-free forward frees it as soon as that stage returns.
     """
     mask2d = grid_mod.pair_mask(mask)  # read by the convolutions alone
-    index = grid_mod.index_features(attn, store, grid_config)
+    projection = grid_mod.pair_projection(attn, store, grid_config)
 
     def conv_grid(pair: Tensor) -> Tensor:
-        grid = grid_mod.pair_features(grid_mod.conditional_layer_norm(pair, store), index, store)
+        grid = grid_mod.pair_features(grid_mod.conditional_layer_norm(pair, store), projection)
         return grid_mod.dilated_convolutions(grid, mask2d, store, grid_config)
 
     pair0 = grid_mod.project_subject_object(h, store)

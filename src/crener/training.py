@@ -49,9 +49,10 @@ CHECKPOINT_FORMAT_VERSION = 4
 # inference forward over two or more sentences; a longer sentence runs
 # alone. The bound caps a step's memory, since only one sub-batch's tape
 # is alive at a time: with the default config in float32 a 4,096-cell
-# forward + loss (one n = 64 sentence, or four of n = 32) leaves about
-# 26 MB of tape, and its backward peaks at about 27 MB (tracemalloc,
-# from just before the forward). 4,096 is one n = 64 grid.
+# forward + loss leaves 19.8 MB of tape for one n = 64 sentence and 21.0 MB
+# for four of n = 32, and its backward peaks at 20.8 and 21.9 MB
+# (tracemalloc, from just before the forward, after one warm-up step;
+# 2-core Xeon, numpy 2.4.6, one BLAS thread). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
 
 # The fixed cost of one sub-batch's forward and backward, in padded cells:

@@ -2,7 +2,9 @@
 
 `brute_force_decode` is the decoder's differential oracle: it checks the
 acceptance rule of `crener.decode.decode_grid` by plain enumeration,
-reading the cells itself. `save_config` writes a config in the text
+reading the cells itself. `relative_position_embedding` gathers the
+encoder's offset table into the full (n, n, d) table of R_ij, the form the
+attention equations are written in. `save_config` writes a config in the text
 format `crener.config.parse_config` reads, so tests can hand the CLI a
 config file.
 """
@@ -16,6 +18,15 @@ import numpy as np
 
 from crener.config import ModelConfig, config_to_flat
 from crener.corpus import EntityMention, TagVocabulary
+from crener.encoder import relative_position_table
+
+
+def relative_position_embedding(n: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """R[i, j] = R_ij, the sinusoid of the signed offset i - j, for every
+    cell of an n-character sentence: the (n, n, d_model) gather of
+    `relative_position_table`."""
+    dist = np.arange(n)[:, None] - np.arange(n)[None, :]
+    return relative_position_table(n, d_model, dtype)[dist + n - 1]
 
 
 def brute_force_decode(

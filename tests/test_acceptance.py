@@ -47,7 +47,7 @@ from crener.decode import decode_grid
 from crener.grid import conditional_layer_norm
 from crener.model import CrenerModel
 from crener.training import Checkpoint, evaluate_model, train
-from oracles import brute_force_decode, save_config
+from oracles import brute_force_decode, relative_position_embedding, save_config
 
 
 def report(capsys, num, ok, detail):
@@ -267,8 +267,8 @@ def test_06_attention_invariants(capsys):
     store, cfg = model.store, model.config.encoder
 
     h0, _ = enc_mod._embed_with_attention(ids, mask, store, cfg)
-    rel = enc_mod.relative_position_embedding(len(ids), cfg.d_h)
-    _, weights = enc_mod.adapted_attention(h0, mask, store, 0, cfg, rel=rel)
+    table = enc_mod.relative_position_table(len(ids), cfg.d_h)
+    _, weights = enc_mod.adapted_attention(h0, mask, store, 0, cfg, table=table)
     _, attn = enc_mod.encode(ids, mask, store, cfg)
 
     row_err = 0.0
@@ -279,7 +279,7 @@ def test_06_attention_invariants(capsys):
         masked_leak = max(masked_leak, float(np.abs(mat[:, ~mask]).max()))
 
     n, d = 12, 8
-    R = enc_mod.relative_position_embedding(n, d)
+    R = relative_position_embedding(n, d)
     shift_exact = all(
         np.array_equal(R[i, j], R[i + 1, j + 1])
         for i in range(n - 1)

@@ -16,6 +16,8 @@ from scipy.special import erf, erfc
 
 from crener import autodiff as ad
 from crener.autodiff import ParamStore, Tensor
+from crener.encoder import relative_position_table
+from oracles import relative_position_embedding
 from test_kernels import scalar_conv
 
 
@@ -431,6 +433,16 @@ class TestFusedOps:
         np.testing.assert_array_equal(out.data, x @ w + b)
         fd_check(lambda t, ww, bb: square(ad.linear(t, ww, bb)).sum(), [x, w, b])
 
+    def test_linear_with_a_grid_shaped_bias(self, rng):
+        # `pair_features`' shape: one grid-shaped bias that two rounds' GEMMs
+        # read, so its gradient is the sum of both rounds'.
+        x0, x1 = rng.normal(size=(2, 3, 3, 5)), rng.normal(size=(2, 3, 3, 5))
+        w, b = rng.normal(size=(5, 4)), rng.normal(size=(2, 3, 3, 4))
+        out = ad.linear(Tensor(x0), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, x0 @ w + b)
+        fd_check(lambda t0, t1, ww, bb: (square(ad.linear(t0, ww, bb, gelu=True))
+                                         + ad.linear(t1, ww, bb) * 0.5).sum(), [x0, x1, w, b])
+
     def test_layer_norm_broadcast_and_view_gradients(self, rng):
         # CLN's shapes: per-row gains and biases over normalized object
         # rows, then enhancement's: one (d,) gain and bias per view.
@@ -487,6 +499,87 @@ class TestFusedOps:
             expect = np.concatenate(
                 [scalar_conv(xm, w, b, d) for w, b, d in zip(ws, bs, dilations)], axis=-1)
             np.testing.assert_allclose(out.data[k], gelu_ref(expect), rtol=1e-12, atol=1e-12)
+
+
+def relative_scores_oracle(q, wkr, v, heads):
+    """q_i . (R_ij W_kR) + v . R_ij head by head, from the full (n, n, d)
+    table of R_ij."""
+    n, d = q.shape[-2:]
+    d_head = d // heads
+    rel = relative_position_embedding(n, d)
+    keys = rel @ wkr
+    out = np.zeros(q.shape[:-2] + (heads, n, n))
+    for h in range(heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        out[..., h, :, :] = (np.einsum("...ic,ijc->...ij", q[..., cols], keys[..., cols])
+                             + rel[..., cols] @ v[cols])
+    return out
+
+
+class TestRelativeScores:
+    """`relative_scores` against the full-table oracle, and its gradients
+    against central differences of every entry, in float64."""
+
+    def run(self, q, wkr, v, heads):
+        table = relative_position_table(q.shape[-2], q.shape[-1])
+        return ad.relative_scores(q, wkr, v, table, heads)
+
+    def check_gradients(self, q, wkr, v, heads, rng, h=1e-6):
+        weights = rng.normal(size=q.shape[:-2] + (heads, q.shape[-2], q.shape[-2]))
+        inputs = [Tensor(x, requires_grad=True) for x in (q, wkr, v)]
+        (self.run(*inputs, heads) * weights).sum().backward()
+        for t in inputs:
+            flat, fd = t.data.reshape(-1), np.empty(t.data.size)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + h
+                plus = (relative_scores_oracle(*(x.data for x in inputs), heads) * weights).sum()
+                flat[k] = orig - h
+                minus = (relative_scores_oracle(*(x.data for x in inputs), heads) * weights).sum()
+                flat[k] = orig
+                fd[k] = (plus - minus) / (2 * h)
+            np.testing.assert_allclose(t.grad.reshape(-1), fd, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("lead, n, d, heads", [
+        ((2,), 5, 6, 2),  # a batch
+        ((), 1, 4, 2),  # one character: the table has one offset
+        ((), 4, 5, 1),  # one head over an odd width
+    ])
+    def test_value_and_gradients(self, rng, lead, n, d, heads):
+        q, wkr, v = rng.normal(size=lead + (n, d)), rng.normal(size=(d, d)), rng.normal(size=d)
+        out = self.run(Tensor(q), Tensor(wkr), Tensor(v), heads)
+        assert out.shape == lead + (heads, n, n)
+        np.testing.assert_allclose(out.data, relative_scores_oracle(q, wkr, v, heads),
+                                   rtol=1e-12, atol=1e-12)
+        self.check_gradients(q, wkr, v, heads, rng)
+
+    def test_padded_batch_matches_each_sentence(self, rng):
+        # Lengths 6, 3 and 1 padded to 6: each sentence's block of scores and
+        # its share of the W_kR and v gradients match its run alone.
+        lengths, d, heads = (6, 3, 1), 6, 3
+        q = rng.normal(size=(3, 6, d))
+        wkr, v = rng.normal(size=(d, d)), rng.normal(size=d)
+        weights = rng.normal(size=(3, heads, 6, 6))
+        for b, n in enumerate(lengths):
+            weights[b, :, n:, :] = 0.0
+            weights[b, :, :, n:] = 0.0
+        params = Tensor(wkr, requires_grad=True), Tensor(v, requires_grad=True)
+        batch_q = Tensor(q, requires_grad=True)
+        out = self.run(batch_q, *params, heads)
+        (out * weights).sum().backward()
+        wkr_grad, v_grad = np.zeros_like(wkr), np.zeros_like(v)
+        for b, n in enumerate(lengths):
+            alone_q = Tensor(q[b, :n], requires_grad=True)
+            alone_params = Tensor(wkr, requires_grad=True), Tensor(v, requires_grad=True)
+            alone = self.run(alone_q, *alone_params, heads)
+            np.testing.assert_allclose(out.data[b, :, :n, :n], alone.data, rtol=1e-12, atol=1e-12)
+            (alone * weights[b, :, :n, :n]).sum().backward()
+            np.testing.assert_allclose(batch_q.grad[b, :n], alone_q.grad, rtol=1e-12, atol=1e-12)
+            wkr_grad += alone_params[0].grad
+            v_grad += alone_params[1].grad
+        np.testing.assert_array_equal(batch_q.grad[1, 3:], 0.0)
+        np.testing.assert_allclose(params[0].grad, wkr_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(params[1].grad, v_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestGraph:

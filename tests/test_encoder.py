@@ -21,9 +21,10 @@ from crener.encoder import (
     draw_dropout,
     encode,
     load_sidecar_vectors,
-    relative_position_embedding,
+    relative_position_table,
 )
 from crener.errors import ConfigError, CorpusError
+from oracles import relative_position_embedding
 
 
 class TestRelativeEmbedding:
@@ -105,7 +106,8 @@ def test_adapted_scores_match_scalar_loops(rng):
     hvals[~mask] = 0.0
 
     rel = relative_position_embedding(n, d).astype(np.float32)
-    _, attn = adapted_attention(Tensor(hvals), mask, model.store, 0, cfg, rel)
+    _, attn = adapted_attention(Tensor(hvals), mask, model.store, 0, cfg,
+                                relative_position_table(n, d, np.float32))
 
     q = hvals @ w["wq"]
     k = hvals @ w["wk"]
@@ -142,12 +144,12 @@ def test_adapted_attention_padded_batch_matches_each_sentence(rng):
 
     out, attn = adapted_attention(
         Tensor(hvals), mask, model.store, 0, cfg,
-        relative_position_embedding(6, cfg.d_h, np.float32))
+        relative_position_table(6, cfg.d_h, np.float32))
     assert attn.shape == (2, cfg.heads, 6, 6)
     for b, n in enumerate(lengths):
         alone, alone_attn = adapted_attention(
             Tensor(hvals[b, :n]), mask[b, :n], model.store, 0, cfg,
-            relative_position_embedding(n, cfg.d_h, np.float32))
+            relative_position_table(n, cfg.d_h, np.float32))
         np.testing.assert_allclose(attn[b, :, :n, :n], alone_attn, atol=1e-5)
         np.testing.assert_array_equal(attn[b, :, :, n:], 0.0)
         np.testing.assert_allclose(out.data[b, :n], alone.data, atol=1e-5)
@@ -160,9 +162,9 @@ def test_scaling_flag_divides_scores(rng):
     mask = np.ones(n, dtype=bool)
     hvals = rng.normal(size=(n, cfg.d_h)).astype(np.float32)
 
-    rel = relative_position_embedding(n, cfg.d_h, np.float32)
-    _, plain = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, rel)
-    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, rel, use_scaling=True)
+    table = relative_position_table(n, cfg.d_h, np.float32)
+    _, plain = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, table)
+    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, table, use_scaling=True)
     assert not np.allclose(plain, scaled)
     # Scaling flattens: average row entropy goes up.
     def entropy(w):

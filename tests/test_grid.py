@@ -15,8 +15,8 @@ from crener.grid import (
     conditional_layer_norm,
     dilated_convolutions,
     distance_bucket,
-    index_features,
     pair_features,
+    pair_projection,
     project_subject_object,
     region_ids,
 )
@@ -159,7 +159,7 @@ class TestPairFeatures:
         store, gc = model.store, model.config.grid
         p = {name: t.data for name, t in store.items()}
         v = conditional_layer_norm(project_subject_object(h, store), store)
-        c = pair_features(v, index_features(attn, store, gc), store).data
+        c = pair_features(v, pair_projection(attn, store, gc)).data
 
         n = 4
         offs = np.arange(n)[None, :] - np.arange(n)[:, None]
@@ -181,7 +181,7 @@ class TestDilatedConvolutions:
         model, h, attn, mask2d = grid_parts(n=6)
         p, gc = model.store, model.config.grid
         v = conditional_layer_norm(project_subject_object(h, p), p)
-        c = pair_features(v, index_features(attn, p, gc), p)
+        c = pair_features(v, pair_projection(attn, p, gc))
         q = dilated_convolutions(c, mask2d, p, gc).data
         assert q.shape == (6, 6, len(gc.dilations) * gc.d_conv)
         pieces = [
@@ -204,7 +204,7 @@ def test_grid_stage_ignores_padding(rng):
     def run(hv, attn2, mask1d):
         mask2d = np.logical_and(mask1d[:, None], mask1d[None, :])
         v = conditional_layer_norm(project_subject_object(Tensor(hv), p), p)
-        c = pair_features(v, index_features(attn2, p, gc), p)
+        c = pair_features(v, pair_projection(attn2, p, gc))
         return dilated_convolutions(c, mask2d, p, gc).data
 
     small = run(h.data, attn, np.ones(n, dtype=bool))

@@ -373,7 +373,7 @@ class TestTapeFreePrediction:
     def test_predict_grid_records_no_tape(self, made_tensors):
         model, sents = small_model()
         model.predict_sentence(sents[0])
-        # Only checks that a whole forward ran. It makes 95 tensors; the
+        # Only checks that a whole forward ran. It makes 88 tensors; the
         # floor leaves room for a later fusion of a few more.
         assert len(made_tensors) > 80
         for t in made_tensors:
@@ -512,22 +512,24 @@ def test_no_gradient_shares_memory_with_another_array():
 
 
 # The tape of a default forward and loss, by op: each attention is one
-# `attention` node and each layer norm one `layer_norm` node; the loss is
-# one `threshold_loss` node and its sum; the subject and object views run
-# as one stacked stream, so each enhancement attention and each per-view
-# weight pair is one node; the index embeddings are looked up, and the tag
-# map concatenated, once per forward. The same 97 nodes at either batch
-# shape; a change that adds one names its op here.
+# `attention` node and each layer norm one `layer_norm` node; the
+# relative-position score bias of each encoder layer is one
+# `relative_scores` node; the loss is one `threshold_loss` node and its
+# sum; the subject and object views run as one stacked stream, so each
+# enhancement attention and each per-view weight pair is one node; the
+# index embeddings are looked up and projected, `grid.mlp1.w` split into
+# its two views, and the tag map concatenated, once per forward. The same
+# 90 nodes at either batch shape; a change that adds one names its op here.
 DEFAULT_TAPE = {
-    "add": 9, "attention": 4, "concat": 5, "dilated_conv_gelu": 2, "embedding": 6,
-    "getitem": 10, "layer_norm": 5, "linear": 15, "masked_max": 1, "matmul": 23, "mul": 1,
-    "reshape": 10, "swapaxes": 4, "tensor_sum": 1, "threshold_loss": 1,
+    "add": 8, "attention": 4, "concat": 4, "dilated_conv_gelu": 2, "embedding": 6,
+    "getitem": 12, "layer_norm": 5, "linear": 16, "masked_max": 1, "matmul": 20, "mul": 1,
+    "relative_scores": 1, "reshape": 6, "swapaxes": 2, "tensor_sum": 1, "threshold_loss": 1,
 }
 
 
 def test_default_forward_records_few_tape_nodes(made_tensors):
     # A recording node's op is the function whose backward closure it holds.
-    assert sum(DEFAULT_TAPE.values()) == 97
+    assert sum(DEFAULT_TAPE.values()) == 90
     for count, shortest, longest in ((8, 12, 15), (2, 8, 8)):
         sents = generate_synthetic_corpus(
             seed=3, count=count, max_len=longest, types=["PER", "LOC"], min_len=shortest)

@@ -166,7 +166,7 @@ class TestRunEnhancement:
         gp, gc = model.store, model.config.grid
         mask2d = np.logical_and(mask[:, None], mask[None, :])
         v = grid_mod.conditional_layer_norm(pair, gp)
-        c = grid_mod.pair_features(v, grid_mod.index_features(attn, gp, gc), gp)
+        c = grid_mod.pair_features(v, grid_mod.pair_projection(attn, gp, gc))
         return grid_mod.dilated_convolutions(c, mask2d, gp, gc)
 
     def test_round_loop_matches_manual_replay(self):
@@ -229,6 +229,31 @@ class TestRunEnhancement:
         ids, mask, _ = model.sentence_inputs(sents[0])
         model.forward(ids, mask)
         assert len(calls) == rounds - 1
+
+    def test_forward_projects_the_index_embeddings_once(self, monkeypatch):
+        """The index embeddings are the same in every round, so a forward
+        projects them once and every round's pair features read that one
+        projection."""
+        projections, reads = [], []
+        project, features = grid_mod.pair_projection, grid_mod.pair_features
+
+        def counted_projection(*args):
+            projections.append(project(*args))
+            return projections[-1]
+
+        def counted_features(v, projection):
+            reads.append(projection)
+            return features(v, projection)
+
+        monkeypatch.setattr(grid_mod, "pair_projection", counted_projection)
+        monkeypatch.setattr(grid_mod, "pair_features", counted_features)
+        cfg = small_config()
+        cfg.enhance.rounds = 3
+        model, sents = small_model(config=cfg)
+        ids, mask, _ = model.sentence_inputs(sents[0])
+        model.forward(ids, mask)
+        assert len(projections) == 1 and len(reads) == 3
+        assert all(read is projections[0] for read in reads)
 
     def test_default_round_count_comes_from_config(self):
         model, h, attn, mask = setup()
