@@ -8,7 +8,7 @@ mentions back out: contiguous ones by an interval test over neighbour
 links, discontinuous ones by a depth-first search.
 """
 
-from .config import AblationFlags, ModelConfig, default_config, parse_config
+from .config import ModelConfig, default_config, parse_config
 from .corpus import (
     CharVocabulary,
     EntityMention,
@@ -29,7 +29,6 @@ from .training import Adam, Checkpoint, EvalReport, evaluate, evaluate_model, pr
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationFlags",
     "Adam",
     "CharVocabulary",
     "Checkpoint",

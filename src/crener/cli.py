@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: train, eval, predict, decode-grid, corpus-stats. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 training divergence.
+0 success, 1 configuration error, 2 data error, 3 training divergence,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -225,6 +226,11 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # `train` saves only after `training.train` returns.
+        after = ": no checkpoint was written" if args.func is cmd_train else ""
+        print(f"interrupted{after}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

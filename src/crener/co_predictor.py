@@ -1,7 +1,7 @@
 """Co-predictor: biaffine scores over character representations plus MLP
 scores over the final round's tag features, summed per cell. Each head reads
 its weights from the `ParamStore` by name (`pred.subj.*`, `pred.obj.*`,
-`pred.biaffine.*`; `pred.mlp.*`); an ablated head has none there.
+`pred.biaffine.*`; `pred.mlp.*`); a head of width 0 has none there.
 
 The MLP head reads the tag map that the forward builds once
 (`relation_enhance.tag_affine`). A cell carries every tag scoring above
@@ -33,8 +33,10 @@ class PredictorConfig:
     threshold: float = 0.0
 
     def validate(self) -> None:
-        if self.d_biaffine < 1 or self.d_hidden < 1:
-            raise ConfigError("predictor widths must be >= 1")
+        if self.d_biaffine < 0 or self.d_hidden < 0:
+            raise ConfigError("predictor widths must be >= 0")
+        if self.d_biaffine == 0 and self.d_hidden == 0:
+            raise ConfigError("cannot disable both predictor heads")
 
 
 def biaffine_scores(h: Tensor, store: ParamStore) -> Tensor:
@@ -81,8 +83,8 @@ def mlp_scores(q: Tensor, store: ParamStore, tag_map: tuple[Tensor, Tensor]) -> 
 
 
 def fuse_scores(y_biaffine: Tensor | None, y_mlp: Tensor | None) -> Tensor:
-    """Sum of whichever predictor heads are enabled (at least one is; see
-    `AblationFlags.validate`)."""
+    """Sum of whichever predictor heads have a nonzero width (at least one
+    has; see `PredictorConfig.validate`)."""
     if y_biaffine is None:
         return y_mlp
     if y_mlp is None:

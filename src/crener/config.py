@@ -5,6 +5,10 @@ comments on their own lines. Values parse as JSON when possible and
 fall back to bare strings, so paths need no quoting. Unknown keys and
 non-finite numbers (nan, inf) are rejected. CLI `--set key=value`
 overrides reuse the same machinery.
+
+Each ablation of the paper is a plain value: a zero width, no
+`grid.dilations`, `encoder.layers = 0` or `enhance.rounds = 1` leaves its
+ingredient out, with no parameters (see `CrenerModel._build_params`).
 """
 
 from __future__ import annotations
@@ -21,28 +25,6 @@ from .encoder import EncoderConfig
 from .errors import ConfigError
 from .grid import GridConfig
 from .relation_enhance import EnhanceConfig
-
-
-@dataclass
-class AblationFlags:
-    """Switches that each remove or alter one architectural ingredient.
-
-    The no-adapted-transformer and no-enhancement ablations are
-    `encoder.layers = 0` and `enhance.rounds = 1`. A removed ingredient
-    gets no parameters (see `CrenerModel._build_params`).
-    """
-
-    use_scaling_factor: bool = False
-    no_region_matrix: bool = False
-    no_distance_matrix: bool = False
-    no_attn_matrix: bool = False
-    no_dilated_conv: bool = False
-    no_mlp_predictor: bool = False
-    no_biaffine_predictor: bool = False
-
-    def validate(self) -> None:
-        if self.no_mlp_predictor and self.no_biaffine_predictor:
-            raise ConfigError("cannot disable both predictor heads")
 
 
 @dataclass
@@ -90,7 +72,6 @@ class ModelConfig:
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    ablations: AblationFlags = field(default_factory=AblationFlags)
     decode: DecodeOptions = field(default_factory=DecodeOptions)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
@@ -106,7 +87,6 @@ class ModelConfig:
                 f"the encoder width d_h {self.encoder.d_h}"
             )
         self.optimizer.validate()
-        self.ablations.validate()
 
 
 def default_config() -> ModelConfig:

@@ -18,7 +18,9 @@ break the triangle placement rules.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +80,6 @@ class EntityMention:
     @property
     def tail(self) -> int:
         return self.indices[-1]
-
-    def is_contiguous(self) -> bool:
-        return self.indices[-1] - self.indices[0] + 1 == len(self.indices)
 
 
 @dataclass
@@ -308,48 +307,46 @@ def _entities_from_labels(labels: list[str], where: str) -> list[EntityMention]:
     return entities
 
 
-def _load_conll(path) -> list[Sentence]:
-    sentences = []
+def read_conll(path):
+    """The sentences of a CoNLL file, one at a time: one `char<TAB>label`
+    line per character (BIO or BMES labels), blank lines between
+    sentences. The k-th sentence's id is `conll-<k>`; a bad line raises a
+    CorpusError naming the file and line, and a bad label one naming the
+    sentence's first line."""
     chars: list[str] = []
     labels: list[str] = []
-    block_start = 1
-
-    def flush():
-        nonlocal chars, labels
-        if chars:
-            where = f"{path}:{block_start}"
-            entities = _entities_from_labels(labels, where)
-            sentences.append(Sentence(f"conll-{len(sentences)}", chars, entities))
-        chars, labels = [], []
-
-    for lineno, line in read_lines(path):
+    block_start, count = 1, 0
+    # A blank line after the last one ends the final sentence.
+    for lineno, line in itertools.chain(read_lines(path), [(0, "")]):
         line = line.rstrip("\n")
-        if not line.strip():
-            flush()
-            block_start = lineno + 1
+        if line.strip():
+            cols = line.split("\t") if "\t" in line else line.split()
+            if len(cols) != 2:
+                raise CorpusError(
+                    f"{path}:{lineno}: expected 'char<TAB>label', got {len(cols)} columns"
+                )
+            chars.append(cols[0])
+            labels.append(cols[1])
             continue
-        cols = line.split("\t") if "\t" in line else line.split()
-        if len(cols) != 2:
-            raise CorpusError(
-                f"{path}:{lineno}: expected 'char<TAB>label', got {len(cols)} columns"
-            )
-        chars.append(cols[0])
-        labels.append(cols[1])
-    flush()
-    return sentences
+        if chars:
+            entities = _entities_from_labels(labels, f"{path}:{block_start}")
+            yield Sentence(f"conll-{count}", chars, entities)
+            count += 1
+        chars, labels = [], []
+        block_start = lineno + 1
 
 
 def load_corpus(path, format: str = "jsonl") -> list[Sentence]:
     """Load a corpus file; `format` is "jsonl" or "conll"."""
-    import os
-
     if not os.path.exists(path):
         raise CorpusError(f"corpus file not found: {path}")
     if format == "jsonl":
-        return [_sentence_from_obj(obj, where) for where, obj in read_jsonl(path)]
-    if format == "conll":
-        return _load_conll(path)
-    raise CorpusError(f"unknown corpus format {format!r}")
+        sentences = (_sentence_from_obj(obj, where) for where, obj in read_jsonl(path))
+    elif format == "conll":
+        sentences = read_conll(path)
+    else:
+        raise CorpusError(f"unknown corpus format {format!r}")
+    return list(sentences)
 
 
 def sentences_to_jsonl(sentences) -> str:

@@ -6,12 +6,12 @@ Per layer the pre-softmax score is
 
     A_rel[i,j] = Q_i . K_j + Q_i . (R_ij W_kR) + u . K_j + v . R_ij
 
-with R the fixed sinusoidal embedding of the signed offset i - j. The
-softmax omits the usual 1/sqrt(d_k): with only a few entity characters
-per sentence, sharper attention rows help. Padding columns are masked
-to weight exactly zero; nothing else is masked, so padded rows carry
-whatever their ids give them. Blocks are post-LN residual with a square
-feed-forward.
+with R the fixed sinusoidal embedding of the signed offset i - j. Unless
+`use_scaling_factor` is set, the softmax omits the usual 1/sqrt(d_k):
+with only a few entity characters per sentence, sharper attention rows
+help. Padding columns are masked to weight exactly zero; nothing else is
+masked, so padded rows carry whatever their ids give them. Blocks are
+post-LN residual with a square feed-forward.
 
 Every function takes (..., n) ids and masks with any number of leading
 batch axes; the sentences of a batch share n and differ in their masks.
@@ -44,6 +44,7 @@ class EncoderConfig:
     heads: int = 4
     dropout: float = 0.1
     max_len: int = 256
+    use_scaling_factor: bool = False
 
     @property
     def d_h(self) -> int:
@@ -171,7 +172,6 @@ def adapted_attention(
     layer: int,
     config: EncoderConfig,
     table: np.ndarray,
-    use_scaling: bool = False,
     dropout: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Residual block `layer` (weights `enc{layer}.*`) of relative-position
@@ -183,9 +183,9 @@ def adapted_attention(
     2n - 1 offsets of `table` (the `relative_position_table` in the rows'
     dtype) and hands `autodiff.attention` the (..., heads, n, n) score
     bias. Takes (..., n, d_h) rows and their (..., n) mask; returns the new
-    rows and the (..., heads, n, n) attention weights. `use_scaling`
-    restores the conventional 1/sqrt(d_k) factor (off by default). Dropout
-    runs only when this layer's (..., n, 2, d_h) slice of the `draw_dropout`
+    rows and the (..., heads, n, n) attention weights. `use_scaling_factor`
+    of `config` restores the conventional 1/sqrt(d_k) factor. Dropout runs
+    only when this layer's (..., n, 2, d_h) slice of the `draw_dropout`
     multipliers is supplied: [..., 0, :] scales the attention output and
     [..., 1, :] the FFN output.
     """
@@ -197,7 +197,7 @@ def adapted_attention(
     score_bias = ad.relative_scores(q, store[p + "wkr"], store[p + "v"], table, heads)
     out, attn = ad.attention(
         q + store[p + "u"], h @ store[p + "wk"], h @ store[p + "wv"], mask, heads,
-        scale=1.0 / np.sqrt(d_head) if use_scaling else 1.0, score_bias=score_bias,
+        scale=1.0 / np.sqrt(d_head) if config.use_scaling_factor else 1.0, score_bias=score_bias,
     )
     out = out @ store[p + "wo"]
     if dropout is not None:
@@ -217,7 +217,6 @@ def encode(
     store: ParamStore,
     config: EncoderConfig,
     context_vectors: np.ndarray | None = None,
-    use_scaling: bool = False,
     dropout: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Full encoder pass: embeddings then the `config.layers` blocks of
@@ -226,17 +225,17 @@ def encode(
     Returns the (..., n, d_h) character rows and the attention matrix
     that feeds the pairwise attention buckets downstream: the head mean
     of the final layer, or the raw H^A attention when no layer runs
-    (`encoder.layers = 0`, the no-adapted-transformer ablation).
-    `dropout` holds the (..., n, layers, 2, d_h) multipliers of
-    `draw_dropout`, padded and stacked like the ids; layer i reads
-    `dropout[..., i, :, :]`.
+    (`encoder.layers = 0`, the no-adapted-transformer ablation). Every
+    layer reads `config.use_scaling_factor`. `dropout` holds the (..., n,
+    layers, 2, d_h) multipliers of `draw_dropout`, padded and stacked like
+    the ids; layer i reads `dropout[..., i, :, :]`.
     """
     h, attn = _embed_with_attention(char_ids, mask, store, config, context_vectors)
     if config.layers:
         table = relative_position_table(h.shape[-2], config.d_h, h.dtype)
         for i in range(config.layers):
             h, attn_heads = adapted_attention(
-                h, mask, store, i, config, table, use_scaling=use_scaling,
+                h, mask, store, i, config, table,
                 dropout=None if dropout is None else dropout[..., i, :, :],
             )
         attn = attn_heads.mean(axis=-3)

@@ -15,8 +15,8 @@ them by their rows of the MLP's weight once for every round
 (`pair_projection`); each round's reduction adds that term to its V GEMM
 and builds no concatenated grid. Only the tables behind the embeddings
 train. Every weight is read from the `ParamStore` under its `grid.*`
-name; an ablated embedding table or convolution kernel has no name there
-and is skipped.
+name. An index embedding of width 0 and the convolutions with no
+`dilations` have no name there and are skipped.
 
 Grids are (..., n, n, c) with any number of leading batch axes, and
 masks (..., n, n); the distance and region ids depend on n alone and
@@ -47,15 +47,15 @@ class GridConfig:
     kernel: int = 3
 
     def validate(self) -> None:
-        for name in (
-            "d_dist", "d_region", "d_attn", "distance_buckets",
-            "attn_buckets", "d_reduced", "d_conv", "kernel",
-        ):
+        for name in ("d_dist", "d_region", "d_attn"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"grid.{name} must be >= 0")
+        for name in ("distance_buckets", "attn_buckets", "d_reduced", "d_conv", "kernel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"grid.{name} must be >= 1")
-        if not self.dilations or len(set(self.dilations)) != len(self.dilations):
-            raise ConfigError("grid.dilations must be non-empty and distinct")
-        if min(self.dilations) < 1:
+        if len(set(self.dilations)) != len(self.dilations):
+            raise ConfigError("grid.dilations must be distinct")
+        if min(self.dilations, default=1) < 1:
             raise ConfigError("grid.dilations must all be >= 1")
         if self.distance_buckets < 19:
             raise ConfigError("grid.distance_buckets must cover the 19 signed-log ids")
@@ -180,8 +180,8 @@ def pair_features(v: Tensor, projection: tuple[Tensor, Tensor]) -> Tensor:
 def dilated_convolutions(
     c: Tensor, mask2d: np.ndarray, store: ParamStore, config: GridConfig
 ) -> Tensor:
-    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates
-    whose `grid.conv{d}.*` kernel is in the store, as one
+    """Channel concatenation of GELU(DConv_i(C)) over the dilation rates of
+    `config.dilations`, with the `grid.conv{d}.*` kernels, as one
     `autodiff.dilated_conv_gelu` op; `c` itself when there is none.
 
     Zero padding keeps every output cell aligned with its input cell.
@@ -189,9 +189,8 @@ def dilated_convolutions(
     padding as the zeros beyond the grid's edge; what it writes there is
     left as is.
     """
-    dilations = [d for d in config.dilations if f"grid.conv{d}.w" in store]
-    if not dilations:
+    if not config.dilations:
         return c
-    weights = [store[f"grid.conv{d}.w"] for d in dilations]
-    biases = [store[f"grid.conv{d}.b"] for d in dilations]
-    return ad.dilated_conv_gelu(c, mask2d, weights, biases, dilations)
+    weights = [store[f"grid.conv{d}.w"] for d in config.dilations]
+    biases = [store[f"grid.conv{d}.b"] for d in config.dilations]
+    return ad.dilated_conv_gelu(c, mask2d, weights, biases, config.dilations)

@@ -2,9 +2,9 @@
 per-sentence prediction.
 
 The config decides the architecture once, in `_build_params`, which
-adds no weight for an ablated ingredient; every stage then reads its
-weights from the `ParamStore` by their checkpoint names and runs what
-it finds there.
+adds no weight for an ingredient at its zero width; every stage then
+reads its weights from the `ParamStore` by their checkpoint names and
+runs what it finds there.
 
 The forward pass takes (..., n) character ids and validity masks with any
 number of leading batch axes. With the MLP head, it builds the tag map
@@ -103,11 +103,11 @@ class CrenerModel:
 
     def _build_params(self) -> None:
         """Add the weights of the ingredients the config enables to the
-        store, under the names checkpoints use. An ablated ingredient adds
-        none, and every stage reads only the names it finds. The order of
-        these calls fixes the initial draws and the store's order."""
+        store, under the names checkpoints use. An ingredient at its zero
+        width adds none, and every stage reads only the names it finds. The
+        order of these calls fixes the initial draws and the store's order."""
         cfg = self.config
-        ec, gc, nc, pc, abl = cfg.encoder, cfg.grid, cfg.enhance, cfg.predictor, cfg.ablations
+        ec, gc, nc, pc = cfg.encoder, cfg.grid, cfg.enhance, cfg.predictor
         d_h, d4, n_tags = ec.d_h, 4 * nc.d_r, len(self.tag_vocab)
         linear, zeros, ones, table = self._linear, self._zeros, self._ones, self._table
 
@@ -135,7 +135,7 @@ class CrenerModel:
         linear("embed.attn.wk", ec.d_context, (ec.d_context, ec.d_attn))
         linear("embed.attn.wv", ec.d_context, (ec.d_context, ec.d_attn))
 
-        if not abl.no_mlp_predictor:  # the grid and enhancement feed only the MLP head
+        if pc.d_hidden:  # the grid and enhancement feed only the MLP head
             linear("grid.subj.w", d_h, (d_h, d_h))
             zeros("grid.subj.b", (d_h,))
             linear("grid.obj.w", d_h, (d_h, d_h))
@@ -145,24 +145,23 @@ class CrenerModel:
             linear("grid.cln.bias_w", d_h, (d_h, d_h))
             zeros("grid.cln.bias_b", (d_h,))
             pair_in = d_h
-            if not abl.no_distance_matrix:
+            if gc.d_dist:
                 table("grid.dist_emb", (gc.distance_buckets, gc.d_dist))
                 pair_in += gc.d_dist
-            if not abl.no_region_matrix:
+            if gc.d_region:
                 table("grid.region_emb", (3, gc.d_region))
                 pair_in += gc.d_region
-            if not abl.no_attn_matrix:
+            if gc.d_attn:
                 table("grid.attn_emb", (gc.attn_buckets, gc.d_attn))
                 pair_in += gc.d_attn
             linear("grid.mlp1.w", pair_in, (pair_in, gc.d_reduced))
             zeros("grid.mlp1.b", (gc.d_reduced,))
-            dilations = () if abl.no_dilated_conv else gc.dilations
-            for dil in dilations:
+            for dil in gc.dilations:
                 linear(f"grid.conv{dil}.w", gc.kernel * gc.kernel * gc.d_reduced,
                        (gc.kernel, gc.kernel, gc.d_reduced, gc.d_conv))
-            for dil in dilations:
+            for dil in gc.dilations:
                 zeros(f"grid.conv{dil}.b", (gc.d_conv,))
-            q_channels = gc.d_reduced if abl.no_dilated_conv else len(gc.dilations) * gc.d_conv
+            q_channels = len(gc.dilations) * gc.d_conv if gc.dilations else gc.d_reduced
             for group in enh_mod.TAG_GROUPS:
                 linear(f"enh.tag_{group}.w", q_channels, (q_channels, nc.d_r))
                 zeros(f"enh.tag_{group}.b", (nc.d_r,))
@@ -189,7 +188,7 @@ class CrenerModel:
                 zeros("enh.ln_o.b", (d_h,))
 
         d_b = pc.d_biaffine
-        if not abl.no_biaffine_predictor:
+        if d_b:
             linear("pred.subj.w", d_h, (d_h, d_b))
             zeros("pred.subj.b", (d_b,))
             linear("pred.obj.w", d_h, (d_h, d_b))
@@ -197,7 +196,7 @@ class CrenerModel:
             linear("pred.biaffine.u", d_b, (d_b, n_tags, d_b))
             linear("pred.biaffine.w", 2 * d_b, (2 * d_b, n_tags))
             zeros("pred.biaffine.b", (n_tags,))
-        if not abl.no_mlp_predictor:
+        if pc.d_hidden:
             linear("pred.mlp.w1", d4, (d4, pc.d_hidden))
             zeros("pred.mlp.b1", (pc.d_hidden,))
             linear("pred.mlp.w2", pc.d_hidden, (pc.d_hidden, n_tags))
@@ -256,13 +255,13 @@ class CrenerModel:
         """(..., n, n, |R|) scores and the (..., n, n) cell mask for (..., n)
         ids and masks; scores at masked cells are meaningless. `dropout`,
         given in training only, holds the (..., n, layers, 2, d_h) encoder
-        dropout multipliers. A stage or head runs when its weights are in the store.
-        A non-finite score raises FloatingPointError, whose `rows` are the flat
-        indices over the leading axes of the sentences that hold one."""
+        dropout multipliers. A stage or head runs when its weights are in the
+        store: not at its zero width. A non-finite score raises
+        FloatingPointError, whose `rows` are the flat indices over the
+        leading axes of the sentences that hold one."""
         store = self.store
         h, attn = enc_mod.encode(
-            char_ids, mask, store, self.config.encoder, context_vectors=context_vectors,
-            use_scaling=self.config.ablations.use_scaling_factor, dropout=dropout,
+            char_ids, mask, store, self.config.encoder, context_vectors, dropout
         )
         y_mlp = None
         if "pred.mlp.w1" in store:

@@ -234,6 +234,18 @@ ARCHIVE_NAME = "checkpoint.npz"
 # Manifest keys `Checkpoint.load` reads, with the JSON type each must have.
 _MANIFEST_KEYS = {"config": dict, "chars": list, "entity_types": list, "epoch": int}
 
+# The boolean `ablations.*` flags of older format-4 manifests, each with the
+# key and value that the flag reads as when set.
+_RETIRED_FLAGS = {
+    "ablations.use_scaling_factor": ("encoder.use_scaling_factor", True),
+    "ablations.no_region_matrix": ("grid.d_region", 0),
+    "ablations.no_distance_matrix": ("grid.d_dist", 0),
+    "ablations.no_attn_matrix": ("grid.d_attn", 0),
+    "ablations.no_dilated_conv": ("grid.dilations", []),
+    "ablations.no_mlp_predictor": ("predictor.d_hidden", 0),
+    "ablations.no_biaffine_predictor": ("predictor.d_biaffine", 0),
+}
+
 
 @dataclass
 class Checkpoint:
@@ -326,6 +338,12 @@ class Checkpoint:
         if flat.pop("predictor.mode", "threshold") != "threshold":
             raise ConfigError(f"{path}: softmax-mode checkpoints are retired: retrain the model")
         try:
+            for old, (key, value) in _RETIRED_FLAGS.items():
+                flag = flat.pop(old, False)
+                if not isinstance(flag, bool):
+                    raise ConfigError(f"{old}: expected a boolean, got {flag!r}")
+                if flag:
+                    flat[key] = value
             config = config_from_flat(flat)
             config.validate()
         except ConfigError as exc:

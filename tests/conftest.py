@@ -10,6 +10,22 @@ from crener.model import CrenerModel
 from crener.training import Checkpoint
 
 
+# The paper's ablations as config overrides, each named by the ingredient it
+# removes: the scaling mode, each ingredient at its zero value, and the
+# no-adapted-transformer and no-enhancement ablations.
+ABLATIONS = {
+    "use_scaling_factor": ["encoder.use_scaling_factor=true"],
+    "no_region_matrix": ["grid.d_region=0"],
+    "no_distance_matrix": ["grid.d_dist=0"],
+    "no_attn_matrix": ["grid.d_attn=0"],
+    "no_dilated_conv": ["grid.dilations=[]"],
+    "no_mlp_predictor": ["predictor.d_hidden=0"],
+    "no_biaffine_predictor": ["predictor.d_biaffine=0"],
+    "layers-0": ["encoder.layers=0"],
+    "rounds-1": ["enhance.rounds=1"],
+}
+
+
 def small_config(double: bool = False, seed: int = 42) -> cfg_mod.ModelConfig:
     cfg = cfg_mod.default_config()
     cfg.encoder.d_context = 8

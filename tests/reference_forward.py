@@ -93,7 +93,7 @@ class ReferenceForward:
         pre = f"enc{layer}."
         n, d = h.shape
         heads, dk = ec.heads, d // ec.heads
-        scale = 1.0 / math.sqrt(dk) if self.cfg.ablations.use_scaling_factor else 1.0
+        scale = 1.0 / math.sqrt(dk) if ec.use_scaling_factor else 1.0
         q, k, v = h @ p[pre + "wq"], h @ p[pre + "wk"], h @ p[pre + "wv"]
         u, vb = p[pre + "u"], p[pre + "v"]
         scores = np.zeros((heads, n, n))
@@ -145,7 +145,7 @@ class ReferenceForward:
                     cell.append(p["grid.attn_emb"][attention_id(attn[i, j], gc.attn_buckets)])
                 rows.append(np.concatenate(cell))
         c = gelu(np.stack(rows) @ p["grid.mlp1.w"] + p["grid.mlp1.b"]).reshape(n, n, -1)
-        if self.cfg.ablations.no_dilated_conv:
+        if not gc.dilations:
             return c
         return np.concatenate([self.conv(c, d) for d in gc.dilations], axis=-1)
 

@@ -338,19 +338,18 @@ def test_08_every_ablation_changes_the_loss(capsys):
         return total / len(sentences)
 
     base = batch_loss()
-    flags = [
-        "use_scaling_factor",
-        "no_region_matrix",
-        "no_distance_matrix",
-        "no_attn_matrix",
-        "no_dilated_conv",
-        "no_mlp_predictor",
-        "no_biaffine_predictor",
+    # The scaling mode, then each ablation as its ingredient's zero value.
+    switches = [
+        "encoder.use_scaling_factor=true",
+        "grid.d_region=0",
+        "grid.d_dist=0",
+        "grid.d_attn=0",
+        "grid.dilations=[]",
+        "predictor.d_hidden=0",
+        "predictor.d_biaffine=0",
+        "encoder.layers=0",
+        "enhance.rounds=1",
     ]
-    # The no-adapted-transformer and no-enhancement ablations are plain
-    # config values rather than flags.
-    switches = [f"ablations.{flag}=true" for flag in flags]
-    switches += ["encoder.layers=0", "enhance.rounds=1"]
     unchanged = []
     deltas = {}
     for switch in switches:

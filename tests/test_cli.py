@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_checkpoint, small_config, untrained_checkpoint
+from conftest import ABLATIONS, assert_same_checkpoint, small_config, untrained_checkpoint
 from crener import training
 from crener.cli import main
 from crener.config import apply_overrides, config_to_flat, default_config, parse_config_text
@@ -74,10 +74,10 @@ class TestConfigText:
 
     def test_booleans(self):
         cfg = parse_config_text(
-            "ablations.use_scaling_factor = true\nablations.no_dilated_conv = false"
+            "encoder.use_scaling_factor = true\ndecode.contiguous = false"
         )
-        assert cfg.ablations.use_scaling_factor is True
-        assert cfg.ablations.no_dilated_conv is False
+        assert cfg.encoder.use_scaling_factor is True
+        assert cfg.decode.contiguous is False
 
     def test_text_round_trip(self):
         cfg = default_config()
@@ -320,6 +320,9 @@ MANIFEST_DAMAGE = {
     "manifest-config-invalid": (
         lambda m: m["config"].update({"encoder.heads": 0}),
         "bad checkpoint config: encoder.heads must be >= 1"),
+    "manifest-config-flag-not-boolean": (
+        lambda m: m["config"].update({"ablations.no_dilated_conv": "yes"}),
+        "bad checkpoint config: ablations.no_dilated_conv: expected a boolean, got 'yes'"),
 }
 CORRUPT_CHECKPOINT_CASES = (
     ["manifest-missing", "manifest-not-utf8", "manifest-not-json", "manifest-not-object"]
@@ -474,29 +477,113 @@ def test_refused_manifest_exits_1(workspace, tmp_path, capsys, command, case):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("where", ["file", "set"])
-def test_predictor_mode_is_an_unknown_key(workspace, tmp_path, capsys, where):
+def train_with_retired_key(workspace, tmp_path, where, key, value) -> int:
+    """`crener train` with `key = value` added to the workspace config
+    file (`where` "file") or given as `--set key=value` ("set")."""
     cfg = tmp_path / "run.cfg"
     text = workspace["cfg"].read_text()
     argv = ["train", "--config", str(cfg), "--quiet", "--checkpoint-dir", str(tmp_path / "ck")]
     if where == "file":
-        text += "predictor.mode = threshold\n"
+        text += f"{key} = {value}\n"
     else:
-        argv += ["--set", "predictor.mode=threshold"]
+        argv += ["--set", f"{key}={value}"]
     cfg.write_text(text)
-    assert main(argv) == 1
+    return main(argv)
+
+
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_predictor_mode_is_an_unknown_key(workspace, tmp_path, capsys, where):
+    assert train_with_retired_key(workspace, tmp_path, where, "predictor.mode", "threshold") == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.endswith(
         "unknown config key 'predictor.mode'\n")
     assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_ablation_flag_is_an_unknown_section(workspace, tmp_path, capsys, where):
+    """Only a checkpoint manifest translates the retired `ablations.*` flags."""
+    assert train_with_retired_key(
+        workspace, tmp_path, where, "ablations.no_dilated_conv", "true") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(
+        "unknown config section 'ablations'\n")
+    assert not (tmp_path / "ck").exists()
+
+
+# The retired `ablations.*` flags, named as their `ABLATIONS` cases.
+RETIRED_FLAGS = ("use_scaling_factor", "no_region_matrix", "no_distance_matrix",
+                 "no_attn_matrix", "no_dilated_conv", "no_mlp_predictor",
+                 "no_biaffine_predictor")
+
+
+def with_ablation_flags(flags):
+    """A manifest edit that spells the config as a format-4 writer of the
+    flag era did: the `ablations` section after `optimizer`, `flags` set in
+    it, every width at the small config's value, and no
+    `encoder.use_scaling_factor`."""
+    def damage(manifest):
+        config = manifest["config"]
+        del config["encoder.use_scaling_factor"]
+        config.update({k: v for k, v in config_to_flat(small_config()).items() if k in config})
+        items = list(config.items())
+        at = [k for k, _ in items].index("optimizer.double_precision") + 1
+        section = [(f"ablations.{flag}", flag in flags) for flag in RETIRED_FLAGS]
+        manifest["config"] = dict(items[:at] + section + items[at:])
+    return edit_manifest(damage)
+
+
+@pytest.mark.parametrize("flags", [[flag] for flag in RETIRED_FLAGS] + [
+    ["use_scaling_factor", "no_distance_matrix", "no_dilated_conv", "no_biaffine_predictor"],
+], ids=list(RETIRED_FLAGS) + ["mixed"])
+def test_flag_era_manifest_predicts_the_same(workspace, tmp_path, capsys, flags):
+    """A format-4 manifest holding the retired flags loads as the model
+    spelled with zero values, and predicts the same mentions."""
+    cfg = small_config()
+    apply_overrides(cfg, [item for flag in flags for item in ABLATIONS[flag]])
+    new, old = tmp_path / "new", tmp_path / "old"
+    untrained_checkpoint(cfg).save(str(new))
+    shutil.copytree(new, old)
+    rewrite_archive(old, with_ablation_flags(flags))
+    assert "ablations.no_dilated_conv" in json.loads(
+        np.load(old / "checkpoint.npz")["manifest"].tobytes())["config"]
+    outputs = []
+    for directory in (new, old):
+        assert main(["predict", "--checkpoint", str(directory),
+                     "--input", str(workspace["dev"]), "--output", "-"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
+    assert_same_checkpoint(training.Checkpoint.load(str(old)),
+                           training.Checkpoint.load(str(new)))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_interrupt_exits_130_without_a_traceback(workspace, tmp_path, capsys, monkeypatch,
+                                                 command):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    ckpt = tmp_path / "ck"
+    if command == "train":
+        monkeypatch.setattr(training, "train", interrupted)
+        argv = ["train", "--config", str(workspace["cfg"]), "--quiet",
+                "--checkpoint-dir", str(ckpt)]
+        message = "interrupted: no checkpoint was written\n"
+    else:
+        monkeypatch.setattr(training, "evaluate", interrupted)
+        argv = ["eval", "--checkpoint", str(workspace["ckpt"]), "--data", str(workspace["dev"]),
+                "--out", str(tmp_path / "r.json")]
+        message = "interrupted\n"
+    assert main(argv) == 130
+    assert capsys.readouterr().err == message
+    assert not (ckpt / "checkpoint.npz").exists()
+
+
 # Small-config ablations that leave 28 of the 79 parameters, so that the
 # archive, and the flipped-byte test over it, stays short.
 FEW_PARAMETERS = [
-    "encoder.layers=0", "enhance.rounds=1", "ablations.no_biaffine_predictor=true",
-    "ablations.no_dilated_conv=true", "ablations.no_region_matrix=true",
-    "ablations.no_distance_matrix=true", "ablations.no_attn_matrix=true",
+    "encoder.layers=0", "enhance.rounds=1", "predictor.d_biaffine=0", "grid.dilations=[]",
+    "grid.d_region=0", "grid.d_dist=0", "grid.d_attn=0",
 ]
 
 
@@ -908,14 +995,15 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def sweep_cases():
-    """Every int, float and tuple config key at -1, 0 and 1, plus an odd
-    encoder width (d_h = 41)."""
+    """Every int, float and tuple config key at -1, 0 and 1, plus no
+    dilations and an odd encoder width (d_h = 41)."""
     cases = []
     for key, value in config_to_flat(default_config()).items():
         if isinstance(value, (int, float, tuple)) and not isinstance(value, bool):
             form = "[{}]" if isinstance(value, tuple) else "{}"
             cases += [[f"{key}={form.format(v)}"] for v in (-1, 0, 1)]
-    return cases + [["encoder.heads=1", "enhance.heads=1", "encoder.d_context=33"]]
+    return cases + [["grid.dilations=[]"],
+                    ["encoder.heads=1", "enhance.heads=1", "encoder.d_context=33"]]
 
 
 def test_config_sweep_exits_with_a_documented_code(tmp_path, capsys):
@@ -929,7 +1017,7 @@ def test_config_sweep_exits_with_a_documented_code(tmp_path, capsys):
     cfg.paths.train = str(tmp_path / "train.jsonl")
     save_config(cfg, tmp_path / "run.cfg")
     cases = sweep_cases()
-    assert len(cases) == 3 * 29 + 1
+    assert len(cases) == 3 * 29 + 2
     failures = []
     for k, overrides in enumerate(cases):
         argv = ["train", "--config", str(tmp_path / "run.cfg"), "--checkpoint-dir",

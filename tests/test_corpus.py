@@ -99,8 +99,6 @@ class TestDataModel:
             EntityMention((-1, 0), "PER")
 
     def test_discontinuous_flag(self):
-        assert EntityMention((0, 1, 2), "X").is_contiguous()
-        assert not EntityMention((0, 2), "X").is_contiguous()
         e = EntityMention((3, 5, 6), "X")
         assert (e.head, e.tail) == (3, 6)
 
@@ -283,6 +281,21 @@ class TestConll:
         with pytest.raises(CorpusError, match=":2"):
             self._load(tmp_path, "a\tO\nb\tO\textra\n")
 
+    def test_sentences_arrive_one_at_a_time(self, tmp_path):
+        """`read_conll` yields each sentence as its blank line ends it, before
+        it reads the lines after it. Ids count from conll-0, and a run of
+        blank lines ends one sentence."""
+        path = tmp_path / "data.conll"
+        path.write_text("a\tB-X\nb\tE-X\n\n\n\nc\tS-Y\n\nd\tO\textra\n")
+        sentences = corpus_mod.read_conll(path)
+        first = next(sentences)
+        assert (first.id, first.chars) == ("conll-0", ["a", "b"])
+        assert first.entity_set() == {EntityMention((0, 1), "X")}
+        second = next(sentences)
+        assert (second.id, second.entity_set()) == ("conll-1", {EntityMention((0,), "Y")})
+        with pytest.raises(CorpusError, match=r"data\.conll:8: expected 'char<TAB>label'"):
+            next(sentences)
+
 
 class TestStatsAndSynthesis:
     def test_corpus_stats_counts(self):
@@ -332,14 +345,14 @@ class TestStatsAndSynthesis:
             nested_fraction=0.5, discontinuous_fraction=0.5,
         )
         assert any(s.entities for s in sents)
-        assert any(not e.is_contiguous() for s in sents for e in s.entities)
+        assert any(e.tail - e.head + 1 > len(e.indices) for s in sents for e in s.entities)
         for s in sents:
             for e in s.entities:
                 assert 0 <= e.head and e.tail < len(s)
 
     def test_synthetic_plain_mode_contiguous_only(self):
         sents = generate_synthetic_corpus(seed=2, count=50, max_len=30, types=list("ABCD"))
-        assert all(e.is_contiguous() for s in sents for e in s.entities)
+        assert all(e.tail - e.head + 1 == len(e.indices) for s in sents for e in s.entities)
 
     @pytest.mark.parametrize("seed, min_len, max_len, types, nested, discontinuous", [
         (0, 1, 8, ["A", "B"], 0.0, 0.0),

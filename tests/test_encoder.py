@@ -164,7 +164,8 @@ def test_scaling_flag_divides_scores(rng):
 
     table = relative_position_table(n, cfg.d_h, np.float32)
     _, plain = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, table)
-    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, table, use_scaling=True)
+    cfg.use_scaling_factor = True
+    _, scaled = adapted_attention(Tensor(hvals.copy()), mask, store, 0, cfg, table)
     assert not np.allclose(plain, scaled)
     # Scaling flattens: average row entropy goes up.
     def entropy(w):

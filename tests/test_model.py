@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import small_config, small_model
+from conftest import ABLATIONS, small_config, small_model
 from crener import co_predictor as pred_mod
 from crener.autodiff import Tensor
-from crener.config import apply_overrides, default_config, set_key
+from crener.config import apply_overrides, default_config
 from crener.corpus import (
     CharVocabulary,
     Sentence,
@@ -38,16 +38,6 @@ def test_every_parameter_group_present():
     names = list(model.store.names())
     for prefix in EXPECTED_GROUP_PREFIXES:
         assert any(n.startswith(prefix) for n in names), prefix
-
-
-ABLATION_FLAGS = [
-    "use_scaling_factor", "no_region_matrix", "no_distance_matrix", "no_attn_matrix",
-    "no_dilated_conv", "no_mlp_predictor", "no_biaffine_predictor",
-]
-# Every ablation as config overrides: the seven flags, and the
-# no-adapted-transformer and no-enhancement ablations as plain values.
-ABLATIONS = {flag: [f"ablations.{flag}=true"] for flag in ABLATION_FLAGS}
-ABLATIONS.update({"layers-0": ["encoder.layers=0"], "rounds-1": ["enhance.rounds=1"]})
 
 
 def ablated_config(case: str):
@@ -152,7 +142,7 @@ def padded_batch_run(model, sentences, fill=None):
 @pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
 @pytest.mark.parametrize(
     "overrides",
-    [[], ["ablations.no_dilated_conv=true"], ["encoder.layers=0"], ["enhance.rounds=3"]],
+    [[], ["grid.dilations=[]"], ["encoder.layers=0"], ["enhance.rounds=3"]],
     ids=["default", "no_dilated_conv", "layers-0", "rounds-3"],
 )
 def test_padding_contents_never_reach_real_cells(overrides, double):
@@ -213,14 +203,13 @@ def test_folded_mlp_head_matches_the_explicit_composition(monkeypatch, case):
 
 
 class TestAblationRouting:
-    def model_with(self, **flags):
+    def model_with(self, *overrides):
         cfg = small_config()
-        for k, v in flags.items():
-            set_key(cfg, f"ablations.{k}", v)
+        apply_overrides(cfg, overrides)
         return small_model(config=cfg)
 
     def test_no_mlp_leaves_biaffine_only(self):
-        model, sents = self.model_with(no_mlp_predictor=True)
+        model, sents = self.model_with("predictor.d_hidden=0")
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
         h, _ = encode(ids, mask, model.store, model.config.encoder)
@@ -228,7 +217,7 @@ class TestAblationRouting:
         np.testing.assert_array_equal(fused.data, expect.data)
 
     def test_no_biaffine_leaves_mlp_only(self):
-        model, sents = self.model_with(no_biaffine_predictor=True)
+        model, sents = self.model_with("predictor.d_biaffine=0")
         ids, mask, _ = model.sentence_inputs(sents[0])
         fused, _ = model.forward(ids, mask)
         h, attn = encode(ids, mask, model.store, model.config.encoder)
@@ -244,16 +233,14 @@ class TestAblationRouting:
         gc = base.config.grid
         d_h = base.config.encoder.d_h
         assert base.store["grid.mlp1.w"].shape[0] == d_h + gc.d_dist + gc.d_region + gc.d_attn
-        slim, _ = self.model_with(
-            no_distance_matrix=True, no_region_matrix=True, no_attn_matrix=True
-        )
+        slim, _ = self.model_with("grid.d_dist=0", "grid.d_region=0", "grid.d_attn=0")
         assert slim.store["grid.mlp1.w"].shape[0] == d_h
 
     def test_no_dilated_conv_narrows_tag_input(self):
         base, _ = self.model_with()
         gc = base.config.grid
         assert base.store["enh.tag_nnc.w"].shape[0] == len(gc.dilations) * gc.d_conv
-        flat, _ = self.model_with(no_dilated_conv=True)
+        flat, _ = self.model_with("grid.dilations=[]")
         assert flat.store["enh.tag_nnc.w"].shape[0] == gc.d_reduced
 
     def test_rounds_override_changes_scores(self):
@@ -270,7 +257,7 @@ class TestAblationRouting:
 
     def test_both_predictors_off_rejected(self):
         with pytest.raises(ConfigError, match="both predictor"):
-            self.model_with(no_mlp_predictor=True, no_biaffine_predictor=True)
+            self.model_with("predictor.d_hidden=0", "predictor.d_biaffine=0")
 
     def test_every_flag_trains_one_step(self):
         from crener.training import Adam

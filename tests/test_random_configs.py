@@ -4,12 +4,13 @@ over configs drawn at random from the space `ModelConfig.validate` accepts.
 `test_reference_forward.py` checks twelve fixed configs at the default
 widths. Here Hypothesis draws the shapes those never build: odd widths,
 1-4 heads, kernels 1, 3 and 5, dilations at or above the sentence
-length, 0-2 encoder layers, 1-3 rounds, any mix of ablations, and padded
-batches of one or two sentences of 1-11 characters. Every parameter is
-moved off its initial value. Float64 scores and loss must match the
-reference within `RTOL`, and a few entries of the parameter gradient must
-match central differences of the reference loss within the bound set
-by `GRAD_RTOL` and `GRAD_ATOL`.
+length, 0-2 encoder layers, 1-3 rounds, any mix of zero widths, empty
+dilations and the scaling mode, and padded batches of one or two
+sentences of 1-11 characters. Every parameter is moved off its initial
+value. Float64 scores and loss must match the reference within `RTOL`,
+and a few entries of the parameter gradient must match central
+differences of the reference loss within the bound set by `GRAD_RTOL`
+and `GRAD_ATOL`.
 """
 
 import math
@@ -18,21 +19,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crener.config import default_config
+from crener.config import apply_overrides, default_config
 from crener.corpus import CharVocabulary, TagVocabulary, encode_grid, generate_synthetic_corpus
 from crener.model import CrenerModel
 from reference_forward import ReferenceForward
 from test_reference_forward import RTOL
 
 TYPES = ("LOC", "PER")
-FLAGS = ("use_scaling_factor", "no_region_matrix", "no_distance_matrix", "no_attn_matrix",
-         "no_dilated_conv", "no_mlp_predictor", "no_biaffine_predictor")
+# The scaling mode and each ablation as its ingredient's zero value.
+ABLATIONS = ("encoder.use_scaling_factor=true", "grid.d_region=0", "grid.d_dist=0",
+             "grid.d_attn=0", "grid.dilations=[]", "predictor.d_hidden=0",
+             "predictor.d_biaffine=0")
 
 # Central differences at step H of the reference loss, against the model's
 # analytic gradient: |analytic - fd| <= GRAD_RTOL * max(|analytic|, |fd|)
 # + GRAD_ATOL * |loss|. Over the 600 entries that the 200 examples below
-# check, the largest error was 6.6e-10 of the loss, with a median of
-# 6e-12; the bound is at least 25 times every entry's error. The loss
+# check, the largest error was 2.2e-10 of the loss, with a median of
+# 6e-12; the bound is at least 29 times every entry's error. The loss
 # term covers the round-off of the differences, about 1e-16 * |loss| / H,
 # where a gradient is near 0.
 H = 1e-5
@@ -64,10 +67,11 @@ def configs(draw):
     enh.rounds = draw(st.integers(1, 3))
     pred.d_biaffine, pred.d_hidden = draw(small), draw(small)
     pred.threshold = draw(st.sampled_from([0.0, -0.5, 0.75]))
-    for flag in FLAGS:
-        setattr(cfg.ablations, flag, draw(st.sampled_from([False, False, True])))
-    if cfg.ablations.no_mlp_predictor and cfg.ablations.no_biaffine_predictor:
-        setattr(cfg.ablations, draw(st.sampled_from(FLAGS[-2:])), False)
+    widths = {"d_hidden": pred.d_hidden, "d_biaffine": pred.d_biaffine}
+    apply_overrides(cfg, [a for a in ABLATIONS if draw(st.sampled_from([False, False, True]))])
+    if pred.d_hidden == pred.d_biaffine == 0:  # one head keeps its drawn width
+        name = draw(st.sampled_from(list(widths)))
+        setattr(pred, name, widths[name])
     cfg.optimizer.double_precision = True
     cfg.validate()
     return cfg

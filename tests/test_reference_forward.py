@@ -1,6 +1,7 @@
 """`CrenerModel`'s float64 scores and loss against the plain numpy forward
-of `reference_forward.py`, over the default config, every ablation flag,
-encoder depths 0 and 2 and enhancement rounds 1 and 3.
+of `reference_forward.py`, over the default config, the scaling mode, each
+zero width and empty dilations, encoder depths 0 and 2 and enhancement
+rounds 1 and 3.
 
 Every parameter is moved off its initial value first, so that no term
 hides behind a zero bias or a unit gain.
@@ -9,6 +10,7 @@ hides behind a zero bias or a unit gain.
 import numpy as np
 import pytest
 
+from conftest import ABLATIONS
 from crener.config import apply_overrides, default_config
 from crener.corpus import CharVocabulary, build_tag_vocabulary, encode_grid, generate_synthetic_corpus
 from crener.model import CrenerModel
@@ -16,13 +18,8 @@ from reference_forward import ReferenceForward
 
 CASES = {
     "default": [],
-    **{flag: [f"ablations.{flag}=true"] for flag in (
-        "use_scaling_factor", "no_region_matrix", "no_distance_matrix", "no_attn_matrix",
-        "no_dilated_conv", "no_mlp_predictor", "no_biaffine_predictor",
-    )},
-    "layers-0": ["encoder.layers=0"],
+    **ABLATIONS,
     "layers-2": ["encoder.layers=2"],
-    "rounds-1": ["enhance.rounds=1"],
     "rounds-3": ["enhance.rounds=3"],
 }
 

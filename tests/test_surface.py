@@ -27,7 +27,6 @@ NOT_RUN_BY_THE_CLI = {
     "autodiff._constant": "runs at import, before the probe starts",
     "autodiff.ParamStore.names": "public method of a public type",
     "autodiff.Tensor.__repr__": "public method of a public type",
-    "corpus.EntityMention.is_contiguous": "public method of a public type",
     "model.CrenerModel.predict_sentence": "perfbench's predict workload calls it",
     "model.CrenerModel.sentence_loss": "perfbench's tests call it (ROADMAP item 17)",
     "model._NonFiniteScores.__init__": "error path: non-finite scores",

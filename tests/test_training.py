@@ -353,7 +353,7 @@ def test_failed_save_leaves_the_old_checkpoint(tmp_path, step):
 
 def test_save_over_another_config_leaves_no_stale_parameter(tmp_path):
     cfg = small_config()
-    apply_overrides(cfg, ["enhance.rounds=1", "ablations.no_biaffine_predictor=true"])
+    apply_overrides(cfg, ["enhance.rounds=1", "predictor.d_biaffine=0"])
     a, b = untrained_checkpoint(), untrained_checkpoint(cfg)
     assert set(b.params) < set(a.params)
     directory = str(tmp_path / "ckpt")
@@ -413,7 +413,7 @@ ABLATION_CASES = {
     "default": [],
     "rounds-1": ["enhance.rounds=1"],
     "rounds-3": ["enhance.rounds=3"],
-    "no-biaffine": ["ablations.no_biaffine_predictor=true"],
+    "no-biaffine": ["predictor.d_biaffine=0"],
 }
 
 
