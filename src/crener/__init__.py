@@ -24,7 +24,7 @@ from .corpus import (
 from .decode import decode_grid
 from .errors import ConfigError, CorpusError, CrenerError, DivergenceError
 from .model import CrenerModel
-from .training import Adam, Checkpoint, EvalReport, evaluate, evaluate_model, predict, train
+from .training import Adam, Checkpoint, EvalReport, evaluate_model, predict, train
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "decode_grid",
     "default_config",
     "encode_grid",
-    "evaluate",
     "evaluate_model",
     "generate_synthetic_corpus",
     "load_corpus",

@@ -18,7 +18,7 @@ from . import training
 from .config import apply_overrides, parse_config
 from .corpus import TagVocabulary, corpus_stats, load_corpus, read_jsonl, sentences_to_jsonl
 from .decode import decode_grid
-from .encoder import EncoderConfig, load_sidecar_vectors
+from .encoder import EncoderConfig
 from .errors import ConfigError, CorpusError, DivergenceError
 
 
@@ -26,13 +26,6 @@ def _load_split(path: str, format: str, what: str):
     if not path:
         raise ConfigError(f"paths.{what} is not set")
     return load_corpus(path, format=format)
-
-
-def _sidecar(config):
-    path = config.paths.vectors_sidecar
-    if not path:
-        return None
-    return load_sidecar_vectors(path, config.encoder.d_context)
 
 
 def cmd_train(args) -> int:
@@ -51,7 +44,6 @@ def cmd_train(args) -> int:
         config,
         train_sents,
         dev_sents,
-        context_provider=_sidecar(config),
         log_path=os.path.join(ckpt_dir, "train_log.jsonl"),
         progress=not args.quiet,
     )
@@ -68,9 +60,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = training.Checkpoint.load(args.checkpoint)
     sentences = load_corpus(args.data, format=args.format)
-    report = training.evaluate(
-        checkpoint, sentences, context_provider=_sidecar(checkpoint.config)
-    )
+    report = training.evaluate_model(checkpoint.build_model(), sentences)
     print(report.format_table())
     out_path = args.out or "report.json"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -83,9 +73,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     checkpoint = training.Checkpoint.load(args.checkpoint)
     sentences = load_corpus(args.input, format=args.format)
-    predicted = training.predict(
-        checkpoint, sentences, context_provider=_sidecar(checkpoint.config)
-    )
+    predicted = training.predict(checkpoint.build_model(), sentences)
     text = sentences_to_jsonl(predicted)
     if args.output == "-":
         sys.stdout.write(text)

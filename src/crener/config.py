@@ -2,9 +2,10 @@
 
 A config file is plain text, one `section.field = value` per line, `#`
 comments on their own lines. Values parse as JSON when possible and
-fall back to bare strings, so paths need no quoting. Unknown keys and
-non-finite numbers (nan, inf) are rejected. CLI `--set key=value`
-overrides reuse the same machinery.
+fall back to bare strings, so paths need no quoting; a string key keeps
+its text as written ("2024", "true"), unless that text is a quoted JSON
+string. Unknown keys and non-finite numbers (nan, inf) are rejected.
+CLI `--set key=value` overrides reuse the same machinery.
 
 Each ablation of the paper is a plain value: a zero width, no
 `grid.dilations`, `encoder.layers = 0` or `enhance.rounds = 1` leaves its
@@ -127,11 +128,6 @@ def _coerce(tp, value, key: str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
         return value
     if origin is tuple:
-        if isinstance(value, str):
-            try:
-                value = json.loads(value)
-            except json.JSONDecodeError:
-                raise ConfigError(f"{key}: expected a list, got {value!r}") from None
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
         inner = typing.get_args(tp)[0]
@@ -157,12 +153,15 @@ def set_key(config: ModelConfig, dotted_key: str, value) -> None:
     hints = _field_types(type(section))
     if field_name not in hints:
         raise ConfigError(f"unknown config key {dotted_key!r}")
+    tp = hints[field_name]
     if isinstance(value, str):
         try:
-            value = json.loads(value)
+            parsed = json.loads(value)
         except json.JSONDecodeError:
-            pass  # bare string
-    setattr(section, field_name, _coerce(hints[field_name], value, dotted_key))
+            parsed = value  # bare string
+        if tp is not str or isinstance(parsed, str):
+            value = parsed
+    setattr(section, field_name, _coerce(tp, value, dotted_key))
 
 
 def config_to_flat(config: ModelConfig) -> dict:

@@ -66,20 +66,22 @@ def _pad(row: np.ndarray, width: int, fill=0) -> np.ndarray:
 
 
 class CrenerModel:
-    """Owns the parameter store and glues the component modules together."""
+    """Owns the parameter store and glues the component modules together.
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        char_vocab: CharVocabulary,
-        tag_vocab: TagVocabulary,
-        context_provider: dict[str, np.ndarray] | None = None,
-    ):
+    When `config.paths.vectors_sidecar` names a file, the model reads it
+    once, here, into `context_provider` (sentence id -> (n, d_context)
+    vectors), and every forward concatenates those vectors in place of the
+    `embed.context` lookup; with the path empty it reads nothing."""
+
+    def __init__(self, config: ModelConfig, char_vocab: CharVocabulary, tag_vocab: TagVocabulary):
         config.validate()
         self.config = config
         self.char_vocab = char_vocab
         self.tag_vocab = tag_vocab
-        self.context_provider = context_provider
+        path = config.paths.vectors_sidecar
+        self.context_provider = (
+            enc_mod.load_sidecar_vectors(path, config.encoder.d_context) if path else None
+        )
         dtype = np.float64 if config.optimizer.double_precision else np.float32
         self.store = ParamStore(dtype)
         self._rng_init = np.random.default_rng(config.optimizer.seed)
@@ -233,7 +235,7 @@ class CrenerModel:
 
     def _batch_inputs(self, sentences: list[Sentence]):
         """(B, width) char ids and masks and the (B, width, d_context)
-        context vectors (None without a provider) of `sentences`, each
+        context vectors (None without a sidecar) of `sentences`, each
         padded to the longest one."""
         width = max(len(s) for s in sentences)
         ids, masks, vectors = zip(*(self.sentence_inputs(s, pad_to=width) for s in sentences))

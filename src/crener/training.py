@@ -89,23 +89,21 @@ class Adam:
     """Adaptive moment estimation with decoupled weight decay and a hard
     cap on the global update norm."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
         self,
         store,
         learning_rate: float,
         weight_decay: float = 0.0,
         grad_clip_norm: float | None = None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.store = store
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.grad_clip_norm = grad_clip_norm
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
@@ -362,10 +360,11 @@ class Checkpoint:
             path=path,
         )
 
-    def build_model(self, context_provider: dict | None = None) -> CrenerModel:
-        model = CrenerModel(
-            self.config, self.char_vocab, self.tag_vocab, context_provider
-        )
+    def build_model(self) -> CrenerModel:
+        """The model this checkpoint holds. It reads the vector sidecar that
+        `config.paths.vectors_sidecar` names at the time of the call, so a
+        loaded checkpoint can be pointed at another sidecar first."""
+        model = CrenerModel(self.config, self.char_vocab, self.tag_vocab)
         try:
             model.store.load_state_dict(self.params)
         except ValueError as exc:  # wrong names, shapes or dtypes
@@ -373,13 +372,9 @@ class Checkpoint:
         return model
 
 
-def evaluate(checkpoint: Checkpoint, sentences, context_provider=None) -> EvalReport:
-    return evaluate_model(checkpoint.build_model(context_provider), sentences)
-
-
-def predict(checkpoint: Checkpoint, sentences, context_provider=None) -> list[Sentence]:
-    """Sentences with entities replaced by model predictions, input order kept."""
-    model = checkpoint.build_model(context_provider)
+def predict(model: CrenerModel, sentences) -> list[Sentence]:
+    """Sentences with entities replaced by `model`'s predictions, input
+    order kept. Build the model with `Checkpoint.build_model`."""
     sentences = list(sentences)
     predicted = dict(_predicted_mentions(model, sentences))
     return [
@@ -432,7 +427,6 @@ def train(
     config: ModelConfig,
     train_sentences,
     dev_sentences=None,
-    context_provider: dict | None = None,
     log_path: str | None = None,
     progress: bool = False,
     stop_at_f1: float | None = None,
@@ -448,7 +442,7 @@ def train(
         raise CorpusError("empty training corpus")
     char_vocab = CharVocabulary.from_sentences(train_sentences)
     tag_vocab = build_tag_vocabulary(train_sentences)
-    model = CrenerModel(config, char_vocab, tag_vocab, context_provider)
+    model = CrenerModel(config, char_vocab, tag_vocab)
     opt_cfg = config.optimizer
     optimizer = Adam(
         model.store,

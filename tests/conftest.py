@@ -1,5 +1,7 @@
 """Shared fixtures: small model configs and corpora sized for fast tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,16 @@ def small_model(double: bool = False, seed: int = 42, config=None):
     sents = generate_synthetic_corpus(seed=9, count=8, max_len=8, types=["A", "B"])
     char_vocab = CharVocabulary.from_sentences(sents)
     return CrenerModel(cfg, char_vocab, build_tag_vocabulary(sents)), sents
+
+
+def write_sidecar(path, vectors: dict) -> str:
+    """Write {sentence id: (n, d_context) array} as a vector sidecar at
+    `path` and return the path, ready for `paths.vectors_sidecar`. float32
+    rows read back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sid, rows in vectors.items():
+            fh.write(json.dumps({"id": sid, "vectors": rows.tolist()}) + "\n")
+    return str(path)
 
 
 def untrained_checkpoint(config=None, seed: int = 42) -> Checkpoint:

@@ -72,6 +72,12 @@ class TestConfigText:
         assert cfg.paths.train == "data/train.jsonl"
         assert cfg.paths.dev == "d.jsonl"
 
+    @pytest.mark.parametrize("value", ["2024", "true", "null", "[1]"])
+    def test_string_keys_keep_their_text(self, value):
+        cfg = parse_config_text(f"paths.train = {value}")
+        apply_overrides(cfg, [f"paths.checkpoint_dir={value}"])
+        assert (cfg.paths.train, cfg.paths.checkpoint_dir) == (value, value)
+
     def test_booleans(self):
         cfg = parse_config_text(
             "encoder.use_scaling_factor = true\ndecode.contiguous = false"
@@ -570,7 +576,7 @@ def test_interrupt_exits_130_without_a_traceback(workspace, tmp_path, capsys, mo
                 "--checkpoint-dir", str(ckpt)]
         message = "interrupted: no checkpoint was written\n"
     else:
-        monkeypatch.setattr(training, "evaluate", interrupted)
+        monkeypatch.setattr(training, "evaluate_model", interrupted)
         argv = ["eval", "--checkpoint", str(workspace["ckpt"]), "--data", str(workspace["dev"]),
                 "--out", str(tmp_path / "r.json")]
         message = "interrupted\n"
@@ -1034,6 +1040,30 @@ def test_config_sweep_exits_with_a_documented_code(tmp_path, capsys):
         if code not in (0, 1, 2, 3) or "Traceback" in err:
             failures.append(f"{overrides}: exit {code}, stderr {err!r}")
     assert not failures, "\n".join(failures)
+
+
+def test_numeric_checkpoint_dir_trains_and_loads(workspace, tmp_path, capsys, monkeypatch):
+    """`paths.checkpoint_dir=2024` names the directory 2024, and the
+    checkpoint's manifest, which holds that text, loads."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(workspace["cfg"]), "--quiet",
+                 "--set", "optimizer.epochs=1", "--set", "paths.checkpoint_dir=2024"]) == 0
+    assert training.Checkpoint.load("2024").config.paths.checkpoint_dir == "2024"
+    assert main(["eval", "--checkpoint", "2024", "--data", str(workspace["dev"]),
+                 "--out", "report.json"]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["encoder.layers=1.5", "encoder.layers=abc",
+                                  "optimizer.learning_rate=[1]", "grid.dilations=7",
+                                  "decode.contiguous=maybe"])
+def test_mistyped_override_exits_1(workspace, tmp_path, capsys, item):
+    key = item.split("=")[0]
+    argv = ["train", "--config", str(workspace["cfg"]), "--checkpoint-dir", str(tmp_path / "ck"),
+            "--quiet", "--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: expected ") and err.count("\n") == 1
+    assert not (tmp_path / "ck").exists()
 
 
 def test_package_raises_no_bare_crener_error():

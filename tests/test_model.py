@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ABLATIONS, small_config, small_model
+from conftest import ABLATIONS, small_config, small_model, write_sidecar
 from crener import co_predictor as pred_mod
 from crener.autodiff import Tensor
 from crener.config import apply_overrides, default_config
@@ -278,19 +278,17 @@ class TestAblationRouting:
 
 
 class TestContextProvider:
-    def test_sidecar_vectors_used(self):
-        cfg = small_config()
-        from crener.corpus import generate_synthetic_corpus
-
+    def test_sidecar_vectors_used(self, tmp_path):
         sents = generate_synthetic_corpus(seed=9, count=4, max_len=6, types=["A"])
         vocab = build_tag_vocabulary(sents)
         rng = np.random.default_rng(3)
-        provider = {
+        cfg = small_config()
+        cfg.paths.vectors_sidecar = write_sidecar(tmp_path / "vectors.jsonl", {
             s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
             for s in sents
-        }
-        model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), vocab, provider)
-        plain = CrenerModel(cfg, model.char_vocab, vocab)
+        })
+        model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), vocab)
+        plain = CrenerModel(small_config(), model.char_vocab, vocab)
         ids, mask, vecs = model.sentence_inputs(sents[0])
         assert vecs is not None
         fused, _ = model.forward(ids, mask, vecs)
@@ -298,7 +296,7 @@ class TestContextProvider:
         assert not np.allclose(fused.data, fused_plain.data)
 
     @pytest.mark.parametrize("double", [False, True], ids=["float32", "float64"])
-    def test_padded_sidecar_batch_matches_sentences_alone(self, double):
+    def test_padded_sidecar_batch_matches_sentences_alone(self, tmp_path, double):
         """Sidecar rows that `sentence_inputs` pads with zeros reach no real
         cell: a mixed-length padded batch gives the loss and real-cell
         scores of its sentences run alone."""
@@ -306,13 +304,11 @@ class TestContextProvider:
         sents = generate_synthetic_corpus(seed=9, count=4, max_len=8, types=["A", "B"])
         assert len({len(s) for s in sents}) > 1  # some slots are padded
         rng = np.random.default_rng(3)
-        provider = {
+        cfg.paths.vectors_sidecar = write_sidecar(tmp_path / "vectors.jsonl", {
             s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
             for s in sents
-        }
-        model = CrenerModel(
-            cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents), provider
-        )
+        })
+        model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents))
         width = max(len(s) for s in sents)
         ids, masks, vectors = zip(*(model.sentence_inputs(s, pad_to=width) for s in sents))
         fused, _ = model.forward(np.stack(ids), np.stack(masks), np.stack(vectors))
@@ -328,9 +324,10 @@ class TestContextProvider:
         assert cells == sum(len(s) ** 2 for s in sents)
         np.testing.assert_allclose(loss.item(), alone_loss, rtol=tol)
 
-    def test_missing_sidecar_id_raises(self):
-        model, sents = small_model()
-        model.context_provider = {}
+    def test_missing_sidecar_id_raises(self, tmp_path):
+        cfg = small_config()
+        cfg.paths.vectors_sidecar = write_sidecar(tmp_path / "vectors.jsonl", {})
+        model, sents = small_model(config=cfg)
         with pytest.raises(CorpusError, match="sidecar"):
             model.sentence_inputs(sents[0])
 

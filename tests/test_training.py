@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_checkpoint, small_config, small_model, untrained_checkpoint
+from conftest import (
+    assert_same_checkpoint,
+    small_config,
+    small_model,
+    untrained_checkpoint,
+    write_sidecar,
+)
 from crener import training
 from crener.autodiff import ParamStore, Tensor
 from crener.config import apply_overrides
@@ -368,7 +374,7 @@ def test_predictions_round_trip(tmp_path):
     cfg.optimizer.epochs = 1
     sents = corpus()
     ck = train(cfg, sents)
-    out = predict(ck, sents)
+    out = predict(ck.build_model(), sents)
     assert [s.id for s in out] == [s.id for s in sents]
     text = sentences_to_jsonl(out)
     path = tmp_path / "pred.jsonl"
@@ -626,30 +632,31 @@ def predicted_in_order(model, sents):
     return [found[k] for k in range(len(sents))]
 
 
-def inference_model(count, double, seed=8, provider=False):
+def inference_model(count, double, seed=8, sidecar_dir=None):
     """An untrained small model (max_len 64) and `count` sentences of 2 to
-    50 characters, with a sidecar of random context vectors if asked."""
+    50 characters, with a sidecar of random context vectors written into
+    `sidecar_dir` if one is given."""
     cfg = small_config(double=double)
     cfg.encoder.max_len = 64
     sents = generate_synthetic_corpus(
         seed=seed, count=count, max_len=50, types=["A", "B"], min_len=2,
         nested_fraction=0.5, discontinuous_fraction=0.5,
     )
-    vectors = None
-    if provider:
+    if sidecar_dir is not None:
         rng = np.random.default_rng(seed)
-        vectors = {s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
-                   for s in sents}
-    model = CrenerModel(cfg, CharVocabulary.from_sentences(sents),
-                        build_tag_vocabulary(sents), vectors)
+        cfg.paths.vectors_sidecar = write_sidecar(sidecar_dir / "vectors.jsonl", {
+            s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
+            for s in sents
+        })
+    model = CrenerModel(cfg, CharVocabulary.from_sentences(sents), build_tag_vocabulary(sents))
     return model, sents
 
 
-@pytest.mark.parametrize("provider", [False, True], ids=["plain", "sidecar"])
-def test_sub_batched_scores_match_sentences_alone(monkeypatch, provider):
+@pytest.mark.parametrize("sidecar", [False, True], ids=["plain", "sidecar"])
+def test_sub_batched_scores_match_sentences_alone(monkeypatch, tmp_path, sidecar):
     """float64: every sentence's real-cell scores in its sub-batch's forward
     match its lone forward, and its mentions are those of its batch of one."""
-    model, sents = inference_model(24, double=True, provider=provider)
+    model, sents = inference_model(24, double=True, sidecar_dir=tmp_path if sidecar else None)
     lengths = [len(s) for s in sents]
     assert min(lengths) == 2 and max(lengths) >= 46
     subs = training._sub_batches(lengths, MAX_SUB_BATCH_CELLS)
@@ -703,8 +710,8 @@ def test_eight_sentences_of_48_are_evaluated_one_at_a_time(monkeypatch):
     assert [scores.shape[:2] for scores in forwards] == [(1, 48)] * 8
 
 
-def test_non_finite_sentence_is_named_alone_in_its_sub_batch():
-    model, sents = inference_model(24, double=False, provider=True)
+def test_non_finite_sentence_is_named_alone_in_its_sub_batch(tmp_path):
+    model, sents = inference_model(24, double=False, sidecar_dir=tmp_path)
     lengths = [len(s) for s in sents]
     sub = max(training._sub_batches(lengths, MAX_SUB_BATCH_CELLS), key=len)
     assert len(sub) > 2
