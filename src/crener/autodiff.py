@@ -6,6 +6,16 @@ ndarray; every operation records a backward closure, and calling
 topological order, accumulating gradients into ``.grad``. The same code
 runs in float32 (training default) and float64 (gradient-check mode).
 
+The tape links nodes, not tensors (as PyTorch links ``grad_fn`` nodes).
+A tensor that takes a gradient has a `_Node`: its backward closure (None
+for a leaf), its parents' nodes, its gradient, and its shape and dtype.
+A node holds no array of its own, and each closure captures at record
+time the arrays its backward reads, never a parent tensor. So an interior
+tensor's array is freed as soon as the forward drops it, unless a
+consumer's closure reads it; round 0's tag-feature grid, which
+`masked_max`'s backward does not read, and the index term that
+`linear` adds as a bias are freed before the backward starts.
+
 Operations accept any number of leading (batch) axes. Each op keeps only
 what its backward reads. The grid-sized stages are single fused ops with
 one output array each: `linear` (affine map, optionally followed by GELU,
@@ -18,10 +28,11 @@ a 7-term tanh form in float32 and a 24-term erfc form in float64
 (`_normal_cdf_into`).
 ``backward()`` releases the tape as it walks it: once a node's closure
 has run, the node drops its gradient, closure and parents, so the arrays
-the closure saved are freed before the walk ends. Leaves keep ``.grad``.
+the closure saved are freed before the walk ends. Leaves keep ``.grad``,
+which a tensor reads from and writes to its node.
 
-Gradient ownership: a closure hands each parent its gradient through
-``parent._accumulate(g, owned)``. On the parent's first write an owned
+Gradient ownership: a closure hands each parent its gradient through the
+parent node's ``accumulate(g, owned)``. On the node's first write an owned
 `g` becomes its ``.grad`` as it is; any other `g` is copied. Since
 ``backward()`` drops a node's ``.grad`` once the node's closure has run,
 and each ``.grad`` is written only by accumulation, every interior
@@ -30,15 +41,14 @@ for an array it has just allocated, or for its own incoming `g` or a view
 of it, provided each region of that memory goes to one parent only and
 the closure reads it no more afterwards. A broadcast view, or a `g` handed
 to two parents (as `add` does), is never owned by more than one of them.
-`getitem` alone writes its parent's ``.grad`` directly, adding `g` into
-the region its index names, which that exclusivity makes safe.
+`getitem` alone writes its parent node's ``.grad`` directly, adding `g`
+into the region its index names, which that exclusivity makes safe.
 
 Grad mode: inside ``with no_grad():`` operations record no tape. Each
-result is a plain tensor with no parents, no closure and
-``requires_grad = False``, so every intermediate array is freed as soon
-as nothing else refers to it, and ``backward()`` raises. The arithmetic
-is the same in both modes. Prediction runs its forward this way; training
-never does.
+result is a plain tensor with no node and ``requires_grad = False``, so
+every intermediate array is freed as soon as nothing else refers to it,
+and ``backward()`` raises. The arithmetic is the same in both modes.
+Prediction runs its forward this way; training never does.
 """
 
 from __future__ import annotations
@@ -137,41 +147,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """An ndarray with an accumulated gradient and a backward closure."""
+class _Node:
+    """A tensor's place on the tape: its backward closure (None for a
+    leaf), the nodes of its parents that take a gradient, its accumulated
+    gradient, and the shape and dtype of the tensor it was made for. It
+    holds no data of its own, so the tensor's array lives only as long as
+    the forward, or a closure that reads it, refers to it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("backward", "parents", "grad", "shape", "dtype")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data)
+    def __init__(self, backward, parents: tuple, shape: tuple, dtype):
+        self.backward = backward
+        self.parents = parents
         self.grad = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
+        self.shape = shape
+        self.dtype = dtype
 
-    @staticmethod
-    def _make(data, parents, backward) -> "Tensor":
-        out = Tensor(data)
-        if _records(parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
-
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add `g` into ``.grad``. `owned` promises that nothing reads or
         writes `g`'s memory afterwards (the module docstring's ownership
         rule), so a first write of the right shape and dtype keeps `g`
         itself; otherwise it keeps a copy, since `g` may be a view that
         another input or a later read shares."""
-        if not self.requires_grad:
-            return
         if self.grad is not None:
             self.grad += g
-        elif owned and g.shape == self.data.shape and g.dtype == self.data.dtype:
+        elif owned and g.shape == self.shape and g.dtype == self.dtype:
             self.grad = g
         else:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.array(g, dtype=self.dtype)
+
+
+class Tensor:
+    """An ndarray and, when it takes a gradient, its tape node."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
+        self._node = _Node(None, (), self.data.shape, self.data.dtype) if requires_grad else None
+
+    @staticmethod
+    def _make(data, parents, backward) -> "Tensor":
+        out = Tensor(data)
+        if _records(parents):
+            out._node = _Node(backward, tuple(p._node for p in parents if p._node is not None),
+                              out.data.shape, out.data.dtype)
+        return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient; a leaf keeps it after ``backward()``."""
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
 
     # ------------------------------------------------------------------
     @property
@@ -199,17 +233,19 @@ class Tensor:
             raise RuntimeError("backward() called inside no_grad(): no tape was recorded")
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        order = _topological_order(self)
-        self.grad = np.ones_like(self.data)
+        if self._node is None:
+            return
+        order = _topological_order(self._node)
+        self._node.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
+                node.backward(node.grad)
             node.grad = None
-            node._backward = None
-            node._parents = ()
+            node.backward = None
+            node.parents = ()
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
@@ -240,7 +276,7 @@ class Tensor:
         return tensor_sum(self)
 
 
-def _topological_order(root: Tensor) -> list:
+def _topological_order(root: _Node) -> list:
     order: list = []
     seen: set = set()
     stack = [(root, False)]
@@ -253,8 +289,8 @@ def _topological_order(root: Tensor) -> list:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in node.parents:
+            if id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -264,28 +300,28 @@ def _topological_order(root: Tensor) -> list:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):  # g goes to both inputs, so only b, the last, may own it
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape), owned=True)
+        if na is not None:
+            ga = _unbroadcast(g, na.shape)
+            na.accumulate(ga, owned=ga is not g)
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g, nb.shape), owned=True)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    na, nb, a_data, b_data = a._node, b._node, a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+        if na is not None:
+            na.accumulate(_unbroadcast(g * b_data, na.shape), owned=True)
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * a_data, nb.shape), owned=True)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(a_data * b_data, (a, b), backward)
 
 
 def _normal_cdf_into(x: np.ndarray, t: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -390,26 +426,30 @@ def _gelu_in_place(z: np.ndarray, derivative: bool) -> np.ndarray | None:
 # shape manipulation
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    if a.requires_grad:
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
-    if b.requires_grad:
-        if b.data.ndim == 2:
-            gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+def _matmul_backward(na: _Node | None, a: np.ndarray, nb: _Node | None, b: np.ndarray,
+                     g: np.ndarray) -> None:
+    """Hand the gradients of a @ b, for the arrays `a` and `b`, to their
+    nodes `na` and `nb` (None for an input that takes none)."""
+    if na is not None:
+        ga = g @ np.swapaxes(b, -1, -2)
+        na.accumulate(_unbroadcast(ga, na.shape), owned=True)
+    if nb is not None:
+        if b.ndim == 2:
+            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        b._accumulate(gb, owned=True)
+            gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, nb.shape)
+        nb.accumulate(gb, owned=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; for `(..., c) @ (c, d)` the weight gradient is one
     2-D GEMM over every leading axis."""
+    na, nb, a_data, b_data = a._node, b._node, a.data, b.data
 
     def backward(g):
-        _matmul_backward(a, b, g)
+        _matmul_backward(na, a_data, nb, b_data, g)
 
-    return Tensor._make(a.data @ b.data, (a, b), backward)
+    return Tensor._make(a_data @ b_data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) -> Tensor:
@@ -430,13 +470,16 @@ def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) 
     """
     views = isinstance(w, tuple)
     parents = (x, *w, *b) if views else (x, w, b)
+    nx = x._node
     if views:
+        nw, nb = [t._node for t in w], [t._node for t in b]
         w_data = np.array([t.data for t in w])  # (k, d_in, d_out)
         xs = x.data.reshape(x.shape[0], -1, x.shape[-1])  # (k or 1, cells, d_in)
         out_data = np.matmul(xs, w_data)
         out_data += np.array([t.data for t in b])[:, None, :]
         out_data = out_data.reshape((len(w),) + x.shape[1:-1] + (w_data.shape[-1],))
     else:
+        nw, nb = w._node, b._node
         xs, w_data = x.data, w.data
         out_data = xs @ w_data
         out_data += b.data
@@ -448,20 +491,22 @@ def linear(x: Tensor, w: Tensor | tuple, b: Tensor | tuple, gelu: bool = False) 
             g = _times_derivative(g, d)
             d = None  # read once: freed before the GEMMs allocate
         if not views:
-            _matmul_backward(x, w, g)
-            if b.requires_grad:  # last, so a bias shaped like g may keep it
-                b._accumulate(_unbroadcast(g, b.data.shape), owned=True)
+            _matmul_backward(nx, xs, nw, w_data, g)
+            if nb is not None:  # last, so a bias shaped like g may keep it
+                nb.accumulate(_unbroadcast(g, nb.shape), owned=True)
             return
-        gs = g.reshape(len(w), -1, g.shape[-1])
-        for t, gt in zip(b, gs.sum(axis=1)):
-            t._accumulate(gt, owned=True)
-        if x.requires_grad:
+        gs = g.reshape(len(w_data), -1, g.shape[-1])
+        for t, gt in zip(nb, gs.sum(axis=1)):
+            if t is not None:
+                t.accumulate(gt, owned=True)
+        if nx is not None:
             gx = np.matmul(gs, np.swapaxes(w_data, -1, -2))
-            if len(gx) != x.shape[0]:  # one input read by every weight
+            if len(gx) != nx.shape[0]:  # one input read by every weight
                 gx = gx.sum(axis=0, keepdims=True)
-            x._accumulate(gx.reshape(x.shape), owned=True)
-        for t, gt in zip(w, np.matmul(np.swapaxes(xs, -1, -2), gs)):
-            t._accumulate(gt, owned=True)
+            nx.accumulate(gx.reshape(nx.shape), owned=True)
+        for t, gt in zip(nw, np.matmul(np.swapaxes(xs, -1, -2), gs)):
+            if t is not None:
+                t.accumulate(gt, owned=True)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -479,18 +524,19 @@ def _times_derivative(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; with negative axes, leading batch axes pass through."""
+    na = a._node
 
     def backward(g):
-        a._accumulate(np.swapaxes(g, axis1, axis2), owned=True)
+        na.accumulate(np.swapaxes(g, axis1, axis2), owned=True)
 
     return Tensor._make(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old_shape = a.data.shape
+    na = a._node
 
     def backward(g):
-        a._accumulate(g.reshape(old_shape), owned=True)
+        na.accumulate(g.reshape(na.shape), owned=True)
 
     return Tensor._make(a.data.reshape(shape), (a,), backward)
 
@@ -501,29 +547,31 @@ def getitem(a: Tensor, idx) -> Tensor:
     if not all(isinstance(i, (int, slice, type(None), type(Ellipsis)))
                for i in (idx if isinstance(idx, tuple) else (idx,))):
         raise TypeError(f"getitem takes a basic index, got {idx!r}")
+    na = a._node
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-            a.grad[idx] = g
+        if na.grad is None:
+            na.grad = np.zeros(na.shape, dtype=na.dtype)
+            na.grad[idx] = g
         else:
-            a.grad[idx] += g
+            na.grad[idx] += g
 
     return Tensor._make(a.data[idx], (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
     """The tensors joined along their last axis."""
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    tensors = tuple(tensors)
+    parts = [(t._node, t.shape[-1]) for t in tensors]
 
     def backward(g):
         hi = 0
-        for t in tensors:
-            lo, hi = hi, hi + t.data.shape[-1]
-            t._accumulate(g[..., lo:hi], owned=True)
+        for node, width in parts:
+            lo, hi = hi, hi + width
+            if node is not None:
+                node.accumulate(g[..., lo:hi], owned=True)
 
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=-1), tensors, backward)
 
 
 # ----------------------------------------------------------------------
@@ -532,12 +580,12 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
 
 def tensor_sum(a: Tensor) -> Tensor:
     """The sum of all of `a`'s entries."""
-    out_data = a.data.sum()
+    na = a._node
 
     def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+        na.accumulate(np.broadcast_to(g, na.shape))
 
-    return Tensor._make(out_data, (a,), backward)
+    return Tensor._make(a.data.sum(), (a,), backward)
 
 
 def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> Tensor:
@@ -564,14 +612,15 @@ def masked_max(x: Tensor, mask: np.ndarray, fill: float) -> Tensor:
         counts = hit.sum(axis=axis, keepdims=True)
         hit &= m
         patterns.append((hit, counts))
+    nx = x._node
 
     def backward(g):
         gx = None
         for axis, (hit, counts), g_axis in zip(axes, patterns, g):
-            share = (np.expand_dims(g_axis, axis) / counts).astype(x.data.dtype)
+            share = (np.expand_dims(g_axis, axis) / counts).astype(nx.dtype)
             part = np.where(hit, share, 0)
             gx = part if gx is None else np.add(gx, part, out=gx)
-        x._accumulate(gx, owned=True)
+        nx.accumulate(gx, owned=True)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -597,16 +646,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     onehot(ids).T @ g, one GEMM, and for a larger one with `np.add.at`.
     """
     ids = np.asarray(ids)
+    nt = table._node
 
     def backward(g):
-        rows = table.data.shape[0]
+        rows = nt.shape[0]
         if rows <= _ONE_HOT_ROWS:
             onehot = (ids.reshape(-1, 1) == np.arange(rows)).astype(g.dtype)
             gz = onehot.T @ g.reshape(-1, g.shape[-1])
         else:
-            gz = np.zeros_like(table.data)
+            gz = np.zeros(nt.shape, dtype=nt.dtype)
             np.add.at(gz, ids, g)
-        table._accumulate(gz, owned=True)
+        nt.accumulate(gz, owned=True)
 
     return Tensor._make(table.data[ids], (table,), backward)
 
@@ -649,21 +699,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray, heads: int,
     total[total == 0.0] = 1.0
     weights /= total
     parents = (q, k, v) if score_bias is None else (q, k, v, score_bias)
+    nq, nk, nv = q._node, k._node, v._node
+    ns = None if score_bias is None else score_bias._node
 
     def backward(g):  # the softmax-Jacobian product, then the matmul gradients
         gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(np.swapaxes(weights, -1, -2) @ gh), owned=True)
+        if nv is not None:
+            nv.accumulate(merge(np.swapaxes(weights, -1, -2) @ gh), owned=True)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * weights).sum(axis=-1, keepdims=True)
         ds *= weights
         ds *= weights.dtype.type(scale)
-        if score_bias is not None and score_bias.requires_grad:
-            score_bias._accumulate(_unbroadcast(ds, score_bias.data.shape))
-        if q.requires_grad:
-            q._accumulate(merge(ds @ kh), owned=True)
-        if k.requires_grad:
-            k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh), owned=True)
+        if ns is not None:
+            ns.accumulate(_unbroadcast(ds, ns.shape))
+        if nq is not None:
+            nq.accumulate(merge(ds @ kh), owned=True)
+        if nk is not None:
+            nk.accumulate(merge(np.swapaxes(ds, -1, -2) @ qh), owned=True)
 
     return Tensor._make(merge(weights @ vh), parents, backward), weights
 
@@ -704,19 +756,20 @@ def relative_scores(q: Tensor, wkr: Tensor, v: Tensor, table: np.ndarray, heads:
     z = qh @ np.swapaxes(kh, -1, -2)  # (..., heads, n, 2n - 1)
     z += np.swapaxes(th @ vh, -1, -2)  # v . R for each head and offset
     out_data = np.ascontiguousarray(_by_offset(z))
+    nq, nw, nv = q._node, wkr._node, v._node
 
     def backward(g):
         gz = np.zeros(g.shape[:-1] + (2 * n - 1,), dtype=g.dtype)
         _by_offset(gz)[...] = g
-        if q.requires_grad:
+        if nq is not None:
             gq = np.swapaxes(gz @ kh, -3, -2)
-            q._accumulate(gq.reshape(q.shape), owned=True)
-        if wkr.requires_grad:
+            nq.accumulate(gq.reshape(nq.shape), owned=True)
+        if nw is not None:
             gk = _unbroadcast(np.swapaxes(gz, -1, -2) @ qh, kh.shape)  # (heads, 2n - 1, d / heads)
-            wkr._accumulate(rows.T @ gk.transpose(1, 0, 2).reshape(2 * n - 1, d), owned=True)
-        if v.requires_grad:
+            nw.accumulate(rows.T @ gk.transpose(1, 0, 2).reshape(2 * n - 1, d), owned=True)
+        if nv is not None:
             per_offset = _unbroadcast(gz.sum(axis=-2, keepdims=True), (heads, 1, 2 * n - 1))
-            v._accumulate((per_offset @ th).reshape(d), owned=True)
+            nv.accumulate((per_offset @ th).reshape(d), owned=True)
 
     return Tensor._make(out_data, (q, wkr, v), backward)
 
@@ -750,23 +803,29 @@ def dilated_conv_gelu(
     for w, b, dilation, block in zip(weights, biases, dilations, blocks):
         out_data[..., block] = kernels.conv2d_forward(xm, w.data, b.data, dilation)
     d = _gelu_in_place(out_data, _records(parents))
+    nx = x._node
+    per_dilation = [(w.data, w._node, b._node, dilation, block)
+                    for w, b, dilation, block in zip(weights, biases, dilations, blocks)]
 
     def backward(g):
         nonlocal d
         g = _times_derivative(g, d)
         d = None  # read once: freed before the per-dilation gradients
         dx = None
-        for w, b, dilation, block in zip(weights, biases, dilations, blocks):
-            dx_i, dw, db = kernels.conv2d_backward(xm, w.data, g[..., block], dilation)
-            w._accumulate(dw, owned=True)
-            b._accumulate(db, owned=True)
+        for w_data, nw, nb, dilation, block in per_dilation:
+            dx_i, dw, db = kernels.conv2d_backward(xm, w_data, g[..., block], dilation)
+            if nw is not None:
+                nw.accumulate(dw, owned=True)
+            if nb is not None:
+                nb.accumulate(db, owned=True)
             if dx is None:
                 dx = dx_i
             else:
                 dx += dx_i
-        if keep is not None:
-            dx *= keep
-        x._accumulate(dx, owned=True)
+        if nx is not None:
+            if keep is not None:
+                dx *= keep
+            nx.accumulate(dx, owned=True)
 
     return Tensor._make(out_data, parents, backward)
 
@@ -797,23 +856,26 @@ def layer_norm(x: Tensor, gain: Tensor | tuple, bias: Tensor | tuple, eps: float
     normed *= inv_std
     out_data = gain_data * normed
     out_data += bias_data
+    nx = x._node
+    gain_nodes, bias_nodes = [t._node for t in gains], [t._node for t in biases]
 
-    def hand(params, grad, owned=False) -> None:  # one slice of grad per view
-        for t, gt in zip(params, grad if views else (grad,)):
-            t._accumulate(gt.reshape(t.data.shape), owned)
+    def hand(nodes, grad, owned=False) -> None:  # one slice of grad per view
+        for node, gt in zip(nodes, grad if views else (grad,)):
+            if node is not None:
+                node.accumulate(gt.reshape(node.shape), owned)
 
     def backward(g):
         # A strided g would be read three times below; one copy makes each
         # read contiguous. The sums and products keep their bits.
         g = np.ascontiguousarray(g)
-        hand(biases, _unbroadcast(g, bias_data.shape))
-        if x.requires_grad:
+        hand(bias_nodes, _unbroadcast(g, bias_data.shape))
+        if nx is not None:
             dy = _unbroadcast(g * gain_data, normed.shape)
             dx = dy - dy.mean(axis=-1, keepdims=True)
             dx -= normed * (dy * normed).mean(axis=-1, keepdims=True)
             dx *= inv_std
-            x._accumulate(dx, owned=True)
-        hand(gains, _unbroadcast(g * normed, gain_data.shape), owned=True)
+            nx.accumulate(dx, owned=True)
+        hand(gain_nodes, _unbroadcast(g * normed, gain_data.shape), owned=True)
 
     return Tensor._make(out_data, (x, *gains, *biases), backward)
 
@@ -846,12 +908,13 @@ def threshold_loss(scores: Tensor, gold: np.ndarray, cells: np.ndarray, s0: floa
     pos_term, pos_weights = log_sum_exp(-with_thr, pos)
     neg_term, neg_weights = log_sum_exp(with_thr, ~pos & cells[..., None])
     out_data = (pos_term + neg_term) * keep
+    ns = scores._node
 
     def backward(g):
         gk = (g * keep)[..., None]
         grad = gk * neg_weights
         grad -= gk * pos_weights
-        scores._accumulate(grad, owned=True)
+        ns.accumulate(grad, owned=True)
 
     return Tensor._make(out_data, (scores,), backward)
 

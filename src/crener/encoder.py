@@ -29,8 +29,8 @@ from .corpus import read_jsonl
 from .errors import ConfigError, CorpusError
 
 # The largest `encoder.max_len` a config may set. A float32 training forward
-# with the default config keeps about 4.8 KB of tape per grid cell, so a
-# single sentence of 1,024 characters already needs about 5 GB.
+# with the default config keeps about 3.7 KB of tape per grid cell, so a
+# single sentence of 1,024 characters already needs about 4 GB.
 MAX_LEN_LIMIT = 1024
 
 

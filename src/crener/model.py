@@ -71,7 +71,8 @@ class CrenerModel:
     When `config.paths.vectors_sidecar` names a file, the model reads it
     once, here, into `context_provider` (sentence id -> (n, d_context)
     vectors), and every forward concatenates those vectors in place of the
-    `embed.context` lookup; with the path empty it reads nothing."""
+    `embed.context` lookup, which is then not in the store; with the path
+    empty it reads nothing."""
 
     def __init__(self, config: ModelConfig, char_vocab: CharVocabulary, tag_vocab: TagVocabulary):
         config.validate()
@@ -100,8 +101,10 @@ class CrenerModel:
     def _ones(self, name: str, shape) -> None:
         self.store.add(name, np.ones(shape))
 
-    def _table(self, name: str, shape) -> None:
-        self.store.add(name, self._rng_init.normal(0.0, 0.02, size=shape))
+    def _table(self, name: str, shape, stored: bool = True) -> None:
+        table = self._rng_init.normal(0.0, 0.02, size=shape)
+        if stored:  # an unstored table is drawn all the same, so later draws stay put
+            self.store.add(name, table)
 
     def _build_params(self) -> None:
         """Add the weights of the ingredients the config enables to the
@@ -130,7 +133,8 @@ class CrenerModel:
             zeros(p + "ln1.b", (d_h,))
             ones(p + "ln2.g", (d_h,))
             zeros(p + "ln2.b", (d_h,))
-        table("embed.context", (len(self.char_vocab), ec.d_context))
+        table("embed.context", (len(self.char_vocab), ec.d_context),
+              stored=self.context_provider is None)
         table("embed.position", (ec.max_len, ec.d_pos))
         table("embed.region", (2, ec.d_region))
         linear("embed.attn.wq", ec.d_context, (ec.d_context, ec.d_attn))

@@ -49,8 +49,8 @@ CHECKPOINT_FORMAT_VERSION = 4
 # inference forward over two or more sentences; a longer sentence runs
 # alone. The bound caps a step's memory, since only one sub-batch's tape
 # is alive at a time: with the default config in float32 a 4,096-cell
-# forward + loss leaves 19.8 MB of tape for one n = 64 sentence and 21.0 MB
-# for four of n = 32, and its backward peaks at 20.8 and 21.9 MB
+# forward + loss leaves 15.3 MB of tape for one n = 64 sentence and 16.4 MB
+# for four of n = 32, and its backward peaks at 16.2 and 17.2 MB
 # (tracemalloc, from just before the forward, after one warm-up step;
 # 2-core Xeon, numpy 2.4.6, one BLAS thread). 4,096 is one n = 64 grid.
 MAX_SUB_BATCH_CELLS = 4096
@@ -363,10 +363,15 @@ class Checkpoint:
     def build_model(self) -> CrenerModel:
         """The model this checkpoint holds. It reads the vector sidecar that
         `config.paths.vectors_sidecar` names at the time of the call, so a
-        loaded checkpoint can be pointed at another sidecar first."""
+        loaded checkpoint can be pointed at another sidecar first. A model
+        with a sidecar has no `embed.context`, so that member, which older
+        sidecar checkpoints hold, is dropped."""
         model = CrenerModel(self.config, self.char_vocab, self.tag_vocab)
+        params = self.params
+        if "embed.context" not in model.store:
+            params = {k: v for k, v in params.items() if k != "embed.context"}
         try:
-            model.store.load_state_dict(self.params)
+            model.store.load_state_dict(params)
         except ValueError as exc:  # wrong names, shapes or dtypes
             raise CorpusError(f"{self.path or 'checkpoint'}: {exc}") from None
         return model

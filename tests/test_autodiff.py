@@ -655,7 +655,7 @@ class TestGradMode:
             out = self.forward(*params)
         assert len(made_tensors) == 4 and made_tensors[-1] is out
         for t in made_tensors:
-            assert t._parents == () and t._backward is None and not t.requires_grad
+            assert t._node is None and not t.requires_grad
         assert derivatives == [False]  # GELU's derivative is not computed
         np.testing.assert_array_equal(out.data, taped.data)
 
@@ -693,7 +693,7 @@ def test_backward_releases_the_tape(rng):
     assert saved() is not None
     loss.backward()
     assert saved() is None
-    assert loss._parents == () and loss.grad is None
+    assert loss._node.parents == () and loss.grad is None
     assert x.grad is not None and w.grad is not None
 
 

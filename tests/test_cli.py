@@ -18,11 +18,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ABLATIONS, assert_same_checkpoint, small_config, untrained_checkpoint
+from conftest import (
+    ABLATIONS,
+    assert_same_checkpoint,
+    small_config,
+    untrained_checkpoint,
+    write_sidecar,
+)
 from crener import training
 from crener.cli import main
 from crener.config import apply_overrides, config_to_flat, default_config, parse_config_text
-from crener.corpus import Sentence, generate_synthetic_corpus, save_corpus
+from crener.corpus import Sentence, generate_synthetic_corpus, load_corpus, save_corpus
 from crener.errors import ConfigError, CorpusError
 from oracles import config_to_text, save_config
 
@@ -561,6 +567,35 @@ def test_flag_era_manifest_predicts_the_same(workspace, tmp_path, capsys, flags)
     assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
     assert_same_checkpoint(training.Checkpoint.load(str(old)),
                            training.Checkpoint.load(str(new)))
+
+
+def test_sidecar_checkpoint_with_a_context_table_predicts_the_same(workspace, tmp_path, capsys):
+    """A model that reads a vector sidecar has no `embed.context`. An
+    older sidecar checkpoint still holds that table, at its initial draw:
+    it loads as the checkpoint without it and predicts the same output."""
+    cfg = small_config()
+    rng = np.random.default_rng(5)
+    cfg.paths.vectors_sidecar = write_sidecar(tmp_path / "vectors.jsonl", {
+        s.id: rng.normal(size=(len(s), cfg.encoder.d_context)).astype(np.float32)
+        for s in load_corpus(workspace["dev"])
+    })
+    new, old = tmp_path / "new", tmp_path / "old"
+    untrained_checkpoint(cfg).save(str(new))
+    table = untrained_checkpoint().params["embed.context"]  # the draw a sidecar model skips storing
+    shutil.copytree(new, old)
+    rewrite_archive(old, lambda members: members.update({"embed.context": table}))
+    assert "embed.context" not in training.Checkpoint.load(str(new)).params
+    assert "embed.context" in training.Checkpoint.load(str(old)).params
+    outputs = []
+    for directory in (new, old):
+        assert main(["predict", "--checkpoint", str(directory),
+                     "--input", str(workspace["dev"]), "--output", "-"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 6
+    built = training.Checkpoint.load(str(old)).build_model()
+    assert "embed.context" not in built.store
+    for name, t in training.Checkpoint.load(str(new)).build_model().store.items():
+        assert built.store[name].data.tobytes() == t.data.tobytes(), name
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -2,6 +2,7 @@
 and gradient flow through the whole stack."""
 
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import ABLATIONS, small_config, small_model, write_sidecar
 from crener import co_predictor as pred_mod
+from crener import autodiff as ad
 from crener.autodiff import Tensor
 from crener.config import apply_overrides, default_config
 from crener.corpus import (
@@ -171,7 +173,6 @@ def test_folded_mlp_head_matches_the_explicit_composition(monkeypatch, case):
     mlp(tag_features(Q)) to 1e-12 of each array's largest magnitude. The
     biases that start at zero are drawn first, so the folded bias
     b_tag W1 + b1 is tested too."""
-    from crener import autodiff as ad
     from crener import relation_enhance as enh_mod
 
     cfg = ablated_config(case)
@@ -361,7 +362,7 @@ class TestTapeFreePrediction:
         # floor leaves room for a later fusion of a few more.
         assert len(made_tensors) > 80
         for t in made_tensors:
-            assert t._parents == () and t._backward is None and not t.requires_grad
+            assert t._node is None and not t.requires_grad
 
     def test_grad_mode_restored_after_failed_predict(self):
         model, sents = small_model()
@@ -379,33 +380,52 @@ class TestTapeFreePrediction:
             assert t.grad is not None, name
 
 
-def tape_bytes(loss) -> int:
-    """Bytes the tape under `loss` holds for its backward: every interior
-    node's output and every array its closure saved, each base array once."""
-    held, seen, stack = {}, set(), [loss]
+def closure_values(node) -> list:
+    """Everything a tape node's closure captured, with the members of any
+    tuple or list in it, at any depth."""
+    values, stack = [], [cell.cell_contents for cell in node.backward.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list)):
+            stack.extend(value)
+        else:
+            values.append(value)
+    return values
+
+
+def tape_nodes(loss) -> list:
+    """Every interior node of the tape under `loss`."""
+    nodes, seen, stack = [], set(), [loss._node]
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._backward is None:
+        if id(node) in seen or node.backward is None:
             continue
         seen.add(id(node))
-        arrays = [node.data]
-        for cell in node._backward.__closure__ or ():
-            value = cell.cell_contents
-            values = value if isinstance(value, (tuple, list)) else (value,)
-            arrays.extend(v for v in values if isinstance(v, np.ndarray))
-        for a in arrays:
+        nodes.append(node)
+        stack.extend(node.parents)
+    return nodes
+
+
+def tape_bytes(loss) -> int:
+    """Bytes the tape under `loss` holds for its backward: every array a
+    node's closure saved, each base array once. A node holds no output."""
+    held = {}
+    for node in tape_nodes(loss):
+        for a in closure_values(node):
+            if not isinstance(a, np.ndarray):
+                continue
             while isinstance(a.base, np.ndarray):
                 a = a.base
             held[id(a)] = a.nbytes
-        stack.extend(node._parents)
     return sum(held.values())
 
 
 def test_tape_of_a_default_forward_stays_lean():
-    # The grid-sized stages are fused ops that keep one output array and
-    # only what their backward reads: about 6.2 MB here, against 12.4 MB
-    # when every `x @ w + b`, GELU, scale-shift, pooling fill and conv mask
-    # kept an array of its own.
+    # The grid-sized stages are fused ops whose closures keep only what
+    # their backward reads, and no node keeps its output: about 4.7 MB
+    # here, against 12.4 MB when every node kept its output and every
+    # `x @ w + b`, GELU, scale-shift, pooling fill and conv mask kept an
+    # array of its own.
     sents = generate_synthetic_corpus(
         seed=3, count=1, max_len=32, types=["PER", "LOC"], min_len=32)
     model = CrenerModel(default_config(), CharVocabulary.from_sentences(sents),
@@ -419,7 +439,7 @@ def test_backward_peak_stays_near_the_forward():
     # Gradients are handed over rather than copied, GELU's derivative is
     # freed once read, and the conv backward gathers its im2col in blocks,
     # so a default float32 step on one n = 64 sentence raises
-    # tracemalloc's peak by about 0.7 MB over the level its forward leaves,
+    # tracemalloc's peak by about 0.9 MB over the level its forward leaves,
     # against 5.1 MB when every first write was copied.
     sents = generate_synthetic_corpus(
         seed=3, count=1, max_len=64, types=["PER", "LOC"], min_len=64)
@@ -435,6 +455,59 @@ def test_backward_peak_stays_near_the_forward():
     finally:
         tracemalloc.stop()
     assert peak - after_forward <= 2_000_000
+
+
+def test_dead_grids_are_freed_before_the_backward(monkeypatch):
+    # A tape node keeps its closure, not its output, so a grid that no
+    # backward reads dies with the forward's last reference to it: round 0's
+    # tag-feature grid (read only by `masked_max`'s forward) and the index
+    # term E W_e + b1 (a `linear` bias). One default float32 step on one
+    # n = 64 sentence then peaks at 16.2 MB in tracemalloc, against 20.75 MB
+    # when every node kept its output until the backward reached it.
+    from crener import grid as grid_mod
+    from crener import relation_enhance as enh_mod
+
+    grids = {}
+    tag_features, pair_projection = enh_mod.tag_features, grid_mod.pair_projection
+
+    def recording_tag_features(q, tag_map):
+        out = tag_features(q, tag_map)
+        grids.setdefault("round 0 tag features", weakref.ref(out.data))
+        return out
+
+    def recording_pair_projection(attn, store, config):
+        w, index_term = pair_projection(attn, store, config)
+        grids["index term"] = weakref.ref(index_term.data)
+        return w, index_term
+
+    monkeypatch.setattr(enh_mod, "tag_features", recording_tag_features)
+    monkeypatch.setattr(grid_mod, "pair_projection", recording_pair_projection)
+    sents = generate_synthetic_corpus(
+        seed=3, count=1, max_len=64, types=["PER", "LOC"], min_len=64)
+    model = CrenerModel(default_config(), CharVocabulary.from_sentences(sents),
+                        build_tag_vocabulary(sents))
+    tracemalloc.start()
+    try:
+        loss, _ = model.batch_loss(sents)
+        dead = {name for name, ref in grids.items() if ref() is None}
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dead == {"round 0 tag features", "index term"}
+    assert peak <= 17_000_000
+
+
+def test_no_tape_closure_holds_a_tensor():
+    # Each closure captures the arrays its backward reads and its parents'
+    # nodes, never a parent tensor, which would keep that tensor's output
+    # alive for as long as the tape.
+    model, sents = small_model()
+    loss, _ = model.batch_loss(sents[:3])
+    nodes = tape_nodes(loss)
+    assert len(nodes) == sum(DEFAULT_TAPE.values())
+    for node in nodes:
+        assert not any(isinstance(v, Tensor) for v in closure_values(node)), node.backward.__qualname__
 
 
 def test_gradients_match_a_backward_that_copies(monkeypatch):
@@ -453,8 +526,8 @@ def test_gradients_match_a_backward_that_copies(monkeypatch):
         return {name: t.grad.copy() for name, t in model.store.items()}
 
     handed_over = gradients()
-    accumulate = Tensor._accumulate
-    monkeypatch.setattr(Tensor, "_accumulate", lambda t, g, owned=False: accumulate(t, g))
+    accumulate = ad._Node.accumulate
+    monkeypatch.setattr(ad._Node, "accumulate", lambda node, g, owned=False: accumulate(node, g))
     copied = gradients()
     assert handed_over.keys() == copied.keys()
     for name, g in handed_over.items():
@@ -523,6 +596,6 @@ def test_default_forward_records_few_tape_nodes(made_tensors):
         made_tensors.clear()
         loss, _ = model.batch_loss(sents)
         assert loss.requires_grad
-        ops = Counter(t._backward.__qualname__.split(".")[0]
+        ops = Counter(t._node.backward.__qualname__.split(".")[0]
                       for t in made_tensors if t.requires_grad)
         assert dict(ops) == DEFAULT_TAPE
